@@ -9,20 +9,5 @@
 //! coarse anti-regression gate CI runs.
 
 fn main() {
-    let scale = mnemosyne_bench::Scale::from_env();
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    mnemosyne_bench::util::run_experiment(
-        "allocscale",
-        scale,
-        mnemosyne_bench::exp::allocscale::run,
-    );
-    if !smoke {
-        return;
-    }
-    let gate = mnemosyne_bench::gate::gate_for("allocscale").expect("allocscale gate");
-    if let Err(why) = gate.enforce_repo_root() {
-        eprintln!("smoke FAILED: {why}");
-        std::process::exit(1);
-    }
-    println!("smoke OK");
+    mnemosyne_bench::gate::bench_main("allocscale", mnemosyne_bench::exp::allocscale::run);
 }

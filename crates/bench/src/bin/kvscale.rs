@@ -1,31 +1,13 @@
 //! KV-service scaling bench: acknowledged requests per virtual second
 //! for a live `mnemosyned` service at 1/2/4/8 batcher workers, driven by
-//! 8 pipelined loopback TCP clients, swept for both storage engines
-//! (STM group commit and the detectable lock-free table). Emits
-//! `BENCH_svc.json` at the repository root and the standard
-//! `target/repro/kvscale/telemetry.json` sidecar.
+//! 8 pipelined loopback TCP clients. Emits `BENCH_svc.json` at the
+//! repository root and the standard `target/repro/kvscale/telemetry.json`
+//! sidecar.
 //!
-//! With `--smoke`, exits non-zero unless every kvscale gate holds: the
-//! STM series must reach 2× at 4 workers and 3× at 8 (the group-commit
-//! dividend), the lock-free series 3× at 4 workers and **6.5× at 8**
-//! (near-linear serving, the lock-free engine's acceptance bar) — or if
-//! any ratio regressed more than 10% below the `BENCH_BASELINE_DIR`
-//! baseline.
+//! With `--smoke`, exits non-zero unless both kvscale gates hold — 2× at
+//! 4 workers and 3× at 8 (the group-commit dividend) — or if either
+//! ratio regressed more than 10% below the `BENCH_BASELINE_DIR` baseline.
 
 fn main() {
-    let scale = mnemosyne_bench::Scale::from_env();
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    mnemosyne_bench::util::run_experiment("kvscale", scale, mnemosyne_bench::exp::kvscale::run);
-    if !smoke {
-        return;
-    }
-    let gates = mnemosyne_bench::gate::gates_for_binary("kvscale");
-    assert!(!gates.is_empty(), "kvscale gates missing");
-    for gate in gates {
-        if let Err(why) = gate.enforce_repo_root() {
-            eprintln!("smoke FAILED: {why}");
-            std::process::exit(1);
-        }
-    }
-    println!("smoke OK");
+    mnemosyne_bench::gate::bench_main("kvscale", mnemosyne_bench::exp::kvscale::run);
 }

@@ -9,16 +9,5 @@
 //! regressed more than 10% below the `BENCH_BASELINE_DIR` baseline.
 
 fn main() {
-    let scale = mnemosyne_bench::Scale::from_env();
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    mnemosyne_bench::util::run_experiment("recovery", scale, mnemosyne_bench::exp::recovery::run);
-    if !smoke {
-        return;
-    }
-    let gate = mnemosyne_bench::gate::gate_for("recovery").expect("recovery gate");
-    if let Err(why) = gate.enforce_repo_root() {
-        eprintln!("smoke FAILED: {why}");
-        std::process::exit(1);
-    }
-    println!("smoke OK");
+    mnemosyne_bench::gate::bench_main("recovery", mnemosyne_bench::exp::recovery::run);
 }

@@ -38,9 +38,9 @@ fn main() {
     let mut results: Vec<(String, Result<(), String>)> = Vec::new();
     for (name, run) in suite {
         let mut outcome = run_experiment_checked(name, scale, run);
-        // Scaling benches carry smoke gates (kvscale carries four: both
-        // engines at both 4 and 8 workers); a bench that ran but no
-        // longer scales is as much a failure as one that panicked.
+        // Scaling benches carry smoke gates (kvscale carries two, at 4
+        // and at 8 workers); a bench that ran but no longer scales is as
+        // much a failure as one that panicked.
         if outcome.is_ok() {
             for g in gate::gates_for_binary(name) {
                 outcome = g.enforce_repo_root();

@@ -10,16 +10,5 @@
 //! anti-regression gate CI runs over the commit pipeline.
 
 fn main() {
-    let scale = mnemosyne_bench::Scale::from_env();
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    mnemosyne_bench::util::run_experiment("txscale", scale, mnemosyne_bench::exp::txscale::run);
-    if !smoke {
-        return;
-    }
-    let gate = mnemosyne_bench::gate::gate_for("txscale").expect("txscale gate");
-    if let Err(why) = gate.enforce_repo_root() {
-        eprintln!("smoke FAILED: {why}");
-        std::process::exit(1);
-    }
-    println!("smoke OK");
+    mnemosyne_bench::gate::bench_main("txscale", mnemosyne_bench::exp::txscale::run);
 }

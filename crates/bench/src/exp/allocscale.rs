@@ -37,6 +37,7 @@ use mnemosyne_pheap::{HeapConfig, PHeap};
 use mnemosyne_region::{RegionManager, Regions};
 use mnemosyne_scm::{ScmConfig, ScmSim};
 
+use crate::benchfile::BenchFile;
 use crate::util::{banner, commas, Scale, TestRig};
 
 /// Shard count used for every run, so thread counts are compared over
@@ -128,38 +129,27 @@ pub fn measure(scale: Scale) -> Vec<Point> {
     THREADS.iter().map(|&t| run_point(t, scale)).collect()
 }
 
-/// Serialises the sweep as the `BENCH_pheap.json` payload. All numbers
-/// are integers (speedup in thousandths) so the repository's telemetry
-/// JSON parser — which rejects floats by design — can consume the file.
-pub fn to_bench_json(points: &[Point]) -> String {
-    let one = points
-        .iter()
-        .find(|p| p.threads == 1)
-        .map(|p| p.ops_per_vsec)
-        .unwrap_or(1.0);
-    let mut rows = String::new();
-    for (i, p) in points.iter().enumerate() {
-        if i > 0 {
-            rows.push(',');
-        }
-        rows.push_str(&format!(
-            "\n    {{\"threads\": {}, \"ops\": {}, \"busy_ns\": {}, \"ops_per_vsec\": {}, \"speedup_milli\": {}}}",
-            p.threads,
+/// The sweep as the `BENCH_pheap.json` document.
+pub fn bench_file(points: &[Point]) -> BenchFile {
+    let row = |p: &Point| {
+        vec![
+            p.threads as u64,
             p.ops,
             p.busy_ns,
             p.ops_per_vsec.round() as u64,
-            (p.ops_per_vsec / one * 1000.0).round() as u64
-        ));
+        ]
+    };
+    BenchFile {
+        file: "BENCH_pheap.json",
+        bench: "allocscale",
+        unit: "pmalloc+pfree ops per virtual second",
+        param: ("shards", SHARDS as u64),
+        keys: &["threads", "ops", "busy_ns", "ops_per_vsec"],
+        work_key: "ops",
+        ns_key: "busy_ns",
+        value_key: "ops_per_vsec",
+        series: vec![("points", points.iter().map(row).collect())],
     }
-    format!(
-        "{{\n  \"bench\": \"allocscale\",\n  \"unit\": \"pmalloc+pfree ops per virtual second\",\n  \"shards\": {SHARDS},\n  \"points\": [{rows}\n  ]\n}}\n"
-    )
-}
-
-/// Repo-root path for `BENCH_pheap.json` (the bench crate lives at
-/// `crates/bench`).
-pub fn bench_json_path() -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_pheap.json")
 }
 
 /// Runs the experiment, prints the table, and writes `BENCH_pheap.json`
@@ -179,9 +169,5 @@ pub fn run(scale: Scale) {
             p.ops_per_vsec / one
         );
     }
-    let path = bench_json_path();
-    match std::fs::write(&path, to_bench_json(&points)) {
-        Ok(()) => println!("bench json: {}", path.display()),
-        Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
-    }
+    bench_file(&points).write();
 }

@@ -1,7 +1,6 @@
 //! KV-service scaling: acknowledged requests per virtual second vs.
 //! batcher worker count, for a live `mnemosyned` service driven by
-//! pipelined loopback TCP clients — swept for **both storage engines**
-//! (`--engine stm` and `--engine lockfree`). Emits `BENCH_svc.json`.
+//! pipelined loopback TCP clients. Emits `BENCH_svc.json`.
 //!
 //! ## Methodology: virtual-time throughput
 //!
@@ -17,39 +16,21 @@
 //! The network and thread-scheduling costs of the loopback TCP path are
 //! wall-clock noise the virtual domain deliberately excludes — the
 //! question here is what the *durability* cost per acknowledged request
-//! is, and how it scales.
+//! is, and how it scales. (The wall-clock answer is `kvload`'s, in
+//! `benchmark/`.)
 //!
-//! ## Why the engines scale differently
-//!
-//! The **STM engine** batches: a worker drains up to `max_batch` queued
-//! requests and commits them as ONE durable transaction, so N writes
-//! share one redo-append fence; concurrent workers additionally collapse
-//! their post-writeback data fences through the mtm commit groups
-//! (`GroupFence`, PR 4). That amortisation is powerful, but the commit
-//! pipeline still serialises on shared STM state (locks, log handles,
-//! group membership), which caps the speedup well short of linear at 8
-//! workers.
-//!
-//! The **lock-free engine** has no transaction to share: every PUT/DEL
-//! is a detectable CAS publish plus ONE persist fence on its own handle,
-//! and workers interact only through individual CAS words. With nothing
-//! serialising the commit path, per-worker busy time is just that
-//! worker's own share of the ops, and throughput approaches linear in
-//! the worker count — the ceiling the STM engine cannot reach. That
-//! near-linearity at 8 workers is exactly what the `kvscale-lf8` smoke
-//! gate enforces.
-//!
-//! Per-request latency (`svc.request_ns`, p50/p99 below) is measured in
-//! the same virtual domain: batching trades a little p50 for a lot of
-//! amortisation on the STM side; the lock-free side pays its single
-//! fence per op.
+//! Why it scales (one redo-append fence per batch, group data fences
+//! across workers) and where it stops (shared STM state) is discussed
+//! with the numbers in EXPERIMENTS.md; latency (`svc.request_ns`) is
+//! measured in the same virtual domain.
 
 use std::sync::{Arc, Barrier};
 
 use mnemosyne::{Mnemosyne, ScmConfig, Truncation};
 use mnemosyne_svc::proto::{Request, Response};
-use mnemosyne_svc::{Client, Engine, KvServer, KvService, SvcConfig};
+use mnemosyne_svc::{Client, KvServer, KvService, SvcConfig};
 
+use crate::benchfile::BenchFile;
 use crate::util::{banner, commas, Scale, TestRig};
 
 /// Batcher worker counts swept.
@@ -68,9 +49,8 @@ pub struct Point {
     pub workers: usize,
     /// Requests acknowledged to clients.
     pub requests: u64,
-    /// Critical-path busy time: max over the engine's handles (STM:
-    /// redo-log slots and heap shards; lock-free: service workers and
-    /// heap shards) of accounted ns.
+    /// Critical-path busy time: max over the redo-log slot handles and
+    /// the heap shard handles of accounted ns.
     pub busy_ns: u64,
     /// `requests / busy_ns`, in acknowledged requests per virtual second.
     pub req_per_vsec: f64,
@@ -78,11 +58,11 @@ pub struct Point {
     pub p50_ns: u64,
     /// Tail per-request latency (virtual ns, upper bound).
     pub p99_ns: u64,
-    /// Mean requests per queue drain (STM: also per durable transaction).
+    /// Mean requests per queue drain, i.e. per durable transaction.
     pub mean_batch: u64,
 }
 
-fn run_point(engine: Engine, workers: usize, scale: Scale) -> Point {
+fn run_point(workers: usize, scale: Scale) -> Point {
     let rig = TestRig::new();
     let m = Mnemosyne::builder(&rig.dir)
         .scm_config(ScmConfig::virtual_clock(64 << 20))
@@ -97,17 +77,7 @@ fn run_point(engine: Engine, workers: usize, scale: Scale) -> Point {
         &m,
         SvcConfig {
             workers,
-            // Engine-appropriate claim size: the STM engine wants big
-            // batches (one redo-append fence per claim), the lock-free
-            // engine acknowledges per op — a big claim buys nothing and
-            // only unbalances workers (the busiest worker's surplus is
-            // pure lost speedup in the virtual domain), so claim one
-            // request at a time and keep every worker evenly fed.
-            max_batch: match engine {
-                Engine::Stm => 16,
-                Engine::LockFree => 1,
-            },
-            engine,
+            max_batch: 16,
             // Run with the background checkpointer on: the gate then
             // doubles as the "throughput holds while a checkpoint runs
             // concurrently" acceptance check.
@@ -151,36 +121,15 @@ fn run_point(engine: Engine, workers: usize, scale: Scale) -> Point {
     let requests: u64 = joins.into_iter().map(|j| j.join().unwrap()).sum();
 
     // Critical path = the busiest handle that did persistent work on
-    // behalf of requests. The STM engine's work lands on the redo-log
-    // slot handles; the lock-free engine's lands on the per-worker
-    // handles the service times itself; allocation work lands on the
-    // heap shard handles under both.
+    // behalf of requests: commits land on the redo-log slot handles,
+    // allocation work on the heap shard handles.
     let slot_after = m.mtm().slot_busy_ns();
     let shard_after = m.heap().shard_busy_ns();
-    let handle_busy: Vec<u64> = match engine {
-        Engine::Stm => slot_after
-            .iter()
-            .zip(&slot_before)
-            .map(|(a, b)| a.saturating_sub(*b))
-            .collect(),
-        Engine::LockFree => svc.worker_busy_ns(),
-    };
-    if std::env::var_os("KVSCALE_DEBUG").is_some() {
-        let shards: Vec<u64> = shard_after
-            .iter()
-            .zip(&shard_before)
-            .map(|(a, b)| a.saturating_sub(*b))
-            .collect();
-        eprintln!("debug[{engine} w={workers}] handles={handle_busy:?} shards={shards:?}");
-    }
-    let busy_ns = handle_busy
-        .into_iter()
-        .chain(
-            shard_after
-                .iter()
-                .zip(&shard_before)
-                .map(|(a, b)| a.saturating_sub(*b)),
-        )
+    let busy_ns = slot_after
+        .iter()
+        .zip(&slot_before)
+        .chain(shard_after.iter().zip(&shard_before))
+        .map(|(a, b)| a.saturating_sub(*b))
         .max()
         .unwrap_or(0)
         .max(1);
@@ -205,69 +154,61 @@ fn run_point(engine: Engine, workers: usize, scale: Scale) -> Point {
     }
 }
 
-/// Runs one engine's sweep: one [`Point`] per entry of [`WORKERS`], each
-/// the median of three runs — loopback TCP scheduling makes single runs
-/// (the 8-worker point especially) too noisy to gate on directly.
-pub fn measure(engine: Engine, scale: Scale) -> Vec<Point> {
+/// Runs the sweep: one [`Point`] per entry of [`WORKERS`], each the
+/// median of three runs — loopback TCP scheduling makes single runs (the
+/// 8-worker point especially) too noisy to gate on directly.
+pub fn measure(scale: Scale) -> Vec<Point> {
     WORKERS
         .iter()
-        .map(|&w| {
-            crate::gate::median_of_3(|| run_point(engine, w, scale), |p| p.req_per_vsec as u64)
-        })
+        .map(|&w| crate::gate::median_of_3(|| run_point(w, scale), |p| p.req_per_vsec as u64))
         .collect()
 }
 
-fn series_rows(points: &[Point]) -> String {
-    let one = points
-        .iter()
-        .find(|p| p.workers == 1)
-        .map(|p| p.req_per_vsec)
-        .unwrap_or(1.0);
-    let mut rows = String::new();
-    for (i, p) in points.iter().enumerate() {
-        if i > 0 {
-            rows.push(',');
-        }
-        rows.push_str(&format!(
-            "\n    {{\"workers\": {}, \"requests\": {}, \"busy_ns\": {}, \"req_per_vsec\": {}, \"speedup_milli\": {}, \"p50_ns\": {}, \"p99_ns\": {}, \"mean_batch\": {}}}",
-            p.workers,
+/// The sweep as the `BENCH_svc.json` document.
+pub fn bench_file(points: &[Point]) -> BenchFile {
+    let row = |p: &Point| {
+        vec![
+            p.workers as u64,
             p.requests,
             p.busy_ns,
             p.req_per_vsec.round() as u64,
-            (p.req_per_vsec / one * 1000.0).round() as u64,
             p.p50_ns,
             p.p99_ns,
-            p.mean_batch
-        ));
+            p.mean_batch,
+        ]
+    };
+    BenchFile {
+        file: "BENCH_svc.json",
+        bench: "kvscale",
+        unit: "acknowledged requests per virtual second",
+        param: ("clients", CLIENTS as u64),
+        keys: &[
+            "workers",
+            "requests",
+            "busy_ns",
+            "req_per_vsec",
+            "p50_ns",
+            "p99_ns",
+            "mean_batch",
+        ],
+        work_key: "requests",
+        ns_key: "busy_ns",
+        value_key: "req_per_vsec",
+        series: vec![("points", points.iter().map(row).collect())],
     }
-    rows
 }
 
-/// Serialises both sweeps as the `BENCH_svc.json` payload: the STM
-/// engine stays under the historical `points` key (so existing
-/// trajectory tooling keeps working), the lock-free engine under
-/// `lockfree`. All numbers are integers (speedup in thousandths) so the
-/// repository's telemetry JSON parser — which rejects floats by design —
-/// can consume the file.
-pub fn to_bench_json(stm: &[Point], lockfree: &[Point]) -> String {
-    format!(
-        "{{\n  \"bench\": \"kvscale\",\n  \"unit\": \"acknowledged requests per virtual second\",\n  \"clients\": {CLIENTS},\n  \"points\": [{}\n  ],\n  \"lockfree\": [{}\n  ]\n}}\n",
-        series_rows(stm),
-        series_rows(lockfree),
-    )
-}
-
-/// Repo-root path for `BENCH_svc.json` (the bench crate lives at
-/// `crates/bench`).
-pub fn bench_json_path() -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_svc.json")
-}
-
-fn print_table(engine: Engine, points: &[Point]) {
+/// Runs the experiment, prints the table, and writes `BENCH_svc.json` at
+/// the repository root.
+pub fn run(scale: Scale) {
+    banner(
+        "kvscale: mnemosyned serving scaling (8 pipelined clients)",
+        scale,
+    );
+    let points = measure(scale);
     let one = points[0].req_per_vsec;
-    println!("engine={engine}");
     println!("workers requests  busy-ms(max handle)     req/vsec  speedup  p50-us  p99-us  batch");
-    for p in points {
+    for p in &points {
         println!(
             "{:>7} {:>8} {:>20.2} {:>12} {:>7.2}x {:>7.1} {:>7.1} {:>6}",
             p.workers,
@@ -280,22 +221,5 @@ fn print_table(engine: Engine, points: &[Point]) {
             p.mean_batch
         );
     }
-}
-
-/// Runs the experiment for both engines, prints the tables, and writes
-/// `BENCH_svc.json` at the repository root.
-pub fn run(scale: Scale) {
-    banner(
-        "kvscale: mnemosyned serving scaling, stm vs lockfree (8 pipelined clients)",
-        scale,
-    );
-    let stm = measure(Engine::Stm, scale);
-    print_table(Engine::Stm, &stm);
-    let lockfree = measure(Engine::LockFree, scale);
-    print_table(Engine::LockFree, &lockfree);
-    let path = bench_json_path();
-    match std::fs::write(&path, to_bench_json(&stm, &lockfree)) {
-        Ok(()) => println!("bench json: {}", path.display()),
-        Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
-    }
+    bench_file(&points).write();
 }

@@ -31,6 +31,7 @@
 
 use mnemosyne::{CrashPolicy, Mnemosyne, ScmConfig, Truncation};
 
+use crate::benchfile::BenchFile;
 use crate::util::{banner, commas, Scale, TestRig};
 
 /// Replay thread counts swept over the same crash image.
@@ -136,42 +137,36 @@ pub fn measure(scale: Scale) -> Vec<Point> {
         .collect()
 }
 
-/// Serialises the sweep as the `BENCH_recovery.json` payload. All
-/// numbers are integers (ratios in thousandths) so the repository's
-/// telemetry JSON parser — which rejects floats by design — can consume
-/// the file.
-pub fn to_bench_json(points: &[Point]) -> String {
-    let one = points
-        .iter()
-        .find(|p| p.threads == 1)
-        .map(|p| p.bytes_per_vsec)
-        .unwrap_or(1)
-        .max(1);
-    let mut rows = String::new();
-    for (i, p) in points.iter().enumerate() {
-        if i > 0 {
-            rows.push(',');
-        }
-        rows.push_str(&format!(
-            "\n    {{\"threads\": {}, \"replayed\": {}, \"log_bytes\": {}, \"replay_ns\": {}, \"ms_per_mb_milli\": {}, \"bytes_per_vsec\": {}, \"speedup_milli\": {}}}",
-            p.threads,
+/// The sweep as the `BENCH_recovery.json` document.
+pub fn bench_file(points: &[Point]) -> BenchFile {
+    let row = |p: &Point| {
+        vec![
+            p.threads as u64,
             p.replayed,
             p.log_bytes,
             p.replay_ns,
             p.ms_per_mb_milli,
             p.bytes_per_vsec,
-            p.bytes_per_vsec * 1000 / one,
-        ));
+        ]
+    };
+    BenchFile {
+        file: "BENCH_recovery.json",
+        bench: "recovery",
+        unit: "outstanding-log bytes recovered per virtual second",
+        param: ("producers", PRODUCERS as u64),
+        keys: &[
+            "threads",
+            "replayed",
+            "log_bytes",
+            "replay_ns",
+            "ms_per_mb_milli",
+            "bytes_per_vsec",
+        ],
+        work_key: "log_bytes",
+        ns_key: "replay_ns",
+        value_key: "bytes_per_vsec",
+        series: vec![("points", points.iter().map(row).collect())],
     }
-    format!(
-        "{{\n  \"bench\": \"recovery\",\n  \"unit\": \"outstanding-log bytes recovered per virtual second\",\n  \"producers\": {PRODUCERS},\n  \"points\": [{rows}\n  ]\n}}\n"
-    )
-}
-
-/// Repo-root path for `BENCH_recovery.json` (the bench crate lives at
-/// `crates/bench`).
-pub fn bench_json_path() -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_recovery.json")
 }
 
 fn print_table(points: &[Point]) {
@@ -200,9 +195,5 @@ pub fn run(scale: Scale) {
     );
     let points = measure(scale);
     print_table(&points);
-    let path = bench_json_path();
-    match std::fs::write(&path, to_bench_json(&points)) {
-        Ok(()) => println!("bench json: {}", path.display()),
-        Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
-    }
+    bench_file(&points).write();
 }

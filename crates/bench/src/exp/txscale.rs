@@ -46,6 +46,7 @@ use std::sync::{Arc, Barrier};
 use mnemosyne::{Mnemosyne, ScmConfig, Truncation};
 use mnemosyne_pds::PHashTable;
 
+use crate::benchfile::BenchFile;
 use crate::util::{banner, commas, Scale, TestRig};
 
 /// Heap shards for every run (same geometry across thread counts).
@@ -190,44 +191,30 @@ pub fn measure(scale: Scale) -> (Vec<Point>, Vec<Point>) {
     (disjoint, contended)
 }
 
-fn rows_json(points: &[Point]) -> String {
-    let one = points
-        .iter()
-        .find(|p| p.threads == 1)
-        .map(|p| p.tx_per_vsec)
-        .unwrap_or(1.0);
-    let mut rows = String::new();
-    for (i, p) in points.iter().enumerate() {
-        if i > 0 {
-            rows.push(',');
-        }
-        rows.push_str(&format!(
-            "\n    {{\"threads\": {}, \"commits\": {}, \"busy_ns\": {}, \"tx_per_vsec\": {}, \"speedup_milli\": {}}}",
-            p.threads,
+/// Both sweeps as the `BENCH_mtm.json` document.
+pub fn bench_file(disjoint: &[Point], contended: &[Point]) -> BenchFile {
+    let row = |p: &Point| {
+        vec![
+            p.threads as u64,
             p.commits,
             p.busy_ns,
             p.tx_per_vsec.round() as u64,
-            (p.tx_per_vsec / one * 1000.0).round() as u64
-        ));
+        ]
+    };
+    BenchFile {
+        file: "BENCH_mtm.json",
+        bench: "txscale",
+        unit: "committed transactions per virtual second",
+        param: ("heap_shards", SHARDS as u64),
+        keys: &["threads", "commits", "busy_ns", "tx_per_vsec"],
+        work_key: "commits",
+        ns_key: "busy_ns",
+        value_key: "tx_per_vsec",
+        series: vec![
+            ("disjoint", disjoint.iter().map(row).collect()),
+            ("contended", contended.iter().map(row).collect()),
+        ],
     }
-    rows
-}
-
-/// Serialises both sweeps as the `BENCH_mtm.json` payload. All numbers
-/// are integers (speedup in thousandths) so the repository's telemetry
-/// JSON parser — which rejects floats by design — can consume the file.
-pub fn to_bench_json(disjoint: &[Point], contended: &[Point]) -> String {
-    format!(
-        "{{\n  \"bench\": \"txscale\",\n  \"unit\": \"committed transactions per virtual second\",\n  \"heap_shards\": {SHARDS},\n  \"disjoint\": [{}\n  ],\n  \"contended\": [{}\n  ]\n}}\n",
-        rows_json(disjoint),
-        rows_json(contended)
-    )
-}
-
-/// Repo-root path for `BENCH_mtm.json` (the bench crate lives at
-/// `crates/bench`).
-pub fn bench_json_path() -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_mtm.json")
 }
 
 fn print_table(label: &str, points: &[Point]) {
@@ -254,9 +241,5 @@ pub fn run(scale: Scale) {
     print_table("disjoint working sets:", &disjoint);
     println!();
     print_table("contended working set (16 shared keys):", &contended);
-    let path = bench_json_path();
-    match std::fs::write(&path, to_bench_json(&disjoint, &contended)) {
-        Ok(()) => println!("bench json: {}", path.display()),
-        Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
-    }
+    bench_file(&disjoint, &contended).write();
 }

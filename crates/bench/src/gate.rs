@@ -36,7 +36,7 @@ pub struct ScalingGate {
     pub bench: &'static str,
     /// The bench binary whose `--smoke` run enforces this gate; one
     /// binary can carry several gates ([`gates_for_binary`]), e.g.
-    /// `kvscale` gates both engines at both 4 and 8 workers.
+    /// `kvscale` is gated at both 4 and 8 workers.
     pub binary: &'static str,
     /// File name at the repository root (also looked up in the baseline
     /// directory), e.g. `BENCH_svc.json`.
@@ -56,11 +56,9 @@ pub struct ScalingGate {
     pub min_ratio_milli: u64,
 }
 
-/// The gates CI runs. The `kvscale` binary carries four: each engine
-/// series (`points` = STM, `lockfree`) gated at both 4 and 8 workers —
-/// the 8-worker lock-free floor of 6.5× is the acceptance bar for the
-/// detectable lock-free engine breaking the STM scaling ceiling.
-pub const GATES: [ScalingGate; 7] = [
+/// The gates CI runs. The `kvscale` binary carries two: the group-commit
+/// dividend at 4 workers (2×) and at 8 (3×).
+pub const GATES: [ScalingGate; 5] = [
     ScalingGate {
         bench: "allocscale",
         binary: "allocscale",
@@ -106,28 +104,6 @@ pub const GATES: [ScalingGate; 7] = [
         min_ratio_milli: 3000,
     },
     ScalingGate {
-        bench: "kvscale-lf",
-        binary: "kvscale",
-        json_file: "BENCH_svc.json",
-        series: "lockfree",
-        axis_key: "workers",
-        value_key: "req_per_vsec",
-        lo: 1,
-        hi: Some(4),
-        min_ratio_milli: 3000,
-    },
-    ScalingGate {
-        bench: "kvscale-lf8",
-        binary: "kvscale",
-        json_file: "BENCH_svc.json",
-        series: "lockfree",
-        axis_key: "workers",
-        value_key: "req_per_vsec",
-        lo: 1,
-        hi: Some(8),
-        min_ratio_milli: 6500,
-    },
-    ScalingGate {
         bench: "recovery",
         binary: "recovery",
         json_file: "BENCH_recovery.json",
@@ -148,6 +124,25 @@ pub fn gate_for(bench: &str) -> Option<ScalingGate> {
 /// Every gate a bench binary's `--smoke` run must enforce.
 pub fn gates_for_binary(binary: &str) -> Vec<ScalingGate> {
     GATES.into_iter().filter(|g| g.binary == binary).collect()
+}
+
+/// `main` of a scaling bench binary: runs the experiment (writing its
+/// `BENCH_*.json` and telemetry sidecar) and, with `--smoke`, enforces
+/// every gate the binary carries, exiting 1 at the first one violated.
+pub fn bench_main(binary: &str, run: fn(crate::Scale)) {
+    crate::util::run_experiment(binary, crate::Scale::from_env(), run);
+    if !std::env::args().any(|a| a == "--smoke") {
+        return;
+    }
+    let gates = gates_for_binary(binary);
+    assert!(!gates.is_empty(), "{binary} gates missing");
+    for gate in gates {
+        if let Err(why) = gate.enforce_repo_root() {
+            eprintln!("smoke FAILED: {why}");
+            std::process::exit(1);
+        }
+    }
+    println!("smoke OK");
 }
 
 /// Runs `measure` three times and returns the run with the median
@@ -343,37 +338,14 @@ mod tests {
     }
 
     #[test]
-    fn kvscale_binary_carries_both_engine_gates() {
+    fn kvscale_binary_carries_the_4_and_8_worker_gates() {
         let gates = gates_for_binary("kvscale");
-        assert_eq!(gates.len(), 4);
-        assert!(gates
-            .iter()
-            .any(|g| g.series == "lockfree" && g.hi == Some(8)));
-        assert!(gates
-            .iter()
-            .any(|g| g.series == "points" && g.hi == Some(8)));
-    }
-
-    #[test]
-    fn lockfree_series_gates_read_the_lockfree_array() {
-        let json = r#"{
-          "points": [
-            {"workers": 1, "req_per_vsec": 1000},
-            {"workers": 8, "req_per_vsec": 4000}
-          ],
-          "lockfree": [
-            {"workers": 1, "req_per_vsec": 1000},
-            {"workers": 8, "req_per_vsec": 7100}
-          ]
-        }"#;
-        assert_eq!(
-            gate_for("kvscale-lf8").unwrap().ratio_milli(json).unwrap(),
-            7100
-        );
-        assert_eq!(
-            gate_for("kvscale8").unwrap().ratio_milli(json).unwrap(),
-            4000
-        );
+        assert_eq!(gates.len(), 2);
+        for hi in [4, 8] {
+            assert!(gates
+                .iter()
+                .any(|g| g.series == "points" && g.hi == Some(hi)));
+        }
     }
 
     #[test]

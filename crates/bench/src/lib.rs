@@ -14,6 +14,7 @@
 
 #![warn(missing_docs)]
 
+pub mod benchfile;
 pub mod exp;
 pub mod gate;
 pub mod util;

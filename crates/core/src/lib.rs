@@ -421,16 +421,36 @@ impl Mnemosyne {
         Mnemosyne::builder(&dir).from_image(img).open()
     }
 
-    /// Graceful power-down: checkpoint resident pages to their backing
-    /// files and save the media image, so a later [`Mnemosyne::open`] on
-    /// the same directory resumes with all data.
+    /// Graceful power-down: empty the redo logs, checkpoint resident
+    /// pages to their backing files and save the media image, so a later
+    /// [`Mnemosyne::open`] on the same directory resumes with all data
+    /// and replays nothing. (Replay is idempotent within one log only: a
+    /// record lingering in one log can be older than a write whose own
+    /// record another log has truncated.)
     ///
     /// # Errors
-    /// Propagates checkpoint/save failures.
+    /// Propagates checkpoint/save failures. [`LogError::Corrupt`], after
+    /// the image is saved, if a poisoned log kept its records (a
+    /// checkpoint skips it; the next open reports the corruption).
     pub fn shutdown(self) -> Result<(), Error> {
+        // One pass empties every healthy log; the bound keeps a poisoned
+        // one from being spun on.
+        for _ in 0..4 {
+            if self.mtm.outstanding_log_words() == 0 {
+                break;
+            }
+            self.mtm.checkpoint();
+        }
+        let stranded = self.mtm.outstanding_log_words();
         self.mtm.kill();
         self.mgr.checkpoint()?;
         self.sim.shutdown_to(&self.dir.join("scm.img"))?;
+        if stranded > 0 {
+            return Err(Error::Log(LogError::Corrupt {
+                position: 0,
+                detail: "a poisoned redo log kept its records through shutdown",
+            }));
+        }
         Ok(())
     }
 }
@@ -498,6 +518,56 @@ mod tests {
         let cell = m2.pstatic("v", 8).unwrap();
         let mut th = m2.register_thread().unwrap();
         assert_eq!(th.atomic(|tx| tx.read_u64(cell)).unwrap(), 31415);
+        std::fs::remove_dir_all(&d).ok();
+    }
+
+    /// Two transaction threads overwrite the same words from two logs:
+    /// `a`'s one record lingers while `b` keeps overwriting until its own
+    /// log truncates, so the newest value has no record left and a stale
+    /// one does. A shutdown that saved the image like that would replay
+    /// the stale record over the newest value at the next open.
+    #[test]
+    fn shutdown_leaves_no_record_to_replay_over_a_newer_write() {
+        const WORDS: u64 = 8;
+        let d = dir("quiesce");
+        let build = || {
+            Mnemosyne::builder(&d)
+                .scm_size(32 << 20)
+                .log_words(1 << 8)
+                .sync_truncate_pct(90)
+        };
+        let newest = {
+            let m = build().open().unwrap();
+            let base = m.pstatic("words", WORDS * 8).unwrap();
+            let write_all = |th: &mut TxThread, v: u64| {
+                th.atomic(|tx| (0..WORDS).try_for_each(|w| tx.write_u64(base.add(w * 8), v)))
+                    .unwrap();
+            };
+            let mut a = m.register_thread().unwrap();
+            let mut b = m.register_thread().unwrap();
+            write_all(&mut a, 1);
+            let mut v = 1;
+            loop {
+                let before = m.mtm().outstanding_log_words();
+                v += 1;
+                write_all(&mut b, v);
+                if m.mtm().outstanding_log_words() < before {
+                    break; // b's log just truncated, newest record included
+                }
+            }
+            assert!(m.mtm().outstanding_log_words() > 0, "a's record lingers");
+            drop((a, b));
+            m.shutdown().unwrap();
+            v
+        };
+        let m = build().open().unwrap();
+        assert_eq!(m.mtm().recovery_stats().replayed, 0);
+        let base = m.pstatic("words", WORDS * 8).unwrap();
+        let mut th = m.register_thread().unwrap();
+        for w in 0..WORDS {
+            let got = th.atomic(|tx| tx.read_u64(base.add(w * 8))).unwrap();
+            assert_eq!(got, newest, "word {w} went back to an older value");
+        }
         std::fs::remove_dir_all(&d).ok();
     }
 

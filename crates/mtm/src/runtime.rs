@@ -13,6 +13,7 @@ use mnemosyne_obs::{Counter, Histogram, MaxGauge, Telemetry, Unit};
 use mnemosyne_pheap::PHeap;
 use mnemosyne_rawl::{LogError, LogTruncator, TornbitLog, LOG_HEADER_BYTES};
 use mnemosyne_region::{PMem, Regions, VAddr};
+use mnemosyne_scm::clock::Stopwatch;
 use mnemosyne_scm::EmulationMode;
 
 use crate::error::{TxAbort, TxError};
@@ -298,32 +299,6 @@ impl MtmMetrics {
     }
 }
 
-/// Measures one commit phase in the handle's time domain: the SCM
-/// emulator's virtual clock under [`EmulationMode::Virtual`] (so the
-/// attribution matches the modelled latencies, not host noise), the wall
-/// clock otherwise.
-struct PhaseTimer {
-    wall: Instant,
-    accounted: u64,
-}
-
-impl PhaseTimer {
-    fn start(pmem: &PMem) -> PhaseTimer {
-        PhaseTimer {
-            wall: Instant::now(),
-            accounted: pmem.accounted_ns(),
-        }
-    }
-
-    fn stop(&self, pmem: &PMem) -> u64 {
-        if pmem.mode() == EmulationMode::Virtual {
-            pmem.accounted_ns().saturating_sub(self.accounted)
-        } else {
-            self.wall.elapsed().as_nanos() as u64
-        }
-    }
-}
-
 struct ManagerHandle {
     stop: Arc<AtomicBool>,
     /// When set, the manager exits without its final drain sweep — used by
@@ -452,13 +427,13 @@ impl MtmRuntime {
                         let mut out = Vec::with_capacity(batch.len());
                         let mut busy = 0u64;
                         for (i, base, hp) in batch {
-                            let timer = PhaseTimer::start(&hp);
+                            let timer = hp.stopwatch();
                             let (log, records) = if TornbitLog::exists(&hp, base) {
                                 TornbitLog::recover(hp, base)?
                             } else {
                                 (TornbitLog::create(hp, base, log_words)?, Vec::new())
                             };
-                            busy += timer.stop(log.pmem());
+                            busy += log.pmem().elapsed_ns(&timer);
                             out.push((i, log, records));
                         }
                         Ok((out, busy))
@@ -546,7 +521,7 @@ impl MtmRuntime {
                     .map(|part| {
                         let hp = regions.pmem_handle();
                         s.spawn(move || -> Result<u64, LogError> {
-                            let timer = PhaseTimer::start(&hp);
+                            let timer = hp.stopwatch();
                             for &(addr, _) in &part {
                                 // A redo address outside every mapped
                                 // region would be a segfault-analogue
@@ -568,7 +543,7 @@ impl MtmRuntime {
                                 hp.flush(addr);
                             }
                             hp.fence();
-                            Ok(timer.stop(&hp))
+                            Ok(hp.elapsed_ns(&timer))
                         })
                     })
                     .collect();
@@ -1100,10 +1075,10 @@ impl Tx<'_> {
             self.th.rt().metrics().commits.inc();
             return Ok(());
         }
-        let commit_timer = PhaseTimer::start(self.th.pmem());
+        let commit_timer = self.th.pmem().stopwatch();
 
         // Validate the read set.
-        let validate_timer = PhaseTimer::start(self.th.pmem());
+        let validate_timer = self.th.pmem().stopwatch();
         for &(idx, version) in &self.read_set {
             match self.th.rt().locks().probe(idx) {
                 crate::locks::LockState::Version(v) if v == version => {}
@@ -1121,7 +1096,7 @@ impl Tx<'_> {
             .rt()
             .metrics()
             .validate_ns
-            .record(validate_timer.stop(self.th.pmem()));
+            .record(self.th.pmem().elapsed_ns(&validate_timer));
 
         let ts = self.th.rt().clock().tick();
 
@@ -1133,8 +1108,8 @@ impl Tx<'_> {
             record.push(val);
         }
         let truncation = self.th.rt().truncation();
-        let log_timer = PhaseTimer::start(self.th.pmem());
-        let mut stall_timer: Option<PhaseTimer> = None;
+        let log_timer = self.th.pmem().stopwatch();
+        let mut stall_timer: Option<Stopwatch> = None;
         loop {
             match self.th.log_mut().append(&record) {
                 Ok(()) => break,
@@ -1157,7 +1132,7 @@ impl Tx<'_> {
                     // the only place the stalled thread can die too.
                     Truncation::Async => {
                         if stall_timer.is_none() {
-                            stall_timer = Some(PhaseTimer::start(self.th.pmem()));
+                            stall_timer = Some(self.th.pmem().stopwatch());
                             self.th.rt().stalls.fetch_add(1, Ordering::Relaxed);
                             self.th.rt().metrics().truncation_stalls.inc();
                         }
@@ -1182,7 +1157,7 @@ impl Tx<'_> {
                 .rt()
                 .metrics()
                 .stall_ns
-                .record(t.stop(self.th.pmem()));
+                .record(self.th.pmem().elapsed_ns(&t));
         }
         // The single commit fence: the record is durable, but not yet
         // visible to the async truncator (write-back hasn't happened).
@@ -1191,10 +1166,10 @@ impl Tx<'_> {
             .rt()
             .metrics()
             .log_ns
-            .record(log_timer.stop(self.th.pmem()));
+            .record(self.th.pmem().elapsed_ns(&log_timer));
 
         // Write back buffered values (lazy version management).
-        let writeback_timer = PhaseTimer::start(self.th.pmem());
+        let writeback_timer = self.th.pmem().stopwatch();
         for (&addr, &val) in &self.write_set {
             self.th.pmem().store_u64(VAddr(addr), val);
         }
@@ -1204,14 +1179,14 @@ impl Tx<'_> {
             .rt()
             .metrics()
             .writeback_ns
-            .record(writeback_timer.stop(self.th.pmem()));
+            .record(self.th.pmem().elapsed_ns(&writeback_timer));
 
         if truncation == Truncation::Sync {
             // Force data: walk distinct cache lines, then order them
             // behind one fence — our own, or a concurrent commit-group
             // leader's (`flush` pushed the lines to media already, so any
             // thread's fence covers them; see `pipeline`).
-            let truncate_timer = PhaseTimer::start(self.th.pmem());
+            let truncate_timer = self.th.pmem().stopwatch();
             let lines: HashSet<u64> = self.write_set.keys().map(|a| a & !63).collect();
             for line in lines {
                 self.th.pmem().flush(VAddr(line));
@@ -1236,7 +1211,7 @@ impl Tx<'_> {
                 .rt()
                 .metrics()
                 .truncate_ns
-                .record(truncate_timer.stop(self.th.pmem()));
+                .record(self.th.pmem().elapsed_ns(&truncate_timer));
         }
 
         // Publish the new version and release ownership.
@@ -1280,7 +1255,7 @@ impl Tx<'_> {
             .rt()
             .metrics()
             .commit_ns
-            .record(commit_timer.stop(self.th.pmem()));
+            .record(self.th.pmem().elapsed_ns(&commit_timer));
         Ok(())
     }
 

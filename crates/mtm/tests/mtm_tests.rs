@@ -273,44 +273,56 @@ fn tx_pmalloc_commit_and_abort() {
 
 #[test]
 fn isolation_no_dirty_reads() {
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+    const MIN_CHECKS: u64 = 100;
+
     let (_env, regions) = setup("iso");
     let (base, _) = regions.static_area();
     let rt = MtmRuntime::open(&regions, MtmConfig::default()).unwrap();
-    // Writer holds a transaction open by looping inside the closure once;
-    // we emulate an interleaving by checking that a reader either sees the
-    // pre-state or the post-state of a 2-word invariant (a == b).
+    // A reader racing a writer must see either the pre-state or the
+    // post-state of a 2-word invariant (a == b), never a mix.
     let mut w = rt.register_thread().unwrap();
-    w.atomic(|tx| {
-        tx.write_u64(base, 7)?;
-        tx.write_u64(base.add(8), 7)?;
-        Ok(())
-    })
-    .unwrap();
-    let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
-    let stop2 = Arc::clone(&stop);
-    let mut r = rt.register_thread().unwrap();
-    let reader = std::thread::spawn(move || {
-        let mut checks = 0u64;
-        while !stop2.load(std::sync::atomic::Ordering::Relaxed) {
-            let (a, b) = r
-                .atomic(|tx| Ok((tx.read_u64(base)?, tx.read_u64(base.add(8))?)))
-                .unwrap();
-            assert_eq!(a, b, "isolation violated: {a} != {b}");
-            checks += 1;
-        }
-        checks
-    });
-    for i in 8..200u64 {
+    let mut write_both = |v: u64| {
         w.atomic(|tx| {
-            tx.write_u64(base, i)?;
-            tx.write_u64(base.add(8), i)?;
-            Ok(())
+            tx.write_u64(base, v)?;
+            tx.write_u64(base.add(8), v)
         })
         .unwrap();
+    };
+    write_both(7);
+    let stop = Arc::new(AtomicBool::new(false));
+    let checks = Arc::new(AtomicU64::new(0));
+    let mut r = rt.register_thread().unwrap();
+    let reader = {
+        let (stop, checks) = (Arc::clone(&stop), Arc::clone(&checks));
+        std::thread::spawn(move || {
+            while !stop.load(Ordering::Relaxed) {
+                let (a, b) = r
+                    .atomic(|tx| Ok((tx.read_u64(base)?, tx.read_u64(base.add(8))?)))
+                    .unwrap();
+                assert_eq!(a, b, "isolation violated: {a} != {b}");
+                checks.fetch_add(1, Ordering::Relaxed);
+            }
+        })
+    };
+    // Minimum-progress handshake: the writer keeps committing until the
+    // reader has completed enough checks against a moving target, however
+    // the two threads happen to be scheduled.
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+    let mut v = 8;
+    while (v < 200 || checks.load(Ordering::Relaxed) < MIN_CHECKS)
+        && std::time::Instant::now() < deadline
+    {
+        write_both(v);
+        v += 1;
     }
-    stop.store(true, std::sync::atomic::Ordering::Relaxed);
-    let checks = reader.join().unwrap();
-    assert!(checks > 0);
+    stop.store(true, Ordering::Relaxed);
+    reader.join().unwrap();
+    let checks = checks.load(Ordering::Relaxed);
+    assert!(
+        checks >= MIN_CHECKS,
+        "reader finished only {checks} of {MIN_CHECKS} checks in 60 s against {v} commits"
+    );
 }
 
 #[test]

@@ -2,12 +2,11 @@
 //!
 //! The transactional [`crate::PHashTable`] pays the full Mnemosyne STM
 //! toll on every mutation: redo-log writes, a log-ordering fence, a
-//! commit fence. That is faithful to the paper, but it caps multi-worker
-//! throughput well below the hardware's ability to retire independent
-//! persists. This module takes the opposite point in the design space —
-//! the Clevel/SOFT lineage of *lock-free persistent hashing* — while
-//! keeping Mnemosyne's recovery guarantees through the [`crate::detect`]
-//! announcement layer:
+//! commit fence. This module takes the opposite point in the design
+//! space — the Clevel/SOFT lineage of *lock-free persistent hashing* —
+//! while keeping Mnemosyne's recovery guarantees through the
+//! [`crate::detect`] announcement layer. It is a library: `mnemosyned`
+//! does not serve it (DESIGN.md §7 has the measurements behind that).
 //!
 //! * The structure is one **sorted persistent linked list** (a Harris
 //!   list) ordered by the key hash `ok`, rooted at a single pstatic cell.
@@ -16,9 +15,10 @@
 //!   naturally lock-free and instantaneous after a crash.
 //! * **GET** walks the list read-only: no locks, no logging, no flushes.
 //! * **PUT/DEL** publish with a single CAS on the predecessor link and
-//!   persist with explicit line flushes; the *only* fence on the common
-//!   path is the one that makes the operation durable before it is
-//!   acknowledged.
+//!   persist with explicit line flushes; the only fence this module
+//!   issues on the common path is the one that makes the operation
+//!   durable before it is acknowledged. (The allocator logs its own
+//!   work: end to end a replacing put measures 8.97 fences and 3 CASes.)
 //! * Every mutation is **detectable**: it is announced in a per-thread
 //!   persistent slot before the linearizing CAS, so recovery resolves
 //!   in-flight operations exactly once (finished inserts are kept,
@@ -56,9 +56,19 @@
 //!   winning unlink CAS's link word is flushed, so durable state can
 //!   never contain a pointer into freed memory.
 //! * Equal-hash runs are ordered newest-first (inserts go in front of
-//!   the run), so the first key match in a walk is the current version;
-//!   shadowed older versions are unlinked by the writer before it
-//!   acknowledges, and deduplicated by recovery if a crash intervenes.
+//!   the run), so the first key match in a walk is the current version.
+//!   Whoever puts a node in front of older versions of its key, or marks
+//!   one, marks and unlinks every older version before it acknowledges
+//!   (`kill_shadows`) — otherwise unlinking the newest would bring the
+//!   one behind it back — and recovery deduplicates if a crash intervenes.
+//!
+//! # Progress
+//!
+//! A marked next-word is frozen: no CAS through it succeeds again. Every
+//! retry loop therefore restarts from a link it re-validates (the list
+//! head or an unmarked hint), never from a link it merely remembers, so
+//! each restart is paid for by another handle's successful CAS; debug
+//! builds assert a bound on restarts so a livelock fails in seconds.
 //!
 //! Reclamation is epoch-based (volatile): readers pin an epoch around
 //! each operation; unlinked nodes are freed two epochs later. Hint cells
@@ -94,6 +104,10 @@ const MIN_BUCKETS: usize = 64;
 const HINT_PROBES: usize = 4;
 /// Retired nodes a handle accumulates before attempting a collection.
 const COLLECT_EVERY: usize = 32;
+/// Restarts one walk may take before a debug build calls it a livelock:
+/// a contended walk restarts a handful of times, and a million restarts
+/// (a second or two) means it is re-reading state nobody will change.
+const MAX_RESTARTS: u32 = 1 << 20;
 
 #[inline]
 fn is_marked(w: u64) -> bool {
@@ -116,6 +130,16 @@ fn hash_key(key: &[u8]) -> u64 {
 
 fn pad8(n: usize) -> u64 {
     (n as u64).div_ceil(8) * 8
+}
+
+/// Counts one more pass of `walk`'s retry loop (see [`MAX_RESTARTS`]).
+#[inline]
+fn count_restart(restarts: &mut u32, walk: &str) {
+    *restarts += 1;
+    debug_assert!(
+        *restarts < MAX_RESTARTS,
+        "lfhash {walk}: {MAX_RESTARTS} restarts without progress (livelock)"
+    );
 }
 
 /// Volatile hint directory: `cells[ok >> shift]` caches the address of
@@ -350,6 +374,8 @@ impl LfHashTable {
             pin,
             retire: Vec::new(),
             hints_cache: (gen, hints),
+            #[cfg(test)]
+            after_publish: None,
         })
     }
 
@@ -375,6 +401,10 @@ pub struct LfHandle {
     pin: Arc<PinCell>,
     retire: Vec<Retired>,
     hints_cache: (u64, Arc<Hints>),
+    /// Test-only yield point: run once by the next put, between its
+    /// publish CAS and its `kill_shadows`.
+    #[cfg(test)]
+    after_publish: Option<Box<dyn FnOnce() + Send>>,
 }
 
 impl LfHandle {
@@ -582,12 +612,22 @@ impl LfHandle {
         }
     }
 
-    /// Finds the insertion point for hash `ok`: the link word of the last
-    /// node with hash `< ok` and the (unmarked-when-read) successor value
-    /// to expect there. Helps unlink marked nodes along the way.
-    fn search_insert(&mut self, ok: u64) -> (VAddr, u64) {
+    /// The writer-side walk: from a fresh [`LfHandle::start_link`] toward
+    /// hash `ok`, helping unlink every marked node on the way, until
+    /// `stop(node, node's hash)` accepts an unmarked node or the list
+    /// ends. Returns the link word the walk came by and the node it
+    /// stopped at (0 at the end of the list). A failed help restarts from
+    /// a fresh start link, never through a link the walk remembers.
+    fn seek(
+        &mut self,
+        walk: &str,
+        ok: u64,
+        mut stop: impl FnMut(&Self, VAddr, u64) -> bool,
+    ) -> (VAddr, u64) {
+        let mut restarts = 0;
         'restart: loop {
             self.pmem.poll_crash();
+            count_restart(&mut restarts, walk);
             let mut prev_link = self.start_link(ok);
             let mut cur = strip(self.pmem.read_u64(prev_link));
             loop {
@@ -603,7 +643,8 @@ impl LfHandle {
                     cur = strip(w);
                     continue;
                 }
-                if self.pmem.read_u64(node.add(W_OK)) >= ok {
+                let nok = self.pmem.read_u64(node.add(W_OK));
+                if stop(self, node, nok) {
                     return (prev_link, cur);
                 }
                 prev_link = node.add(W_NEXT);
@@ -612,80 +653,76 @@ impl LfHandle {
         }
     }
 
-    /// Finds the first live node with hash `ok` and exactly `key`
-    /// (equal-hash runs are newest-first, so this is the current
-    /// version). Helps unlink marked nodes along the way.
-    fn search_key(&mut self, ok: u64, key: &[u8]) -> Option<Found> {
-        'restart: loop {
-            self.pmem.poll_crash();
-            let mut prev_link = self.start_link(ok);
-            let mut cur = strip(self.pmem.read_u64(prev_link));
-            loop {
-                if cur == 0 {
-                    return None;
-                }
-                let node = VAddr(cur);
-                let w = self.pmem.read_u64(node.add(W_NEXT));
-                if is_marked(w) {
-                    if !self.help_unlink(prev_link, node, strip(w)) {
-                        continue 'restart;
-                    }
-                    cur = strip(w);
-                    continue;
-                }
-                let nok = self.pmem.read_u64(node.add(W_OK));
-                if nok > ok {
-                    return None;
-                }
-                if nok == ok && self.key_matches(node, key) {
-                    return Some(Found { prev_link, node });
-                }
-                prev_link = node.add(W_NEXT);
-                cur = strip(w);
-            }
-        }
+    /// Finds the insertion point for hash `ok`: the link word of the last
+    /// node with hash `< ok` and the (unmarked-when-read) successor value
+    /// to expect there.
+    fn search_insert(&mut self, ok: u64) -> (VAddr, u64) {
+        self.seek("search_insert", ok, |_, _, nok| nok >= ok)
     }
 
-    /// After publishing `node` at the front of its equal-hash run,
-    /// unlinks every older live node with the same key (the versions the
-    /// insert shadowed). Runs before the acknowledging fence, so the
-    /// flushes it issues ride the same drain.
-    fn cleanup_shadows(&mut self, ok: u64, key: &[u8], node: VAddr) {
-        'restart: loop {
+    /// Finds the first live node with hash `ok` and exactly `key`
+    /// (equal-hash runs are newest-first, so this is the current
+    /// version).
+    fn search_key(&mut self, ok: u64, key: &[u8]) -> Option<Found> {
+        let mut found = false;
+        let (prev_link, cur) = self.seek("search_key", ok, |h, node, nok| {
+            found = nok == ok && h.key_matches(node, key);
+            found || nok > ok
+        });
+        let node = VAddr(cur);
+        found.then_some(Found { prev_link, node })
+    }
+
+    /// Walks past the hash-`ok` run, which unlinks every marked node in
+    /// it — the caller's own included — or restarts until a helper has.
+    fn unlink_marked(&mut self, ok: u64) {
+        self.seek("unlink_marked", ok, |_, _, nok| nok > ok);
+    }
+
+    /// Marks and unlinks every node with `key` behind the owner of `link`
+    /// in the hash-`ok` run. Owed before acknowledging by a put, for the
+    /// node it just published, and by whoever marks a node: the nodes
+    /// behind are strictly older versions (inserts only go in front of a
+    /// run), and once the newest is unlinked the next would read as
+    /// current again. The flushes ride the caller's acknowledging fence.
+    ///
+    /// One forward pass: next-links lead through every node that was
+    /// behind the owner, also once the owner or nodes on the way are
+    /// marked and unlinked (the caller's epoch pin keeps those readable).
+    /// A victim is unlinked through the link the pass came by while that
+    /// still holds — it cannot once its owner is marked, which freezes
+    /// the word — and by a fresh walk from the list proper otherwise.
+    fn kill_shadows(&mut self, ok: u64, key: &[u8], link: VAddr) {
+        let mut restarts = 0;
+        let mut prev_link = link;
+        let mut cur = strip(self.pmem.read_u64(link));
+        while cur != 0 {
             self.pmem.poll_crash();
-            let mut prev_link = node.add(W_NEXT);
-            let mut cur = strip(self.pmem.read_u64(prev_link));
-            loop {
-                if cur == 0 {
-                    return;
-                }
-                let shadow = VAddr(cur);
-                let w = self.pmem.read_u64(shadow.add(W_NEXT));
-                if is_marked(w) {
-                    if !self.help_unlink(prev_link, shadow, strip(w)) {
-                        continue 'restart;
-                    }
-                    cur = strip(w);
-                    continue;
-                }
-                if self.pmem.read_u64(shadow.add(W_OK)) != ok {
-                    return;
-                }
-                if self.key_matches(shadow, key) {
-                    // Mark (logical removal, owned by us on success), then
-                    // unlink. Either CAS failing just restarts the scan.
+            let shadow = VAddr(cur);
+            if self.pmem.read_u64(shadow.add(W_OK)) != ok {
+                return;
+            }
+            let mut w = self.pmem.read_u64(shadow.add(W_NEXT));
+            if self.key_matches(shadow, key) {
+                // Mark (logical removal, owned by us on success).
+                while !is_marked(w) {
+                    count_restart(&mut restarts, "kill_shadows");
                     if self.pmem.cas_u64(shadow.add(W_NEXT), w, w | MARK).is_ok() {
                         self.pmem.flush(shadow.add(W_NEXT));
                         self.shared.size.fetch_sub(1, Ordering::Relaxed);
-                        self.help_unlink(prev_link, shadow, strip(w));
+                        w |= MARK;
                     } else {
                         self.shared.metrics.cas_retries.inc();
+                        w = self.pmem.read_u64(shadow.add(W_NEXT));
                     }
-                    continue 'restart;
                 }
+                if !self.help_unlink(prev_link, shadow, strip(w)) {
+                    self.unlink_marked(ok);
+                }
+            } else if !is_marked(w) {
                 prev_link = shadow.add(W_NEXT);
-                cur = strip(w);
             }
+            cur = strip(w);
         }
     }
 
@@ -729,8 +766,10 @@ impl LfHandle {
         let tag = self.ann.announce(&self.pmem, AnnKind::Put, node);
         self.pmem.store_u64(node.add(W_TAG), tag);
         self.pmem.flush_range(node.add(W_OK), total - W_OK);
+        let mut restarts = 0;
         loop {
             self.pmem.poll_crash();
+            count_restart(&mut restarts, "put");
             let (prev_link, succ) = self.search_insert(ok);
             // The node's next pointer must be durable before the publish
             // CAS can be, so the durable chain through it is complete.
@@ -745,7 +784,11 @@ impl LfHandle {
             }
         }
         self.shared.size.fetch_add(1, Ordering::Relaxed);
-        self.cleanup_shadows(ok, key, node);
+        #[cfg(test)]
+        if let Some(hook) = self.after_publish.take() {
+            hook();
+        }
+        self.kill_shadows(ok, key, node.add(W_NEXT));
         self.pmem.fence(); // the one ack fence
         self.install_hint(ok, node);
         Ok(())
@@ -765,8 +808,10 @@ impl LfHandle {
     }
 
     fn del_pinned(&mut self, ok: u64, key: &[u8]) -> Result<bool, mnemosyne::Error> {
+        let mut restarts = 0;
         loop {
             self.pmem.poll_crash();
+            count_restart(&mut restarts, "del");
             let Some(f) = self.search_key(ok, key) else {
                 return Ok(false);
             };
@@ -781,52 +826,20 @@ impl LfHandle {
                 self.shared.metrics.cas_retries.inc();
                 continue;
             }
-            // Mark won: the delete is ours. Persist it, then guarantee
-            // the node is physically out before acknowledging — a marked
+            // Mark won: the delete is ours. Persist it, take down any
+            // older version behind the victim (the put that published it
+            // may not have finished its cleanup), then guarantee the
+            // node is physically out before acknowledging — a marked
             // node left linked would make readers whose first match it is
             // restart with nobody obliged to finish the unlink.
             self.pmem.flush(f.node.add(W_NEXT));
             self.shared.size.fetch_sub(1, Ordering::Relaxed);
+            self.kill_shadows(ok, key, f.node.add(W_NEXT));
             if !self.help_unlink(f.prev_link, f.node, strip(w)) {
-                self.unlink_until_gone(ok, f.node);
+                self.unlink_marked(ok);
             }
             self.pmem.fence();
             return Ok(true);
-        }
-    }
-
-    /// Re-walks until marked `node` (hash `ok`) is out of the list —
-    /// either we win the unlink or a helper already did.
-    fn unlink_until_gone(&mut self, ok: u64, node: VAddr) {
-        'restart: loop {
-            self.pmem.poll_crash();
-            let mut prev_link = self.start_link(ok);
-            let mut cur = strip(self.pmem.read_u64(prev_link));
-            loop {
-                if cur == 0 {
-                    return; // gone
-                }
-                let n = VAddr(cur);
-                let w = self.pmem.read_u64(n.add(W_NEXT));
-                if cur == node.0 {
-                    if self.help_unlink(prev_link, n, strip(w)) {
-                        return;
-                    }
-                    continue 'restart;
-                }
-                if is_marked(w) {
-                    if !self.help_unlink(prev_link, n, strip(w)) {
-                        continue 'restart;
-                    }
-                    cur = strip(w);
-                    continue;
-                }
-                if self.pmem.read_u64(n.add(W_OK)) > ok {
-                    return; // passed the run without meeting it: gone
-                }
-                prev_link = n.add(W_NEXT);
-                cur = strip(w);
-            }
         }
     }
 
@@ -839,8 +852,10 @@ impl LfHandle {
     pub fn get(&mut self, key: &[u8]) -> Result<Option<Vec<u8>>, mnemosyne::Error> {
         let ok = hash_key(key);
         self.pin();
+        let mut restarts = 0;
         let res = 'restart: loop {
             self.pmem.poll_crash();
+            count_restart(&mut restarts, "get");
             let start = self.start_link(ok);
             let mut cur = strip(self.pmem.read_u64(start));
             loop {
@@ -923,20 +938,6 @@ impl LfHandle {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Modelled SCM nanoseconds accounted on this handle's thread.
-    #[must_use]
-    pub fn accounted_ns(&self) -> u64 {
-        self.pmem.accounted_ns()
-    }
-
-    /// The handle's persistent-memory handle — exposed so serving tiers
-    /// can attribute time in the same domain (virtual vs wall clock) as
-    /// the transactional path does through `TxThread::pmem`.
-    #[must_use]
-    pub fn pmem(&self) -> &PMem {
-        &self.pmem
     }
 }
 
@@ -1130,6 +1131,47 @@ mod tests {
             assert_eq!(h.get(k).unwrap().unwrap(), *v);
         }
         std::fs::remove_dir_all(&d).ok();
+    }
+
+    /// Runs `op` on a second handle between `h1`'s publish CAS and its
+    /// shadow cleanup — the interleaving that freezes the new node's own
+    /// link under it — and returns what the table then holds, as
+    /// `(get, scan)`. The key has an older version for the node to shadow.
+    fn race_in_publish_window(
+        tag: &str,
+        op: impl FnOnce(&mut LfHandle) + Send + 'static,
+    ) -> (Option<Vec<u8>>, ScanEntries) {
+        let d = dir(tag);
+        let m = boot(&d);
+        let t = LfHashTable::open(&m, "lf").unwrap();
+        let mut h1 = t.handle(&m).unwrap();
+        let mut h2 = t.handle(&m).unwrap();
+        h1.put(b"k", b"old").unwrap();
+        h1.after_publish = Some(Box::new(move || op(&mut h2)));
+        h1.put(b"k", b"h1").unwrap();
+        let got = h1.get(b"k").unwrap();
+        let scan = h1.scan_prefix(b"", 0).unwrap();
+        assert_eq!(t.len(), scan.len() as u64);
+        std::fs::remove_dir_all(&d).ok();
+        (got, scan)
+    }
+
+    #[test]
+    fn put_superseded_before_its_cleanup_returns_and_the_newer_version_wins() {
+        let (got, scan) = race_in_publish_window("super", |h2| h2.put(b"k", b"h2").unwrap());
+        assert_eq!(got, Some(b"h2".to_vec()));
+        assert_eq!(scan, vec![(b"k".to_vec(), b"h2".to_vec())]);
+    }
+
+    #[test]
+    fn put_deleted_before_its_cleanup_returns_and_no_older_version_survives() {
+        let (got, scan) = race_in_publish_window("del", |h2| {
+            assert!(h2.del(b"k").unwrap());
+            // Acknowledged, so already true while the put is still out.
+            assert_eq!(h2.get(b"k").unwrap(), None);
+        });
+        assert_eq!(got, None);
+        assert!(scan.is_empty(), "deleted key came back: {scan:?}");
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! that want to probe use [`PMem::try_translate`].
 
 use mnemosyne_obs::Telemetry;
-use mnemosyne_scm::sim::HandleStopwatch;
+use mnemosyne_scm::clock::Stopwatch;
 use mnemosyne_scm::{EmulationMode, MemHandle, PAddr};
 
 use crate::aspace::AddressSpace;
@@ -192,8 +192,14 @@ impl PMem {
 
     /// Starts a stopwatch in this handle's time domain (wall clock or
     /// virtual clock depending on the emulation mode).
-    pub fn stopwatch(&self) -> HandleStopwatch<'_> {
+    pub fn stopwatch(&self) -> Stopwatch {
         self.mem.stopwatch()
+    }
+
+    /// Nanoseconds since `sw` was started on this handle, in its time
+    /// domain.
+    pub fn elapsed_ns(&self, sw: &Stopwatch) -> u64 {
+        self.mem.elapsed_ns(sw)
     }
 
     /// The emulation mode in effect.

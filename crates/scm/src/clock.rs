@@ -82,7 +82,12 @@ fn spin_for(ns: u64) {
 }
 
 /// A stopwatch that reads either wall-clock time or a handle's virtual
-/// clock, so benchmark code can be written once for both modes.
+/// clock, so timing code is written once for both modes: under
+/// [`EmulationMode::Virtual`] an interval is the modelled SCM latency the
+/// handle accrued (attribution matches the model, not host noise), and
+/// wall time otherwise. Owns no borrow, so it can outlive moves and
+/// mutable uses of the handle it was started on; start and read it
+/// through [`crate::MemHandle::stopwatch`] / [`crate::MemHandle::elapsed_ns`].
 #[derive(Debug)]
 pub struct Stopwatch {
     start_wall: Instant,
@@ -102,7 +107,7 @@ impl Stopwatch {
     /// virtual time in `Virtual` mode.
     pub fn elapsed_ns(&self, engine: &DelayEngine) -> u64 {
         match engine.mode() {
-            EmulationMode::Virtual => engine.accounted_ns() - self.start_virtual_ns,
+            EmulationMode::Virtual => engine.accounted_ns().saturating_sub(self.start_virtual_ns),
             _ => self.start_wall.elapsed().as_nanos() as u64,
         }
     }

@@ -510,11 +510,15 @@ impl MemHandle {
 
     /// Starts a stopwatch appropriate for this handle's emulation mode
     /// (wall clock for `None`/`Spin`, virtual clock for `Virtual`).
-    pub fn stopwatch(&self) -> HandleStopwatch<'_> {
-        HandleStopwatch {
-            sw: Stopwatch::start(&self.engine),
-            engine: &self.engine,
-        }
+    pub fn stopwatch(&self) -> Stopwatch {
+        Stopwatch::start(&self.engine)
+    }
+
+    /// Nanoseconds since `sw` was started, in this handle's time domain.
+    /// Read it on the handle it was started on (or one sharing its
+    /// engine): virtual time is accounted per handle.
+    pub fn elapsed_ns(&self, sw: &Stopwatch) -> u64 {
+        sw.elapsed_ns(&self.engine)
     }
 
     /// The emulation mode this handle runs under.
@@ -535,20 +539,6 @@ impl MemHandle {
     /// Device size in bytes.
     pub fn size(&self) -> u64 {
         self.inner.media.size()
-    }
-}
-
-/// Stopwatch bound to a handle; see [`MemHandle::stopwatch`].
-#[derive(Debug)]
-pub struct HandleStopwatch<'a> {
-    sw: Stopwatch,
-    engine: &'a DelayEngine,
-}
-
-impl HandleStopwatch<'_> {
-    /// Elapsed nanoseconds in the handle's time domain.
-    pub fn elapsed_ns(&self) -> u64 {
-        self.sw.elapsed_ns(self.engine)
     }
 }
 

@@ -4,13 +4,12 @@
 //! mnemosyned --dir DATA [--addr 127.0.0.1:7077] [--workers 2]
 //!            [--max-batch 64] [--scm-mb 64] [--max-conns 256]
 //!            [--max-queue 1024] [--ckpt-ms 50] [--max-admin 4]
-//!            [--engine stm|lockfree]
 //! ```
 //!
 //! First run creates the persistent heap under `--dir`; later runs
 //! resume it (a graceful shutdown — `kvctl ADDR shutdown` — drains the
-//! batcher and checkpoints the media image; an abrupt kill is recovered
-//! from the redo logs on the backing files at next boot). The daemon
+//! batcher, empties the redo logs and saves the media image; an abrupt
+//! kill loses the simulated SCM, which is process memory). The daemon
 //! prints `listening on ADDR` once it is serving.
 //!
 //! Operationally the daemon degrades rather than stalls: past
@@ -32,13 +31,12 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use mnemosyne::Mnemosyne;
-use mnemosyne_svc::{Engine, KvServer, KvService, SvcConfig};
+use mnemosyne_svc::{KvServer, KvService, SvcConfig};
 
 struct Args {
     dir: PathBuf,
     addr: String,
     workers: usize,
-    engine: Engine,
     max_batch: usize,
     scm_mb: u64,
     max_conns: usize,
@@ -51,7 +49,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: mnemosyned --dir DATA [--addr 127.0.0.1:7077] [--workers 2] \
          [--max-batch 64] [--scm-mb 64] [--max-conns 256] [--max-queue 1024] \
-         [--ckpt-ms 50] [--max-admin 4] [--engine stm|lockfree]"
+         [--ckpt-ms 50] [--max-admin 4]"
     );
     std::process::exit(2);
 }
@@ -67,7 +65,6 @@ fn parse_args() -> Args {
         max_queue: 1024,
         ckpt_ms: 50,
         max_admin: SvcConfig::default().max_admin,
-        engine: Engine::default(),
     };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
@@ -82,7 +79,6 @@ fn parse_args() -> Args {
             "--max-queue" => args.max_queue = val().parse().unwrap_or_else(|_| usage()),
             "--ckpt-ms" => args.ckpt_ms = val().parse().unwrap_or_else(|_| usage()),
             "--max-admin" => args.max_admin = val().parse().unwrap_or_else(|_| usage()),
-            "--engine" => args.engine = Engine::parse(&val()).unwrap_or_else(|| usage()),
             _ => usage(),
         }
     }
@@ -114,7 +110,6 @@ fn main() -> ExitCode {
             max_queue: args.max_queue,
             ckpt_interval: std::time::Duration::from_millis(args.ckpt_ms),
             max_admin: args.max_admin,
-            engine: args.engine,
             ..SvcConfig::default()
         },
     ) {

@@ -22,12 +22,6 @@
 //!   concurrent workers further share post-writeback data fences through
 //!   the mtm commit groups. Admin requests bypass the queue on a bounded
 //!   side path, so observability stays responsive under load or drain.
-//!   A second storage engine ([`Engine::LockFree`], `--engine lockfree`)
-//!   swaps the STM table for the detectable lock-free
-//!   [`mnemosyne_pds::LfHashTable`]: every request executes directly, a
-//!   write is acknowledged after its own persist fence, and reads touch
-//!   no locks and no log — the path that breaks the STM's
-//!   commit-serialization scaling ceiling.
 //! - [`server`]/[`client`] — a threaded TCP front end with per-connection
 //!   pipelining (many requests in flight, responses in request order),
 //!   and the matching blocking client.
@@ -39,8 +33,11 @@
 //! and `svc.admin.request_ns` (see METRICS.md).
 //!
 //! Binaries: `mnemosyned` (the daemon) and `kvctl` (a one-shot CLI
-//! client). A killed daemon loses nothing acknowledged: restart with the
-//! same `--dir` and recovery replays the logs.
+//! client). Acknowledged writes survive a graceful restart (SHUTDOWN,
+//! then the same `--dir`) and an injected-crash reboot from the media
+//! image, which is what the crash sweeps exercise. They do not survive
+//! `kill -9`: the simulated SCM is process memory, and only a graceful
+//! shutdown writes it to `scm.img`.
 
 #![warn(missing_docs)]
 
@@ -52,4 +49,4 @@ pub mod service;
 pub use client::{Client, ClientError};
 pub use proto::{CkptSummary, FrameError, GrowInfo, HealthInfo, ProtoError, Request, Response};
 pub use server::KvServer;
-pub use service::{Engine, KvService, SvcConfig, Ticket};
+pub use service::{KvService, SvcConfig, Ticket};

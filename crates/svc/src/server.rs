@@ -151,17 +151,24 @@ fn serve_conn(stream: TcpStream, shared: &Arc<ServerShared>) {
     });
     let (tx, rx) = mpsc::channel::<Ticket>();
     let writer = std::thread::spawn(move || write_loop(stream, &rx));
-    read_loop(reader, shared, &tx);
+    let shutdown = read_loop(reader, shared, &tx);
     drop(tx); // writer drains outstanding tickets, then exits
     let _ = writer.join();
     shared.svc.conn_closed();
+    // Only now: asking sooner lets the daemon's `KvServer::stop` close
+    // this socket under the writer, and the SHUTDOWN ack arrives as EOF.
+    if shutdown {
+        shared.request_shutdown();
+    }
 }
 
+/// Pumps requests until the connection ends; returns whether it ended
+/// with SHUTDOWN (whose ack is then the last ticket handed to the writer).
 fn read_loop(
     mut reader: BufReader<TcpStream>,
     shared: &Arc<ServerShared>,
     tx: &mpsc::Sender<Ticket>,
-) {
+) -> bool {
     loop {
         let ticket = match read_request(&mut reader) {
             Ok(Some(Request::Shutdown)) => {
@@ -169,27 +176,27 @@ fn read_loop(
                 // anywhere on the service commits (or fails) first, so
                 // the SHUTDOWN ack means "all accepted writes are
                 // settled and no new work will be admitted".
-                let drained = shared.svc.drain();
-                shared.request_shutdown();
-                Ticket::ready(if drained {
+                let ack = if shared.svc.drain() {
                     Response::Ok
                 } else {
                     Response::Err("service unavailable".to_string())
-                })
+                };
+                let _ = tx.send(Ticket::ready(ack));
+                return true;
             }
             Ok(Some(req)) => shared.svc.submit(req),
             // Clean EOF: the client hung up between frames.
-            Ok(None) => return,
+            Ok(None) => return false,
             Err(ProtoError::Frame(e)) => {
                 // A malformed frame poisons the stream (framing is lost);
                 // answer once, then drop the connection.
                 let _ = tx.send(Ticket::ready(Response::Err(format!("bad frame: {e}"))));
-                return;
+                return false;
             }
-            Err(ProtoError::Io(_)) => return,
+            Err(ProtoError::Io(_)) => return false,
         };
         if tx.send(ticket).is_err() {
-            return;
+            return false;
         }
     }
 }

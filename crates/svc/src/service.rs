@@ -20,55 +20,17 @@
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use mnemosyne::{crash_payload, EmulationMode, Error, Mnemosyne, MtmRuntime, PMem, TxThread};
+use mnemosyne::{crash_payload, Error, Mnemosyne, MtmRuntime, TxThread};
 use mnemosyne_obs::{Counter, Histogram, Telemetry, Unit};
-use mnemosyne_pds::lfhash::LfHandle;
-use mnemosyne_pds::{LfHashTable, PHashTable};
+use mnemosyne_pds::PHashTable;
 use parking_lot::{Condvar, Mutex};
 
 use crate::proto::{CkptSummary, GrowInfo, HealthInfo, Request, Response};
-
-/// Which storage engine backs the service.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Engine {
-    /// The durable-STM path: batches execute inside one `atomic` block
-    /// each, acknowledged when the batch's redo record is fenced (the
-    /// paper's architecture, and the default).
-    #[default]
-    Stm,
-    /// The lock-free path: each request runs directly against the
-    /// detectable [`LfHashTable`], bypassing the STM's redo logs; a write
-    /// is acknowledged after its own persist fence. Reads take no locks
-    /// and write no log, so the engine scales past the STM's
-    /// commit-serialization ceiling.
-    LockFree,
-}
-
-impl Engine {
-    /// Parses the `--engine` flag spelling.
-    #[must_use]
-    pub fn parse(s: &str) -> Option<Engine> {
-        match s {
-            "stm" => Some(Engine::Stm),
-            "lockfree" | "lock-free" | "lf" => Some(Engine::LockFree),
-            _ => None,
-        }
-    }
-}
-
-impl std::fmt::Display for Engine {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            Engine::Stm => "stm",
-            Engine::LockFree => "lockfree",
-        })
-    }
-}
 
 /// Tuning for a [`KvService`].
 #[derive(Debug, Clone)]
@@ -113,10 +75,6 @@ pub struct SvcConfig {
     /// monopolising connection threads instead. Excess admin requests are
     /// answered [`Response::Overloaded`]. Zero disables the bound.
     pub max_admin: usize,
-    /// Storage engine (see [`Engine`]). The two engines keep separate
-    /// persistent roots (`table` vs `table.lf`), so a datadir can be
-    /// opened under either engine without seeing the other's keys.
-    pub engine: Engine,
 }
 
 impl Default for SvcConfig {
@@ -131,7 +89,6 @@ impl Default for SvcConfig {
             max_conns: 256,
             ckpt_interval: std::time::Duration::ZERO,
             max_admin: 4,
-            engine: Engine::default(),
         }
     }
 }
@@ -166,32 +123,6 @@ impl SvcMetrics {
             admin_requests: t.counter("svc.admin.requests", Unit::Count),
             admin_rejected: t.counter("svc.admin.rejected", Unit::Count),
             admin_request_ns: t.histogram("svc.admin.request_ns", Unit::Nanoseconds),
-        }
-    }
-}
-
-/// Measures a batch in the worker handle's time domain: the emulator's
-/// virtual clock under `EmulationMode::Virtual` (so latency attribution
-/// matches the modelled SCM costs), the wall clock otherwise — the same
-/// convention as the mtm commit-phase histograms.
-struct DomainTimer {
-    wall: Instant,
-    accounted: u64,
-}
-
-impl DomainTimer {
-    fn start(pmem: &PMem) -> DomainTimer {
-        DomainTimer {
-            wall: Instant::now(),
-            accounted: pmem.accounted_ns(),
-        }
-    }
-
-    fn stop(&self, pmem: &PMem) -> u64 {
-        if pmem.mode() == EmulationMode::Virtual {
-            pmem.accounted_ns().saturating_sub(self.accounted)
-        } else {
-            self.wall.elapsed().as_nanos() as u64
         }
     }
 }
@@ -262,17 +193,9 @@ struct QueueState {
     dead: bool,
 }
 
-/// The storage engine behind the workers: the table flavour decides the
-/// worker loop ([`worker_loop`] vs [`worker_loop_lf`]) and the ack point
-/// (batch commit vs per-op persist fence).
-enum TableEngine {
-    Stm(PHashTable),
-    LockFree(LfHashTable),
-}
-
 struct Inner {
     mtm: Arc<MtmRuntime>,
-    table: TableEngine,
+    table: PHashTable,
     max_batch: usize,
     batch_window: std::time::Duration,
     max_queue: usize,
@@ -282,16 +205,6 @@ struct Inner {
     cv: Condvar,
     metrics: SvcMetrics,
     workers: Mutex<Vec<JoinHandle<()>>>,
-    /// Pre-minted lock-free handles for workers. Handles need the
-    /// `Mnemosyne` facade to mint (announcement slot plus memory handle),
-    /// which only [`KvService::start`] holds, so the configured worker
-    /// count is minted up front and [`KvService::spawn_worker`] draws from
-    /// this pool. Always empty under the STM engine.
-    lf_handles: Mutex<Vec<LfHandle>>,
-    /// Per-worker busy time (domain nanoseconds actually spent executing
-    /// requests), appended by each worker as it starts. Feeds the
-    /// `kvscale` bench's utilization accounting for both engines.
-    busy_ns: Mutex<Vec<Arc<AtomicU64>>>,
     ckpt: Mutex<Option<(Arc<AtomicBool>, JoinHandle<()>)>>,
     /// Admin requests currently executing on connection threads.
     admin_inflight: AtomicUsize,
@@ -316,6 +229,20 @@ impl Inner {
         for p in drained {
             p.cell.complete(Response::Err(why.to_string()));
         }
+    }
+
+    /// A service thread unwound while `what` was touching persistent
+    /// memory: machine death. An injected crash (`CrashRequested`) is the
+    /// expected path in fault tests; anything else is a bug, named in the
+    /// reason. Either way nothing further may commit, so the service is
+    /// marked dead; returns the reason for the caller's own reply.
+    fn died(&self, payload: &(dyn std::any::Any + Send), what: &str) -> String {
+        let why = match crash_payload(payload) {
+            Some(req) => format!("machine crashed: {req}"),
+            None => format!("{what} panicked"),
+        };
+        self.mark_dead(&why);
+        why
     }
 }
 
@@ -343,44 +270,14 @@ impl KvService {
     /// Table open/creation failures, or no free transaction slot.
     pub fn start(m: &Mnemosyne, config: SvcConfig) -> Result<KvService, Error> {
         let metrics = SvcMetrics::register(m.telemetry());
-        let (table, resumed) = match config.engine {
-            Engine::Stm => {
-                let root = m.pstatic(&config.table, 8)?;
-                let mut th = m.register_thread()?;
-                let resumed = th.atomic(|tx| tx.read_u64(root))? != 0;
-                let table = PHashTable::open(m, &mut th, &config.table, config.buckets)?;
-                (TableEngine::Stm(table), resumed)
-            }
-            Engine::LockFree => {
-                // Distinct root namespace, so a datadir serves exactly one
-                // table per (name, engine) pair. A persistent boot marker
-                // stands in for the STM root-pointer check: the list head
-                // itself legally returns to null when every key is deleted.
-                let name = format!("{}.lf", config.table);
-                let mark = m.pstatic(&format!("{name}.boot"), 8)?;
-                let pmem = m.pmem_handle();
-                let resumed = pmem.read_u64(mark) != 0;
-                if !resumed {
-                    pmem.store_u64(mark, 1);
-                    pmem.flush(mark);
-                    pmem.fence();
-                }
-                (TableEngine::LockFree(LfHashTable::open(m, &name)?), resumed)
-            }
-        };
+        let root = m.pstatic(&config.table, 8)?;
+        let mut th = m.register_thread()?;
+        let resumed = th.atomic(|tx| tx.read_u64(root))? != 0;
+        let table = PHashTable::open(m, &mut th, &config.table, config.buckets)?;
+        drop(th);
         if resumed {
             metrics.recoveries.inc();
         }
-        let lf_handles = match &table {
-            TableEngine::Stm(_) => Vec::new(),
-            TableEngine::LockFree(t) => {
-                let mut v = Vec::with_capacity(config.workers);
-                for _ in 0..config.workers {
-                    v.push(t.handle(m)?);
-                }
-                v
-            }
-        };
         let inner = Arc::new(Inner {
             mtm: Arc::clone(m.mtm()),
             table,
@@ -399,8 +296,6 @@ impl KvService {
             cv: Condvar::new(),
             metrics,
             workers: Mutex::new(Vec::new()),
-            lf_handles: Mutex::new(lf_handles),
-            busy_ns: Mutex::new(Vec::new()),
             ckpt: Mutex::new(None),
             admin_inflight: AtomicUsize::new(0),
             conns: AtomicUsize::new(0),
@@ -426,42 +321,10 @@ impl KvService {
     /// Adds one batcher worker. Normally called by [`KvService::start`];
     /// exposed so tests can queue requests first and then watch a single
     /// worker fold them into one commit.
-    ///
-    /// Under [`Engine::LockFree`] each worker consumes one of the handles
-    /// minted at start, so at most `config.workers` workers can run —
-    /// spawning past that marks the service dead (a configuration bug,
-    /// not a runtime hazard).
     pub fn spawn_worker(&self) {
-        let busy = Arc::new(AtomicU64::new(0));
-        self.inner.busy_ns.lock().push(Arc::clone(&busy));
         let inner = Arc::clone(&self.inner);
-        let join = match &self.inner.table {
-            TableEngine::Stm(_) => std::thread::spawn(move || worker_loop(&inner, &busy)),
-            TableEngine::LockFree(_) => {
-                let Some(h) = self.inner.lf_handles.lock().pop() else {
-                    self.inner
-                        .mark_dead("no lock-free handle left for extra worker");
-                    return;
-                };
-                std::thread::spawn(move || worker_loop_lf(&inner, h, &busy))
-            }
-        };
+        let join = std::thread::spawn(move || worker_loop(&inner));
         self.inner.workers.lock().push(join);
-    }
-
-    /// Domain nanoseconds each worker has spent executing requests (one
-    /// entry per spawned worker, in spawn order). With the virtual clock
-    /// this is modelled SCM time, so `sum(busy) / elapsed_vns` is the
-    /// serving tier's utilization — the denominator the `kvscale` bench
-    /// uses to compare engines.
-    #[must_use]
-    pub fn worker_busy_ns(&self) -> Vec<u64> {
-        self.inner
-            .busy_ns
-            .lock()
-            .iter()
-            .map(|b| b.load(Ordering::Relaxed))
-            .collect()
     }
 
     /// Enqueues a request for the next commit batch. Never blocks; the
@@ -628,14 +491,7 @@ impl KvService {
                         outstanding_after: st.outstanding_after,
                         duration_ns: wall.elapsed().as_nanos() as u64,
                     }),
-                    Err(payload) => {
-                        let why = match crash_payload(&*payload) {
-                            Some(req) => format!("machine crashed: {req}"),
-                            None => "checkpoint panicked".to_string(),
-                        };
-                        inner.mark_dead(&why);
-                        Response::Err(why)
-                    }
+                    Err(payload) => Response::Err(inner.died(&*payload, "checkpoint")),
                 }
             }
             Request::Grow(bytes) => {
@@ -645,14 +501,7 @@ impl KvService {
                         large_capacity_bytes: st.large_capacity,
                     }),
                     Ok(Err(e)) => Response::Err(format!("grow failed: {e}")),
-                    Err(payload) => {
-                        let why = match crash_payload(&*payload) {
-                            Some(req) => format!("machine crashed: {req}"),
-                            None => "grow panicked".to_string(),
-                        };
-                        inner.mark_dead(&why);
-                        Response::Err(why)
-                    }
+                    Err(payload) => Response::Err(inner.died(&*payload, "grow")),
                 }
             }
             _ => Response::Err("not an admin request".to_string()),
@@ -700,11 +549,7 @@ fn ckpt_loop(inner: &Arc<Inner>, interval: std::time::Duration, stop: &AtomicBoo
             }
         }));
         if let Err(payload) = outcome {
-            let why = match crash_payload(&*payload) {
-                Some(req) => format!("machine crashed: {req}"),
-                None => "checkpoint driver panicked".to_string(),
-            };
-            inner.mark_dead(&why);
+            inner.died(&*payload, "checkpoint driver");
             return;
         }
     }
@@ -759,11 +604,9 @@ fn exec_batch(
 
 /// Blocks until a batch of queued requests is available and claims it
 /// (bumping `inflight`), or returns `None` when the worker should exit
-/// (stop with an empty queue, or machine death). With `use_window`, a
-/// short queue is given [`SvcConfig::batch_window`] to coalesce before
-/// the batch is cut — worth it only when requests share a commit fence,
-/// so the lock-free loop passes `false`.
-fn next_batch(inner: &Arc<Inner>, use_window: bool) -> Option<Vec<PendingReq>> {
+/// (stop with an empty queue, or machine death). A short queue is given
+/// [`SvcConfig::batch_window`] to coalesce before the batch is cut.
+fn next_batch(inner: &Arc<Inner>) -> Option<Vec<PendingReq>> {
     let mut q = inner.queue.lock();
     loop {
         loop {
@@ -782,11 +625,7 @@ fn next_batch(inner: &Arc<Inner>, use_window: bool) -> Option<Vec<PendingReq>> {
         // a beat to coalesce — each extra request folded here rides
         // the same redo-append fence. Skipped while draining a stop,
         // and cut short the moment the batch fills.
-        if use_window
-            && !q.stop
-            && q.pending.len() < inner.max_batch
-            && !inner.batch_window.is_zero()
-        {
+        if !q.stop && q.pending.len() < inner.max_batch && !inner.batch_window.is_zero() {
             let deadline = Instant::now() + inner.batch_window;
             while !q.stop && !q.dead && q.pending.len() < inner.max_batch {
                 let Some(left) = deadline
@@ -824,10 +663,7 @@ fn finish_batch(inner: &Arc<Inner>, n: usize) {
     inner.cv.notify_all();
 }
 
-fn worker_loop(inner: &Arc<Inner>, busy: &AtomicU64) {
-    let TableEngine::Stm(table) = &inner.table else {
-        unreachable!("stm worker spawned against a lock-free table");
-    };
+fn worker_loop(inner: &Arc<Inner>) {
     let mut th = match inner.mtm.register_thread() {
         Ok(th) => th,
         Err(e) => {
@@ -835,17 +671,18 @@ fn worker_loop(inner: &Arc<Inner>, busy: &AtomicU64) {
             return;
         }
     };
-    while let Some(batch) = next_batch(inner, true) {
+    while let Some(batch) = next_batch(inner) {
         // More work may remain for an idle sibling.
         inner.cv.notify_one();
 
-        let timer = DomainTimer::start(th.pmem());
-        let outcome = catch_unwind(AssertUnwindSafe(|| exec_batch(table, &mut th, &batch)));
-        let mut died = None;
+        let timer = th.pmem().stopwatch();
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            exec_batch(&inner.table, &mut th, &batch)
+        }));
+        let mut died = false;
         match outcome {
             Ok(Ok(replies)) => {
-                let ns = timer.stop(th.pmem());
-                busy.fetch_add(ns, Ordering::Relaxed);
+                let ns = th.pmem().elapsed_ns(&timer);
                 inner.metrics.batch_size.record(batch.len() as u64);
                 inner.metrics.requests.add(batch.len() as u64);
                 for (p, resp) in batch.iter().zip(replies) {
@@ -862,118 +699,22 @@ fn worker_loop(inner: &Arc<Inner>, busy: &AtomicU64) {
                 }
             }
             Err(payload) => {
-                // Machine death. An injected crash (CrashRequested) is the
-                // expected path in fault tests; anything else is a bug,
-                // reported in the reply. Either way the batch did NOT
-                // commit, so failing it keeps the ack invariant.
-                let why = match crash_payload(&*payload) {
-                    Some(req) => format!("machine crashed: {req}"),
-                    None => "worker panicked executing a batch".to_string(),
-                };
+                // The batch did NOT commit, so failing it keeps the ack
+                // invariant.
+                let why = inner.died(&*payload, "worker executing a batch");
                 for p in &batch {
                     p.cell.complete(Response::Err(why.clone()));
                 }
-                died = Some(why);
+                died = true;
             }
         }
         finish_batch(inner, batch.len());
-        if let Some(why) = died {
-            inner.mark_dead(&why);
+        if died {
             return;
         }
-        // Same fairness yield as the lock-free loop: on oversubscribed
-        // cores the worker that just finished is the one scheduled, and
-        // letting it monopolise the queue skews the per-slot busy
-        // distribution the scaling bench measures.
-        std::thread::yield_now();
-    }
-}
-
-/// Executes one request against the lock-free engine. Mutations return
-/// only after their own persist fence inside [`LfHandle::put`] /
-/// [`LfHandle::del`], so completing the ticket right after this call is
-/// exactly the "acknowledged ⇒ durable" contract — no shared commit, no
-/// redo record.
-fn exec_lf(h: &mut LfHandle, req: &Request) -> Response {
-    match req {
-        Request::Ping => Response::Pong,
-        // The TCP layer answers SHUTDOWN itself; a direct submit is
-        // acknowledged as a no-op.
-        Request::Shutdown => Response::Ok,
-        Request::Get(k) => match h.get(k) {
-            Ok(Some(v)) => Response::Value(v),
-            Ok(None) => Response::NotFound,
-            Err(e) => Response::Err(format!("get failed: {e}")),
-        },
-        Request::Put(k, v) => match h.put(k, v) {
-            Ok(()) => Response::Ok,
-            Err(e) => Response::Err(format!("put failed: {e}")),
-        },
-        Request::Del(k) => match h.del(k) {
-            Ok(true) => Response::Ok,
-            Ok(false) => Response::NotFound,
-            Err(e) => Response::Err(format!("del failed: {e}")),
-        },
-        Request::Scan(prefix, limit) => match h.scan_prefix(prefix, *limit as usize) {
-            Ok(entries) => Response::Entries(entries),
-            Err(e) => Response::Err(format!("scan failed: {e}")),
-        },
-        // Admin verbs are routed around the batcher by submit();
-        // reaching the data path would be a dispatch bug.
-        Request::Stats | Request::Checkpoint | Request::Health | Request::Grow(_) => {
-            Response::Err("admin request on the data path".to_string())
-        }
-    }
-}
-
-/// The lock-free worker loop: requests still drain through the shared
-/// queue (admission control and drain/stop semantics are engine
-/// independent), but each one executes and is acknowledged individually —
-/// there is no transaction to share, and no reason to delay an op behind
-/// a group-commit window.
-fn worker_loop_lf(inner: &Arc<Inner>, mut h: LfHandle, busy: &AtomicU64) {
-    while let Some(batch) = next_batch(inner, false) {
-        inner.cv.notify_one();
-
-        let mut died = None;
-        let mut done = 0;
-        for p in &batch {
-            let timer = DomainTimer::start(h.pmem());
-            match catch_unwind(AssertUnwindSafe(|| exec_lf(&mut h, &p.req))) {
-                Ok(resp) => {
-                    let ns = timer.stop(h.pmem());
-                    busy.fetch_add(ns, Ordering::Relaxed);
-                    inner.metrics.requests.inc();
-                    inner.metrics.request_ns.record(ns);
-                    p.cell.complete(resp);
-                    done += 1;
-                }
-                Err(payload) => {
-                    // Machine death mid-op: this request and the rest of
-                    // the claimed batch were never acknowledged.
-                    let why = match crash_payload(&*payload) {
-                        Some(req) => format!("machine crashed: {req}"),
-                        None => "worker panicked executing a request".to_string(),
-                    };
-                    for rest in &batch[done..] {
-                        rest.cell.complete(Response::Err(why.clone()));
-                    }
-                    died = Some(why);
-                    break;
-                }
-            }
-        }
-        inner.metrics.batch_size.record(batch.len() as u64);
-        finish_batch(inner, batch.len());
-        if let Some(why) = died {
-            inner.mark_dead(&why);
-            return;
-        }
-        // Hand the core to a sibling before re-claiming: with workers
-        // oversubscribed on few cores, a worker that finishes a claim is
-        // the one already scheduled, and without this it would claim the
-        // queue again and again while its siblings starve — serialising
-        // an engine whose whole point is that workers don't serialise.
+        // On oversubscribed cores the worker that just finished is the
+        // one still scheduled; hand the core to a sibling before
+        // re-claiming so it does not monopolise the queue.
         std::thread::yield_now();
     }
 }

@@ -17,7 +17,7 @@ use std::path::Path;
 use std::sync::Mutex;
 
 use mnemosyne::{crash_sweep, Mnemosyne, ScmConfig, SweepConfig, Truncation};
-use mnemosyne_svc::{Client, Engine, KvServer, KvService, SvcConfig};
+use mnemosyne_svc::{Client, KvServer, KvService, SvcConfig};
 
 const CLIENTS: u8 = 2;
 const PUTS_PER_CLIENT: u8 = 6;
@@ -190,168 +190,6 @@ fn grow_crash_sweep_recovers_old_or_new_capacity() {
     assert!(
         report.crashes_fired > 0,
         "no crash ever fired mid-workload: {report}"
-    );
-    std::fs::remove_dir_all(&base).ok();
-}
-
-/// Per-key recovery expectation under the lock-free engine. `None`
-/// entries mean "key absent" (never written, or deleted). A key whose
-/// ops were all acknowledged has exactly one allowed state; a key whose
-/// last issued op never came back may legally recover as either the
-/// pre-op state (op lost) or the post-op state (op landed but the ack
-/// didn't) — unacknowledged writes may or may not have made it.
-type AllowedStates = Vec<Option<Vec<u8>>>;
-type LfExpectation = HashMap<Vec<u8>, AllowedStates>;
-
-/// Drives the lock-free engine with puts, same-key replaces, and deletes
-/// of the even keys — both detectable op kinds — and records each key's
-/// allowed recovery states. Keys are private to one client, and a client
-/// stops at the first failed op, so the per-key expectation is exact: the
-/// state after the last acked op, plus (for the one in-flight op at the
-/// crash) the state after that op.
-fn serve_workload_lf(m: &Mnemosyne, acked: &Mutex<LfExpectation>) -> Result<(), mnemosyne::Error> {
-    acked.lock().unwrap().clear();
-    let svc = KvService::start(
-        m,
-        SvcConfig {
-            workers: 2,
-            max_batch: 4,
-            engine: Engine::LockFree,
-            ..SvcConfig::default()
-        },
-    )?;
-    let server = KvServer::bind(svc.clone(), "127.0.0.1:0").expect("bind ephemeral port");
-    let addr = server.local_addr();
-
-    let joins: Vec<_> = (0..CLIENTS)
-        .map(|t| {
-            std::thread::spawn(move || {
-                let mut done: Vec<(Vec<u8>, AllowedStates)> = Vec::new();
-                let Ok(mut c) = Client::connect(addr) else {
-                    return done;
-                };
-                'keys: for i in 0..PUTS_PER_CLIENT {
-                    let key = vec![b'l', t, i];
-                    // The op tape for this key, as post-op states.
-                    let mut states = vec![Some(vec![t, i]), Some(vec![t ^ i, i, t])];
-                    if i % 2 == 0 {
-                        states.push(None); // delete
-                    }
-                    let mut reached = None; // state before the first op: absent
-                    for after in states {
-                        let ok = match &after {
-                            Some(v) => c.put(&key, v).is_ok(),
-                            None => c.del(&key).is_ok(),
-                        };
-                        if ok {
-                            reached = after;
-                        } else {
-                            // Machine died with this one op in flight:
-                            // either side of it is a legal recovery.
-                            done.push((key, vec![reached, after]));
-                            break 'keys;
-                        }
-                    }
-                    done.push((key, vec![reached]));
-                }
-                done
-            })
-        })
-        .collect();
-    for j in joins {
-        if let Ok(writes) = j.join() {
-            acked.lock().unwrap().extend(writes);
-        }
-    }
-    server.stop();
-    svc.stop();
-    Ok(())
-}
-
-/// The lock-free durability contract after recovery: every key reads back
-/// in one of its allowed states (exactly the last acked state when no op
-/// was in flight — acked deletes stay deleted, acked puts keep their
-/// value), and a full scan holds no duplicate keys — a re-applied
-/// detectable op would surface as either a resurrected delete or a second
-/// version of the same key.
-fn check_acked_lf(m: &Mnemosyne, acked: &Mutex<LfExpectation>) -> Result<(), String> {
-    let svc = KvService::start(
-        m,
-        SvcConfig {
-            engine: Engine::LockFree,
-            ..SvcConfig::default()
-        },
-    )
-    .map_err(|e| e.to_string())?;
-    let result = (|| {
-        for (key, allowed) in acked.lock().unwrap().iter() {
-            let got = match svc.call(mnemosyne_svc::Request::Get(key.clone())) {
-                mnemosyne_svc::Response::Value(v) => Some(v),
-                mnemosyne_svc::Response::NotFound => None,
-                other => return Err(format!("get {key:?} after recovery failed: {other:?}")),
-            };
-            if !allowed.contains(&got) {
-                return Err(format!(
-                    "acked key {key:?} recovered as {got:?} (allowed {allowed:?})"
-                ));
-            }
-        }
-        match svc.call(mnemosyne_svc::Request::Scan(Vec::new(), 0)) {
-            mnemosyne_svc::Response::Entries(entries) => {
-                let mut keys: Vec<_> = entries.iter().map(|(k, _)| k.clone()).collect();
-                keys.sort();
-                let n = keys.len();
-                keys.dedup();
-                if keys.len() != n {
-                    return Err(format!(
-                        "duplicate keys after recovery: {n} scanned, {} distinct",
-                        keys.len()
-                    ));
-                }
-            }
-            other => return Err(format!("scan after recovery failed: {other:?}")),
-        }
-        Ok(())
-    })();
-    svc.stop();
-    result
-}
-
-/// The lock-free engine's durability contract under systematic crashes,
-/// including double faults: `recovery_points: 2` re-crashes recovery
-/// itself at each surviving point, which is where a detectable op
-/// resolved once must not resolve again.
-#[test]
-fn lockfree_crash_sweep_never_loses_or_duplicates_acked_ops() {
-    let base = std::env::temp_dir().join(format!(
-        "mnemo-lf-sweep-{}-{:?}",
-        std::process::id(),
-        std::thread::current().id()
-    ));
-    std::fs::remove_dir_all(&base).ok();
-    let acked = Mutex::new(HashMap::new());
-    let cfg = SweepConfig {
-        max_points: 12,
-        recovery_points: 2,
-        ..SweepConfig::default()
-    };
-    let report = crash_sweep(
-        &base,
-        &cfg,
-        builder,
-        |m| serve_workload_lf(m, &acked),
-        |m| check_acked_lf(m, &acked),
-    )
-    .expect("sweep harness");
-    assert!(
-        report.passed(),
-        "lock-free acked-op invariant violated: {:?}",
-        report.failures
-    );
-    assert!(report.points_tested >= 8, "report: {report}");
-    assert!(
-        report.crashes_fired > 0,
-        "no crash ever fired mid-service: {report}"
     );
     std::fs::remove_dir_all(&base).ok();
 }
