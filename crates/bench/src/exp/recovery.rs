@@ -4,21 +4,23 @@
 //!
 //! ## Methodology
 //!
-//! One machine builds a known backlog: four producer threads commit
-//! write transactions with `sync_truncate_pct(90)`, so committed records
-//! linger in the per-thread logs instead of being truncated per commit.
-//! The machine is then crashed with `CrashPolicy::DropAll` — every
-//! committed-but-unflushed data line is lost, which is exactly the state
-//! recovery exists for — and the *same media image* is rebooted at
-//! 1/2/4 replay threads.
+//! One machine builds a known backlog in the only regime that has one:
+//! `Truncation::Async`, with the log manager stopped (`MtmRuntime::kill`)
+//! before four producer threads commit their write transactions, so
+//! every committed record stays in its per-thread log and none of its
+//! data lines is forced out. The machine is then crashed with
+//! `CrashPolicy::DropAll` — every committed-but-unflushed data line is
+//! lost, which is exactly the state recovery exists for — and the *same
+//! media image* is rebooted at 1/2/4 replay threads.
 //!
 //! Replay time comes from [`mnemosyne::RecoveryStats`] in the emulator's
 //! virtual domain: the scan phase's critical path is the slowest
 //! scanner's accounted time, the replay phase's the slowest replayer's.
 //! The headline figure is **milliseconds per MB of outstanding log**
 //! (`ms_per_mb_milli`, in thousandths) — multiply by a crash-time
-//! backlog bound (which the background checkpointer enforces, see
-//! `mtm.ckpt.outstanding_hwm`) and you have the recovery-time SLO.
+//! backlog bound (at most `log_words` per thread slot in the
+//! asynchronous regime, the commits in flight in the synchronous one)
+//! and you have the recovery-time SLO.
 //!
 //! ## Why it scales
 //!
@@ -43,6 +45,13 @@ const PRODUCERS: usize = 4;
 /// Words each producer writes per transaction.
 const WRITES_PER_TX: u64 = 8;
 
+/// Capacity of each producer's redo log, in words.
+const LOG_WORDS: u64 = 1 << 15;
+
+/// Log words one producer transaction occupies: `[len, ts, (addr, val)
+/// x 8, checksum]`, 19 words packed 63 bits to the log word.
+const RECORD_WORDS: u64 = 2 * WRITES_PER_TX + 4;
+
 /// One replay-thread-count measurement.
 #[derive(Debug, Clone, Copy)]
 pub struct Point {
@@ -64,11 +73,8 @@ fn builder(dir: &std::path::Path) -> mnemosyne::MnemosyneBuilder {
     Mnemosyne::builder(dir)
         .scm_config(ScmConfig::virtual_clock(64 << 20))
         .max_threads(PRODUCERS + 2)
-        .log_words(1 << 15)
-        .truncation(Truncation::Sync)
-        // Let committed records linger: nothing truncates below 90%
-        // occupancy, so the backlog survives until the crash.
-        .sync_truncate_pct(90)
+        .log_words(LOG_WORDS)
+        .truncation(Truncation::Async)
 }
 
 /// Commits enough write transactions to leave a multi-log redo backlog,
@@ -77,14 +83,22 @@ fn builder(dir: &std::path::Path) -> mnemosyne::MnemosyneBuilder {
 fn build_backlog(dir: &std::path::Path, scale: Scale) -> (Vec<u8>, u64) {
     let m = builder(dir).open().expect("boot backlog machine");
     let txs = scale.pick(400, 1200);
+    // With the manager gone nothing frees log space: a producer's whole
+    // run must fit its log (with room for the `pstatic` records), or it
+    // would stall forever. Every producer holds its slot before any
+    // commits, so each fills a log of its own.
+    assert!(txs * RECORD_WORDS <= LOG_WORDS * 3 / 4);
+    m.mtm().kill();
+    let registered = std::sync::Barrier::new(PRODUCERS);
     std::thread::scope(|s| {
         for t in 0..PRODUCERS {
-            let m = &m;
+            let (m, registered) = (&m, &registered);
             s.spawn(move || {
                 let area = m
                     .pstatic(&format!("rcv{t}"), 256 * 8)
                     .expect("pstatic area");
                 let mut th = m.register_thread().expect("register producer");
+                registered.wait();
                 for i in 0..txs {
                     th.atomic(|tx| {
                         for w in 0..WRITES_PER_TX {
@@ -99,7 +113,10 @@ fn build_backlog(dir: &std::path::Path, scale: Scale) -> (Vec<u8>, u64) {
         }
     });
     let outstanding = m.mtm().outstanding_log_words();
-    assert!(outstanding > 0, "backlog machine truncated its own logs");
+    assert!(
+        outstanding >= PRODUCERS as u64 * txs * RECORD_WORDS,
+        "backlog machine truncated its own logs"
+    );
     let (_dir, image) = m.crash(CrashPolicy::DropAll);
     (image, outstanding)
 }

@@ -2,19 +2,19 @@
 //! second vs. thread count, over disjoint and contended `pds::phash`
 //! working sets.
 //!
-//! The mtm commit path batches work three ways (see DESIGN.md §5): the
-//! redo-record append is one per-thread fence, the post-writeback data
-//! fence is shared across a commit group, and log truncation is
-//! amortised to the durable watermark. This experiment measures what
-//! that buys at 1/2/4/8 threads and emits `BENCH_mtm.json`.
+//! A synchronous commit costs two fences, both on the committing
+//! thread's own handle (see DESIGN.md §5): the redo-record append, and
+//! the truncation that closes the commit. This experiment measures how
+//! per-thread logs scale that at 1/2/4/8 threads and emits
+//! `BENCH_mtm.json`.
 //!
 //! ## Methodology: virtual-time throughput
 //!
 //! Same time domain as `allocscale` (see that module's header): under
 //! the SCM emulator's virtual clock every persistent primitive charges
 //! its modelled latency to the issuing handle. All of a transaction's
-//! commit-path primitives (log append fence, data flushes, data fence,
-//! truncation) are charged to the committing thread's redo-log handle,
+//! commit-path primitives (log append fence, data flushes, truncating
+//! fence) are charged to the committing thread's redo-log handle,
 //! and its heap operations to the owning heap shard's handle, so
 //!
 //! ```text
@@ -23,8 +23,7 @@
 //!
 //! is the critical-path throughput an ideal parallel machine would see.
 //! A commit path that serialised all threads through one handle would
-//! show flat scaling; per-thread logs plus the batched fences scale it
-//! with the thread count.
+//! show flat scaling; per-thread logs scale it with the thread count.
 //!
 //! ## Workloads
 //!

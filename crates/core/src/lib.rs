@@ -225,18 +225,9 @@ impl MnemosyneBuilder {
         self
     }
 
-    /// Sets the synchronous-mode log occupancy (percent of capacity)
-    /// above which a commit truncates its log. Higher values leave
-    /// committed records lingering — useful for building up a known
-    /// outstanding-log backlog to measure recovery against.
-    pub fn sync_truncate_pct(mut self, pct: u8) -> Self {
-        self.mtm_config = self.mtm_config.with_sync_truncate_pct(pct);
-        self
-    }
-
     /// Sets the worker-thread count for parallel log replay at open
-    /// (`0` = auto: `MNEMOSYNE_RECOVERY_THREADS` or the host
-    /// parallelism, clamped to `[1, max_threads]`).
+    /// (`0` = auto: the host parallelism, clamped to
+    /// `[1, max_threads]`).
     pub fn recovery_threads(mut self, n: usize) -> Self {
         self.mtm_config = self.mtm_config.with_recovery_threads(n);
         self
@@ -424,17 +415,16 @@ impl Mnemosyne {
     /// Graceful power-down: empty the redo logs, checkpoint resident
     /// pages to their backing files and save the media image, so a later
     /// [`Mnemosyne::open`] on the same directory resumes with all data
-    /// and replays nothing. (Replay is idempotent within one log only: a
-    /// record lingering in one log can be older than a write whose own
-    /// record another log has truncated.)
+    /// and replays nothing.
     ///
     /// # Errors
     /// Propagates checkpoint/save failures. [`LogError::Corrupt`], after
     /// the image is saved, if a poisoned log kept its records (a
     /// checkpoint skips it; the next open reports the corruption).
     pub fn shutdown(self) -> Result<(), Error> {
-        // One pass empties every healthy log; the bound keeps a poisoned
-        // one from being spun on.
+        // Synchronous logs are empty already; one pass empties every
+        // healthy asynchronous one, and the bound keeps a poisoned one
+        // from being spun on.
         for _ in 0..4 {
             if self.mtm.outstanding_log_words() == 0 {
                 break;
@@ -521,11 +511,11 @@ mod tests {
         std::fs::remove_dir_all(&d).ok();
     }
 
-    /// Two transaction threads overwrite the same words from two logs:
-    /// `a`'s one record lingers while `b` keeps overwriting until its own
-    /// log truncates, so the newest value has no record left and a stale
-    /// one does. A shutdown that saved the image like that would replay
-    /// the stale record over the newest value at the next open.
+    /// Two transaction threads overwrite the same words from two
+    /// asynchronous logs whose manager is gone, so both logs keep every
+    /// record: `a`'s stale one and `b`'s newer ones. A shutdown that saved
+    /// the image like that would hand the next open records to replay;
+    /// it must drain both logs first.
     #[test]
     fn shutdown_leaves_no_record_to_replay_over_a_newer_write() {
         const WORDS: u64 = 8;
@@ -533,40 +523,32 @@ mod tests {
         let build = || {
             Mnemosyne::builder(&d)
                 .scm_size(32 << 20)
-                .log_words(1 << 8)
-                .sync_truncate_pct(90)
+                .truncation(Truncation::Async)
         };
-        let newest = {
+        {
             let m = build().open().unwrap();
             let base = m.pstatic("words", WORDS * 8).unwrap();
             let write_all = |th: &mut TxThread, v: u64| {
                 th.atomic(|tx| (0..WORDS).try_for_each(|w| tx.write_u64(base.add(w * 8), v)))
                     .unwrap();
             };
+            m.mtm().kill(); // no manager: nothing truncates before shutdown
             let mut a = m.register_thread().unwrap();
             let mut b = m.register_thread().unwrap();
             write_all(&mut a, 1);
-            let mut v = 1;
-            loop {
-                let before = m.mtm().outstanding_log_words();
-                v += 1;
-                write_all(&mut b, v);
-                if m.mtm().outstanding_log_words() < before {
-                    break; // b's log just truncated, newest record included
-                }
-            }
-            assert!(m.mtm().outstanding_log_words() > 0, "a's record lingers");
+            write_all(&mut b, 2);
+            write_all(&mut b, 3);
+            assert!(m.mtm().outstanding_log_words() > 0, "records linger");
             drop((a, b));
             m.shutdown().unwrap();
-            v
-        };
+        }
         let m = build().open().unwrap();
         assert_eq!(m.mtm().recovery_stats().replayed, 0);
         let base = m.pstatic("words", WORDS * 8).unwrap();
         let mut th = m.register_thread().unwrap();
         for w in 0..WORDS {
             let got = th.atomic(|tx| tx.read_u64(base.add(w * 8))).unwrap();
-            assert_eq!(got, newest, "word {w} went back to an older value");
+            assert_eq!(got, 3, "word {w} went back to an older value");
         }
         std::fs::remove_dir_all(&d).ok();
     }

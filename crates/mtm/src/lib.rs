@@ -17,9 +17,9 @@
 //!   recovery uses to replay committed-but-unflushed transactions from all
 //!   per-thread logs in the right order;
 //! * **synchronous** or **asynchronous** log truncation: either the
-//!   committing thread flushes modified lines and truncates immediately,
-//!   or a log-manager thread drains logs off the critical path (§5,
-//!   Figure 6).
+//!   committing thread flushes modified lines and truncates its log
+//!   before it releases its locks, or a log-manager thread drains logs off
+//!   the critical path (§5, Figure 6).
 //!
 //! The paper uses Intel's STM compiler to instrument `atomic { … }`
 //! blocks; the Rust analogue is a closure receiving a [`Tx`] through which
@@ -55,7 +55,6 @@
 pub mod error;
 pub mod gclock;
 pub mod locks;
-mod pipeline;
 pub mod runtime;
 pub mod tx;
 

@@ -19,7 +19,6 @@ use mnemosyne_scm::EmulationMode;
 use crate::error::{TxAbort, TxError};
 use crate::gclock::GlobalClock;
 use crate::locks::LockTable;
-use crate::pipeline::{Covered, GroupFence};
 use crate::tx::Tx;
 
 /// When the redo log of a committed transaction is truncated (§5
@@ -50,13 +49,17 @@ use crate::tx::Tx;
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Truncation {
-    /// Commit flushes every modified cache line and truncates immediately:
-    /// bounded log, longer commit latency.
+    /// Commit flushes every modified cache line and truncates its log
+    /// before it releases the first write lock: longer commit latency,
+    /// and a log holds a record only while its transaction holds that
+    /// record's locks — so the records a crash leaves behind are pairwise
+    /// disjoint and replay order cannot matter.
     #[default]
     Sync,
-    /// A log-manager thread drains logs off the critical path: shorter
-    /// commits, but threads stall when the log fills faster than the
-    /// manager drains it (Figure 6 measures both regimes).
+    /// A log-manager thread — the regime's only truncator — drains logs
+    /// off the critical path: shorter commits, but threads stall when the
+    /// log fills faster than the manager drains it (Figure 6 measures both
+    /// regimes).
     Async,
 }
 
@@ -74,25 +77,12 @@ pub struct MtmConfig {
     pub truncation: Truncation,
     /// Region-name prefix for the logs.
     pub name_prefix: String,
-    /// Batch the post-writeback data fence across concurrently committing
-    /// threads (commit pipelining). A single thread still issues exactly
-    /// one fence per commit; disabling this forces a private fence even
-    /// under concurrency (useful for A/B measurements).
-    pub group_commit: bool,
-    /// Synchronous-mode log occupancy (percent of capacity) above which a
-    /// commit truncates its log to the durable watermark. `0` truncates
-    /// every commit (the pre-pipelining behaviour); higher values
-    /// amortise the truncation fence over many commits, leaving committed
-    /// records in the log — harmless, since recovery replay is
-    /// idempotent.
-    pub sync_truncate_pct: u8,
     /// Bounded-backoff patience: how many escalating waits a transaction
     /// spends on a foreign-owned lock before aborting. `0` restores raw
     /// abort-on-conflict.
     pub max_lock_waits: u32,
     /// Worker threads for parallel log replay at open. `0` (the default)
-    /// resolves to `MNEMOSYNE_RECOVERY_THREADS` or the host parallelism,
-    /// clamped to `[1, max_threads]`.
+    /// resolves to the host parallelism, clamped to `[1, max_threads]`.
     pub recovery_threads: usize,
 }
 
@@ -104,8 +94,6 @@ impl Default for MtmConfig {
             lock_table_size: 1 << 20,
             truncation: Truncation::Sync,
             name_prefix: "mtm".to_string(),
-            group_commit: true,
-            sync_truncate_pct: 50,
             max_lock_waits: 6,
             recovery_threads: 0,
         }
@@ -125,19 +113,6 @@ impl MtmConfig {
         self
     }
 
-    /// Enables or disables cross-thread commit-fence batching.
-    pub fn with_group_commit(mut self, on: bool) -> Self {
-        self.group_commit = on;
-        self
-    }
-
-    /// Overrides the synchronous watermark-truncation threshold (percent
-    /// of log capacity; `0` = truncate every commit).
-    pub fn with_sync_truncate_pct(mut self, pct: u8) -> Self {
-        self.sync_truncate_pct = pct.min(90);
-        self
-    }
-
     /// Overrides the bounded-backoff patience on contended locks.
     pub fn with_max_lock_waits(mut self, waits: u32) -> Self {
         self.max_lock_waits = waits;
@@ -151,17 +126,13 @@ impl MtmConfig {
     }
 
     /// The effective recovery worker count: the explicit setting, else the
-    /// `MNEMOSYNE_RECOVERY_THREADS` environment variable, else the host
-    /// parallelism — always clamped to `[1, max_threads]` (there is one
-    /// log per thread slot, so more workers than slots cannot help).
+    /// host parallelism — always clamped to `[1, max_threads]` (there is
+    /// one log per thread slot, so more workers than slots cannot help).
     pub fn resolve_recovery_threads(&self) -> usize {
         let n = if self.recovery_threads > 0 {
             self.recovery_threads
         } else {
-            std::env::var("MNEMOSYNE_RECOVERY_THREADS")
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+            std::thread::available_parallelism().map_or(1, |n| n.get())
         };
         n.clamp(1, self.max_threads.max(1))
     }
@@ -234,7 +205,7 @@ pub(crate) struct MtmMetrics {
     pub(crate) log_ns: Histogram,
     /// Commit phase: writing buffered values back to their home locations.
     pub(crate) writeback_ns: Histogram,
-    /// Commit phase: synchronous flush + fence + truncate (sync mode).
+    /// Commit phase: data-line flushes + the truncating fence (sync mode).
     pub(crate) truncate_ns: Histogram,
     /// Encounter-time probes that found the lock foreign-owned (one per
     /// conflict episode, not per backoff round).
@@ -246,22 +217,12 @@ pub(crate) struct MtmMetrics {
     /// Spin counts chosen by adaptive backoff (per wait round; also
     /// records the inter-attempt backoff of the `atomic` retry loop).
     pub(crate) backoff_spins: Histogram,
-    /// Group data fences issued by commit-group leaders (sync mode).
-    pub(crate) group_fences: Counter,
-    /// Commits whose data fence was covered by another thread's group
-    /// fence. Identity: `group_fences + piggybacked_commits` = sync
-    /// update commits when group commit is enabled.
-    pub(crate) piggybacked_commits: Counter,
-    /// Watermark (incremental) truncations: sync commits that truncated
-    /// their log up to the durable watermark instead of every commit
-    /// dropping the whole log.
-    pub(crate) wm_truncations: Counter,
     /// Checkpoints completed ([`MtmRuntime::checkpoint`]).
     pub(crate) ckpt_runs: Counter,
     /// Log words reclaimed by checkpoints (redo + allocator logs).
     pub(crate) ckpt_words: Counter,
     /// High-water mark of outstanding redo-log words observed at
-    /// checkpoint entry — flat under a healthy checkpoint cadence.
+    /// checkpoint entry.
     pub(crate) ckpt_outstanding_hwm: MaxGauge,
     /// Per-checkpoint duration (virtual ns when the clock is emulated).
     pub(crate) ckpt_ns: Histogram,
@@ -287,9 +248,6 @@ impl MtmMetrics {
             lock_conflicts: telemetry.counter("mtm.lock_conflicts", Unit::Count),
             conflict_aborts: telemetry.counter("mtm.conflict_aborts", Unit::Count),
             backoff_spins: telemetry.histogram("mtm.backoff_spins", Unit::Count),
-            group_fences: telemetry.counter("mtm.group_fences", Unit::Count),
-            piggybacked_commits: telemetry.counter("mtm.piggybacked_commits", Unit::Count),
-            wm_truncations: telemetry.counter("mtm.wm_truncations", Unit::Count),
             ckpt_runs: telemetry.counter("mtm.ckpt.runs", Unit::Count),
             ckpt_words: telemetry.counter("mtm.ckpt.words", Unit::Words),
             ckpt_outstanding_hwm: telemetry.max_gauge("mtm.ckpt.outstanding_hwm", Unit::Words),
@@ -307,10 +265,11 @@ struct ManagerHandle {
     join: Option<JoinHandle<()>>,
 }
 
-/// Consumer-side state shared by everything that truncates logs from
-/// outside the owning transaction thread: the async log manager and
-/// [`MtmRuntime::checkpoint`]. The mutex is the serialization point — a
-/// checkpoint and a manager pass never interleave on the same log.
+/// The consumer handles of every redo log. In the asynchronous regime
+/// whoever holds the mutex — a log-manager pass or
+/// [`MtmRuntime::checkpoint`] — is the logs' one truncator; in the
+/// synchronous regime the handles are only read (backlog accounting) and
+/// each log's owning [`TxThread`] truncates it.
 struct CkptShared {
     truncators: Mutex<Vec<LogTruncator>>,
 }
@@ -360,10 +319,7 @@ pub struct MtmRuntime {
     heap: RwLock<Option<Arc<PHeap>>>,
     slots: Mutex<Vec<Option<TornbitLog>>>,
     truncation: Truncation,
-    group_commit: bool,
-    sync_truncate_pct: u8,
     max_lock_waits: u32,
-    group_fence: GroupFence,
     commits: AtomicU64,
     aborts: AtomicU64,
     replayed: AtomicU64,
@@ -588,9 +544,10 @@ impl MtmRuntime {
         if replayed > 0 {
             metrics.replay_ms.record(total_ns.div_ceil(1_000_000));
         }
-        // Every log gets a consumer handle up front: the checkpoint entry
-        // point uses them in both regimes, and the async manager shares
-        // the same set (the mutex serializes the two).
+        // Every log gets a consumer handle up front: backlog accounting
+        // reads them in both regimes, and in the async regime the manager
+        // and `checkpoint` drain through them (the mutex serializes the
+        // two).
         let ckpt = Arc::new(CkptShared {
             truncators: Mutex::new(
                 logs.iter()
@@ -605,10 +562,7 @@ impl MtmRuntime {
             regions: Arc::clone(regions),
             heap: RwLock::new(None),
             truncation: config.truncation,
-            group_commit: config.group_commit,
-            sync_truncate_pct: config.sync_truncate_pct.min(90),
             max_lock_waits: config.max_lock_waits,
-            group_fence: GroupFence::new(),
             commits: AtomicU64::new(0),
             aborts: AtomicU64::new(0),
             replayed: AtomicU64::new(replayed),
@@ -725,20 +679,8 @@ impl MtmRuntime {
         self.truncation
     }
 
-    pub(crate) fn group_commit(&self) -> bool {
-        self.group_commit
-    }
-
-    pub(crate) fn sync_truncate_pct(&self) -> u8 {
-        self.sync_truncate_pct
-    }
-
     pub(crate) fn max_lock_waits(&self) -> u32 {
         self.max_lock_waits
-    }
-
-    pub(crate) fn group_fence(&self) -> &GroupFence {
-        &self.group_fence
     }
 
     /// Accounted busy time (ns) of each thread slot's log handle — the
@@ -763,8 +705,8 @@ impl MtmRuntime {
     }
 
     /// Redo-log words appended, fenced, and not yet truncated across all
-    /// thread slots — what a crash right now would have to replay. The
-    /// checkpointer's job is to keep this bounded.
+    /// thread slots — what a crash right now would have to replay. In the
+    /// synchronous regime that is only the records of commits in flight.
     pub fn outstanding_log_words(&self) -> u64 {
         self.ckpt
             .truncators
@@ -774,17 +716,13 @@ impl MtmRuntime {
             .sum()
     }
 
-    /// Runs one checkpoint pass: quiesces each slot's durable watermark
-    /// and truncates the redo logs down to it, then sweeps the attached
-    /// heap's allocator logs. Safe to call from any thread, concurrently
-    /// with committing transactions (truncation is serialized against the
-    /// producers' own inline truncation and against the async manager).
-    ///
-    /// In the synchronous regime every commit publishes its data-durable
-    /// watermark after the commit fence, so the pass is one word write
-    /// plus one fence per non-empty log — no scanning. In the
-    /// asynchronous regime the pass drains the logs exactly as the
-    /// manager would (forcing each record's data lines out first).
+    /// Runs one checkpoint pass: in the asynchronous regime, one
+    /// log-manager pass over the redo logs (each record's data lines
+    /// forced out, then the record truncated); in both regimes, a sweep of
+    /// the attached heap's allocator logs. In the synchronous regime the
+    /// redo logs are left alone — each belongs to its committing thread,
+    /// which empties it before releasing its locks. Safe to call from any
+    /// thread, concurrently with committing transactions.
     pub fn checkpoint(&self) -> CkptStats {
         let wall = Instant::now();
         let truncators = self.ckpt.truncators.lock();
@@ -792,24 +730,10 @@ impl MtmRuntime {
         let busy_before: u64 = truncators.iter().map(|t| t.pmem().accounted_ns()).sum();
         let before: u64 = truncators.iter().map(|t| t.backlog_words()).sum();
         self.metrics.ckpt_outstanding_hwm.record(before);
-        let mut words = 0u64;
-        for t in truncators.iter() {
-            if t.poisoned() {
-                continue;
-            }
-            match self.truncation {
-                Truncation::Sync => words += t.truncate_to_durable_watermark(),
-                Truncation::Async => {
-                    let head = t.head_pos();
-                    let _ = t.drain_incremental(MANAGER_DRAIN_STEP, |rec| {
-                        for pair in rec[1..].chunks_exact(2) {
-                            t.pmem().flush(VAddr(pair[0]));
-                        }
-                    });
-                    words += t.head_pos() - head;
-                }
-            }
-        }
+        let mut words = match self.truncation {
+            Truncation::Sync => 0,
+            Truncation::Async => drain_logs(&truncators),
+        };
         let after: u64 = truncators.iter().map(|t| t.backlog_words()).sum();
         let busy_after: u64 = truncators.iter().map(|t| t.pmem().accounted_ns()).sum();
         drop(truncators);
@@ -868,34 +792,38 @@ impl Drop for MtmRuntime {
 /// fence stays amortised.
 const MANAGER_DRAIN_STEP: usize = 16;
 
-/// The asynchronous log manager: drains every per-thread log, forcing the
-/// values named by each record out to SCM before truncating (§5).
-/// Truncation is incremental — every [`MANAGER_DRAIN_STEP`] records the
-/// durable watermark advances, so producers stall for bounded time even
-/// when a pass has a deep backlog.
+/// One log-manager pass: drains every healthy log, forcing the values
+/// named by each record out to SCM before truncating it (§5). Truncation
+/// is incremental — the head advances every [`MANAGER_DRAIN_STEP`] records,
+/// so producers stall for bounded time even behind a deep backlog. The
+/// caller holds the [`CkptShared`] mutex. Returns the words reclaimed.
+fn drain_logs(truncators: &[LogTruncator]) -> u64 {
+    let mut words = 0;
+    for t in truncators {
+        if t.poisoned() {
+            continue; // corrupt log: the producer gets the typed error
+        }
+        let head = t.head_pos();
+        let _ = t.drain_incremental(MANAGER_DRAIN_STEP, |rec| {
+            // rec = [ts, (addr, val)*]; flush each written line.
+            for pair in rec[1..].chunks_exact(2) {
+                t.pmem().flush(VAddr(pair[0]));
+            }
+        });
+        words += t.head_pos() - head;
+    }
+    words
+}
+
+/// The asynchronous log manager (§5): passes over the logs until stopped,
+/// sleeping briefly when a pass finds nothing.
 fn log_manager(ckpt: &CkptShared, stop: Arc<AtomicBool>, hard: Arc<AtomicBool>) {
     while !stop.load(Ordering::Relaxed) {
-        let mut drained = 0usize;
-        {
-            // The lock is shared with `MtmRuntime::checkpoint`; holding
-            // it per pass (not across the idle sleep) lets a checkpoint
-            // slot in between manager sweeps.
-            let truncators = ckpt.truncators.lock();
-            for t in truncators.iter() {
-                if t.poisoned() {
-                    continue; // corrupt log: producer gets the typed error
-                }
-                drained += t
-                    .drain_incremental(MANAGER_DRAIN_STEP, |rec| {
-                        // rec = [ts, (addr, val)*]; flush each written line.
-                        for pair in rec[1..].chunks_exact(2) {
-                            t.pmem().flush(VAddr(pair[0]));
-                        }
-                    })
-                    .unwrap_or(0);
-            }
-        }
-        if drained == 0 {
+        // The lock is shared with `MtmRuntime::checkpoint`; holding it per
+        // pass (not across the idle sleep) lets a checkpoint slot in
+        // between manager sweeps.
+        let reclaimed = drain_logs(&ckpt.truncators.lock());
+        if reclaimed == 0 {
             std::thread::sleep(std::time::Duration::from_micros(20));
         }
     }
@@ -903,17 +831,7 @@ fn log_manager(ckpt: &CkptShared, stop: Arc<AtomicBool>, hard: Arc<AtomicBool>) 
         return; // killed: model abrupt process death, no final sweep
     }
     // Graceful shutdown: final sweep so nothing is stranded.
-    let truncators = ckpt.truncators.lock();
-    for t in truncators.iter() {
-        if t.poisoned() {
-            continue;
-        }
-        let _ = t.drain(|rec| {
-            for pair in rec[1..].chunks_exact(2) {
-                t.pmem().flush(VAddr(pair[0]));
-            }
-        });
-    }
+    drain_logs(&ckpt.truncators.lock());
 }
 
 /// A worker thread's transaction context: owns one per-thread redo log.
@@ -1065,8 +983,8 @@ impl TxThread {
 
 impl Tx<'_> {
     /// Commit: validate reads, take a timestamp, make the redo record
-    /// durable (one fence), write back, truncate per the configured
-    /// regime, release locks.
+    /// durable (one fence), write back, in the synchronous regime force
+    /// the data and truncate the log (the second fence), release locks.
     pub(crate) fn commit(mut self) -> Result<(), TxAbort> {
         if self.write_set.is_empty() && self.allocs.is_empty() && self.frees.is_empty() {
             // Read-only: reads were validated incrementally.
@@ -1113,33 +1031,23 @@ impl Tx<'_> {
         loop {
             match self.th.log_mut().append(&record) {
                 Ok(()) => break,
-                Err(LogError::Full { .. }) => match truncation {
-                    // Synchronous regime: every prior commit in this log
-                    // forced its data (flush + fence) before releasing
-                    // its locks, so the entire backlog sits below the
-                    // durable watermark — drop it with a single fence
-                    // rather than truncate_all's flush + truncate pair.
-                    Truncation::Sync => {
-                        let wm = self.th.log_mut().tail_pos();
-                        self.th.log_mut().truncate_to_watermark(wm);
-                        self.th.rt().metrics().wm_truncations.inc();
+                // Asynchronous regime: wait for the log manager (§5:
+                // "program threads may stall until there is free log
+                // space"). This loop issues no durability primitives, so
+                // under fault injection it must poll explicitly — if the
+                // log-manager thread died at a crash point, this is the
+                // only place the stalled thread can die too. (A
+                // synchronous log is empty between commits, so it is never
+                // full; a record larger than the log is RecordTooLarge.)
+                Err(LogError::Full { .. }) if truncation == Truncation::Async => {
+                    if stall_timer.is_none() {
+                        stall_timer = Some(self.th.pmem().stopwatch());
+                        self.th.rt().stalls.fetch_add(1, Ordering::Relaxed);
+                        self.th.rt().metrics().truncation_stalls.inc();
                     }
-                    // Asynchronous: wait for the log manager (§5: "program
-                    // threads may stall until there is free log space").
-                    // This loop issues no durability primitives, so under
-                    // fault injection it must poll explicitly — if the
-                    // log-manager thread died at a crash point, this is
-                    // the only place the stalled thread can die too.
-                    Truncation::Async => {
-                        if stall_timer.is_none() {
-                            stall_timer = Some(self.th.pmem().stopwatch());
-                            self.th.rt().stalls.fetch_add(1, Ordering::Relaxed);
-                            self.th.rt().metrics().truncation_stalls.inc();
-                        }
-                        self.th.pmem().poll_crash();
-                        std::thread::yield_now();
-                    }
-                },
+                    self.th.pmem().poll_crash();
+                    std::thread::yield_now();
+                }
                 // RecordTooLarge or a poisoned/corrupt log: retrying the
                 // same append can never succeed. Release everything and
                 // surface the typed error.
@@ -1173,7 +1081,8 @@ impl Tx<'_> {
         for (&addr, &val) in &self.write_set {
             self.th.pmem().store_u64(VAddr(addr), val);
         }
-        // Now the truncator may consume (flush + truncate) the record.
+        // Now the async truncator may consume (flush + truncate) the
+        // record, and the backlog accounting sees it.
         self.th.log_mut().publish();
         self.th
             .rt()
@@ -1182,31 +1091,18 @@ impl Tx<'_> {
             .record(self.th.pmem().elapsed_ns(&writeback_timer));
 
         if truncation == Truncation::Sync {
-            // Force data: walk distinct cache lines, then order them
-            // behind one fence — our own, or a concurrent commit-group
-            // leader's (`flush` pushed the lines to media already, so any
-            // thread's fence covers them; see `pipeline`).
+            // §5 synchronous truncation, while every write lock is still
+            // held: force the distinct modified lines out (`flush` puts a
+            // line on media before it returns in this model), then drop
+            // the record — one head-word store and the commit's closing
+            // fence. A log therefore holds a record only while its
+            // transaction holds that record's locks.
             let truncate_timer = self.th.pmem().stopwatch();
             let lines: HashSet<u64> = self.write_set.keys().map(|a| a & !63).collect();
             for line in lines {
                 self.th.pmem().flush(VAddr(line));
             }
-            if self.th.rt().group_commit() {
-                match self.th.rt().group_fence().cover(self.th.pmem()) {
-                    Covered::Leader => self.th.rt().metrics().group_fences.inc(),
-                    Covered::Piggybacked => self.th.rt().metrics().piggybacked_commits.inc(),
-                }
-            } else {
-                self.th.pmem().fence();
-            }
-            // Data fence retired: everything in this log up to the tail
-            // is now doubly durable (records fenced, data fenced).
-            // Publish that watermark so a background checkpointer can
-            // reclaim the space without scanning — publishing `fenced`
-            // instead would be wrong, since between `publish()` above and
-            // this fence the record is visible but its data is not yet
-            // durable.
-            self.th.log_mut().publish_durable_watermark();
+            self.th.log_mut().truncate_fenced();
             self.th
                 .rt()
                 .metrics()
@@ -1219,26 +1115,6 @@ impl Tx<'_> {
             self.th.rt().locks().release(idx, ts);
         }
         self.lock_set.clear();
-
-        if truncation == Truncation::Sync {
-            // Amortised truncation: drop the log only once it passes the
-            // occupancy threshold. Everything below the watermark is
-            // doubly durable (record fenced, data fenced), and leaving
-            // committed records in the log is safe because recovery
-            // replay is idempotent. This happens strictly AFTER the lock
-            // release above: truncation serializes against the background
-            // checkpointer on the log's truncate lock, and spinning there
-            // with write locks still held would stall every concurrent
-            // commit touching the same words into aborting.
-            let pct = self.th.rt().sync_truncate_pct() as u64;
-            let log = self.th.log_mut();
-            let used = log.capacity() - log.free_words();
-            if pct == 0 || used * 100 >= log.capacity() * pct {
-                let wm = log.tail_pos();
-                log.truncate_to_watermark(wm);
-                self.th.rt().metrics().wm_truncations.inc();
-            }
-        }
 
         // Deferred frees happen after the commit point.
         if !self.frees.is_empty() {

@@ -648,7 +648,7 @@ impl PHeap {
     /// lock means an allocator op is in flight, and that op truncates its
     /// own log before releasing the lock, so the bound holds without this
     /// sweep touching the shard. Crucially, allocations run inside
-    /// transactions that hold STM word locks — a background checkpointer
+    /// transactions that hold STM word locks — a checkpoint
     /// that *blocked* allocation here (for even a scheduling quantum)
     /// would stall the owner and cascade every concurrent transaction
     /// into conflict aborts. Every record truncated here was fully

@@ -7,6 +7,11 @@
 //! increasing word counts; `position % capacity` is the buffer index and
 //! `position / capacity` the pass number (which drives the torn-bit
 //! sense).
+//!
+//! A log has one truncator at a time, and a type says which: a producer
+//! that truncates its own log does so through `&mut TornbitLog`; a log
+//! drained from another thread has its `LogTruncator` behind the owner's
+//! mutex (`mtm`'s `CkptShared`).
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
@@ -56,15 +61,6 @@ pub struct LogShared {
     /// [`LogError::Corrupt`] instead of spinning on [`LogError::Full`]
     /// waiting for a truncation that will never come).
     pub poisoned: AtomicBool,
-    /// Stream position below which every record's *data* is durable as
-    /// well as the record itself (both fenced). Published by producers
-    /// whose regime forces data inline (the synchronous transaction
-    /// runtime, after its post-writeback fence); a checkpointer may
-    /// truncate up to it without scanning the buffer.
-    pub durable_wm: AtomicU64,
-    /// Serializes concurrent truncators: the producer's inline watermark
-    /// truncation and a background checkpointer may race on the head.
-    trunc_lock: AtomicBool,
 }
 
 impl LogShared {
@@ -77,8 +73,6 @@ impl LogShared {
             tail: AtomicU64::new(pos),
             fenced: AtomicU64::new(pos),
             poisoned: AtomicBool::new(false),
-            durable_wm: AtomicU64::new(pos),
-            trunc_lock: AtomicBool::new(false),
         }
     }
 
@@ -151,35 +145,20 @@ impl LogShared {
     }
 
     /// Durably advances the persistent head to `pos` (one atomic word
-    /// write plus one fence), then publishes it to the producer.
-    ///
-    /// Monotonic and safe under concurrent truncators: a `pos` at or
-    /// below the current head is a no-op costing no durability
-    /// primitives, and a short spinlock serializes the ones that do
-    /// advance, so the head — volatile and persistent — only ever moves
-    /// forward. (Two legitimate truncators can coexist: the producer's
-    /// inline watermark truncation and a background checkpointer.)
-    /// Returns the words reclaimed (0 for the no-op).
+    /// write plus one fence), then publishes it to the producer. The
+    /// caller is the log's only truncator (see the module docs). A `pos`
+    /// at or below the current head is a no-op costing no durability
+    /// primitives. Returns the words reclaimed (0 for the no-op).
     pub fn truncate_to(&self, pmem: &PMem, pos: u64) -> u64 {
-        if pos <= self.head.load(Ordering::Acquire) {
+        let head = self.head.load(Ordering::Relaxed);
+        if pos <= head {
             return 0;
         }
-        while self.trunc_lock.swap(true, Ordering::Acquire) {
-            // If a fault-injected crash unwound the lock holder, die here
-            // too instead of spinning forever on a lock nobody releases.
-            pmem.poll_crash();
-            std::hint::spin_loop();
-        }
-        let head = self.head.load(Ordering::Relaxed);
-        let reclaimed = pos.saturating_sub(head);
-        if reclaimed > 0 {
-            debug_assert!(pos <= self.tail.load(Ordering::Relaxed));
-            pmem.wtstore_u64(self.head_addr(), pos);
-            pmem.fence();
-            self.head.store(pos, Ordering::Release);
-        }
-        self.trunc_lock.store(false, Ordering::Release);
-        reclaimed
+        debug_assert!(pos <= self.tail.load(Ordering::Relaxed));
+        pmem.wtstore_u64(self.head_addr(), pos);
+        pmem.fence();
+        self.head.store(pos, Ordering::Release);
+        pos - head
     }
 
     /// Validates a requested capacity (words): at least 16, even (so the

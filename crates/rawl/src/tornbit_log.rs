@@ -349,22 +349,6 @@ impl TornbitLog {
             .store(self.shared.tail.load(Ordering::Relaxed), Ordering::Release);
     }
 
-    /// Publishes the current tail as the *data-durable* watermark: the
-    /// producer asserts that every record below it is fenced **and** the
-    /// data writes those records describe have been flushed and fenced,
-    /// so recovery no longer needs them. A background checkpointer (on
-    /// another thread, holding a [`LogTruncator`]) may then reclaim the
-    /// space with [`LogTruncator::truncate_to_durable_watermark`] without
-    /// scanning the buffer — and without racing the producer's appends,
-    /// because the watermark only ever covers retired stream positions.
-    ///
-    /// Costs no durability primitives; call it after the commit fence.
-    pub fn publish_durable_watermark(&mut self) {
-        self.shared
-            .durable_wm
-            .store(self.shared.tail.load(Ordering::Relaxed), Ordering::Release);
-    }
-
     /// Synchronous truncation (`log_truncate`): durably drops every record
     /// written so far (one word write + one fence).
     pub fn truncate_all(&mut self) {
@@ -374,38 +358,22 @@ impl TornbitLog {
         self.metrics.truncations.inc();
     }
 
-    /// Stream position one past the last appended word — the producer's
-    /// durable watermark once those appends have been fenced and their
-    /// dependent data forced out.
-    pub fn tail_pos(&self) -> u64 {
-        self.shared.tail.load(Ordering::Relaxed)
-    }
-
-    /// Incremental truncation: durably advances the head to `watermark`
-    /// (a stream position at a record boundary, at most [`tail_pos`]),
-    /// dropping every record before it, for one word write + one fence —
-    /// without the extra flush fence of [`TornbitLog::truncate_all`].
+    /// Producer-side truncation of a log whose appends are all fenced
+    /// already: durably drops every record for one head-word write plus
+    /// one fence — without the extra flush fence of
+    /// [`TornbitLog::truncate_all`]. Free when the log is empty.
     ///
-    /// The caller asserts that everything below `watermark` is durable
-    /// *twice over*: the records themselves were fenced, and the data
-    /// writes they describe were flushed and fenced, so recovery no
-    /// longer needs them. The transaction runtime uses this to amortise
-    /// truncation over many commits (the commit-pipeline batching)
-    /// instead of dropping the whole log on every commit.
-    ///
-    /// A watermark at or below the current head is a no-op costing no
-    /// durability primitives.
-    ///
-    /// [`tail_pos`]: TornbitLog::tail_pos
-    pub fn truncate_to_watermark(&mut self, watermark: u64) {
-        let head = self.shared.head.load(Ordering::Relaxed);
-        if watermark <= head {
-            return;
-        }
+    /// The caller asserts that every append so far was made durable by
+    /// [`TornbitLog::flush`]/[`TornbitLog::flush_unpublished`] **and** that
+    /// the data those records describe is durable, so recovery no longer
+    /// needs them. The synchronous transaction runtime calls this at
+    /// commit, before it releases the transaction's write locks.
+    pub fn truncate_fenced(&mut self) {
         let tail = self.shared.tail.load(Ordering::Relaxed);
-        let wm = watermark.min(tail);
-        self.shared.truncate_to(&self.pmem, wm);
-        self.metrics.truncations.inc();
+        self.shared.fenced.store(tail, Ordering::Release);
+        if self.shared.truncate_to(&self.pmem, tail) > 0 {
+            self.metrics.truncations.inc();
+        }
     }
 
     /// Creates the single consumer handle for asynchronous truncation from
@@ -487,9 +455,9 @@ impl LogTruncator {
     /// Like [`LogTruncator::drain`], but durably truncates every
     /// `step_records` records *during* the pass instead of once at the
     /// end, so a producer blocked on a full log sees freed space after a
-    /// bounded amount of consumer work — the incremental "durable
-    /// watermark" truncation the transaction runtime's log manager uses
-    /// to keep `mtm.truncation_stalls` bounded under sustained load.
+    /// bounded amount of consumer work — what the transaction runtime's
+    /// log manager uses to keep `mtm.truncation_stalls` bounded under
+    /// sustained load.
     ///
     /// Each intermediate truncation costs one word write + one fence on
     /// the consumer handle; `step_records == usize::MAX` recovers the
@@ -548,30 +516,17 @@ impl LogTruncator {
         }
     }
 
-    /// Checkpoint truncation: durably advances the head to the producer's
-    /// published data-durable watermark (see
-    /// [`TornbitLog::publish_durable_watermark`]) and returns the words
-    /// reclaimed. No buffer scan, no record decoding — one word write plus
-    /// one fence when there is anything to reclaim, free otherwise. Safe
-    /// to call concurrently with the producer's own inline truncation
-    /// (the head advance is serialized and monotonic).
-    pub fn truncate_to_durable_watermark(&self) -> u64 {
-        let wm = self.shared.durable_wm.load(Ordering::Acquire);
-        let reclaimed = self.shared.truncate_to(&self.pmem, wm);
-        if reclaimed > 0 {
-            self.metrics.truncations.inc();
-        }
-        reclaimed
-    }
-
     /// Stream position of the oldest live word (the truncate point).
     pub fn head_pos(&self) -> u64 {
         self.shared.head.load(Ordering::Acquire)
     }
 
-    /// Words awaiting consumption.
+    /// Words awaiting consumption. (Head first: it only ever advances
+    /// to a position already published as fenced, so the later load can
+    /// not come out smaller even while a producer truncates its own log.)
     pub fn backlog_words(&self) -> u64 {
-        self.shared.fenced.load(Ordering::Acquire) - self.shared.head.load(Ordering::Relaxed)
+        let head = self.shared.head.load(Ordering::Acquire);
+        self.shared.fenced.load(Ordering::Acquire) - head
     }
 
     /// Whether this log was poisoned by a corruption detection; a poisoned
@@ -863,115 +818,25 @@ mod tests {
         log.append(&[1, 2, 3]).unwrap();
         log.append(&[4, 5]).unwrap();
         log.flush();
-        let wm = log.tail_pos();
-        log.append(&[6]).unwrap();
-        log.flush();
         let before = env.sim.stats().fences;
-        log.truncate_to_watermark(wm);
+        log.truncate_fenced();
         assert_eq!(
             env.sim.stats().fences - before,
             1,
-            "watermark truncation must cost exactly one fence"
+            "dropping fenced records must cost exactly one fence"
         );
-        // Only the record past the watermark survives.
+        assert_eq!(log.free_words(), 256);
+        // An empty log has nothing to drop: free.
+        let before = env.sim.stats();
+        log.truncate_fenced();
+        assert_eq!(env.sim.stats().fences, before.fences);
+        assert_eq!(env.sim.stats().wtstore_words, before.wtstore_words);
+        // Only what is appended afterwards survives.
+        log.append(&[6]).unwrap();
+        log.flush();
         env.sim.crash(CrashPolicy::DropAll);
         let (_log, records) = recover(&env);
         assert_eq!(records, vec![vec![6]]);
-    }
-
-    #[test]
-    fn watermark_at_or_below_head_is_free_noop() {
-        let (env, mut log) = setup(256);
-        log.append(&[7, 8]).unwrap();
-        log.flush();
-        log.truncate_to_watermark(log.tail_pos());
-        let before = env.sim.stats().fences;
-        let stores = env.sim.stats().wtstore_words;
-        log.truncate_to_watermark(0);
-        log.truncate_to_watermark(log.tail_pos());
-        assert_eq!(env.sim.stats().fences, before);
-        assert_eq!(env.sim.stats().wtstore_words, stores);
-    }
-
-    #[test]
-    fn checkpoint_truncates_to_durable_watermark_only() {
-        let (env, mut log) = setup(256);
-        let ckpt = log.truncator(env.regions.pmem_handle());
-        log.append(&[1, 2, 3]).unwrap();
-        log.flush();
-        log.publish_durable_watermark();
-        // A later record is fenced but its data is NOT yet declared
-        // durable: the checkpointer must leave it alone.
-        log.append(&[4, 5]).unwrap();
-        log.flush();
-        let reclaimed = ckpt.truncate_to_durable_watermark();
-        assert!(reclaimed > 0);
-        assert!(log.len_words() > 0, "unprotected record must survive");
-        env.sim.crash(CrashPolicy::DropAll);
-        let (_log, records) = recover(&env);
-        assert_eq!(
-            records,
-            vec![vec![4, 5]],
-            "only the post-watermark record remains"
-        );
-    }
-
-    #[test]
-    fn checkpoint_with_no_new_watermark_is_free_noop() {
-        let (env, mut log) = setup(256);
-        let ckpt = log.truncator(env.regions.pmem_handle());
-        log.append(&[9]).unwrap();
-        log.flush();
-        log.publish_durable_watermark();
-        assert!(ckpt.truncate_to_durable_watermark() > 0);
-        let fences = env.sim.stats().fences;
-        let stores = env.sim.stats().wtstore_words;
-        // Nothing new below the watermark: both repeats are free.
-        assert_eq!(ckpt.truncate_to_durable_watermark(), 0);
-        assert_eq!(ckpt.truncate_to_durable_watermark(), 0);
-        assert_eq!(env.sim.stats().fences, fences);
-        assert_eq!(env.sim.stats().wtstore_words, stores);
-    }
-
-    #[test]
-    fn checkpointer_races_producer_truncation_safely() {
-        let (env, mut log) = setup(128);
-        let ckpt = log.truncator(env.regions.pmem_handle());
-        let total = 300u64;
-        let stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let stop2 = std::sync::Arc::clone(&stop);
-        // Background checkpointer hammers the durable watermark while the
-        // producer appends, publishes, and occasionally truncates inline —
-        // the two truncators must serialize and the head stay monotonic.
-        let consumer = std::thread::spawn(move || {
-            let mut reclaimed = 0u64;
-            while !stop2.load(Ordering::Acquire) {
-                reclaimed += ckpt.truncate_to_durable_watermark();
-                std::thread::yield_now();
-            }
-            reclaimed + ckpt.truncate_to_durable_watermark()
-        });
-        for i in 0..total {
-            loop {
-                match log.append(&[i, i ^ 0xff]) {
-                    Ok(()) => break,
-                    Err(LogError::Full { .. }) => std::thread::yield_now(),
-                    Err(e) => panic!("{e}"),
-                }
-            }
-            log.flush();
-            log.publish_durable_watermark();
-            if i % 17 == 0 {
-                log.truncate_to_watermark(log.tail_pos());
-            }
-        }
-        stop.store(true, Ordering::Release);
-        consumer.join().unwrap();
-        // Everything published durable was (eventually) reclaimable.
-        assert_eq!(log.free_words(), 128);
-        env.sim.crash(CrashPolicy::DropAll);
-        let (_log, records) = recover(&env);
-        assert!(records.is_empty(), "all records were checkpointed");
     }
 
     #[test]

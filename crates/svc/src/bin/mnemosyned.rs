@@ -3,7 +3,7 @@
 //! ```text
 //! mnemosyned --dir DATA [--addr 127.0.0.1:7077] [--workers 2]
 //!            [--max-batch 64] [--scm-mb 64] [--max-conns 256]
-//!            [--max-queue 1024] [--ckpt-ms 50] [--max-admin 4]
+//!            [--max-queue 1024] [--max-admin 4]
 //! ```
 //!
 //! First run creates the persistent heap under `--dir`; later runs
@@ -14,10 +14,9 @@
 //!
 //! Operationally the daemon degrades rather than stalls: past
 //! `--max-conns` connections or `--max-queue` queued requests it
-//! answers `Overloaded` (shed before enqueueing, safe to retry), and a
-//! background checkpointer (`--ckpt-ms`, 0 disables) truncates the redo
-//! logs every interval so outstanding log bytes stay bounded under
-//! sustained writes.
+//! answers `Overloaded` (shed before enqueueing, safe to retry). Every
+//! commit empties its own redo log before it is acknowledged, so there
+//! is no log backlog to manage.
 //!
 //! Operators watch and steer the daemon over the same socket through
 //! the admin verbs — `kvctl ADDR stats | health | checkpoint |
@@ -41,7 +40,6 @@ struct Args {
     scm_mb: u64,
     max_conns: usize,
     max_queue: usize,
-    ckpt_ms: u64,
     max_admin: usize,
 }
 
@@ -49,7 +47,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: mnemosyned --dir DATA [--addr 127.0.0.1:7077] [--workers 2] \
          [--max-batch 64] [--scm-mb 64] [--max-conns 256] [--max-queue 1024] \
-         [--ckpt-ms 50] [--max-admin 4]"
+         [--max-admin 4]"
     );
     std::process::exit(2);
 }
@@ -63,7 +61,6 @@ fn parse_args() -> Args {
         scm_mb: 64,
         max_conns: 256,
         max_queue: 1024,
-        ckpt_ms: 50,
         max_admin: SvcConfig::default().max_admin,
     };
     let mut it = std::env::args().skip(1);
@@ -77,7 +74,6 @@ fn parse_args() -> Args {
             "--scm-mb" => args.scm_mb = val().parse().unwrap_or_else(|_| usage()),
             "--max-conns" => args.max_conns = val().parse().unwrap_or_else(|_| usage()),
             "--max-queue" => args.max_queue = val().parse().unwrap_or_else(|_| usage()),
-            "--ckpt-ms" => args.ckpt_ms = val().parse().unwrap_or_else(|_| usage()),
             "--max-admin" => args.max_admin = val().parse().unwrap_or_else(|_| usage()),
             _ => usage(),
         }
@@ -108,7 +104,6 @@ fn main() -> ExitCode {
             max_batch: args.max_batch,
             max_conns: args.max_conns,
             max_queue: args.max_queue,
-            ckpt_interval: std::time::Duration::from_millis(args.ckpt_ms),
             max_admin: args.max_admin,
             ..SvcConfig::default()
         },

@@ -297,9 +297,9 @@ impl Client {
         }
     }
 
-    /// Forces a checkpoint pass on the server: redo and allocator logs
-    /// are truncated down to their durable watermarks, bounding what a
-    /// crash right now would have to replay.
+    /// Forces a checkpoint pass on the server: the allocator logs are
+    /// swept (the redo logs empty themselves at commit) and the
+    /// outstanding redo backlog is reported.
     ///
     /// # Errors
     /// Socket/protocol failures, overload shedding, or a server-side

@@ -154,8 +154,8 @@ pub enum Request {
     /// `mnemosyne-telemetry-v1` JSON snapshot ([`Response::Stats`]).
     /// Served on the admin side path, even while the server drains.
     Stats,
-    /// Admin: run one checkpoint pass right now (truncate the redo and
-    /// allocator logs to their durable watermarks), answered with
+    /// Admin: run one checkpoint pass right now (sweep the allocator
+    /// logs; the redo logs empty themselves at commit), answered with
     /// [`Response::CkptDone`].
     Checkpoint,
     /// Admin: liveness + load report ([`Response::Health`]). Served on

@@ -7,10 +7,7 @@
 //! is acknowledged only after that transaction's commit returns — i.e.
 //! after its redo record is fenced onto SCM — so an acknowledged write is
 //! durable by construction, and N batched writes cost one redo-append
-//! fence instead of N. With several workers committing concurrently, the
-//! post-writeback data fences additionally collapse across workers via
-//! the mtm `GroupFence` commit groups (PR 4), so the per-request fence
-//! cost approaches `1/batch` appends plus `~1/group` data fences.
+//! fence (and one truncating fence) instead of N of each.
 //!
 //! If the machine dies mid-batch (fault injection, or a genuine bug), the
 //! in-flight batch and everything still queued is answered with
@@ -20,7 +17,7 @@
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -61,12 +58,6 @@ pub struct SvcConfig {
     /// past the bound get one [`Response::Overloaded`] frame and are
     /// closed. Zero disables the bound.
     pub max_conns: usize,
-    /// Background checkpoint cadence: every interval, a driver thread
-    /// truncates the redo and heap logs down to their durable
-    /// watermarks so outstanding log bytes stay bounded under sustained
-    /// writes. Zero disables the driver (default — harnesses that need
-    /// deterministic fault-point enumeration checkpoint explicitly).
-    pub ckpt_interval: std::time::Duration,
     /// Admission control for the **admin side path**: most admin requests
     /// (STATS/CHECKPOINT/HEALTH/GROW) executing at once. Admin requests
     /// bypass the batcher queue and run on their connection's reader
@@ -87,7 +78,6 @@ impl Default for SvcConfig {
             table: "kv".to_string(),
             max_queue: 1024,
             max_conns: 256,
-            ckpt_interval: std::time::Duration::ZERO,
             max_admin: 4,
         }
     }
@@ -205,7 +195,6 @@ struct Inner {
     cv: Condvar,
     metrics: SvcMetrics,
     workers: Mutex<Vec<JoinHandle<()>>>,
-    ckpt: Mutex<Option<(Arc<AtomicBool>, JoinHandle<()>)>>,
     /// Admin requests currently executing on connection threads.
     admin_inflight: AtomicUsize,
     /// Live TCP connections (maintained by the server front end via
@@ -296,7 +285,6 @@ impl KvService {
             cv: Condvar::new(),
             metrics,
             workers: Mutex::new(Vec::new()),
-            ckpt: Mutex::new(None),
             admin_inflight: AtomicUsize::new(0),
             conns: AtomicUsize::new(0),
             started: Instant::now(),
@@ -304,16 +292,6 @@ impl KvService {
         let svc = KvService { inner };
         for _ in 0..config.workers {
             svc.spawn_worker();
-        }
-        if !config.ckpt_interval.is_zero() {
-            let stop = Arc::new(AtomicBool::new(false));
-            let join = {
-                let inner = Arc::clone(&svc.inner);
-                let stop = Arc::clone(&stop);
-                let interval = config.ckpt_interval;
-                std::thread::spawn(move || ckpt_loop(&inner, interval, &stop))
-            };
-            *svc.inner.ckpt.lock() = Some((stop, join));
         }
         Ok(svc)
     }
@@ -413,10 +391,6 @@ impl KvService {
     /// acknowledged, then the workers exit and are joined. New submissions
     /// fail immediately. Idempotent.
     pub fn stop(&self) {
-        if let Some((stop, join)) = self.inner.ckpt.lock().take() {
-            stop.store(true, Ordering::SeqCst);
-            let _ = join.join();
-        }
         {
             let mut q = self.inner.queue.lock();
             q.stop = true;
@@ -527,31 +501,6 @@ impl KvService {
 
     pub(crate) fn metrics(&self) -> &SvcMetrics {
         &self.inner.metrics
-    }
-}
-
-/// The background checkpoint driver: every `interval`, truncate the redo
-/// and heap logs down to their durable watermarks so outstanding log
-/// bytes stay bounded no matter how long the write workload runs. Under
-/// fault injection the truncation primitives are themselves crash
-/// points; an injected crash here kills the service like any other
-/// machine death (and the sweep then checks recovery still honours every
-/// acknowledged write).
-fn ckpt_loop(inner: &Arc<Inner>, interval: std::time::Duration, stop: &AtomicBool) {
-    while !stop.load(Ordering::SeqCst) {
-        std::thread::sleep(interval);
-        if stop.load(Ordering::SeqCst) || inner.queue.lock().dead {
-            return;
-        }
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            if inner.mtm.outstanding_log_words() > 0 {
-                inner.mtm.checkpoint();
-            }
-        }));
-        if let Err(payload) = outcome {
-            inner.died(&*payload, "checkpoint driver");
-            return;
-        }
     }
 }
 

@@ -1,5 +1,5 @@
 //! Admin side-path tests: STATS/CHECKPOINT/HEALTH/GROW over the wire,
-//! their behaviour during drain and against the background checkpointer,
+//! their behaviour during drain and under write load,
 //! the admin inflight-bound accounting, and the acceptance contract that
 //! every metric name a live STATS snapshot reports is documented in
 //! METRICS.md.
@@ -134,36 +134,45 @@ fn stats_and_health_answer_during_drain() {
     std::fs::remove_dir_all(&d).ok();
 }
 
-/// On-demand CHECKPOINT races the background checkpoint driver and a
-/// write workload; every combination must answer cleanly and the logs
-/// stay bounded.
+/// On-demand CHECKPOINT while two workers commit a write workload: every
+/// call answers cleanly, every write is acknowledged and reads back, and
+/// the pass leaves the workers' redo logs to the workers.
 #[test]
-fn checkpoint_races_background_checkpointer() {
-    let d = dir("ckptrace");
+fn checkpoint_answers_under_write_load() {
+    let d = dir("ckptload");
     let m = boot(&d);
-    let svc = KvService::start(
-        &m,
-        SvcConfig {
-            workers: 2,
-            ckpt_interval: std::time::Duration::from_millis(1),
-            ..SvcConfig::default()
-        },
-    )
-    .unwrap();
+    let svc = KvService::start(&m, SvcConfig::default()).unwrap();
+    let writer = {
+        let svc = svc.clone();
+        std::thread::spawn(move || {
+            for round in 0..10u8 {
+                for i in 0..10u8 {
+                    assert_eq!(
+                        svc.call(Request::Put(vec![round, i], vec![i; 32])),
+                        Response::Ok
+                    );
+                }
+            }
+        })
+    };
+    let mut calls = 0u64;
+    while calls < 10 || !writer.is_finished() {
+        match svc.call(Request::Checkpoint) {
+            Response::CkptDone(_) => calls += 1,
+            other => panic!("on-demand checkpoint {calls} failed: {other:?}"),
+        }
+    }
+    writer.join().unwrap();
     for round in 0..10u8 {
         for i in 0..10u8 {
             assert_eq!(
-                svc.call(Request::Put(vec![round, i], vec![i; 32])),
-                Response::Ok
+                svc.call(Request::Get(vec![round, i])),
+                Response::Value(vec![i; 32])
             );
         }
-        match svc.call(Request::Checkpoint) {
-            Response::CkptDone(_) => {}
-            other => panic!("on-demand checkpoint round {round} failed: {other:?}"),
-        }
     }
-    let snap = m.telemetry().snapshot();
-    assert!(snap.counter("mtm.ckpt.runs") >= 10);
+    assert_eq!(m.mtm().outstanding_log_words(), 0);
+    assert_eq!(m.telemetry().snapshot().counter("mtm.ckpt.runs"), calls);
     svc.stop();
     std::fs::remove_dir_all(&d).ok();
 }

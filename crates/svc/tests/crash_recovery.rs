@@ -11,16 +11,33 @@
 //! request with an error, so clients — which do nothing but socket I/O —
 //! wind down cleanly and only commits acknowledged *before* the crash
 //! are in the acked log the checker replays.
+//!
+//! The serving sweep's two clients overwrite one shared key set, so two
+//! workers' redo logs hold records for the same words and the oracle
+//! covers what a stale record replayed over a newer write would do.
 
 use std::collections::HashMap;
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use mnemosyne::{crash_sweep, Mnemosyne, ScmConfig, SweepConfig, Truncation};
 use mnemosyne_svc::{Client, KvServer, KvService, SvcConfig};
 
 const CLIENTS: u8 = 2;
-const PUTS_PER_CLIENT: u8 = 6;
+const PUTS_PER_CLIENT: u8 = 9;
+/// Keys both clients overwrite.
+const SHARED_KEYS: u8 = 3;
+
+/// One client PUT to a shared key, stamped on a clock all clients share:
+/// `start` before the request is sent, `acked` once the reply is in hand
+/// (`None`: the machine died with the request in flight).
+struct PutRec {
+    key: u8,
+    value: Vec<u8>,
+    start: u64,
+    acked: Option<u64>,
+}
 
 fn builder(p: &Path) -> mnemosyne::MnemosyneBuilder {
     Mnemosyne::builder(p)
@@ -28,14 +45,12 @@ fn builder(p: &Path) -> mnemosyne::MnemosyneBuilder {
         .truncation(Truncation::Sync)
 }
 
-/// Drives the full serving stack and records every acknowledged write.
-/// Called once per crash point on a fresh machine, so it resets the log
-/// on entry.
-fn serve_workload(
-    m: &Mnemosyne,
-    acked: &Mutex<HashMap<Vec<u8>, Vec<u8>>>,
-) -> Result<(), mnemosyne::Error> {
-    acked.lock().unwrap().clear();
+/// Drives the full serving stack: both clients overwrite the shared keys
+/// with values naming the client and its sequence number, and record
+/// every PUT. Called once per crash point on a fresh machine, so it resets
+/// the history on entry.
+fn serve_workload(m: &Mnemosyne, history: &Mutex<Vec<PutRec>>) -> Result<(), mnemosyne::Error> {
+    history.lock().unwrap().clear();
     let svc = KvService::start(
         m,
         SvcConfig {
@@ -46,36 +61,77 @@ fn serve_workload(
     )?;
     let server = KvServer::bind(svc.clone(), "127.0.0.1:0").expect("bind ephemeral port");
     let addr = server.local_addr();
+    let clock = AtomicU64::new(0);
 
-    let joins: Vec<_> = (0..CLIENTS)
-        .map(|t| {
-            std::thread::spawn(move || {
-                let mut done = Vec::new();
+    std::thread::scope(|s| {
+        for t in 0..CLIENTS {
+            let clock = &clock;
+            s.spawn(move || {
                 let Ok(mut c) = Client::connect(addr) else {
-                    return done;
+                    return;
                 };
                 for i in 0..PUTS_PER_CLIENT {
-                    let key = vec![b'c', t, i];
-                    let value = vec![t ^ i, i, t];
+                    let key = i % SHARED_KEYS;
+                    let value = vec![t, i];
+                    let start = clock.fetch_add(1, Ordering::SeqCst);
                     // An Err response or broken socket means the machine
-                    // died: stop, acknowledging nothing further.
-                    match c.put(&key, &value) {
-                        Ok(()) => done.push((key, value)),
-                        Err(_) => break,
+                    // died: the PUT stays in flight, nothing further is sent.
+                    let acked = c
+                        .put(&[b's', key], &value)
+                        .is_ok()
+                        .then(|| clock.fetch_add(1, Ordering::SeqCst));
+                    history.lock().unwrap().push(PutRec {
+                        key,
+                        value,
+                        start,
+                        acked,
+                    });
+                    if acked.is_none() {
+                        break;
                     }
                 }
-                done
-            })
-        })
-        .collect();
-    for j in joins {
-        if let Ok(writes) = j.join() {
-            acked.lock().unwrap().extend(writes);
+            });
         }
-    }
+    });
     server.stop();
     svc.stop();
     Ok(())
+}
+
+/// Each shared key must hold a value some client wrote, and no PUT to that
+/// key may have been sent after that value's own ack and then acknowledged
+/// — so per client it is the last acked value or the one in flight, and
+/// across clients never one that an acked later overwrite replaced.
+fn check_shared(m: &Mnemosyne, history: &Mutex<Vec<PutRec>>) -> Result<(), String> {
+    let svc = KvService::start(m, SvcConfig::default()).map_err(|e| e.to_string())?;
+    let history = history.lock().unwrap();
+    let result = (0..SHARED_KEYS).try_for_each(|key| {
+        let mut puts = history.iter().filter(|p| p.key == key);
+        match svc.call(mnemosyne_svc::Request::Get(vec![b's', key])) {
+            mnemosyne_svc::Response::Value(v) => {
+                let Some(held) = puts.clone().find(|p| p.value == v) else {
+                    return Err(format!("key {key} holds {v:?}, which nobody wrote"));
+                };
+                let newer = held
+                    .acked
+                    .and_then(|acked_at| puts.find(|p| p.acked.is_some() && p.start > acked_at));
+                match newer {
+                    Some(p) => Err(format!(
+                        "key {key} went back to {v:?}: {:?} was sent later and acked",
+                        p.value
+                    )),
+                    None => Ok(()),
+                }
+            }
+            mnemosyne_svc::Response::NotFound => match puts.find(|p| p.acked.is_some()) {
+                Some(p) => Err(format!("key {key} lost: {:?} was acked", p.value)),
+                None => Ok(()),
+            },
+            other => Err(format!("GET of key {key} answered {other:?}")),
+        }
+    });
+    svc.stop();
+    result
 }
 
 /// Every write a client saw acknowledged must read back intact after
@@ -202,7 +258,7 @@ fn crash_sweep_never_loses_acknowledged_writes() {
         std::thread::current().id()
     ));
     std::fs::remove_dir_all(&base).ok();
-    let acked = Mutex::new(HashMap::new());
+    let history = Mutex::new(Vec::new());
     let cfg = SweepConfig {
         max_points: 14,
         recovery_points: 0,
@@ -212,8 +268,8 @@ fn crash_sweep_never_loses_acknowledged_writes() {
         &base,
         &cfg,
         builder,
-        |m| serve_workload(m, &acked),
-        |m| check_acked(m, &acked),
+        |m| serve_workload(m, &history),
+        |m| check_shared(m, &history),
     )
     .expect("sweep harness");
     assert!(

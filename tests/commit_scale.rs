@@ -1,15 +1,15 @@
-//! Crash-point sweeps and concurrency tests for the batched commit path:
-//! group data fences, watermark (incremental) truncation, and the
-//! adaptive contention manager.
+//! Crash-point sweeps and concurrency tests for the commit path: the
+//! synchronous commit that truncates under its locks, the asynchronous
+//! log manager's incremental drain, and the adaptive contention manager.
 //!
-//! The PR-1 sweep driver re-runs a workload crashing at every strided
-//! durability primitive; here the workloads are shaped so that the crash
-//! windows *specific to the new pipeline* are covered:
+//! The sweep driver re-runs a workload crashing at every strided
+//! durability primitive; the workloads are shaped so that the crash
+//! windows of each regime are covered:
 //!
-//! * between a commit's group-covered data fence and its (possibly
-//!   skipped) watermark truncation — committed records linger in the log
-//!   and recovery must replay them idempotently;
-//! * inside the log manager's incremental drain — the watermark may have
+//! * between a synchronous commit's redo fence and its truncating fence —
+//!   the record is durable, the data may not be, and recovery must replay
+//!   it;
+//! * inside the log manager's incremental drain — the head may have
 //!   advanced past some records of a pass but not others;
 //! * multi-word transactions must stay atomic across all of it: the
 //!   invariant is always "every cell carries the same value".
@@ -67,12 +67,11 @@ fn check_wide(m: &Mnemosyne, width: u64, rounds: u64) -> Result<(), String> {
     Ok(())
 }
 
-/// Sync mode with a small log and the default occupancy threshold: the
-/// workload crosses the watermark-truncation point several times, so the
-/// sweep crashes inside every window of the pipelined commit — after the
-/// data fence but before truncation, right after a truncation, and in
-/// the commits in between (whose records linger in the log for recovery
-/// to replay). Includes a mid-recovery double-crash pass.
+/// Sync mode with a small log: the workload wraps the log several times,
+/// and the sweep crashes inside every window of the commit — before the
+/// redo fence, between it and the truncating fence (the record is then
+/// recovery's to replay), and after. Includes a mid-recovery double-crash
+/// pass.
 #[test]
 fn sync_batched_commit_survives_crash_sweep() {
     let d = dir("sync");
@@ -105,8 +104,8 @@ fn sync_batched_commit_survives_crash_sweep() {
 
 /// Async mode with a log so small the producer outruns the manager: the
 /// sweep crashes inside the manager's *incremental* drain, where the
-/// durable watermark has advanced past part of a pass — recovery must
-/// replay exactly the surviving suffix, never a torn record.
+/// head has advanced past part of a pass — recovery must replay exactly
+/// the surviving suffix, never a torn record.
 #[test]
 fn async_incremental_truncation_survives_crash_sweep() {
     let d = dir("async");
@@ -133,86 +132,6 @@ fn async_incremental_truncation_survives_crash_sweep() {
     .unwrap();
     assert!(report.passed(), "failures: {:?}", report.failures);
     assert!(report.crashes_fired > 0);
-    std::fs::remove_dir_all(&d).ok();
-}
-
-/// Concurrent disjoint commits under group fencing: every thread's
-/// counter must survive an abrupt crash with exactly its committed
-/// count, and the group-fence accounting identity must hold.
-#[test]
-fn group_commit_is_durable_and_accounted() {
-    let d = dir("group");
-    let threads = 4usize;
-    let bumps = 30u64;
-    let m = Arc::new(
-        Mnemosyne::builder(&d)
-            .scm_config(ScmConfig::virtual_clock(16 << 20))
-            .truncation(Truncation::Sync)
-            .max_threads(8)
-            .open()
-            .unwrap(),
-    );
-    let cells = m.pstatic("percpu", threads as u64 * 8).unwrap();
-    let barrier = Arc::new(Barrier::new(threads));
-    let joins: Vec<_> = (0..threads)
-        .map(|t| {
-            let m = Arc::clone(&m);
-            let barrier = Arc::clone(&barrier);
-            std::thread::spawn(move || {
-                let mut th = m.register_thread().unwrap();
-                let cell = cells.add(t as u64 * 8);
-                barrier.wait();
-                for _ in 0..bumps {
-                    th.atomic(|tx| {
-                        let v = tx.read_u64(cell)?;
-                        tx.write_u64(cell, v + 1)?;
-                        Ok(())
-                    })
-                    .unwrap();
-                }
-            })
-        })
-        .collect();
-    for j in joins {
-        j.join().unwrap();
-    }
-
-    // Identity: every sync update commit either led a group fence or
-    // piggybacked on one. (`pstatic` also commits an update transaction
-    // when it registers a slot, hence bounds rather than equality on the
-    // worker count.)
-    let snap = m.telemetry().snapshot();
-    let update_commits = threads as u64 * bumps;
-    let covered = snap.counter("mtm.group_fences") + snap.counter("mtm.piggybacked_commits");
-    assert!(
-        covered >= update_commits,
-        "every worker commit must be fence-covered: {covered} < {update_commits}"
-    );
-    assert!(
-        covered <= snap.counter("mtm.commits"),
-        "covered commits cannot exceed all commits"
-    );
-
-    // Disjoint cells: no conflict episode may end in an abort.
-    assert_eq!(snap.counter("mtm.conflict_aborts"), 0);
-
-    // Abrupt power loss after the last commit: every count must survive
-    // (each commit's data was fenced before its locks were released).
-    let m2 = {
-        let m = Arc::into_inner(m).expect("all workers joined");
-        m.mtm().kill();
-        m.crash_reboot(CrashPolicy::DropAll).unwrap()
-    };
-    let mut th = m2.register_thread().unwrap();
-    let cells = m2.pstatic("percpu", threads as u64 * 8).unwrap();
-    for t in 0..threads {
-        let v = th
-            .atomic(|tx| tx.read_u64(cells.add(t as u64 * 8)))
-            .unwrap();
-        assert_eq!(v, bumps, "thread {t}'s counter lost commits");
-    }
-    drop(th);
-    drop(m2); // release backing files before removing the directory
     std::fs::remove_dir_all(&d).ok();
 }
 
@@ -281,83 +200,6 @@ fn contended_lock_resolves_by_backoff() {
         snap.counter("mtm.lock_conflicts") >= snap.counter("mtm.conflict_aborts"),
         "aborted episodes are a subset of conflict episodes"
     );
-    drop(th);
-    std::fs::remove_dir_all(&d).ok();
-}
-
-/// Sync-mode amortised truncation leaves committed records in the log on
-/// a clean shutdown; reopening must replay them idempotently — same
-/// values, no invariant change — rather than reject or skip them.
-#[test]
-fn lingering_committed_records_replay_idempotently() {
-    let d = dir("linger");
-    let boot = |p: &Path| {
-        Mnemosyne::builder(p)
-            .scm_config(ScmConfig::virtual_clock(8 << 20))
-            .truncation(Truncation::Sync)
-            .log_words(1 << 12)
-    };
-    let m = boot(&d).open().unwrap();
-    let cell = m.pstatic("idem", 8).unwrap();
-    {
-        let mut th = m.register_thread().unwrap();
-        for _ in 0..20u64 {
-            th.atomic(|tx| {
-                let v = tx.read_u64(cell)?;
-                tx.write_u64(cell, v + 1)?;
-                Ok(())
-            })
-            .unwrap();
-        }
-    }
-    // A big log at the default threshold: nothing was truncated, so the
-    // records survive the (clean) crash below and are replayed at open.
-    // (`crash_reboot` reopens with default geometry; rebuild with the
-    // same builder instead, since `log_words` shapes the region size.)
-    let (dir2, img) = m.crash(CrashPolicy::DropAll);
-    let m2 = boot(&dir2).from_image(img).open().unwrap();
-    assert!(
-        m2.mtm().stats().replayed > 0,
-        "lingering committed records should have been replayed"
-    );
-    let cell = m2.pstatic("idem", 8).unwrap();
-    let mut th = m2.register_thread().unwrap();
-    let v = th.atomic(|tx| tx.read_u64(cell)).unwrap();
-    assert_eq!(v, 20, "idempotent replay must not change committed state");
-    drop(th);
-    drop(m2); // release backing files before removing the directory
-    std::fs::remove_dir_all(&d).ok();
-}
-
-/// The watermark-truncation counter actually moves in sync mode once the
-/// log crosses the occupancy threshold (guards against the amortisation
-/// silently never firing — which would look fine until logs filled).
-#[test]
-fn watermark_truncations_fire_past_the_threshold() {
-    let d = dir("wm");
-    let m = Mnemosyne::builder(&d)
-        .scm_config(ScmConfig::virtual_clock(8 << 20))
-        .truncation(Truncation::Sync)
-        .log_words(128)
-        .open()
-        .unwrap();
-    let cell = m.pstatic("wmcell", 8).unwrap();
-    let mut th = m.register_thread().unwrap();
-    for _ in 0..40u64 {
-        th.atomic(|tx| {
-            let v = tx.read_u64(cell)?;
-            tx.write_u64(cell, v + 1)?;
-            Ok(())
-        })
-        .unwrap();
-    }
-    let snap = m.telemetry().snapshot();
-    assert!(
-        snap.counter("mtm.wm_truncations") > 0,
-        "a 128-word log over 40 commits must cross the 50% threshold"
-    );
-    let v = th.atomic(|tx| tx.read_u64(cell)).unwrap();
-    assert_eq!(v, 40);
     drop(th);
     std::fs::remove_dir_all(&d).ok();
 }

@@ -1,7 +1,13 @@
-//! Operational-resilience tests: the background checkpointer bounds the
-//! outstanding redo log without ever losing an acknowledged write, and
-//! parallel recovery — even crashed mid-replay — is exactly as safe as
-//! the serial replay it replaces.
+//! Operational-resilience tests: a synchronous log never outlives its
+//! commit, so no record from one log can be replayed over a newer write
+//! from another; checkpoints lose nothing; and parallel recovery — even
+//! crashed mid-replay — is exactly as safe as the serial replay it
+//! replaces.
+//!
+//! The tests that need a redo backlog build it in the regime that has
+//! one: `Truncation::Async` with the log manager stopped
+//! (`MtmRuntime::kill`) before the producers start, the work sized below
+//! `log_words` so no producer can stall on the manager that is gone.
 //!
 //! Crash sweeps here root their scratch space under
 //! `target/crash-corpus/<name>` instead of the temp dir: a failing crash
@@ -9,8 +15,12 @@
 //! whole corpus as an artifact on test failure.
 
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Barrier;
 
-use mnemosyne::{crash_sweep, CrashPolicy, Mnemosyne, ScmConfig, SweepConfig, Truncation};
+use mnemosyne::{
+    crash_payload, crash_sweep, CrashPolicy, Mnemosyne, ScmConfig, SweepConfig, Truncation,
+};
 
 /// Sweep scratch root that CI uploads on failure.
 fn corpus_dir(tag: &str) -> PathBuf {
@@ -22,20 +32,47 @@ fn corpus_dir(tag: &str) -> PathBuf {
 }
 
 fn dir(tag: &str) -> PathBuf {
-    static N: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-    let n = N.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    static N: AtomicU64 = AtomicU64::new(0);
+    let n = N.fetch_add(1, Ordering::Relaxed);
     let d = std::env::temp_dir().join(format!("it-resil-{tag}-{}-{n}", std::process::id()));
     std::fs::remove_dir_all(&d).ok();
     d
 }
 
-/// With `sync_truncate_pct(90)` commits never truncate on their own
-/// below 90% occupancy, so a sustained writer grows the backlog without
-/// bound — unless checkpoints truncate it. This is the boundedness
-/// claim: checkpoint cadence, not workload length, bounds the
-/// outstanding log.
+/// An acknowledged overwrite must survive a crash even when an older
+/// record for the same word sits in another thread's idle log: `a`
+/// commits `W = 1` and goes quiet, `b` commits `W = 2` and then enough
+/// unrelated words that its own log has long since dropped that record.
+/// Default configuration: no knob is set.
 #[test]
-fn checkpoints_bound_outstanding_log_under_sustained_writes() {
+fn idle_log_cannot_undo_another_logs_acknowledged_overwrite() {
+    let d = dir("twolog");
+    let build = |dir: &std::path::Path| Mnemosyne::builder(dir).log_words(1 << 10);
+    let m = build(&d).open().unwrap();
+    let w = m.pstatic("w", 8).unwrap();
+    let elsewhere = m.pstatic("elsewhere", 200 * 8).unwrap();
+    let mut a = m.register_thread().unwrap();
+    let mut b = m.register_thread().unwrap();
+    a.atomic(|tx| tx.write_u64(w, 1)).unwrap();
+    b.atomic(|tx| tx.write_u64(w, 2)).unwrap();
+    for i in 0..200u64 {
+        b.atomic(|tx| tx.write_u64(elsewhere.add(i * 8), i))
+            .unwrap();
+    }
+    drop((a, b));
+    let (d, image) = m.crash(CrashPolicy::DropAll);
+    let m = build(&d).from_image(image).open().unwrap();
+    let w = m.pstatic("w", 8).unwrap();
+    let mut th = m.register_thread().unwrap();
+    assert_eq!(th.atomic(|tx| tx.read_u64(w)).unwrap(), 2);
+    std::fs::remove_dir_all(&d).ok();
+}
+
+/// A synchronous commit truncates its own record before it returns, so a
+/// sustained writer never has a backlog — and what it committed last
+/// survives losing every cached line.
+#[test]
+fn sync_commits_leave_no_outstanding_log_and_survive_drop_all() {
     let d = dir("bound");
     // (`crash` + the same builder rather than `crash_reboot`, since
     // `log_words` shapes the region layout.)
@@ -43,14 +80,11 @@ fn checkpoints_bound_outstanding_log_under_sustained_writes() {
         Mnemosyne::builder(dir)
             .scm_config(ScmConfig::virtual_clock(32 << 20))
             .truncation(Truncation::Sync)
-            .sync_truncate_pct(90)
             .log_words(1 << 14)
     };
     let m = build(&d).open().unwrap();
     let cell = m.pstatic("sustained", 256).unwrap();
     let mut th = m.register_thread().unwrap();
-    let mut grew = false;
-    let mut hwm = 0u64;
     for round in 0..16u64 {
         for i in 0..40u64 {
             th.atomic(|tx| {
@@ -58,32 +92,13 @@ fn checkpoints_bound_outstanding_log_under_sustained_writes() {
                 Ok(())
             })
             .unwrap();
+            assert_eq!(m.mtm().outstanding_log_words(), 0);
         }
-        let before = m.mtm().outstanding_log_words();
-        grew |= before > 0;
-        hwm = hwm.max(before);
-        let stats = m.mtm().checkpoint();
-        assert_eq!(stats.outstanding_before, before);
-        assert_eq!(
-            m.mtm().outstanding_log_words(),
-            0,
-            "checkpoint left a backlog in round {round}"
-        );
     }
-    assert!(grew, "workload never built a backlog — test is vacuous");
-    // 16 checkpointed rounds; unchecked, the backlog would be ~16x one
-    // round's. The high-water mark must stay at a single round's worth.
-    assert!(
-        hwm < (1 << 14) / 2,
-        "outstanding log {hwm} words not bounded by the checkpoint cadence"
-    );
-    let snap = m.telemetry().snapshot();
-    assert!(snap.counter("mtm.ckpt.runs") >= 16);
-    assert!(snap.counter("mtm.ckpt.words") > 0);
     drop(th);
-    // And nothing was lost: the last round's values survive a crash.
     let (d, image) = m.crash(CrashPolicy::DropAll);
     let m = build(&d).from_image(image).open().unwrap();
+    assert_eq!(m.mtm().recovery_stats().replayed, 0);
     let cell = m.pstatic("sustained", 256).unwrap();
     let mut th = m.register_thread().unwrap();
     let v = th.atomic(|tx| tx.read_u64(cell.add(8))).unwrap();
@@ -91,11 +106,95 @@ fn checkpoints_bound_outstanding_log_under_sustained_writes() {
     std::fs::remove_dir_all(&d).ok();
 }
 
-/// A checkpoint's truncation primitives are crash points like any
-/// other. Sweeping a workload that checkpoints every few transactions
-/// proves dying *inside* a checkpoint never loses an acknowledged
-/// (committed) write — the truncation moves `head` only after the
-/// durable watermark, so any torn state replays correctly.
+/// Two transaction threads on two OS threads bump the same three cells,
+/// so both logs carry records for the same words. A cell is a counter:
+/// after a crash anywhere — and a second one inside recovery — it must
+/// hold at least every acknowledged bump and at most every attempted one.
+/// A stale record replayed over a newer write would take it backwards.
+#[test]
+fn two_threads_bumping_shared_cells_survive_crash_sweep() {
+    const CELLS: usize = 3;
+    const BUMPS_PER_THREAD: u64 = 12;
+    let base = corpus_dir("shared-cells");
+    let attempted: [AtomicU64; CELLS] = Default::default();
+    let acked: [AtomicU64; CELLS] = Default::default();
+    let cfg = SweepConfig {
+        max_points: 16,
+        recovery_points: 2,
+        ..SweepConfig::default()
+    };
+    let report = crash_sweep(
+        &base,
+        &cfg,
+        |p| Mnemosyne::builder(p).scm_config(ScmConfig::virtual_clock(8 << 20)),
+        |m| {
+            for c in attempted.iter().chain(&acked) {
+                c.store(0, Ordering::SeqCst);
+            }
+            let cells = m.pstatic("shared", CELLS as u64 * 8)?;
+            std::thread::scope(|s| {
+                let bumpers: Vec<_> = (0..2)
+                    .map(|_| {
+                        s.spawn(|| {
+                            let mut th = m.register_thread().unwrap();
+                            for i in 0..BUMPS_PER_THREAD {
+                                let c = i as usize % CELLS;
+                                let cell = cells.add(c as u64 * 8);
+                                attempted[c].fetch_add(1, Ordering::SeqCst);
+                                th.atomic(|tx| {
+                                    let v = tx.read_u64(cell)?;
+                                    tx.write_u64(cell, v + 1)
+                                })
+                                .unwrap();
+                                acked[c].fetch_add(1, Ordering::SeqCst);
+                            }
+                        })
+                    })
+                    .collect();
+                for b in bumpers {
+                    // An injected crash unwinds the bumper it fires in, and
+                    // the other at its next primitive; anything else is a bug.
+                    if let Err(payload) = b.join() {
+                        if crash_payload(&*payload).is_none() {
+                            std::panic::resume_unwind(payload);
+                        }
+                    }
+                }
+            });
+            Ok(())
+        },
+        |m| {
+            let cells = m
+                .pstatic("shared", CELLS as u64 * 8)
+                .map_err(|e| e.to_string())?;
+            let mut th = m.register_thread().map_err(|e| e.to_string())?;
+            for c in 0..CELLS {
+                let v = th
+                    .atomic(|tx| tx.read_u64(cells.add(c as u64 * 8)))
+                    .map_err(|e| e.to_string())?;
+                let (lo, hi) = (
+                    acked[c].load(Ordering::SeqCst),
+                    attempted[c].load(Ordering::SeqCst),
+                );
+                if v < lo || v > hi {
+                    return Err(format!(
+                        "cell {c} holds {v}: {lo} bumps acknowledged, {hi} attempted"
+                    ));
+                }
+            }
+            Ok(())
+        },
+    )
+    .unwrap();
+    assert!(report.passed(), "failures: {:?}", report.failures);
+    assert!(report.crashes_fired > 0);
+    assert!(report.recovery_points_tested > 0);
+    std::fs::remove_dir_all(&base).ok();
+}
+
+/// A checkpoint's primitives are crash points like any other. Sweeping a
+/// workload that checkpoints every few transactions proves dying *inside*
+/// a checkpoint never loses an acknowledged (committed) write.
 #[test]
 fn crash_sweep_with_mid_workload_checkpoints_loses_nothing() {
     let base = corpus_dir("ckpt-sweep");
@@ -111,7 +210,6 @@ fn crash_sweep_with_mid_workload_checkpoints_loses_nothing() {
             Mnemosyne::builder(p)
                 .scm_config(ScmConfig::virtual_clock(8 << 20))
                 .truncation(Truncation::Sync)
-                .sync_truncate_pct(90)
         },
         |m| {
             let cell = m.pstatic("ckptcell", 8)?;
@@ -124,7 +222,7 @@ fn crash_sweep_with_mid_workload_checkpoints_loses_nothing() {
                 })?;
                 // Checkpoint from the workload thread: deterministic
                 // primitive counts, so the sweep strides through the
-                // truncation primitives themselves.
+                // checkpoint's own primitives.
                 if i % 2 == 1 {
                     m.mtm().checkpoint();
                 }
@@ -156,6 +254,11 @@ fn crash_sweep_with_mid_workload_checkpoints_loses_nothing() {
 /// clean reboot afterwards must still satisfy the invariant.
 #[test]
 fn double_fault_during_parallel_replay_loses_nothing() {
+    const TXS: u64 = 6;
+    const LOG_WORDS: u64 = 1 << 8;
+    // Two-word records take 8 log words; the manager is gone, so all of
+    // them must fit, with room to spare for the `pstatic` record.
+    const _: () = assert!(TXS * 8 < LOG_WORDS / 2);
     let base = corpus_dir("replay-sweep");
     let cfg = SweepConfig {
         max_points: 6,
@@ -168,16 +271,17 @@ fn double_fault_during_parallel_replay_loses_nothing() {
         |p| {
             Mnemosyne::builder(p)
                 .scm_config(ScmConfig::virtual_clock(8 << 20))
-                .truncation(Truncation::Sync)
-                // Keep records lingering so recovery always has a real
-                // multi-record backlog to replay in parallel.
-                .sync_truncate_pct(90)
+                .truncation(Truncation::Async)
+                .log_words(LOG_WORDS)
                 .recovery_threads(4)
         },
         |m| {
+            // No manager: every record lingers, so recovery always has a
+            // real multi-record backlog to replay in parallel.
+            m.mtm().kill();
             let cell = m.pstatic("dblcell", 64)?;
             let mut th = m.register_thread()?;
-            for i in 0..6u64 {
+            for i in 0..TXS {
                 th.atomic(|tx| {
                     let v = tx.read_u64(cell)?;
                     tx.write_u64(cell, v + 1)?;
@@ -195,10 +299,12 @@ fn double_fault_during_parallel_replay_loses_nothing() {
             let v = th
                 .atomic(|tx| tx.read_u64(cell))
                 .map_err(|e| e.to_string())?;
-            if v <= 6 {
+            if v <= TXS {
                 Ok(())
             } else {
-                Err(format!("counter {v} exceeds the 6 increments ever made"))
+                Err(format!(
+                    "counter {v} exceeds the {TXS} increments ever made"
+                ))
             }
         },
     )
@@ -213,22 +319,31 @@ fn double_fault_during_parallel_replay_loses_nothing() {
 /// recovered state word for word.
 #[test]
 fn parallel_replay_matches_serial_replay() {
+    const TXS: u64 = 50;
+    const LOG_WORDS: u64 = 1 << 10;
+    // As above: 8 log words a record, half the log to spare.
+    const _: () = assert!(TXS * 8 < LOG_WORDS / 2);
     let d = dir("equiv");
     let build = |dir: &std::path::Path| {
         Mnemosyne::builder(dir)
             .scm_config(ScmConfig::virtual_clock(16 << 20))
-            .truncation(Truncation::Sync)
-            .sync_truncate_pct(90)
+            .truncation(Truncation::Async)
+            .log_words(LOG_WORDS)
             .max_threads(6)
     };
     let m = build(&d).open().unwrap();
+    m.mtm().kill();
+    // Every producer holds its slot before any commits, so each fills a
+    // log of its own (a slot freed early would be reused, log and all).
+    let registered = Barrier::new(4);
     std::thread::scope(|s| {
         for t in 0..4u64 {
-            let m = &m;
+            let (m, registered) = (&m, &registered);
             s.spawn(move || {
                 let area = m.pstatic(&format!("eq{t}"), 64 * 8).unwrap();
                 let mut th = m.register_thread().unwrap();
-                for i in 0..50u64 {
+                registered.wait();
+                for i in 0..TXS {
                     th.atomic(|tx| {
                         tx.write_u64(area.add((i % 64) * 8), t * 10_000 + i)?;
                         tx.write_u64(area.add(((i + 13) % 64) * 8), t * 10_000 + i + 1)?;

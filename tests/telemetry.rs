@@ -109,6 +109,43 @@ fn tornbit_append_is_single_fence_per_telemetry() {
     std::fs::remove_dir_all(&d).ok();
 }
 
+/// The commit budget (§5, synchronous truncation): an uncontended 8-word
+/// update commit costs exactly two fences — the redo append and the
+/// truncation that closes it — and leaves its log empty; a read-only
+/// transaction costs none.
+#[test]
+fn sync_commit_is_two_fences_and_leaves_an_empty_log() {
+    let d = dir("budget");
+    let m = Mnemosyne::builder(&d).scm_size(32 << 20).open().unwrap();
+    let cells = m.pstatic("budget", 64).unwrap();
+    let mut th = m.register_thread().unwrap();
+    let write8 = |th: &mut mnemosyne::TxThread, v: u64| {
+        th.atomic(|tx| (0..8).try_for_each(|w| tx.write_u64(cells.add(w * 8), v)))
+            .unwrap();
+    };
+    write8(&mut th, 1); // warm up
+
+    let before = m.telemetry().snapshot();
+    write8(&mut th, 2);
+    let delta = m.telemetry().snapshot().since(&before);
+    assert_eq!(delta.counter("scm.fences"), 2);
+    assert_eq!(delta.counter("rawl.truncations"), 1);
+    assert_eq!(delta.counter("rawl.append_words"), 17); // ts + 8 x (addr, val)
+    assert_eq!(m.mtm().outstanding_log_words(), 0);
+
+    let before = m.telemetry().snapshot();
+    let sum = th
+        .atomic(|tx| (0..8).try_fold(0, |s, w| Ok(s + tx.read_u64(cells.add(w * 8))?)))
+        .unwrap();
+    assert_eq!(sum, 16);
+    let delta = m.telemetry().snapshot().since(&before);
+    assert_eq!(delta.counter("scm.fences"), 0);
+    assert_eq!(delta.counter("rawl.truncations"), 0);
+    assert_eq!(delta.counter("rawl.append_words"), 0);
+    drop(th);
+    std::fs::remove_dir_all(&d).ok();
+}
+
 /// Figure 7's y-axis — the transaction abort rate — is computable from
 /// telemetry alone and agrees with the runtime's own counters.
 #[test]
