@@ -1,17 +1,15 @@
 //! Runs the full experiment suite: every table and figure of §6, plus
-//! the scaling benches and their smoke gates.
+//! the microcost, reincarnation, reliability and recovery experiments.
 //!
 //! Unlike a plain script of bench invocations, failures are *contained
 //! and propagated*: each experiment runs under
 //! [`mnemosyne_bench::util::run_experiment_checked`], so one panicking
 //! experiment still lets the rest run, every experiment still writes its
 //! telemetry sidecar, and the process exits non-zero with a per-
-//! experiment pass/fail summary if anything failed. The three scaling
-//! benches additionally run their `--smoke` gates (absolute scaling
-//! floor + optional `BENCH_BASELINE_DIR` regression check).
+//! experiment pass/fail summary if anything failed.
 
 use mnemosyne_bench::util::run_experiment_checked;
-use mnemosyne_bench::{exp, gate, Scale};
+use mnemosyne_bench::{exp, Scale};
 
 type Experiment = (&'static str, fn(Scale));
 
@@ -29,28 +27,13 @@ fn main() {
         ("microcosts", exp::microcosts::run),
         ("reincarnation", exp::reincarnation::run),
         ("reliability", exp::reliability::run),
-        ("allocscale", exp::allocscale::run),
-        ("txscale", exp::txscale::run),
-        ("kvscale", exp::kvscale::run),
         ("recovery", exp::recovery::run),
     ];
 
-    let mut results: Vec<(String, Result<(), String>)> = Vec::new();
-    for (name, run) in suite {
-        let mut outcome = run_experiment_checked(name, scale, run);
-        // Scaling benches carry smoke gates (kvscale carries two, at 4
-        // and at 8 workers); a bench that ran but no longer scales is as
-        // much a failure as one that panicked.
-        if outcome.is_ok() {
-            for g in gate::gates_for_binary(name) {
-                outcome = g.enforce_repo_root();
-                if outcome.is_err() {
-                    break;
-                }
-            }
-        }
-        results.push((name.to_string(), outcome));
-    }
+    let results: Vec<(&str, Result<(), String>)> = suite
+        .into_iter()
+        .map(|(name, run)| (name, run_experiment_checked(name, scale, run)))
+        .collect();
 
     println!("\n=== repro_all summary ===");
     let mut failed = 0;

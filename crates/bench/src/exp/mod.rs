@@ -1,12 +1,10 @@
 //! One module per reproduced table/figure (see DESIGN.md §4).
 
-pub mod allocscale;
 pub mod fig4;
 pub mod fig5;
 pub mod fig6;
 pub mod fig7;
 pub mod hashbench;
-pub mod kvscale;
 pub mod microcosts;
 pub mod recovery;
 pub mod reincarnation;
@@ -15,4 +13,3 @@ pub mod table1;
 pub mod table4;
 pub mod table5;
 pub mod table6;
-pub mod txscale;

@@ -14,10 +14,7 @@
 
 #![warn(missing_docs)]
 
-pub mod benchfile;
 pub mod exp;
-pub mod gate;
 pub mod util;
 
-pub use gate::ScalingGate;
 pub use util::{Scale, TestRig};

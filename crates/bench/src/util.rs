@@ -1,8 +1,7 @@
-//! Shared experiment plumbing: rigs, workloads, timing and printing.
+//! Shared experiment plumbing: scale, rigs, telemetry sidecars and printing.
 
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::Instant;
 
 use bdbstore::{BdbStore, StoreConfig};
 use mnemosyne::{EmulationMode, Mnemosyne, ScmConfig, Telemetry, Truncation};
@@ -21,15 +20,31 @@ pub enum Scale {
 
 impl Scale {
     /// Reads the scale from `REPRO_SCALE` / argv.
+    ///
+    /// # Panics
+    /// If `REPRO_SCALE` is set to anything but `quick` or `full`: a
+    /// mistyped value must not quietly run the quick suite.
     pub fn from_env() -> Scale {
-        let arg_full = std::env::args().any(|a| a == "--full");
-        let env_full = std::env::var("REPRO_SCALE")
-            .map(|v| v == "full")
-            .unwrap_or(false);
-        if arg_full || env_full {
+        let env = std::env::var("REPRO_SCALE").ok();
+        let scale = Scale::parse(env.as_deref()).unwrap_or_else(|why| panic!("{why}"));
+        if std::env::args().any(|a| a == "--full") {
             Scale::Full
         } else {
-            Scale::Quick
+            scale
+        }
+    }
+
+    /// Parses a `REPRO_SCALE` value; unset means quick.
+    ///
+    /// # Errors
+    /// A message naming the value when it is neither `quick` nor `full`.
+    fn parse(value: Option<&str>) -> Result<Scale, String> {
+        match value {
+            None | Some("quick") => Ok(Scale::Quick),
+            Some("full") => Ok(Scale::Full),
+            Some(other) => Err(format!(
+                "REPRO_SCALE={other:?} is not a scale: use \"quick\" or \"full\""
+            )),
         }
     }
 
@@ -108,31 +123,6 @@ impl Drop for TestRig {
     fn drop(&mut self) {
         std::fs::remove_dir_all(&self.dir).ok();
     }
-}
-
-/// Mean microseconds per call of `f` over `n` calls.
-pub fn time_per_op_us(n: u64, mut f: impl FnMut(u64)) -> f64 {
-    let start = Instant::now();
-    for i in 0..n {
-        f(i);
-    }
-    start.elapsed().as_secs_f64() * 1e6 / n as f64
-}
-
-/// Wall-clock throughput (ops/s) of `total` operations executed by
-/// `threads` workers, each running `make_worker(t)() -> ops_done`.
-pub fn throughput_ops_per_s(
-    threads: usize,
-    make_worker: impl Fn(usize) -> Box<dyn FnOnce() -> u64 + Send>,
-) -> f64 {
-    let start = Instant::now();
-    let mut joins = Vec::new();
-    for t in 0..threads {
-        let w = make_worker(t);
-        joins.push(std::thread::spawn(w));
-    }
-    let total: u64 = joins.into_iter().map(|j| j.join().unwrap()).sum();
-    total as f64 / start.elapsed().as_secs_f64()
 }
 
 /// Directory experiment sidecars land in: `$REPRO_OUT`, or
@@ -234,6 +224,17 @@ mod tests {
     fn scale_pick() {
         assert_eq!(Scale::Quick.pick(10, 100), 10);
         assert_eq!(Scale::Full.pick(10, 100), 100);
+    }
+
+    #[test]
+    fn scale_parse_rejects_unknown_values() {
+        assert_eq!(Scale::parse(None), Ok(Scale::Quick));
+        assert_eq!(Scale::parse(Some("quick")), Ok(Scale::Quick));
+        assert_eq!(Scale::parse(Some("full")), Ok(Scale::Full));
+        for typo in ["FULL", "Full", "", "ful"] {
+            let why = Scale::parse(Some(typo)).unwrap_err();
+            assert!(why.contains(&format!("{typo:?}")), "{why}");
+        }
     }
 
     #[test]

@@ -683,22 +683,6 @@ impl MtmRuntime {
         self.max_lock_waits
     }
 
-    /// Accounted busy time (ns) of each thread slot's log handle — the
-    /// per-slot serial-resource time under the SCM emulator's virtual
-    /// clock, mirroring [`PHeap::shard_busy_ns`]. Slots whose
-    /// [`TxThread`] is currently checked out report 0; call this after
-    /// workers have dropped their threads (as `txscale` does) for
-    /// complete figures.
-    ///
-    /// [`PHeap::shard_busy_ns`]: mnemosyne_pheap::PHeap::shard_busy_ns
-    pub fn slot_busy_ns(&self) -> Vec<u64> {
-        self.slots
-            .lock()
-            .iter()
-            .map(|s| s.as_ref().map_or(0, |log| log.pmem().accounted_ns()))
-            .collect()
-    }
-
     /// Parallel-recovery figures from the last [`MtmRuntime::open`].
     pub fn recovery_stats(&self) -> RecoveryStats {
         self.recovery

@@ -364,6 +364,43 @@ mod tests {
         }
         let mut th = m.register_thread().unwrap();
         assert_eq!(h.len(&mut th).unwrap(), 400);
+
+        // Second input: 4 threads put and remove the same 16 keys in a
+        // 4-bucket table, so nearly every pair of transactions collides
+        // on a chain. A value is [key, thread, round].
+        let shared = PHashTable::open(&m, &mut th, "shared", 4).unwrap();
+        drop(th);
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|s| {
+            for t in 0..4u8 {
+                let (m, start) = (&m, &start);
+                s.spawn(move || {
+                    let mut th = m.register_thread().unwrap();
+                    start.wait();
+                    for round in 0..12u8 {
+                        for k in 0..16u8 {
+                            shared.put(&mut th, &[k], &[k, t, round]).unwrap();
+                        }
+                        for k in (t..16).step_by(4) {
+                            shared.remove(&mut th, &[k]).unwrap();
+                        }
+                    }
+                });
+            }
+        });
+        let mut th = m.register_thread().unwrap();
+        let entries = shared.scan_prefix(&mut th, b"", 0).unwrap();
+        for (k, v) in &entries {
+            assert!(
+                k.len() == 1 && k[0] < 16 && v.len() == 3 && v[0] == k[0] && v[1] < 4 && v[2] < 12,
+                "{k:?} holds {v:?}, a value no thread wrote for it"
+            );
+        }
+        let mut keys: Vec<u8> = entries.iter().map(|(k, _)| k[0]).collect();
+        keys.sort_unstable();
+        keys.dedup();
+        assert_eq!(keys.len(), entries.len(), "a key's node is duplicated");
+        assert_eq!(shared.len(&mut th).unwrap(), entries.len() as u64);
         std::fs::remove_dir_all(&d).ok();
     }
 

@@ -792,17 +792,6 @@ impl PHeap {
         self.shards.len()
     }
 
-    /// Busy nanoseconds accounted to each shard's allocator-log
-    /// persistent-memory handle. Under the emulator's virtual clock this
-    /// is the per-shard serial-resource time, which the `allocscale`
-    /// bench uses to compute machine-independent throughput.
-    pub fn shard_busy_ns(&self) -> Vec<u64> {
-        self.shards
-            .iter()
-            .map(|s| s.lock().log.pmem().accounted_ns())
-            .collect()
-    }
-
     /// A point-in-time census of the small area: live blocks, and where
     /// every superblock currently lives (shard-owned vs. pooled). Tests
     /// use this to prove churn leaks nothing; with all blocks freed,

@@ -1,14 +1,15 @@
 //! Cross-layer telemetry tests: the registry must agree with the layer
-//! stats it mirrors, survive a JSON round trip losslessly, expose the
-//! paper's headline properties (single-fence tornbit appends, Figure 7
-//! abort rates, §5 truncation stalls), and stay fully documented in
-//! METRICS.md.
+//! stats it mirrors, survive a JSON round trip losslessly, pin the exact
+//! cost budget of the small operations (single-fence tornbit appends,
+//! two-fence commits), expose Figure 7 abort rates and §5 truncation
+//! stalls, and stay fully documented in METRICS.md.
 
 use std::path::PathBuf;
 
 use mnemosyne::{
     CommitRecordLog, CrashPolicy, Mnemosyne, Telemetry, TelemetrySnapshot, TornbitLog, Truncation,
 };
+use mnemosyne_pds::{LfHashTable, PHashTable};
 use pcmdisk::{DiskConfig, PcmDisk, BLOCK_SIZE};
 
 fn dir(tag: &str) -> PathBuf {
@@ -115,7 +116,7 @@ fn tornbit_append_is_single_fence_per_telemetry() {
 /// transaction costs none.
 #[test]
 fn sync_commit_is_two_fences_and_leaves_an_empty_log() {
-    let d = dir("budget");
+    let d = dir("commit");
     let m = Mnemosyne::builder(&d).scm_size(32 << 20).open().unwrap();
     let cells = m.pstatic("budget", 64).unwrap();
     let mut th = m.register_thread().unwrap();
@@ -143,6 +144,149 @@ fn sync_commit_is_two_fences_and_leaves_an_empty_log() {
     assert_eq!(delta.counter("rawl.truncations"), 0);
     assert_eq!(delta.counter("rawl.append_words"), 0);
     drop(th);
+    std::fs::remove_dir_all(&d).ok();
+}
+
+/// Telemetry delta of `op`.
+fn delta(m: &Mnemosyne, op: impl FnOnce()) -> TelemetrySnapshot {
+    let before = m.telemetry().snapshot();
+    op();
+    m.telemetry().snapshot().since(&before)
+}
+
+/// Keys the hash-table rows preload: enough for multi-node chains in a
+/// 256-bucket table, few enough for a debug build.
+const PRELOAD: u64 = 2048;
+
+fn key(k: u64) -> Vec<u8> {
+    format!("user{k:012}").into_bytes()
+}
+
+/// The exact cost budget of the stack's small operations, one row per
+/// (operation, counter), on a stack booted as `mnemosyned` boots it
+/// (64 MB SCM, synchronous truncation). Every operation is measured
+/// after a warm-up of the same kind, and the hash-table rows walk a
+/// fixed-seed key sequence, so every count repeats exactly. Two rows are
+/// the paper's own figures: one fence per tornbit append (§4.4), and an
+/// update commit costing the redo append plus the truncation that closes
+/// it (§5). A persist barrier added on any of these paths fails here
+/// until its row is changed on purpose.
+#[test]
+fn cost_budget_table() {
+    let d = dir("budget");
+    let m = Mnemosyne::builder(&d)
+        .scm_size(64 << 20)
+        .max_threads(4)
+        .open()
+        .unwrap();
+
+    let r = m
+        .regions()
+        .pmap("budget-log", 64 * 1024, &m.pmem_handle())
+        .unwrap();
+    let mut log = TornbitLog::create(m.pmem_handle(), r.addr, 4096).unwrap();
+    let mut append8 = |v| {
+        log.append(&[v; 8]).unwrap();
+        log.flush();
+    };
+    append8(1);
+    let append8 = delta(&m, || append8(2));
+
+    let cell = m.pstatic("budget-cell", 8).unwrap();
+    let heap = m.heap();
+    let alloc_free = || {
+        heap.pmalloc(128, cell).unwrap();
+        heap.pfree(cell).unwrap();
+    };
+    alloc_free();
+    let alloc_free = delta(&m, alloc_free);
+
+    let cells = m.pstatic("budget-words", 64).unwrap();
+    let mut th = m.register_thread().unwrap();
+    let write8 = |th: &mut mnemosyne::TxThread, v: u64| {
+        th.atomic(|tx| (0..8).try_for_each(|w| tx.write_u64(cells.add(w * 8), v)))
+            .unwrap();
+    };
+    write8(&mut th, 1);
+    let commit8 = delta(&m, || write8(&mut th, 2));
+    assert_eq!(
+        m.mtm().outstanding_log_words(),
+        0,
+        "a Sync commit empties its log"
+    );
+    let read8 = |th: &mut mnemosyne::TxThread| {
+        th.atomic(|tx| (0..8).try_fold(0, |s, w| Ok(s + tx.read_u64(cells.add(w * 8))?)))
+            .unwrap()
+    };
+    assert_eq!(read8(&mut th), 16);
+    let ro8 = delta(&m, || assert_eq!(read8(&mut th), 16));
+
+    // xorshift64 from a fixed seed, over the preloaded keys.
+    let mut x = 0x9e37_79b9_7f4a_7c15u64;
+    let seq: Vec<u64> = (0..64)
+        .map(|_| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x % PRELOAD
+        })
+        .collect();
+
+    let table = PHashTable::open(&m, &mut th, "kv", 256).unwrap();
+    for k in 0..PRELOAD {
+        table.put(&mut th, &key(k), &[k as u8; 64]).unwrap();
+    }
+    let phash_gets = delta(&m, || {
+        for &k in &seq {
+            assert_eq!(
+                table.get(&mut th, &key(k)).unwrap(),
+                Some(vec![k as u8; 64])
+            );
+        }
+    });
+    let phash_put = delta(&m, || table.put(&mut th, &key(seq[0]), &[0; 64]).unwrap());
+    drop(th);
+
+    let lf = LfHashTable::open(&m, "kv.lf").unwrap();
+    let mut h = lf.handle(&m).unwrap();
+    for k in 0..PRELOAD {
+        h.put(&key(k), &[k as u8; 64]).unwrap();
+    }
+    let lf_puts = delta(&m, || {
+        for (i, &k) in seq.iter().enumerate() {
+            h.put(&key(k), &[i as u8; 64]).unwrap();
+        }
+    });
+
+    // Row names are the `kvload --trace` probe names where the setup
+    // is the same; the sequence rows have no probe twin.
+    let table: [(&str, &TelemetrySnapshot, &str, u64); 16] = [
+        ("rawl.append8", &append8, "scm.fences", 1),
+        ("rawl.append8", &append8, "rawl.flushes", 1),
+        ("rawl.append8", &append8, "rawl.append_words", 8),
+        ("pheap.alloc_free_128", &alloc_free, "scm.fences", 8),
+        ("mtm.commit8", &commit8, "scm.fences", 2),
+        ("mtm.commit8", &commit8, "rawl.appends", 1),
+        // ts + 8 x (addr, val)
+        ("mtm.commit8", &commit8, "rawl.append_words", 17),
+        ("mtm.commit8", &commit8, "rawl.truncations", 1),
+        ("mtm.ro8", &ro8, "scm.fences", 0),
+        ("mtm.ro8", &ro8, "rawl.append_words", 0),
+        ("mtm.ro8", &ro8, "rawl.truncations", 0),
+        ("pds.phash_put", &phash_put, "scm.fences", 10),
+        ("pds.phash_get x 64", &phash_gets, "scm.reads", 2116),
+        ("pds.phash_get x 64", &phash_gets, "scm.fences", 0),
+        ("pds.lfhash_put x 64", &lf_puts, "scm.fences", 452),
+        ("pds.lfhash_put x 64", &lf_puts, "scm.cas", 192),
+    ];
+    // One comparison for the whole table, so a failure shows every row
+    // that moved, not just the first.
+    let got: Vec<_> = table
+        .iter()
+        .map(|(op, d, c, _)| (*op, *c, d.counter(c)))
+        .collect();
+    let want: Vec<_> = table.iter().map(|(op, _, c, n)| (*op, *c, *n)).collect();
+    assert_eq!(got, want);
     std::fs::remove_dir_all(&d).ok();
 }
 
