@@ -1,16 +1,16 @@
 //! `mnemosyned` — the persistent key-value daemon.
 //!
 //! ```text
-//! mnemosyned --dir DATA [--addr 127.0.0.1:7077] [--workers 2]
-//!            [--max-batch 64] [--scm-mb 64] [--max-conns 256]
-//!            [--max-queue 1024] [--max-admin 4]
+//! mnemosyned --dir DATA [--addr 127.0.0.1:7077] [--max-batch 64]
+//!            [--scm-mb 64] [--max-conns 256] [--max-queue 1024]
+//!            [--max-admin 4]
 //! ```
 //!
 //! First run creates the persistent heap under `--dir`; later runs
 //! resume it (a graceful shutdown — `kvctl ADDR shutdown` — drains the
-//! batcher, empties the redo logs and saves the media image; an abrupt
-//! kill loses the simulated SCM, which is process memory). The daemon
-//! prints `listening on ADDR` once it is serving.
+//! request queue, empties the redo logs and saves the media image; an
+//! abrupt kill loses the simulated SCM, which is process memory). The
+//! daemon prints `listening on ADDR` once it is serving.
 //!
 //! Operationally the daemon degrades rather than stalls: past
 //! `--max-conns` connections or `--max-queue` queued requests it
@@ -32,10 +32,15 @@ use std::process::ExitCode;
 use mnemosyne::Mnemosyne;
 use mnemosyne_svc::{KvServer, KvService, SvcConfig};
 
+/// Transaction-runtime slots. The service holds one (its combiner), but
+/// recovery replays exactly this many redo logs, so it stays at 4 — what
+/// earlier daemons booted with by default — and a `--dir` they wrote
+/// reopens with every log that can still hold records.
+const MAX_THREADS: usize = 4;
+
 struct Args {
     dir: PathBuf,
     addr: String,
-    workers: usize,
     max_batch: usize,
     scm_mb: u64,
     max_conns: usize,
@@ -45,9 +50,8 @@ struct Args {
 
 fn usage() -> ! {
     eprintln!(
-        "usage: mnemosyned --dir DATA [--addr 127.0.0.1:7077] [--workers 2] \
-         [--max-batch 64] [--scm-mb 64] [--max-conns 256] [--max-queue 1024] \
-         [--max-admin 4]"
+        "usage: mnemosyned --dir DATA [--addr 127.0.0.1:7077] [--max-batch 64] \
+         [--scm-mb 64] [--max-conns 256] [--max-queue 1024] [--max-admin 4]"
     );
     std::process::exit(2);
 }
@@ -56,7 +60,6 @@ fn parse_args() -> Args {
     let mut args = Args {
         dir: PathBuf::new(),
         addr: "127.0.0.1:7077".to_string(),
-        workers: 2,
         max_batch: 64,
         scm_mb: 64,
         max_conns: 256,
@@ -69,7 +72,6 @@ fn parse_args() -> Args {
         match flag.as_str() {
             "--dir" => args.dir = PathBuf::from(val()),
             "--addr" => args.addr = val(),
-            "--workers" => args.workers = val().parse().unwrap_or_else(|_| usage()),
             "--max-batch" => args.max_batch = val().parse().unwrap_or_else(|_| usage()),
             "--scm-mb" => args.scm_mb = val().parse().unwrap_or_else(|_| usage()),
             "--max-conns" => args.max_conns = val().parse().unwrap_or_else(|_| usage()),
@@ -78,7 +80,7 @@ fn parse_args() -> Args {
             _ => usage(),
         }
     }
-    if args.dir.as_os_str().is_empty() || args.workers == 0 {
+    if args.dir.as_os_str().is_empty() {
         usage();
     }
     args
@@ -88,7 +90,7 @@ fn main() -> ExitCode {
     let args = parse_args();
     let m = match Mnemosyne::builder(&args.dir)
         .scm_size(args.scm_mb << 20)
-        .max_threads(args.workers + 2)
+        .max_threads(MAX_THREADS)
         .open()
     {
         Ok(m) => m,
@@ -100,7 +102,6 @@ fn main() -> ExitCode {
     let svc = match KvService::start(
         &m,
         SvcConfig {
-            workers: args.workers,
             max_batch: args.max_batch,
             max_conns: args.max_conns,
             max_queue: args.max_queue,

@@ -16,15 +16,17 @@
 //!   PROTOCOL.md for the byte layout). Decoding is total: truncated,
 //!   oversized, or garbage bytes yield typed [`proto::FrameError`]s,
 //!   never panics.
-//! - [`service`] — the group-commit batcher. Requests queue centrally;
-//!   each worker drains up to a batch and runs the whole batch in ONE
-//!   durable transaction, so N writes share one redo-append fence, and
-//!   concurrent workers further share post-writeback data fences through
-//!   the mtm commit groups. Admin requests bypass the queue on a bounded
-//!   side path, so observability stays responsive under load or drain.
-//! - [`server`]/[`client`] — a threaded TCP front end with per-connection
-//!   pipelining (many requests in flight, responses in request order),
-//!   and the matching blocking client.
+//! - [`service`] — the group-commit combiner. Requests join one FIFO
+//!   queue; a thread waiting for its answer takes the service's one
+//!   combiner and runs up to a batch of queued requests — its own and
+//!   others' — in ONE durable transaction, so N writes share one
+//!   redo-append fence and one truncating fence, and one connection's
+//!   pipelined requests run in the order they were sent. Admin requests
+//!   bypass the queue on a bounded side path, so observability stays
+//!   responsive under load or drain.
+//! - [`server`]/[`client`] — a TCP front end with one thread per
+//!   connection and pipelining (many requests in flight, responses in
+//!   request order), and the matching blocking client.
 //!
 //! Telemetry: `svc.requests`, `svc.conns`, `svc.recoveries`,
 //! `svc.batch_size`, `svc.request_ns`, the degradation counters

@@ -167,7 +167,7 @@ pub enum Request {
     Grow(u64),
 }
 
-/// Whether a request is an admin verb — routed around the batcher queue
+/// Whether a request is an admin verb — routed around the request queue
 /// onto the bounded admin side path, never behind data-plane traffic.
 impl Request {
     /// True for [`Request::Stats`], [`Request::Checkpoint`],
@@ -200,9 +200,9 @@ pub struct HealthInfo {
     pub uptime_ms: u64,
     /// Live TCP connections.
     pub conns: u64,
-    /// Requests waiting in the batcher queue.
+    /// Requests waiting in the request queue.
     pub queue_depth: u64,
-    /// Requests a worker has pulled but not yet answered.
+    /// Requests claimed by the running combiner batch, not yet answered.
     pub inflight: u64,
     /// Redo-log words fenced but not yet truncated — what a crash right
     /// now would replay.
@@ -550,6 +550,12 @@ impl Response {
         r.finish()?;
         Ok(resp)
     }
+}
+
+/// Whether `buf` starts with a whole frame, or with a length prefix that
+/// is already bad: either way, reading one frame from it cannot block.
+pub(crate) fn frame_ready(buf: &[u8]) -> bool {
+    !matches!(split_frame(buf), Err(FrameError::Truncated { .. }))
 }
 
 /// Reads one frame payload from a stream. `Ok(None)` is a clean EOF at a

@@ -1,24 +1,25 @@
 //! The TCP front end: accepts connections and pumps framed requests
 //! into a [`KvService`].
 //!
-//! Each connection gets a reader (the connection thread itself) and a
-//! writer thread. The reader decodes frames and submits them to the
-//! batcher without waiting, forwarding each [`Ticket`] to the writer
-//! over a channel; the writer redeems tickets strictly in submission
-//! order. That is the pipelining contract: a client may have any number
-//! of requests in flight and responses always come back in request
-//! order, even though the batcher completes them out of order across
-//! worker threads.
+//! A served connection costs exactly one thread, which loops: block for
+//! one request frame, take every further frame that is already whole in
+//! the read buffer, submit them all, then redeem the tickets in order —
+//! running the combiner itself when its answer is not in yet — writing
+//! each reply, and flush once. That is the pipelining contract: a client
+//! may have any number of requests in flight and responses always come
+//! back in request order. The thread never blocks on a partial frame
+//! while it holds unanswered tickets, so a half-sent request cannot hold
+//! back the replies to the whole ones before it.
 
 use std::io::{BufReader, BufWriter, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use parking_lot::{Condvar, Mutex};
 
-use crate::proto::{read_request, write_response, ProtoError, Request, Response};
+use crate::proto::{frame_ready, read_request, write_response, ProtoError, Request, Response};
 use crate::service::{KvService, Ticket};
 
 struct ServerShared {
@@ -145,87 +146,73 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<ServerShared>) {
 }
 
 fn serve_conn(stream: TcpStream, shared: &Arc<ServerShared>) {
-    let reader = BufReader::new(match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
-    });
-    let (tx, rx) = mpsc::channel::<Ticket>();
-    let writer = std::thread::spawn(move || write_loop(stream, &rx));
-    let shutdown = read_loop(reader, shared, &tx);
-    drop(tx); // writer drains outstanding tickets, then exits
-    let _ = writer.join();
-    shared.svc.conn_closed();
-    // Only now: asking sooner lets the daemon's `KvServer::stop` close
-    // this socket under the writer, and the SHUTDOWN ack arrives as EOF.
-    if shutdown {
-        shared.request_shutdown();
-    }
-}
-
-/// Pumps requests until the connection ends; returns whether it ended
-/// with SHUTDOWN (whose ack is then the last ticket handed to the writer).
-fn read_loop(
-    mut reader: BufReader<TcpStream>,
-    shared: &Arc<ServerShared>,
-    tx: &mpsc::Sender<Ticket>,
-) -> bool {
-    loop {
-        let ticket = match read_request(&mut reader) {
-            Ok(Some(Request::Shutdown)) => {
-                // Drain before acking: every request queued or in flight
-                // anywhere on the service commits (or fails) first, so
-                // the SHUTDOWN ack means "all accepted writes are
-                // settled and no new work will be admitted".
-                let ack = if shared.svc.drain() {
-                    Response::Ok
-                } else {
-                    Response::Err("service unavailable".to_string())
-                };
-                let _ = tx.send(Ticket::ready(ack));
-                return true;
-            }
-            Ok(Some(req)) => shared.svc.submit(req),
-            // Clean EOF: the client hung up between frames.
-            Ok(None) => return false,
-            Err(ProtoError::Frame(e)) => {
-                // A malformed frame poisons the stream (framing is lost);
-                // answer once, then drop the connection.
-                let _ = tx.send(Ticket::ready(Response::Err(format!("bad frame: {e}"))));
-                return false;
-            }
-            Err(ProtoError::Io(_)) => return false,
-        };
-        if tx.send(ticket).is_err() {
-            return false;
-        }
-    }
-}
-
-fn write_loop(stream: TcpStream, rx: &mpsc::Receiver<Ticket>) {
-    let mut w = BufWriter::new(&stream);
-    'conn: while let Ok(first) = rx.recv() {
-        // Write responses back-to-back while more tickets are already
-        // queued, then flush once — the syscall-batching half of
-        // pipelining.
-        let mut ticket = first;
-        loop {
-            let resp = ticket.wait();
-            if write_response(&mut w, &resp).is_err() {
-                break 'conn;
-            }
-            match rx.try_recv() {
-                Ok(next) => ticket = next,
-                Err(_) => break,
-            }
-        }
-        if w.flush().is_err() {
-            break;
-        }
-    }
-    drop(w);
+    let shutdown = serve_requests(&stream, &shared.svc);
     // The conns registry holds a clone of this socket for forced stop;
     // shut the socket itself down so the peer sees EOF the moment its
     // connection is done (poisoned frame, service shutdown), not when
     // the whole server stops.
     let _ = stream.shutdown(Shutdown::Both);
+    shared.svc.conn_closed();
+    // Only now: asking sooner lets the daemon's `KvServer::stop` close
+    // this socket before the SHUTDOWN ack is flushed, and the ack
+    // arrives as EOF.
+    if shutdown {
+        shared.request_shutdown();
+    }
+}
+
+/// Serves requests until the connection ends; returns whether it ended
+/// with SHUTDOWN (whose ack is then the last reply written).
+fn serve_requests(stream: &TcpStream, svc: &KvService) -> bool {
+    let mut reader = BufReader::new(stream);
+    let mut w = BufWriter::new(stream);
+    let mut tickets = Vec::new();
+    loop {
+        // Block for one frame, then take every frame already whole in
+        // the buffer; `end` is set when the connection ends after them.
+        let end = loop {
+            let ticket = match read_request(&mut reader) {
+                Ok(Some(Request::Shutdown)) => {
+                    // Drain before acking: every request queued anywhere
+                    // on the service commits (or fails) first, so the
+                    // SHUTDOWN ack means "all accepted writes are settled
+                    // and no new work will be admitted".
+                    let ack = if svc.drain() {
+                        Response::Ok
+                    } else {
+                        Response::Err("service unavailable".to_string())
+                    };
+                    tickets.push(Ticket::ready(ack));
+                    break Some(true);
+                }
+                Ok(Some(req)) => svc.submit(req),
+                // Clean EOF (the client hung up between frames) or a
+                // broken transport.
+                Ok(None) | Err(ProtoError::Io(_)) => break Some(false),
+                Err(ProtoError::Frame(e)) => {
+                    // A malformed frame poisons the stream (framing is
+                    // lost); answer once, then drop the connection.
+                    tickets.push(Ticket::ready(Response::Err(format!("bad frame: {e}"))));
+                    break Some(false);
+                }
+            };
+            tickets.push(ticket);
+            if !frame_ready(reader.buffer()) {
+                break None;
+            }
+        };
+        // Redeem every ticket even once the peer is gone, so each
+        // accepted request still runs; then flush the replies at once.
+        let mut written = true;
+        for ticket in tickets.drain(..) {
+            let resp = ticket.wait();
+            written = written && write_response(&mut w, &resp).is_ok();
+        }
+        let written = written && w.flush().is_ok();
+        match end {
+            Some(shutdown) => return shutdown,
+            None if !written => return false,
+            None => {}
+        }
+    }
 }

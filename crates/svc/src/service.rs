@@ -1,13 +1,22 @@
-//! The request batcher: worker threads that coalesce queued requests
-//! into one durable transaction per batch.
+//! The request combiner: waiters that fold queued requests into one
+//! durable transaction per batch.
 //!
-//! Every submitted request becomes a [`Ticket`]; worker threads drain the
-//! shared queue up to [`SvcConfig::max_batch`] entries at a time and
-//! execute the whole batch inside ONE `atomic` block. A client's request
-//! is acknowledged only after that transaction's commit returns — i.e.
-//! after its redo record is fenced onto SCM — so an acknowledged write is
-//! durable by construction, and N batched writes cost one redo-append
-//! fence (and one truncating fence) instead of N of each.
+//! Every submitted request becomes a [`Ticket`] and joins one FIFO queue.
+//! Nothing runs until somebody waits: [`Ticket::wait`] takes the
+//! service's one combiner (a transaction thread behind a mutex), claims up
+//! to [`SvcConfig::max_batch`] queued requests in order — its own and
+//! whoever queued before it — and executes them inside ONE `atomic`
+//! block. A request is acknowledged only after that transaction's commit
+//! returns — i.e. after its redo record is fenced onto SCM — so an
+//! acknowledged write is durable by construction, and N batched writes
+//! cost one redo-append fence (and one truncating fence) instead of N of
+//! each. One queue and one combiner also mean one connection's pipelined
+//! requests execute in the order they were sent.
+//!
+//! Requests are claimed only under the combiner lock, and a claimed batch
+//! is answered before the lock is released, so a waiter that gets the
+//! lock with no answer yet finds its request still queued: no wakeups,
+//! nothing to lose.
 //!
 //! If the machine dies mid-batch (fault injection, or a genuine bug), the
 //! in-flight batch and everything still queued is answered with
@@ -19,37 +28,27 @@ use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Instant;
 
 use mnemosyne::{crash_payload, Error, Mnemosyne, MtmRuntime, TxThread};
 use mnemosyne_obs::{Counter, Histogram, Telemetry, Unit};
 use mnemosyne_pds::PHashTable;
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 
 use crate::proto::{CkptSummary, GrowInfo, HealthInfo, Request, Response};
 
 /// Tuning for a [`KvService`].
 #[derive(Debug, Clone)]
 pub struct SvcConfig {
-    /// Batcher worker threads; each holds one transaction-runtime slot,
-    /// so the stack must be booted with `max_threads >= workers + 1`
-    /// (the extra slot covers setup/diagnostic threads).
-    pub workers: usize,
     /// Most requests folded into one durable transaction.
     pub max_batch: usize,
-    /// Group-commit window: a worker that wakes to fewer than
-    /// `max_batch` queued requests waits up to this long for more to
-    /// arrive before committing, trading that much p50 latency for much
-    /// larger (cheaper-per-request) batches. Zero commits immediately.
-    pub batch_window: std::time::Duration,
     /// Hash-table buckets (created on first boot; a reopened table keeps
     /// its original bucket count).
     pub buckets: u64,
     /// `pstatic` name of the table root — one service per name.
     pub table: String,
-    /// Admission control: most requests allowed to wait in the batcher
-    /// queue. Submissions past the bound are answered
+    /// Admission control: most requests allowed to wait in the queue.
+    /// Submissions past the bound are answered
     /// [`Response::Overloaded`] without ever being enqueued, so the
     /// server degrades with a typed signal instead of unbounded memory
     /// growth and silent latency. Zero disables the bound.
@@ -60,20 +59,18 @@ pub struct SvcConfig {
     pub max_conns: usize,
     /// Admission control for the **admin side path**: most admin requests
     /// (STATS/CHECKPOINT/HEALTH/GROW) executing at once. Admin requests
-    /// bypass the batcher queue and run on their connection's reader
-    /// thread, so observability stays responsive while the data plane is
-    /// saturated or draining — this bound keeps a flood of them from
-    /// monopolising connection threads instead. Excess admin requests are
-    /// answered [`Response::Overloaded`]. Zero disables the bound.
+    /// bypass the queue and run on their connection's thread, so
+    /// observability stays responsive while the data plane is saturated
+    /// or draining — this bound keeps a flood of them from monopolising
+    /// connection threads instead. Excess admin requests are answered
+    /// [`Response::Overloaded`]. Zero disables the bound.
     pub max_admin: usize,
 }
 
 impl Default for SvcConfig {
     fn default() -> SvcConfig {
         SvcConfig {
-            workers: 2,
             max_batch: 64,
-            batch_window: std::time::Duration::from_micros(100),
             buckets: 256,
             table: "kv".to_string(),
             max_queue: 1024,
@@ -117,84 +114,76 @@ impl SvcMetrics {
     }
 }
 
-struct TicketCell {
-    slot: Mutex<Option<Response>>,
-    cv: Condvar,
-}
-
-impl TicketCell {
-    fn new() -> TicketCell {
-        TicketCell {
-            slot: Mutex::new(None),
-            cv: Condvar::new(),
-        }
-    }
-
-    fn complete(&self, resp: Response) {
-        *self.slot.lock() = Some(resp);
-        self.cv.notify_all();
-    }
-}
+/// Where a queued request's answer lands.
+type Slot = Mutex<Option<Response>>;
 
 /// A pending response: returned by [`KvService::submit`], redeemed with
 /// [`Ticket::wait`]. Submitting without waiting is how connections
-/// pipeline — responses still come back in submission order per ticket.
-pub struct Ticket(Arc<TicketCell>);
+/// pipeline: submit a window, then redeem the tickets in order.
+pub struct Ticket(TicketState);
+
+enum TicketState {
+    Ready(Response),
+    Queued(Arc<Inner>, Arc<Slot>),
+}
 
 impl Ticket {
     /// A ticket that is already answered (protocol errors, admin ops).
     pub fn ready(resp: Response) -> Ticket {
-        let cell = Arc::new(TicketCell::new());
-        cell.complete(resp);
-        Ticket(cell)
+        Ticket(TicketState::Ready(resp))
     }
 
-    /// Blocks until the request's batch commits (or fails) and returns
-    /// the response.
+    /// Returns the response, running the combiner on the calling thread
+    /// until the request's batch has committed (or failed).
     pub fn wait(self) -> Response {
-        let mut slot = self.0.slot.lock();
+        let (inner, slot) = match self.0 {
+            TicketState::Ready(resp) => return resp,
+            TicketState::Queued(inner, slot) => (inner, slot),
+        };
         loop {
-            if let Some(resp) = slot.take() {
+            if let Some(resp) = slot.lock().take() {
                 return resp;
             }
-            self.0.cv.wait(&mut slot);
+            let mut th = inner.combiner.lock();
+            if slot.lock().is_none() {
+                inner.combine(&mut th);
+            }
         }
     }
 }
 
 struct PendingReq {
     req: Request,
-    cell: Arc<TicketCell>,
+    slot: Arc<Slot>,
 }
 
 struct QueueState {
     pending: VecDeque<PendingReq>,
-    /// Requests a worker has pulled off the queue but not yet answered.
-    /// [`KvService::drain`] waits for both this and `pending` to hit
-    /// zero before acknowledging a shutdown.
+    /// Requests claimed by the running combiner batch, not yet answered
+    /// (reported by HEALTH).
     inflight: usize,
     /// Draining for shutdown: new submissions are answered
-    /// [`Response::Draining`]; queued and in-flight work still commits.
+    /// [`Response::Draining`]; queued work still commits.
     draining: bool,
-    /// Graceful stop: workers drain what is queued, then exit.
+    /// Graceful stop: new submissions fail; queued work still commits.
     stop: bool,
-    /// The machine died (injected crash or worker panic): fail
-    /// everything immediately, nothing further commits.
+    /// The machine died (injected crash or panic): fail everything
+    /// immediately, nothing further commits.
     dead: bool,
 }
 
 struct Inner {
     mtm: Arc<MtmRuntime>,
     table: PHashTable,
+    /// The one transaction thread every batch runs on; whoever holds it
+    /// is the combiner.
+    combiner: Mutex<TxThread>,
     max_batch: usize,
-    batch_window: std::time::Duration,
     max_queue: usize,
     max_conns: usize,
     max_admin: usize,
     queue: Mutex<QueueState>,
-    cv: Condvar,
     metrics: SvcMetrics,
-    workers: Mutex<Vec<JoinHandle<()>>>,
     /// Admin requests currently executing on connection threads.
     admin_inflight: AtomicUsize,
     /// Live TCP connections (maintained by the server front end via
@@ -207,16 +196,14 @@ struct Inner {
 
 impl Inner {
     /// Marks the service dead and fails every queued request. Idempotent.
+    /// The answers are written under the queue lock, so a request is
+    /// always queued, claimed by the combiner, or answered.
     fn mark_dead(&self, why: &str) {
-        let drained: Vec<PendingReq> = {
-            let mut q = self.queue.lock();
-            q.dead = true;
-            q.stop = true;
-            q.pending.drain(..).collect()
-        };
-        self.cv.notify_all();
-        for p in drained {
-            p.cell.complete(Response::Err(why.to_string()));
+        let mut q = self.queue.lock();
+        q.dead = true;
+        q.stop = true;
+        for p in q.pending.drain(..) {
+            *p.slot.lock() = Some(Response::Err(why.to_string()));
         }
     }
 
@@ -233,10 +220,58 @@ impl Inner {
         self.mark_dead(&why);
         why
     }
+
+    /// Claims up to `max_batch` queued requests in FIFO order, runs them
+    /// as one durable transaction on `th` (the combiner, which the caller
+    /// holds) and answers them. Returns `false` if the queue was empty.
+    fn combine(&self, th: &mut TxThread) -> bool {
+        let batch: Vec<PendingReq> = {
+            let mut q = self.queue.lock();
+            let n = q.pending.len().min(self.max_batch);
+            if n == 0 {
+                return false;
+            }
+            q.inflight = n;
+            q.pending.drain(..n).collect()
+        };
+        let timer = th.pmem().stopwatch();
+        let outcome = catch_unwind(AssertUnwindSafe(|| exec_batch(&self.table, th, &batch)));
+        let replies = match outcome {
+            Ok(Ok(replies)) => {
+                let ns = th.pmem().elapsed_ns(&timer);
+                self.metrics.batch_size.record(batch.len() as u64);
+                self.metrics.requests.add(batch.len() as u64);
+                for _ in &batch {
+                    self.metrics.request_ns.record(ns);
+                }
+                replies
+            }
+            // The transaction failed cleanly: nothing was applied and
+            // nothing is acknowledged; the service keeps serving.
+            Ok(Err(e)) => vec![Response::Err(format!("transaction failed: {e}")); batch.len()],
+            // The batch did NOT commit, so failing it keeps the ack
+            // invariant.
+            Err(payload) => {
+                let why = self.died(&*payload, "combiner executing a batch");
+                vec![Response::Err(why); batch.len()]
+            }
+        };
+        for (p, resp) in batch.iter().zip(replies) {
+            *p.slot.lock() = Some(resp);
+        }
+        self.queue.lock().inflight = 0;
+        true
+    }
+
+    /// Takes the combiner and runs batches until the queue is empty.
+    fn run_until_empty(&self) {
+        let mut th = self.combiner.lock();
+        while self.combine(&mut th) {}
+    }
 }
 
-/// A persistent key-value service: a [`PHashTable`] fronted by batching
-/// workers. Cheap to clone (shared state); the TCP layer in
+/// A persistent key-value service: a [`PHashTable`] fronted by a
+/// combining queue. Cheap to clone (shared state); the TCP layer in
 /// [`crate::server`] is a veneer over [`KvService::submit`].
 ///
 /// The service borrows the stack's internals (transaction runtime,
@@ -249,7 +284,8 @@ pub struct KvService {
 }
 
 impl KvService {
-    /// Opens (or recovers) the table and starts the batcher workers.
+    /// Opens (or recovers) the table and keeps the transaction thread that
+    /// opened it as the combiner. Starts no threads.
     ///
     /// When the table root already exists — i.e. the service is resuming
     /// a previous incarnation's state after a restart or crash — the
@@ -263,15 +299,14 @@ impl KvService {
         let mut th = m.register_thread()?;
         let resumed = th.atomic(|tx| tx.read_u64(root))? != 0;
         let table = PHashTable::open(m, &mut th, &config.table, config.buckets)?;
-        drop(th);
         if resumed {
             metrics.recoveries.inc();
         }
         let inner = Arc::new(Inner {
             mtm: Arc::clone(m.mtm()),
             table,
+            combiner: Mutex::new(th),
             max_batch: config.max_batch.max(1),
-            batch_window: config.batch_window,
             max_queue: config.max_queue,
             max_conns: config.max_conns,
             max_admin: config.max_admin,
@@ -282,64 +317,43 @@ impl KvService {
                 stop: false,
                 dead: false,
             }),
-            cv: Condvar::new(),
             metrics,
-            workers: Mutex::new(Vec::new()),
             admin_inflight: AtomicUsize::new(0),
             conns: AtomicUsize::new(0),
             started: Instant::now(),
         });
-        let svc = KvService { inner };
-        for _ in 0..config.workers {
-            svc.spawn_worker();
-        }
-        Ok(svc)
-    }
-
-    /// Adds one batcher worker. Normally called by [`KvService::start`];
-    /// exposed so tests can queue requests first and then watch a single
-    /// worker fold them into one commit.
-    pub fn spawn_worker(&self) {
-        let inner = Arc::clone(&self.inner);
-        let join = std::thread::spawn(move || worker_loop(&inner));
-        self.inner.workers.lock().push(join);
+        Ok(KvService { inner })
     }
 
     /// Enqueues a request for the next commit batch. Never blocks; the
-    /// returned [`Ticket`] resolves once the batch commits. On a stopped
-    /// or dead service the ticket resolves immediately with an error.
+    /// request runs when its [`Ticket`] (or a later one) is waited on. On
+    /// a stopped or dead service the ticket resolves immediately with an
+    /// error.
     ///
-    /// Admin requests ([`Request::is_admin`]) never enter the batch queue:
-    /// they execute synchronously on the calling thread (the admin side
-    /// path) and come back as an already-resolved ticket.
+    /// Admin requests ([`Request::is_admin`]) never enter the queue: they
+    /// execute synchronously on the calling thread (the admin side path)
+    /// and come back as an already-resolved ticket.
     pub fn submit(&self, req: Request) -> Ticket {
         if req.is_admin() {
             return Ticket::ready(self.admin(&req));
         }
-        let cell = Arc::new(TicketCell::new());
-        let ticket = Ticket(Arc::clone(&cell));
-        {
-            let mut q = self.inner.queue.lock();
-            if q.stop || q.dead {
-                drop(q);
-                cell.complete(Response::Err("service unavailable".to_string()));
-                return ticket;
-            }
-            if q.draining {
-                drop(q);
-                cell.complete(Response::Draining);
-                return ticket;
-            }
-            if self.inner.max_queue > 0 && q.pending.len() >= self.inner.max_queue {
-                drop(q);
-                self.inner.metrics.overload_shed.inc();
-                cell.complete(Response::Overloaded);
-                return ticket;
-            }
-            q.pending.push_back(PendingReq { req, cell });
+        let mut q = self.inner.queue.lock();
+        if q.stop || q.dead {
+            return Ticket::ready(Response::Err("service unavailable".to_string()));
         }
-        self.inner.cv.notify_one();
-        ticket
+        if q.draining {
+            return Ticket::ready(Response::Draining);
+        }
+        if self.inner.max_queue > 0 && q.pending.len() >= self.inner.max_queue {
+            self.inner.metrics.overload_shed.inc();
+            return Ticket::ready(Response::Overloaded);
+        }
+        let slot = Arc::new(Mutex::new(None));
+        q.pending.push_back(PendingReq {
+            req,
+            slot: Arc::clone(&slot),
+        });
+        Ticket(TicketState::Queued(Arc::clone(&self.inner), slot))
     }
 
     /// Submit-and-wait, for synchronous callers.
@@ -355,32 +369,18 @@ impl KvService {
     }
 
     /// Drains for shutdown: new submissions are refused with
-    /// [`Response::Draining`], then this blocks until every queued and
-    /// in-flight request has been committed and answered. Returns `false`
-    /// if the machine died instead (nothing more will commit). The
-    /// workers stay up — call [`KvService::stop`] afterwards.
+    /// [`Response::Draining`], then this takes the combiner and commits
+    /// every queued request. Returns `false` if the machine died instead
+    /// (nothing more will commit). Call [`KvService::stop`] afterwards.
     ///
     /// This is what makes an acknowledged SHUTDOWN meaningful: by the
     /// time the ack frame leaves the server, every write the service
     /// accepted has either been durably committed or answered with an
     /// error — none are silently dropped on the floor.
     pub fn drain(&self) -> bool {
-        let mut q = self.inner.queue.lock();
-        q.draining = true;
-        while !q.pending.is_empty() || q.inflight > 0 {
-            if q.dead {
-                return false;
-            }
-            // Workers share this condvar, so a submit's notify_one may
-            // have landed here instead of on a worker: re-notify and use
-            // a timed wait rather than risk a lost wakeup.
-            self.inner.cv.notify_one();
-            self.inner
-                .cv
-                .wait_for(&mut q, std::time::Duration::from_millis(1));
-        }
-        let dead = q.dead;
-        drop(q);
+        self.inner.queue.lock().draining = true;
+        self.inner.run_until_empty();
+        let dead = self.inner.queue.lock().dead;
         if !dead {
             self.inner.metrics.drains.inc();
         }
@@ -388,24 +388,16 @@ impl KvService {
     }
 
     /// Graceful stop: already-queued requests are still committed and
-    /// acknowledged, then the workers exit and are joined. New submissions
-    /// fail immediately. Idempotent.
+    /// acknowledged; new submissions fail immediately. Idempotent.
     pub fn stop(&self) {
-        {
-            let mut q = self.inner.queue.lock();
-            q.stop = true;
-        }
-        self.inner.cv.notify_all();
-        let joins: Vec<JoinHandle<()>> = self.inner.workers.lock().drain(..).collect();
-        for j in joins {
-            let _ = j.join();
-        }
+        self.inner.queue.lock().stop = true;
+        self.inner.run_until_empty();
     }
 
-    /// Executes an admin request on the calling (connection reader)
-    /// thread — the **admin side path**. Admin requests never queue
-    /// behind the data plane, so STATS and HEALTH stay responsive while
-    /// the batcher is saturated or draining; a dedicated inflight bound
+    /// Executes an admin request on the calling (connection) thread — the
+    /// **admin side path**. Admin requests never queue behind the data
+    /// plane, so STATS and HEALTH stay responsive while the queue is
+    /// saturated or draining; a dedicated inflight bound
     /// ([`SvcConfig::max_admin`]) keeps them from monopolising connection
     /// threads in return.
     fn admin(&self, req: &Request) -> Response {
@@ -539,7 +531,7 @@ fn exec_batch(
                 Request::Scan(prefix, limit) => {
                     Response::Entries(table.scan_prefix_in(tx, prefix, *limit as usize)?)
                 }
-                // Admin verbs are routed around the batcher by submit();
+                // Admin verbs are routed around the queue by submit();
                 // reaching the data path would be a dispatch bug.
                 Request::Stats | Request::Checkpoint | Request::Health | Request::Grow(_) => {
                     Response::Err("admin request on the data path".to_string())
@@ -549,121 +541,4 @@ fn exec_batch(
         }
         Ok(out)
     })
-}
-
-/// Blocks until a batch of queued requests is available and claims it
-/// (bumping `inflight`), or returns `None` when the worker should exit
-/// (stop with an empty queue, or machine death). A short queue is given
-/// [`SvcConfig::batch_window`] to coalesce before the batch is cut.
-fn next_batch(inner: &Arc<Inner>) -> Option<Vec<PendingReq>> {
-    let mut q = inner.queue.lock();
-    loop {
-        loop {
-            if q.dead {
-                return None;
-            }
-            if !q.pending.is_empty() {
-                break;
-            }
-            if q.stop {
-                return None;
-            }
-            inner.cv.wait(&mut q);
-        }
-        // Group-commit window: waking to a short queue, give arrivals
-        // a beat to coalesce — each extra request folded here rides
-        // the same redo-append fence. Skipped while draining a stop,
-        // and cut short the moment the batch fills.
-        if !q.stop && q.pending.len() < inner.max_batch && !inner.batch_window.is_zero() {
-            let deadline = Instant::now() + inner.batch_window;
-            while !q.stop && !q.dead && q.pending.len() < inner.max_batch {
-                let Some(left) = deadline
-                    .checked_duration_since(Instant::now())
-                    .filter(|d| !d.is_zero())
-                else {
-                    break;
-                };
-                if inner.cv.wait_for(&mut q, left).timed_out() {
-                    break;
-                }
-            }
-            if q.dead {
-                return None;
-            }
-            // Another worker may have raced away with the queue during
-            // the wait; go back to sleeping if so.
-            if q.pending.is_empty() {
-                continue;
-            }
-        }
-        let n = q.pending.len().min(inner.max_batch);
-        q.inflight += n;
-        return Some(q.pending.drain(..n).collect());
-    }
-}
-
-/// Returns a claimed batch's `inflight` slots and wakes a drain that may
-/// be waiting for the count to hit zero.
-fn finish_batch(inner: &Arc<Inner>, n: usize) {
-    {
-        let mut q = inner.queue.lock();
-        q.inflight -= n;
-    }
-    inner.cv.notify_all();
-}
-
-fn worker_loop(inner: &Arc<Inner>) {
-    let mut th = match inner.mtm.register_thread() {
-        Ok(th) => th,
-        Err(e) => {
-            inner.mark_dead(&format!("no transaction slot for worker: {e}"));
-            return;
-        }
-    };
-    while let Some(batch) = next_batch(inner) {
-        // More work may remain for an idle sibling.
-        inner.cv.notify_one();
-
-        let timer = th.pmem().stopwatch();
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            exec_batch(&inner.table, &mut th, &batch)
-        }));
-        let mut died = false;
-        match outcome {
-            Ok(Ok(replies)) => {
-                let ns = th.pmem().elapsed_ns(&timer);
-                inner.metrics.batch_size.record(batch.len() as u64);
-                inner.metrics.requests.add(batch.len() as u64);
-                for (p, resp) in batch.iter().zip(replies) {
-                    inner.metrics.request_ns.record(ns);
-                    p.cell.complete(resp);
-                }
-            }
-            Ok(Err(e)) => {
-                // The transaction failed cleanly: nothing was applied and
-                // nothing is acknowledged; the service keeps serving.
-                let why = format!("transaction failed: {e}");
-                for p in &batch {
-                    p.cell.complete(Response::Err(why.clone()));
-                }
-            }
-            Err(payload) => {
-                // The batch did NOT commit, so failing it keeps the ack
-                // invariant.
-                let why = inner.died(&*payload, "worker executing a batch");
-                for p in &batch {
-                    p.cell.complete(Response::Err(why.clone()));
-                }
-                died = true;
-            }
-        }
-        finish_batch(inner, batch.len());
-        if died {
-            return;
-        }
-        // On oversubscribed cores the worker that just finished is the
-        // one still scheduled; hand the core to a sibling before
-        // re-claiming so it does not monopolise the queue.
-        std::thread::yield_now();
-    }
 }

@@ -134,9 +134,9 @@ fn stats_and_health_answer_during_drain() {
     std::fs::remove_dir_all(&d).ok();
 }
 
-/// On-demand CHECKPOINT while two workers commit a write workload: every
-/// call answers cleanly, every write is acknowledged and reads back, and
-/// the pass leaves the workers' redo logs to the workers.
+/// On-demand CHECKPOINT while the combiner commits a write workload:
+/// every call answers cleanly, every write is acknowledged and reads
+/// back, and the pass leaves the combiner's redo log to the combiner.
 #[test]
 fn checkpoint_answers_under_write_load() {
     let d = dir("ckptload");

@@ -5,16 +5,20 @@
 //! missing**. (Unacknowledged writes may or may not have made it; any
 //! committed prefix is legal.)
 //!
-//! The injected crash fires inside a batcher worker (the only service
-//! threads that touch persistent memory); the worker unwinds, the
-//! service marks itself dead and answers every outstanding and later
-//! request with an error, so clients — which do nothing but socket I/O —
-//! wind down cleanly and only commits acknowledged *before* the crash
-//! are in the acked log the checker replays.
+//! The injected crash fires inside the combiner (the one place the
+//! service touches persistent memory on the data path, on whichever
+//! connection thread holds it); the batch unwinds, the service marks
+//! itself dead and answers every outstanding and later request with an
+//! error, so clients — which do nothing but socket I/O — wind down
+//! cleanly and only commits acknowledged *before* the crash are in the
+//! acked log the checker replays.
 //!
-//! The serving sweep's two clients overwrite one shared key set, so two
-//! workers' redo logs hold records for the same words and the oracle
-//! covers what a stale record replayed over a newer write would do.
+//! The serving sweep's two clients overwrite one shared key set, so the
+//! oracle covers every interleaving of their acknowledged overwrites.
+//! One combiner means one redo log; overwrites of one word from two logs
+//! are swept in the workspace's `tests/resilience.rs`
+//! (`idle_log_cannot_undo_another_logs_acknowledged_overwrite`,
+//! `two_threads_bumping_shared_cells_survive_crash_sweep`).
 
 use std::collections::HashMap;
 use std::path::Path;
@@ -54,7 +58,6 @@ fn serve_workload(m: &Mnemosyne, history: &Mutex<Vec<PutRec>>) -> Result<(), mne
     let svc = KvService::start(
         m,
         SvcConfig {
-            workers: 2,
             max_batch: 4,
             ..SvcConfig::default()
         },
@@ -170,7 +173,6 @@ fn grow_workload(
     let svc = KvService::start(
         m,
         SvcConfig {
-            workers: 1,
             max_batch: 4,
             ..SvcConfig::default()
         },

@@ -1,5 +1,6 @@
 //! Network-fault and overload tests: hostile bytes on the wire (torn
-//! frames, garbage opcodes, mid-batch disconnects) must never take the
+//! frames, half-sent frames, garbage opcodes, mid-batch disconnects)
+//! must never take the
 //! service down or lose an acknowledged write, and past its admission
 //! bounds the service degrades with typed `Overloaded`/`Draining`
 //! signals instead of unbounded queues or silent hangs.
@@ -7,10 +8,11 @@
 use std::io::Write;
 use std::net::{Shutdown, TcpStream};
 use std::path::{Path, PathBuf};
+use std::time::Duration;
 
 use mnemosyne::{CrashPolicy, Mnemosyne, ScmConfig, Truncation};
 use mnemosyne_svc::proto::{read_response, Request, Response};
-use mnemosyne_svc::{Client, ClientError, KvServer, KvService, SvcConfig};
+use mnemosyne_svc::{Client, ClientError, KvServer, KvService, SvcConfig, Ticket};
 
 fn dir(tag: &str) -> PathBuf {
     let d = std::env::temp_dir().join(format!(
@@ -55,6 +57,33 @@ fn torn_frame_only_kills_its_own_connection() {
     std::fs::remove_dir_all(&d).ok();
 }
 
+/// A whole frame followed by half of the next one: the connection answers
+/// the whole frame before it blocks on the rest, and then the rest.
+/// Blocking on the partial frame first would hold the reply back until
+/// the read timeout fails the test.
+#[test]
+fn partial_frame_does_not_hold_back_earlier_replies() {
+    let d = dir("partial");
+    let m = boot(&d);
+    let svc = KvService::start(&m, SvcConfig::default()).unwrap();
+    let server = KvServer::bind(svc.clone(), "127.0.0.1:0").unwrap();
+
+    let mut s = TcpStream::connect(server.local_addr()).unwrap();
+    s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    let second = Request::Put(b"p2".to_vec(), b"2".to_vec()).encode();
+    let (head, tail) = second.split_at(second.len() / 2);
+    let mut bytes = Request::Put(b"p1".to_vec(), b"1".to_vec()).encode();
+    bytes.extend_from_slice(head);
+    s.write_all(&bytes).unwrap();
+    assert_eq!(read_response(&mut s).unwrap(), Some(Response::Ok));
+    s.write_all(tail).unwrap();
+    assert_eq!(read_response(&mut s).unwrap(), Some(Response::Ok));
+
+    server.stop();
+    svc.stop();
+    std::fs::remove_dir_all(&d).ok();
+}
+
 /// A complete frame with an opcode the protocol doesn't know: framing is
 /// lost, so the server answers one typed `bad frame` error and closes —
 /// and a fresh connection is unaffected.
@@ -86,8 +115,8 @@ fn garbage_opcode_answered_with_bad_frame_then_close() {
 }
 
 /// A client that fires a pipelined window of puts and vanishes without
-/// reading a single response: the batcher still commits everything it
-/// accepted, and the dead socket only kills the writer thread.
+/// reading a single response: the service still commits everything it
+/// accepted, and the dead socket only ends its own connection.
 #[test]
 fn mid_batch_disconnect_still_commits_accepted_writes() {
     let d = dir("vanish");
@@ -106,7 +135,7 @@ fn mid_batch_disconnect_still_commits_accepted_writes() {
         // still unread.
     }
     // The writes were submitted before the disconnect was noticed;
-    // poll until the batcher has committed them all.
+    // poll until the service has committed them all.
     let mut c = Client::connect(addr).unwrap();
     for _ in 0..200 {
         if c.get(&[b'm', 31]).unwrap().is_some() {
@@ -123,10 +152,19 @@ fn mid_batch_disconnect_still_commits_accepted_writes() {
     std::fs::remove_dir_all(&d).ok();
 }
 
-/// Queue-depth admission control: with no worker draining and a queue
-/// bound of 1, the first pipelined put parks in the queue and the rest
-/// are answered `Overloaded` *without being enqueued* — then a late
-/// worker commits exactly the one accepted request.
+/// Redeems a parked ticket from a helper thread after 10 ms: the late
+/// waiter that finally runs the queued request.
+fn redeem_later(parked: Ticket) -> std::thread::JoinHandle<Response> {
+    std::thread::spawn(move || {
+        std::thread::sleep(Duration::from_millis(10));
+        parked.wait()
+    })
+}
+
+/// Queue-depth admission control: with a queue bound of 1 and one
+/// accepted put parked in the queue (nobody waits on it yet), pipelined
+/// puts are answered `Overloaded` *without being enqueued* — then a late
+/// waiter commits exactly the one accepted request.
 #[test]
 fn queue_bound_sheds_with_typed_overloaded() {
     let d = dir("shed");
@@ -134,7 +172,6 @@ fn queue_bound_sheds_with_typed_overloaded() {
     let svc = KvService::start(
         &m,
         SvcConfig {
-            workers: 0,
             max_queue: 1,
             ..SvcConfig::default()
         },
@@ -143,23 +180,14 @@ fn queue_bound_sheds_with_typed_overloaded() {
     let server = KvServer::bind(svc.clone(), "127.0.0.1:0").unwrap();
     let mut c = Client::connect(server.local_addr()).unwrap();
 
-    for i in 0..3u8 {
+    let parked = svc.submit(Request::Put(vec![b'q', 0], vec![0]));
+    for i in 1..3u8 {
         c.send(&Request::Put(vec![b'q', i], vec![i])).unwrap();
     }
-    c.flush().unwrap();
-    // The shed responses are decided at submit time; wait until both
-    // rejections are counted before letting a worker at the queue.
-    for _ in 0..1000 {
-        if shed_count(&m) >= 2 {
-            break;
-        }
-        std::thread::sleep(std::time::Duration::from_millis(1));
-    }
+    assert_eq!(c.recv().unwrap(), Response::Overloaded);
+    assert_eq!(c.recv().unwrap(), Response::Overloaded);
     assert_eq!(shed_count(&m), 2);
-    svc.spawn_worker();
-    assert_eq!(c.recv().unwrap(), Response::Ok);
-    assert_eq!(c.recv().unwrap(), Response::Overloaded);
-    assert_eq!(c.recv().unwrap(), Response::Overloaded);
+    assert_eq!(redeem_later(parked).join().unwrap(), Response::Ok);
     assert_eq!(c.get(&[b'q', 0]).unwrap(), Some(vec![0]));
     assert_eq!(c.get(&[b'q', 1]).unwrap(), None, "shed put must not land");
 
@@ -177,7 +205,6 @@ fn client_retry_rides_out_transient_overload() {
     let svc = KvService::start(
         &m,
         SvcConfig {
-            workers: 0,
             max_queue: 1,
             ..SvcConfig::default()
         },
@@ -186,7 +213,7 @@ fn client_retry_rides_out_transient_overload() {
     let server = KvServer::bind(svc.clone(), "127.0.0.1:0").unwrap();
     let addr = server.local_addr();
 
-    // Fill the queue: this ticket stays parked until a worker exists.
+    // Fill the queue: this ticket stays parked until somebody waits.
     let parked = svc.submit(Request::Put(b"parked".to_vec(), b"p".to_vec()));
 
     // No retries: the shed comes straight back as a typed error.
@@ -196,18 +223,12 @@ fn client_retry_rides_out_transient_overload() {
         other => panic!("expected Overloaded, got {other:?}"),
     }
 
-    // With retries: a worker shows up mid-backoff and the put lands.
-    c.set_retry(8, std::time::Duration::from_millis(2));
-    let spawner = {
-        let svc = svc.clone();
-        std::thread::spawn(move || {
-            std::thread::sleep(std::time::Duration::from_millis(10));
-            svc.spawn_worker();
-        })
-    };
+    // With retries: the parked request is redeemed mid-backoff, the
+    // queue empties and the put lands.
+    c.set_retry(8, Duration::from_millis(2));
+    let redeemer = redeem_later(parked);
     c.put(b"r", b"2").unwrap();
-    spawner.join().unwrap();
-    assert_eq!(parked.wait(), Response::Ok);
+    assert_eq!(redeemer.join().unwrap(), Response::Ok);
     assert_eq!(c.get(b"r").unwrap(), Some(b"2".to_vec()));
     assert!(shed_count(&m) >= 2);
 
@@ -340,7 +361,6 @@ fn no_acked_write_lost_under_network_abuse() {
     let svc = KvService::start(
         &m,
         SvcConfig {
-            workers: 2,
             max_batch: 4,
             ..SvcConfig::default()
         },

@@ -1,5 +1,5 @@
 //! End-to-end tests of the mnemosyned service: TCP round trips,
-//! pipelining, group-commit batching, graceful restart durability, and
+//! pipelining and its order guarantee, group-commit batching, graceful restart durability, and
 //! the METRICS.md contract for the `svc.*` names.
 
 use std::path::{Path, PathBuf};
@@ -86,6 +86,16 @@ fn pipelined_requests_answered_in_order() {
             "get {i}"
         );
     }
+    // One key overwritten by a pipelined window: the requests run in the
+    // order they were sent, so the GET behind them reads the last PUT.
+    for i in 0..N as u8 {
+        c.send(&Request::Put(b"same".to_vec(), vec![i])).unwrap();
+    }
+    c.send(&Request::Get(b"same".to_vec())).unwrap();
+    for i in 0..N {
+        assert_eq!(c.recv().unwrap(), Response::Ok, "put {i} of one key");
+    }
+    assert_eq!(c.recv().unwrap(), Response::Value(vec![N as u8 - 1]));
 
     server.stop();
     svc.stop();
@@ -96,23 +106,21 @@ fn pipelined_requests_answered_in_order() {
 fn queued_writes_coalesce_into_one_commit() {
     let d = dir("batch");
     let m = boot(&d);
-    // No workers yet: requests pile up in the queue.
     let svc = KvService::start(
         &m,
         SvcConfig {
-            workers: 0,
             max_batch: 64,
             ..SvcConfig::default()
         },
     )
     .unwrap();
     let before = m.mtm().stats().commits;
+    // Nobody waits yet: requests pile up in the queue.
     let tickets: Vec<_> = (0..10u8)
         .map(|i| svc.submit(Request::Put(vec![b'b', i], vec![i])))
         .collect();
-    // One worker drains the whole queue as a single batch — ten
-    // acknowledged writes, ONE durable transaction.
-    svc.spawn_worker();
+    // Waiting on the first ticket combines the whole queue as a single
+    // batch — ten acknowledged writes, ONE durable transaction.
     for t in tickets {
         assert_eq!(t.wait(), Response::Ok);
     }
@@ -183,14 +191,7 @@ fn stopped_service_fails_new_requests() {
 fn concurrent_clients_all_acknowledged() {
     let d = dir("many");
     let m = boot(&d);
-    let svc = KvService::start(
-        &m,
-        SvcConfig {
-            workers: 4,
-            ..SvcConfig::default()
-        },
-    )
-    .unwrap();
+    let svc = KvService::start(&m, SvcConfig::default()).unwrap();
     let server = KvServer::bind(svc.clone(), "127.0.0.1:0").unwrap();
     let addr = server.local_addr();
 
@@ -225,8 +226,7 @@ fn concurrent_clients_all_acknowledged() {
 
 /// SHUTDOWN is always acked: the daemon's main loop stops the server
 /// (closing every socket) the moment shutdown is requested, so the
-/// request must not be raised until the ack has left through the
-/// connection's writer thread.
+/// request must not be raised until the connection has flushed the ack.
 #[test]
 fn shutdown_ack_always_arrives_before_the_server_stops() {
     let d = dir("ack");
