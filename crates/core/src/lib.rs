@@ -197,16 +197,6 @@ impl MnemosyneBuilder {
         self
     }
 
-    /// Sets the persistent-heap shard count (`0` = auto: the
-    /// `MNEMOSYNE_HEAP_SHARDS` environment variable if set, otherwise the
-    /// machine's available parallelism). Shards are volatile
-    /// configuration: a heap written with one count reopens with any
-    /// other.
-    pub fn heap_shards(mut self, shards: usize) -> Self {
-        self.heap_config = self.heap_config.with_shards(shards);
-        self
-    }
-
     /// Sets the transaction-log truncation regime (§5).
     pub fn truncation(mut self, t: Truncation) -> Self {
         self.mtm_config.truncation = t;

@@ -173,7 +173,7 @@ pub struct RecoveryStats {
 /// Result of one [`MtmRuntime::checkpoint`] pass.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CkptStats {
-    /// Log words durably reclaimed (redo logs plus allocator logs).
+    /// Log words durably reclaimed (redo logs plus the allocator log).
     pub reclaimed_words: u64,
     /// Outstanding redo-log words when the checkpoint started.
     pub outstanding_before: u64,
@@ -219,7 +219,7 @@ pub(crate) struct MtmMetrics {
     pub(crate) backoff_spins: Histogram,
     /// Checkpoints completed ([`MtmRuntime::checkpoint`]).
     pub(crate) ckpt_runs: Counter,
-    /// Log words reclaimed by checkpoints (redo + allocator logs).
+    /// Log words reclaimed by checkpoints (redo logs + allocator log).
     pub(crate) ckpt_words: Counter,
     /// High-water mark of outstanding redo-log words observed at
     /// checkpoint entry.
@@ -384,11 +384,7 @@ impl MtmRuntime {
                         let mut busy = 0u64;
                         for (i, base, hp) in batch {
                             let timer = hp.stopwatch();
-                            let (log, records) = if TornbitLog::exists(&hp, base) {
-                                TornbitLog::recover(hp, base)?
-                            } else {
-                                (TornbitLog::create(hp, base, log_words)?, Vec::new())
-                            };
+                            let (log, records) = TornbitLog::open_or_create(hp, base, log_words)?;
                             busy += log.pmem().elapsed_ns(&timer);
                             out.push((i, log, records));
                         }
@@ -703,7 +699,7 @@ impl MtmRuntime {
     /// Runs one checkpoint pass: in the asynchronous regime, one
     /// log-manager pass over the redo logs (each record's data lines
     /// forced out, then the record truncated); in both regimes, a sweep of
-    /// the attached heap's allocator logs. In the synchronous regime the
+    /// the attached heap's allocator log. In the synchronous regime the
     /// redo logs are left alone — each belongs to its committing thread,
     /// which empties it before releasing its locks. Safe to call from any
     /// thread, concurrently with committing transactions.

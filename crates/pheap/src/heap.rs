@@ -1,47 +1,35 @@
-//! The persistent heap front end: `pmalloc`/`pfree` with logged atomicity,
-//! sharded for concurrency.
+//! The persistent heap front end: `pmalloc`/`pfree` with logged atomicity.
 //!
-//! The paper's heap is "a modified version of the Hoard memory allocator"
-//! (§4.3); Hoard's defining trait is per-thread superblock ownership. The
-//! front end realises it with **N shards**: each shard owns a disjoint set
-//! of superblocks, its own volatile size-class lists, and its own tornbit
-//! RAWL allocator log (preserving the single-producer discipline per log
-//! while allowing N concurrent durable allocations). Threads hash to a
-//! home shard; when a shard's class lists run dry it steals a fresh
-//! superblock from a global pool, and a free of a block owned by another
-//! shard (a *remote* free) is routed to — and logged by — the owning
-//! shard. Ownership itself is volatile and rebuilt by scavenging at open,
-//! exactly like the paper's rebuilt indexes; recovery replays and
-//! scavenges all shard logs and superblock ranges in parallel.
+//! One lock guards the whole heap state — the allocator log, the small
+//! allocator and the large areas — so an operation takes the lock, builds
+//! its word writes, logs them as one redo record and applies them (§4.3).
+//! The lock is also what keeps the allocator log single-producer.
 
-use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
-use std::sync::Arc;
-use std::time::Instant;
+use std::sync::atomic::Ordering;
 
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 
 use mnemosyne_obs::{Counter, Histogram, PaddedAtomicU64, Telemetry, Unit};
 use mnemosyne_rawl::{LogError, TornbitLog};
 use mnemosyne_region::{PMem, Regions, VAddr};
-use mnemosyne_scm::EmulationMode;
 
 use crate::error::HeapError;
 use crate::large::LargeAlloc;
-use crate::small::{class_of, ShardSmall, SmallGeom, SmallLayout, WordWrite};
+use crate::small::{class_of, SmallAlloc, SmallLayout, WordWrite};
 
-/// Heap header magic ("PHEAPHD2" — the sharded, multi-log format), stored
-/// in the first word of the small region; written last during formatting
-/// so a torn format is re-run. The second header word records how many
-/// shard logs have ever been created, so a reopen with fewer shards still
-/// replays every log. The third header word counts committed large
-/// **extension areas** ([`PHeap::grow`]); heaps written before online
-/// growth existed read zero there (backing pages are zero-filled), so old
-/// images open unchanged.
+/// Heap header magic ("PHEAPHD2"), stored in the first word of the small
+/// region; written last during formatting so a torn format is re-run. The
+/// second header word counts the allocator logs `{prefix}.log{i}` the
+/// image has: a fresh heap writes 1, an image written by the earlier
+/// sharded heap counts one per shard, and open replays them all. The third
+/// header word counts committed **extension areas** ([`PHeap::grow`]);
+/// heaps written before online growth existed read zero there (backing
+/// pages are zero-filled), so old images open unchanged.
 const HEAP_MAGIC: u64 = u64::from_le_bytes(*b"PHEAPHD2");
 
-/// Hard cap on the shard count (also bounds the `n_logs` header word a
-/// recovery will trust).
-pub const MAX_SHARDS: usize = 64;
+/// Most allocator logs a recovery will trust header word 1 to count (the
+/// sharded heap capped its shard count at 64).
+const MAX_LOGS: u64 = 64;
 
 /// Hard cap on extension areas (bounds the header word a recovery will
 /// trust, and keeps region-table usage sane).
@@ -56,12 +44,8 @@ pub struct HeapConfig {
     pub small_bytes: u64,
     /// Bytes for the large-object area.
     pub large_bytes: u64,
-    /// Allocator-log capacity in words (per shard log).
+    /// Allocator-log capacity in words.
     pub log_words: u64,
-    /// Number of heap shards. `0` means auto: the `MNEMOSYNE_HEAP_SHARDS`
-    /// environment variable if set, otherwise the machine's available
-    /// parallelism. Clamped to `1..=`[`MAX_SHARDS`].
-    pub shards: usize,
 }
 
 impl Default for HeapConfig {
@@ -71,7 +55,6 @@ impl Default for HeapConfig {
             small_bytes: 4 << 20,
             large_bytes: 4 << 20,
             log_words: 4096,
-            shards: 0,
         }
     }
 }
@@ -91,40 +74,17 @@ impl HeapConfig {
         self.large_bytes = large;
         self
     }
-
-    /// Overrides the shard count (`0` = auto).
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards;
-        self
-    }
-
-    fn resolve_shards(&self) -> usize {
-        let n = if self.shards != 0 {
-            self.shards
-        } else {
-            match std::env::var("MNEMOSYNE_HEAP_SHARDS")
-                .ok()
-                .and_then(|v| v.parse::<usize>().ok())
-            {
-                Some(n) if n != 0 => n,
-                _ => std::thread::available_parallelism()
-                    .map(|p| p.get())
-                    .unwrap_or(1),
-            }
-        };
-        n.clamp(1, MAX_SHARDS)
-    }
 }
 
 /// A census of the small area's superblocks, from
 /// [`PHeap::small_occupancy`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SmallOccupancy {
-    /// Blocks currently allocated across all shards.
+    /// Blocks currently allocated.
     pub live_blocks: u64,
-    /// Superblocks owned by some shard.
+    /// Superblocks assigned to a size class.
     pub owned_superblocks: usize,
-    /// Free superblocks in the global steal pool.
+    /// Fully empty superblocks in the pool.
     pub pooled_superblocks: usize,
     /// Superblocks the small area holds in total.
     pub total_superblocks: usize,
@@ -152,15 +112,10 @@ pub struct HeapStats {
     pub large_allocs: u64,
     /// Redo records replayed during the last recovery.
     pub replayed: u64,
-    /// Frees routed to a shard other than the calling thread's home.
-    pub remote_frees: u64,
-    /// Superblocks taken from the global pool (work-stealing).
-    pub steals: u64,
 }
 
-/// Per-heap stat cells: cache-line-padded atomics bumped outside the shard
-/// locks, so [`PHeap::stats`] (and `Debug`) never serialise against
-/// allocation.
+/// Per-heap stat cells: cache-line-padded atomics, so [`PHeap::stats`]
+/// (and `Debug`) never take the heap lock.
 #[derive(Default)]
 struct StatCells {
     allocs: PaddedAtomicU64,
@@ -168,13 +123,11 @@ struct StatCells {
     small_allocs: PaddedAtomicU64,
     large_allocs: PaddedAtomicU64,
     replayed: PaddedAtomicU64,
-    remote_frees: PaddedAtomicU64,
-    steals: PaddedAtomicU64,
 }
 
 /// `pheap.*` telemetry in the machine's registry, mirroring [`HeapStats`]
-/// plus the fallback path, shard contention, and the §6.3.2 scavenge cost
-/// that the plain struct does not expose.
+/// plus the fallback path, growth, and the §6.3.2 scavenge cost that the
+/// plain struct does not expose.
 struct HeapMetrics {
     allocs: Counter,
     frees: Counter,
@@ -185,19 +138,11 @@ struct HeapMetrics {
     /// superblock area was exhausted.
     fallback_allocs: Counter,
     replayed: Counter,
-    /// Frees whose block is owned by a different shard than the caller's
-    /// home shard.
-    remote_frees: Counter,
-    /// Superblocks stolen from the global free pool.
-    steals: Counter,
-    /// Shard-lock acquisitions that found the lock already held.
-    shard_lock_contended: Counter,
     /// Successful online [`PHeap::grow`] calls.
     grows: Counter,
     /// Bytes of large-area capacity added by online growth.
     grow_bytes: Counter,
-    /// Time spent rebuilding volatile indexes at open (§6.3.2); with
-    /// parallel scavenge this is the critical-path worker time.
+    /// Time spent rebuilding volatile indexes at open (§6.3.2).
     scavenge_ns: Histogram,
 }
 
@@ -210,9 +155,6 @@ impl HeapMetrics {
             large_allocs: telemetry.counter("pheap.large_allocs", Unit::Count),
             fallback_allocs: telemetry.counter("pheap.fallback_allocs", Unit::Count),
             replayed: telemetry.counter("pheap.replayed", Unit::Count),
-            remote_frees: telemetry.counter("pheap.remote_frees", Unit::Count),
-            steals: telemetry.counter("pheap.steals", Unit::Count),
-            shard_lock_contended: telemetry.counter("pheap.shard_lock_contended", Unit::Count),
             grows: telemetry.counter("pheap.grows", Unit::Count),
             grow_bytes: telemetry.counter("pheap.grow_bytes", Unit::Bytes),
             scavenge_ns: telemetry.histogram("pheap.scavenge_ns", Unit::Nanoseconds),
@@ -220,48 +162,24 @@ impl HeapMetrics {
     }
 }
 
-/// One heap shard: its allocator log (single producer — whoever holds the
-/// shard lock) and the volatile view of its owned superblocks.
-struct Shard {
+/// Everything the heap lock guards.
+struct HeapState {
+    /// The allocator log; its producer is whoever holds the lock.
     log: TornbitLog,
-    small: ShardSmall,
+    small: SmallAlloc,
+    /// The base large area, then the committed extension areas.
+    large: Vec<LargeAlloc>,
 }
 
-/// The large-object allocator with its own log, behind its own lock. The
-/// base area plus any committed extension areas ([`PHeap::grow`]) share the
-/// one log, preserving its single-producer discipline.
-struct LargeShard {
-    log: TornbitLog,
-    areas: Vec<LargeAlloc>,
+impl HeapState {
+    fn large_capacity(&self) -> u64 {
+        self.large.iter().map(LargeAlloc::capacity).sum()
+    }
 }
 
-/// Monotone thread slots: each thread that touches a heap gets the next
-/// slot, and `slot % nshards` is its home shard — the same round-robin
-/// idiom the telemetry counters use for shard assignment.
-static NEXT_THREAD_SLOT: AtomicUsize = AtomicUsize::new(0);
-thread_local! {
-    static THREAD_SLOT: usize = NEXT_THREAD_SLOT.fetch_add(1, Ordering::Relaxed);
-}
-
-/// The sharded persistent heap. `Sync`: operations lock only the involved
-/// shard (or the large allocator), which also enforces each allocator
-/// log's single-producer discipline.
+/// The persistent heap. `Sync`: every operation runs under its one lock.
 pub struct PHeap {
-    /// Segmented small-area geometry (base segment + small extension
-    /// segments adopted by [`PHeap::grow`]); superblock indices below are
-    /// global across segments.
-    geom: Arc<SmallGeom>,
-    shards: Vec<Mutex<Shard>>,
-    /// Owning shard + 1 per superblock; 0 = in the pool (or quarantined).
-    /// Transitions owned→pool only under the owning shard's lock, so a
-    /// reader that locks the owner and re-checks sees a stable value.
-    /// Behind an `RwLock` only so a small-routed grow can append entries
-    /// for a new segment; every existing slot is an atomic, so normal
-    /// operations just take the (uncontended) read lock.
-    owner: RwLock<Vec<AtomicU32>>,
-    /// Fully empty superblocks, stealable by any shard.
-    pool: Mutex<Vec<u32>>,
-    large: Mutex<LargeShard>,
+    state: Mutex<HeapState>,
     header: VAddr,
     /// Region-name prefix, kept for naming extension areas at [`grow`].
     ///
@@ -272,17 +190,11 @@ pub struct PHeap {
 }
 
 impl std::fmt::Debug for PHeap {
-    /// Lock-free: reads the registry-backed telemetry counters and padded
-    /// stat cells, so formatting can never deadlock or serialise against
-    /// allocation.
+    /// Lock-free: reads the padded stat cells, so formatting can never
+    /// deadlock or serialise against allocation.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PHeap")
-            .field("shards", &self.shards.len())
             .field("stats", &self.stats())
-            .field(
-                "shard_lock_contended",
-                &self.metrics.shard_lock_contended.get(),
-            )
             .finish()
     }
 }
@@ -290,281 +202,132 @@ impl std::fmt::Debug for PHeap {
 impl PHeap {
     /// Opens (or creates) the heap described by `config`:
     ///
-    /// 1. maps the small and large areas, one allocator log per shard, and
-    ///    the large allocator's log;
+    /// 1. maps the small and large areas and the allocator log;
     /// 2. on first run, formats them and publishes the header magic;
-    /// 3. otherwise recovers **all** shard logs in parallel, **replays**
-    ///    any committed but unapplied operations, **scavenges** the
-    ///    superblock ranges concurrently (§4.3, §6.3.2) and the large
-    ///    chain, and rebuilds shard ownership round-robin from the
-    ///    persistent superblock metadata.
+    /// 3. otherwise **replays** every allocator log the header counts
+    ///    (plus the separate large-allocator log `{prefix}.llog` of an
+    ///    image written by the earlier sharded heap), then **scavenges**
+    ///    the superblock metadata and the large chunk chains to rebuild
+    ///    the volatile indexes (§4.3, §6.3.2). The first log then serves
+    ///    every operation.
     ///
-    /// The shard count is volatile configuration: a heap written with N
-    /// shards reopens fine with any other count — the header records how
-    /// many logs have ever been created and every one of them is replayed.
+    /// Everything runs on the calling thread.
     ///
     /// # Errors
     /// Fails on region exhaustion, log corruption, or a corrupt chunk
     /// chain.
     pub fn open(regions: &Regions, config: HeapConfig) -> Result<PHeap, HeapError> {
-        let nshards = config.resolve_shards();
+        let prefix = &config.name_prefix;
         let pmem = regions.pmem_handle();
-        let small_r = regions.pmap(
-            &format!("{}.small", config.name_prefix),
-            config.small_bytes,
-            &pmem,
-        )?;
-        let large_r = regions.pmap(
-            &format!("{}.large", config.name_prefix),
-            config.large_bytes,
-            &pmem,
-        )?;
+        let small_r = regions.pmap(&format!("{prefix}.small"), config.small_bytes, &pmem)?;
+        let large_r = regions.pmap(&format!("{prefix}.large"), config.large_bytes, &pmem)?;
         let log_bytes = mnemosyne_rawl::LOG_HEADER_BYTES + config.log_words * 8;
-        let llog_r = regions.pmap(&format!("{}.llog", config.name_prefix), log_bytes, &pmem)?;
+        let log_r = regions.pmap(&format!("{prefix}.log0"), log_bytes, &pmem)?;
 
         // First page of the small region: heap header (word 0 = magic,
-        // word 1 = number of shard logs ever created, word 2 = number of
-        // committed large extension areas).
+        // word 1 = number of allocator logs, word 2 = number of committed
+        // extension areas).
         let header = small_r.addr;
         let nlogs_addr = header.add(8);
         let exts_addr = header.add(16);
-        let small_area = small_r.addr.add(4096);
-        let small_len = small_r.len - 4096;
-        let layout = SmallLayout::new(small_area, small_len);
-        let geom = Arc::new(SmallGeom::new(layout));
+        let base = SmallLayout::new(small_r.addr.add(4096), small_r.len - 4096);
         let metrics = HeapMetrics::new(regions.telemetry());
         let stats = StatCells::default();
-        let n_sb = layout.superblocks();
 
-        let map_log = |i: usize| -> Result<VAddr, HeapError> {
-            let r = regions.pmap(
-                &format!("{}.log{}", config.name_prefix, i),
-                log_bytes,
-                &pmem,
-            )?;
-            Ok(r.addr)
-        };
-
-        if pmem.read_u64(header) != HEAP_MAGIC {
+        let state = if pmem.read_u64(header) != HEAP_MAGIC {
             // Fresh heap: format everything, publish the magic last.
-            let mut shards = Vec::with_capacity(nshards);
-            for i in 0..nshards {
-                let base = map_log(i)?;
-                let log = TornbitLog::create(regions.pmem_handle(), base, config.log_words)?;
-                shards.push(Mutex::new(Shard {
-                    log,
-                    small: ShardSmall::new(Arc::clone(&geom)),
-                }));
-            }
-            let llog = TornbitLog::create(regions.pmem_handle(), llog_r.addr, config.log_words)?;
+            let log = TornbitLog::create(regions.pmem_handle(), log_r.addr, config.log_words)?;
+            let mut small = SmallAlloc::default();
+            small.add_segment(base);
             let mut large = LargeAlloc::new(large_r.addr, large_r.len);
-            let writes = large.format_writes();
-            Self::apply(llog.pmem(), &writes);
-            let hp = llog.pmem();
-            hp.store_u64(nlogs_addr, nshards as u64);
-            hp.flush(nlogs_addr);
-            hp.fence();
-            hp.store_u64(header, HEAP_MAGIC);
-            hp.flush(header);
-            hp.fence();
-            return Ok(PHeap {
-                geom,
-                shards,
-                owner: RwLock::new((0..n_sb).map(|_| AtomicU32::new(0)).collect()),
-                pool: Mutex::new((0..n_sb).rev().collect()),
-                large: Mutex::new(LargeShard {
-                    log: llog,
-                    areas: vec![large],
-                }),
-                header,
-                name_prefix: config.name_prefix,
-                stats,
-                metrics,
-            });
-        }
-
-        // ---- Reopen: parallel replay + parallel scavenge. ----
-        let wall = Instant::now();
-        let m = pmem.read_u64(nlogs_addr) as usize;
-        if m == 0 || m > MAX_SHARDS {
-            return Err(HeapError::Corrupt(
-                "implausible shard log count in heap header",
-            ));
-        }
-        // Committed large extension areas ([`PHeap::grow`]): every counted
-        // area must exist in the region table (Regions::open already mapped
-        // it), or the image is corrupt. An *uncounted* leftover from a
-        // crashed grow is invisible here and gets re-adopted by the next
-        // grow call.
-        let n_ext = pmem.read_u64(exts_addr);
-        if n_ext > MAX_EXT_AREAS {
-            return Err(HeapError::Corrupt(
-                "implausible extension-area count in heap header",
-            ));
-        }
-        let mut area_specs: Vec<(VAddr, u64)> = Vec::with_capacity(1 + n_ext as usize);
-        area_specs.push((large_r.addr, large_r.len));
-        let mut small_segs: Vec<SmallLayout> = Vec::new();
-        for e in 0..n_ext {
-            // Each committed extension slot is either a large extension
-            // area (`.ext{e}`) or a small extension segment (`.sext{e}`,
-            // from a grow routed to the superblock pool); both share the
-            // one counter so the commit protocol stays a single word.
-            if let Some(r) = regions.find(&format!("{}.ext{}", config.name_prefix, e)) {
-                area_specs.push((r.addr, r.len));
-            } else if let Some(r) = regions.find(&format!("{}.sext{}", config.name_prefix, e)) {
-                small_segs.push(SmallLayout::new(r.addr, r.len));
-            } else {
+            Self::apply(&pmem, &large.format_writes());
+            pmem.store_u64(nlogs_addr, 1);
+            pmem.flush(nlogs_addr);
+            pmem.fence();
+            pmem.store_u64(header, HEAP_MAGIC);
+            pmem.flush(header);
+            pmem.fence();
+            HeapState {
+                log,
+                small,
+                large: vec![large],
+            }
+        } else {
+            let nlogs = pmem.read_u64(nlogs_addr);
+            if nlogs == 0 || nlogs > MAX_LOGS {
                 return Err(HeapError::Corrupt(
-                    "committed heap extension area is missing from the region table",
+                    "implausible allocator log count in heap header",
                 ));
             }
-        }
-        let total_logs = m.max(nshards);
-        let mut log_addrs = Vec::with_capacity(total_logs);
-        for i in 0..total_logs {
-            log_addrs.push(map_log(i)?);
-        }
-
-        // Recover every existing log (all m shard logs + the large log)
-        // concurrently, then recover-or-create any logs the wider shard
-        // count needs. A log created by a crashed wider boot is recovered,
-        // not clobbered.
-        let mut parts: Vec<(PMem, VAddr)> = log_addrs[..m]
-            .iter()
-            .map(|&a| (regions.pmem_handle(), a))
-            .collect();
-        parts.push((regions.pmem_handle(), llog_r.addr));
-        let mut recovered = mnemosyne_rawl::recover_all(parts)?;
-        let (mut llog, lrecords) = recovered.pop().expect("large log part");
-        for &base in &log_addrs[m..] {
-            recovered.push(TornbitLog::open_or_create(
-                regions.pmem_handle(),
-                base,
-                config.log_words,
-            )?);
-        }
-        if total_logs > m {
-            // All new logs exist before the count is bumped, so a crash
-            // in between leaves a recoverable state either way.
-            let hp = llog.pmem();
-            hp.store_u64(nlogs_addr, total_logs as u64);
-            hp.flush(nlogs_addr);
-            hp.fence();
-        }
-
-        // Replay committed-but-unapplied operations (redo) on every log.
-        let mut replayed = 0u64;
-        let mut logs = Vec::with_capacity(recovered.len());
-        for (mut log, records) in recovered {
-            replayed += Self::replay(&mut log, &records)?;
-            logs.push(log);
-        }
-        replayed += Self::replay(&mut llog, &lrecords)?;
-        stats.replayed.store(replayed, Ordering::Relaxed);
-        metrics.replayed.add(replayed);
-
-        // Scavenge: split the superblock range over one worker per shard
-        // while the large chain walk runs on its own thread; join each
-        // handle explicitly so a simulated-crash payload propagates intact.
-        let workers = nshards.min(n_sb.max(1) as usize);
-        let chunk = n_sb.div_ceil(workers as u32).max(1);
-        let mut handles = Vec::with_capacity(workers);
-        for w in 0..workers as u32 {
-            let from = w * chunk;
-            let to = (from + chunk).min(n_sb);
-            let wp = regions.pmem_handle();
-            handles.push(std::thread::spawn(move || {
-                let res = layout.scan_range(&wp, from, to);
-                (res, wp.accounted_ns())
-            }));
-        }
-        let lp = regions.pmem_handle();
-        let large_h = std::thread::spawn(move || {
-            let mut areas = Vec::with_capacity(area_specs.len());
-            let mut res = Ok(());
-            for (base, len) in area_specs {
-                let mut a = LargeAlloc::new(base, len);
-                match a.scavenge(&lp) {
-                    Ok(()) => areas.push(a),
-                    Err(e) => {
-                        res = Err(e);
-                        break;
-                    }
+            // Committed extension areas ([`PHeap::grow`]): every counted
+            // area must exist in the region table (Regions::open already
+            // mapped it), or the image is corrupt. An *uncounted* leftover
+            // from a crashed grow is invisible here and gets re-adopted by
+            // the next grow call.
+            let n_ext = pmem.read_u64(exts_addr);
+            if n_ext > MAX_EXT_AREAS {
+                return Err(HeapError::Corrupt(
+                    "implausible extension-area count in heap header",
+                ));
+            }
+            let mut large_specs = vec![(large_r.addr, large_r.len)];
+            let mut small_segs = vec![base];
+            for e in 0..n_ext {
+                // Each committed extension slot is either a large extension
+                // area (`.ext{e}`) or a small extension segment (`.sext{e}`,
+                // from a grow routed to the superblock pool); both share the
+                // one counter so the commit protocol stays a single word.
+                if let Some(r) = regions.find(&format!("{prefix}.ext{e}")) {
+                    large_specs.push((r.addr, r.len));
+                } else if let Some(r) = regions.find(&format!("{prefix}.sext{e}")) {
+                    small_segs.push(SmallLayout::new(r.addr, r.len));
+                } else {
+                    return Err(HeapError::Corrupt(
+                        "committed heap extension area is missing from the region table",
+                    ));
                 }
             }
-            ((areas, res), lp.accounted_ns())
-        });
-        let joined: Vec<_> = handles.into_iter().map(|h| h.join()).collect();
-        let large_joined = large_h.join();
-        let mut assigned = Vec::new();
-        let mut empties: Vec<u32> = Vec::new();
-        let mut critical_ns = 0u64;
-        for r in joined {
-            match r {
-                Ok(((a, e), ns)) => {
-                    assigned.extend(a);
-                    empties.extend(e);
-                    critical_ns = critical_ns.max(ns);
-                }
-                Err(payload) => std::panic::resume_unwind(payload),
+
+            // Redo committed-but-unapplied operations from every log.
+            let mut log_bases = vec![log_r.addr];
+            for i in 1..nlogs {
+                let r = regions
+                    .find(&format!("{prefix}.log{i}"))
+                    .ok_or(HeapError::Corrupt(
+                        "counted allocator log is missing from the region table",
+                    ))?;
+                log_bases.push(r.addr);
             }
-        }
-        let ((areas, large_res), large_ns) = match large_joined {
-            Ok(v) => v,
-            Err(payload) => std::panic::resume_unwind(payload),
-        };
-        large_res?;
-        critical_ns = critical_ns.max(large_ns);
-
-        // Small extension segments: adopt each into the geometry (in
-        // commit order, so global indices are stable across reopens) and
-        // scavenge it with its indices shifted into the global space.
-        for seg in small_segs {
-            let off = geom.push(seg);
-            let (a, e) = seg.scan_range(&pmem, 0, seg.superblocks());
-            assigned.extend(a.into_iter().map(|(sb, m)| (off + sb, m)));
-            empties.extend(e.into_iter().map(|sb| off + sb));
-            critical_ns = critical_ns.max(pmem.accounted_ns());
-        }
-
-        // Rebuild volatile ownership: live superblocks round-robin over
-        // the shards, empty ones into the stealable pool.
-        let owner: Vec<AtomicU32> = (0..geom.superblocks()).map(|_| AtomicU32::new(0)).collect();
-        let mut shards: Vec<Shard> = logs
-            .into_iter()
-            .take(nshards)
-            .map(|log| Shard {
-                log,
-                small: ShardSmall::new(Arc::clone(&geom)),
-            })
-            .collect();
-        for (i, (sb, meta)) in assigned.iter().enumerate() {
-            let s = i % nshards;
-            owner[*sb as usize].store(s as u32 + 1, Ordering::Relaxed);
-            shards[s].small.adopt_scavenged(*sb, meta);
-        }
-        empties.sort_unstable_by(|a, b| b.cmp(a));
-
-        // Attribute the rebuild cost in the emulator's time domain when
-        // the virtual clock is on (max over the parallel workers — the
-        // critical path), wall time otherwise.
-        let ns = if llog.pmem().mode() == EmulationMode::Virtual {
-            for s in &shards {
-                critical_ns = critical_ns.max(s.log.pmem().accounted_ns());
+            log_bases.extend(regions.find(&format!("{prefix}.llog")).map(|r| r.addr));
+            let mut serving = None;
+            let mut replayed = 0u64;
+            for base in log_bases {
+                let (mut log, records) = TornbitLog::recover(regions.pmem_handle(), base)?;
+                replayed += Self::replay(&mut log, &records)?;
+                serving.get_or_insert(log);
             }
-            critical_ns.max(llog.pmem().accounted_ns())
-        } else {
-            wall.elapsed().as_nanos() as u64
-        };
-        metrics.scavenge_ns.record(ns);
+            stats.replayed.store(replayed, Ordering::Relaxed);
+            metrics.replayed.add(replayed);
 
+            // Scavenge: rebuild the volatile indexes from what the replay
+            // left on media.
+            let sw = pmem.stopwatch();
+            let small = SmallAlloc::scavenge(&pmem, &small_segs);
+            let mut large = Vec::with_capacity(large_specs.len());
+            for (addr, len) in large_specs {
+                let mut area = LargeAlloc::new(addr, len);
+                area.scavenge(&pmem)?;
+                large.push(area);
+            }
+            metrics.scavenge_ns.record(pmem.elapsed_ns(&sw));
+            HeapState {
+                log: serving.expect("log 0 is always counted"),
+                small,
+                large,
+            }
+        };
         Ok(PHeap {
-            geom,
-            shards: shards.into_iter().map(Mutex::new).collect(),
-            owner: RwLock::new(owner),
-            pool: Mutex::new(empties),
-            large: Mutex::new(LargeShard { log: llog, areas }),
+            state: Mutex::new(state),
             header,
             name_prefix: config.name_prefix,
             stats,
@@ -610,11 +373,9 @@ impl PHeap {
         pmem.fence();
     }
 
-    /// Logs then applies an operation's writes on one shard's log — the
-    /// §4.3 atomicity protocol (log flush is the commit point; recovery
-    /// redoes the rest). Writes of concurrent operations on different
-    /// shards touch disjoint words (the shard's own bitmap/meta words plus
-    /// distinct caller cells), so per-shard redo logs never race.
+    /// Logs then applies an operation's writes — the §4.3 atomicity
+    /// protocol (the log flush is the commit point; recovery redoes the
+    /// rest).
     fn commit(log: &mut TornbitLog, writes: &[WordWrite]) -> Result<(), HeapError> {
         let mut record = Vec::with_capacity(writes.len() * 2);
         for &(a, v) in writes {
@@ -636,44 +397,32 @@ impl PHeap {
         Ok(())
     }
 
-    /// Checkpoint sweep: truncates every allocator log (per-shard and
-    /// large) that still holds records, returning the words reclaimed.
+    /// Checkpoint sweep: truncates the allocator log if it still holds
+    /// records, returning the words reclaimed.
     ///
-    /// Allocator operations already truncate their own log after applying
-    /// each op, so the logs are almost always empty and this is nearly
-    /// free — but a checkpoint wants a *bound*, not a likelihood, on the
+    /// Allocator operations already truncate the log after applying each
+    /// op, so it is almost always empty and this is nearly free — but a
+    /// checkpoint wants a *bound*, not a likelihood, on the
     /// outstanding-log bytes a reboot must replay, and this provides it.
     ///
-    /// Busy shards are skipped rather than waited on (`try_lock`): a held
-    /// lock means an allocator op is in flight, and that op truncates its
-    /// own log before releasing the lock, so the bound holds without this
-    /// sweep touching the shard. Crucially, allocations run inside
-    /// transactions that hold STM word locks — a checkpoint
-    /// that *blocked* allocation here (for even a scheduling quantum)
-    /// would stall the owner and cascade every concurrent transaction
-    /// into conflict aborts. Every record truncated here was fully
-    /// applied (the op holds the shard lock from append through
+    /// A busy heap is skipped rather than waited on (`try_lock`): a held
+    /// lock means an allocator op is in flight, and that op truncates the
+    /// log before releasing the lock, so the bound holds without this
+    /// sweep. Crucially, allocations run inside transactions that hold STM
+    /// word locks — a checkpoint that *blocked* allocation here (for even a
+    /// scheduling quantum) would stall the owner and cascade every
+    /// concurrent transaction into conflict aborts. Every record truncated
+    /// here was fully applied (the op holds the lock from append through
     /// truncate), so dropping it cannot lose state.
     pub fn checkpoint(&self) -> u64 {
-        let mut words = 0u64;
-        for shard in &self.shards {
-            let Some(mut g) = shard.try_lock() else {
-                continue;
-            };
-            let live = g.log.len_words();
-            if live > 0 {
-                g.log.truncate_all();
-                words += live;
-            }
+        let Some(mut st) = self.state.try_lock() else {
+            return 0;
+        };
+        let live = st.log.len_words();
+        if live > 0 {
+            st.log.truncate_all();
         }
-        if let Some(mut lg) = self.large.try_lock() {
-            let live = lg.log.len_words();
-            if live > 0 {
-                lg.log.truncate_all();
-                words += live;
-            }
-        }
-        words
+        live
     }
 
     /// Grows the heap online by mapping a fresh **extension area** of (at
@@ -683,10 +432,10 @@ impl PHeap {
     /// free-superblock pool has run dry (small requests are spilling to
     /// the large allocator via the fallback path), the extension becomes a
     /// **small segment** (`{prefix}.sext{E}`) of fresh superblocks pushed
-    /// into the steal pool; otherwise it becomes a **large extension area**
-    /// (`{prefix}.ext{E}`) as before. Both kinds share header word 2, so
-    /// growth stays atomic against crashes with a single durable word as
-    /// the commit point:
+    /// into the pool; otherwise it becomes a **large extension area**
+    /// (`{prefix}.ext{E}`). Both kinds share header word 2, so growth stays
+    /// atomic against crashes with a single durable word as the commit
+    /// point:
     ///
     /// 1. map the region for slot `E` (the committed extension count in
     ///    header word 2). A leftover region of either name from a
@@ -701,9 +450,7 @@ impl PHeap {
     ///    region is invisible and re-adopted later); a crash after it
     ///    recovers to the new capacity.
     ///
-    /// The large lock is held throughout (it serialises the header-word
-    /// read/bump for both kinds); small-path allocations are unaffected
-    /// until the new superblocks appear in the pool.
+    /// The heap lock is held throughout.
     ///
     /// # Errors
     /// [`HeapError::OutOfMemory`] when [`MAX_EXT_AREAS`] extensions already
@@ -711,7 +458,7 @@ impl PHeap {
     /// store is exhausted.
     pub fn grow(&self, regions: &Regions, bytes: u64) -> Result<GrowStats, HeapError> {
         let pmem = regions.pmem_handle();
-        let mut guard = self.large.lock();
+        let mut st = self.state.lock();
         let exts_addr = self.header.add(16);
         let e = pmem.read_u64(exts_addr);
         if e >= MAX_EXT_AREAS {
@@ -725,165 +472,85 @@ impl PHeap {
             (Some(r), _) => (r, false),
             (None, Some(r)) => (r, true),
             (None, None) => {
-                let small = self.pool.lock().is_empty();
+                let small = st.small.pooled_superblocks() == 0;
                 let name = if small { &small_name } else { &large_name };
                 (regions.pmap(name, bytes, &pmem)?, small)
             }
         };
-        if is_small {
-            let seg = SmallLayout::new(region.addr, region.len);
-            // No format writes: the region's zero-filled pages already
-            // read as "every superblock unassigned". Commit point:
-            pmem.store_u64(exts_addr, e + 1);
-            pmem.flush(exts_addr);
-            pmem.fence();
-            // Publish order matters for racing allocations: geometry
-            // first (so the indices resolve), then owner slots, then the
-            // pool entries that make the superblocks stealable.
-            let off = self.geom.push(seg);
-            let n = seg.superblocks();
-            self.owner.write().extend((0..n).map(|_| AtomicU32::new(0)));
-            self.pool.lock().extend((off..off + n).rev());
-            self.metrics.grows.inc();
-            self.metrics.grow_bytes.add(region.len);
-            return Ok(GrowStats {
-                grown_bytes: region.len,
-                large_capacity: guard.areas.iter().map(|a| a.capacity()).sum(),
-            });
-        }
-        let mut area = LargeAlloc::new(region.addr, region.len);
-        let writes = area.format_writes();
-        Self::apply(&pmem, &writes);
+        let area = (!is_small).then(|| {
+            let mut area = LargeAlloc::new(region.addr, region.len);
+            Self::apply(&pmem, &area.format_writes());
+            area
+        });
         // Commit point: the extension only counts once this word lands.
         pmem.store_u64(exts_addr, e + 1);
         pmem.flush(exts_addr);
         pmem.fence();
-        guard.areas.push(area);
+        match area {
+            Some(area) => st.large.push(area),
+            None => st
+                .small
+                .add_segment(SmallLayout::new(region.addr, region.len)),
+        }
         self.metrics.grows.inc();
         self.metrics.grow_bytes.add(region.len);
         Ok(GrowStats {
             grown_bytes: region.len,
-            large_capacity: guard.areas.iter().map(|a| a.capacity()).sum(),
+            large_capacity: st.large_capacity(),
         })
     }
 
     /// Total large-area capacity in bytes (base + committed extensions).
     pub fn large_capacity(&self) -> u64 {
-        self.large.lock().areas.iter().map(|a| a.capacity()).sum()
-    }
-
-    /// Words currently live across all allocator logs (appended, not yet
-    /// truncated) — the heap's contribution to the outstanding-log bound.
-    pub fn outstanding_log_words(&self) -> u64 {
-        let mut words: u64 = self.shards.iter().map(|s| s.lock().log.len_words()).sum();
-        words += self.large.lock().log.len_words();
-        words
-    }
-
-    /// The shard index this thread's allocations map to (diagnostics and
-    /// benchmarks): threads are assigned monotone slots, taken modulo the
-    /// shard count.
-    pub fn home_shard(&self) -> usize {
-        THREAD_SLOT.with(|s| s % self.shards.len())
-    }
-
-    /// Number of shards this heap was opened with.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
+        self.state.lock().large_capacity()
     }
 
     /// A point-in-time census of the small area: live blocks, and where
-    /// every superblock currently lives (shard-owned vs. pooled). Tests
-    /// use this to prove churn leaks nothing; with all blocks freed,
+    /// every superblock currently lives (assigned vs. pooled). Tests use
+    /// this to prove churn leaks nothing; with all blocks freed,
     /// `owned + pooled` must equal `total` and `live_blocks` must be 0.
     pub fn small_occupancy(&self) -> SmallOccupancy {
-        let mut live_blocks = 0;
-        let mut owned = 0;
-        for shard in &self.shards {
-            let g = shard.lock();
-            live_blocks += g.small.live_blocks();
-            owned += g.small.owned_superblocks();
-        }
+        let st = self.state.lock();
         SmallOccupancy {
-            live_blocks,
-            owned_superblocks: owned,
-            pooled_superblocks: self.pool.lock().len(),
-            total_superblocks: self.geom.superblocks() as usize,
+            live_blocks: st.small.live_blocks(),
+            owned_superblocks: st.small.assigned_superblocks(),
+            pooled_superblocks: st.small.pooled_superblocks(),
+            total_superblocks: st.small.total_superblocks(),
         }
-    }
-
-    /// Owner word of global superblock `sb` (0 = pooled, else shard + 1).
-    /// The read lock is held only for the load; the slot itself is atomic.
-    #[inline]
-    fn owner_of(&self, sb: usize) -> u32 {
-        self.owner.read()[sb].load(Ordering::Acquire)
-    }
-
-    /// Publishes a new owner word for global superblock `sb`.
-    #[inline]
-    fn set_owner(&self, sb: usize, val: u32) {
-        self.owner.read()[sb].store(val, Ordering::Release);
-    }
-
-    fn lock_shard(&self, i: usize) -> parking_lot::MutexGuard<'_, Shard> {
-        if let Some(g) = self.shards[i].try_lock() {
-            return g;
-        }
-        self.metrics.shard_lock_contended.inc();
-        self.shards[i].lock()
-    }
-
-    /// Pops a free superblock from the global pool (work-stealing).
-    fn steal_superblock(&self) -> Option<u32> {
-        let sb = self.pool.lock().pop()?;
-        self.stats.steals.fetch_add(1, Ordering::Relaxed);
-        self.metrics.steals.inc();
-        Some(sb)
     }
 
     fn alloc_impl(&self, size: u64, cell: Option<VAddr>) -> Result<VAddr, HeapError> {
-        if let Some(class) = class_of(size) {
-            let h = self.home_shard();
-            let mut guard = self.lock_shard(h);
-            let shard = &mut *guard;
-            let mut writes: Vec<WordWrite> = Vec::with_capacity(12);
-            let addr = match shard.small.alloc(class, &mut writes) {
-                Some(a) => Some(a),
-                None => self.steal_superblock().map(|sb| {
-                    self.set_owner(sb as usize, h as u32 + 1);
-                    shard.small.adopt_fresh_and_alloc(sb, class, &mut writes)
-                }),
-            };
-            if let Some(a) = addr {
-                if let Some(c) = cell {
-                    writes.push((c, a.0));
-                }
-                Self::commit(&mut shard.log, &writes)?;
-                self.stats.small_allocs.fetch_add(1, Ordering::Relaxed);
-                self.metrics.superblock_allocs.inc();
-                self.stats.allocs.fetch_add(1, Ordering::Relaxed);
-                self.metrics.allocs.inc();
-                return Ok(a);
-            }
-            // Small area exhausted: fall back to the large allocator.
-            drop(guard);
-            self.metrics.fallback_allocs.inc();
-        }
-        let mut guard = self.large.lock();
-        let LargeShard { log, areas } = &mut *guard;
+        let class = class_of(size);
+        let mut guard = self.state.lock();
+        let HeapState { log, small, large } = &mut *guard;
         let mut writes: Vec<WordWrite> = Vec::with_capacity(12);
-        // First fit across the base area and any extensions. An area's
-        // `alloc` pushes no writes before it finds a fitting chunk, so
-        // trying the next area after a miss is safe.
-        let a = areas
-            .iter_mut()
-            .find_map(|area| area.alloc(size, log.pmem(), &mut writes))
-            .ok_or(HeapError::OutOfMemory { requested: size })?;
+        let from_small = class.and_then(|c| small.alloc(c, &mut writes));
+        let a = match from_small {
+            Some(a) => a,
+            None => {
+                if class.is_some() {
+                    // Small area exhausted: fall back to the large allocator.
+                    self.metrics.fallback_allocs.inc();
+                }
+                // First fit across the base area and any extensions. An
+                // area's `alloc` pushes no writes before it finds a
+                // fitting chunk, so trying the next area after a miss is
+                // safe.
+                large
+                    .iter_mut()
+                    .find_map(|area| area.alloc(size, log.pmem(), &mut writes))
+                    .ok_or(HeapError::OutOfMemory { requested: size })?
+            }
+        };
         if let Some(c) = cell {
             writes.push((c, a.0));
         }
         Self::commit(log, &writes)?;
-        if class_of(size).is_none() {
+        drop(guard);
+        if from_small.is_some() {
+            self.stats.small_allocs.fetch_add(1, Ordering::Relaxed);
+            self.metrics.superblock_allocs.inc();
+        } else if class.is_none() {
             self.stats.large_allocs.fetch_add(1, Ordering::Relaxed);
             self.metrics.large_allocs.inc();
         }
@@ -892,62 +559,32 @@ impl PHeap {
         Ok(a)
     }
 
-    /// Frees a small block, routing to the owning shard's log. `cell`, if
-    /// given, is nullified in the same atomic operation. Returns whether
-    /// the free committed on a shard other than the caller's home.
-    fn free_small(&self, addr: VAddr, cell: Option<VAddr>) -> Result<(), HeapError> {
-        let home = self.home_shard();
-        let sb = self.geom.sb_of(addr).ok_or(HeapError::BadPointer(addr))? as usize;
-        let mut idx = home;
-        let mut guard = self.lock_shard(idx);
-        loop {
-            match self.owner_of(sb) {
-                0 => return Err(HeapError::BadPointer(addr)),
-                o if (o - 1) as usize == idx => break,
-                o => {
-                    // Remote free: move to the owning shard. Ownership can
-                    // only transition away under that shard's lock, so one
-                    // re-check under the new lock suffices per hop.
-                    drop(guard);
-                    idx = (o - 1) as usize;
-                    guard = self.lock_shard(idx);
-                }
-            }
-        }
-        let shard = &mut *guard;
+    /// Frees the block at `addr` under the heap lock; `cell`, if given, is
+    /// nullified in the same atomic operation.
+    fn free_locked(
+        &self,
+        st: &mut HeapState,
+        addr: VAddr,
+        cell: Option<VAddr>,
+    ) -> Result<(), HeapError> {
+        let HeapState { log, small, large } = st;
         let mut writes: Vec<WordWrite> = Vec::with_capacity(12);
-        let released = shard.small.free(addr, &mut writes)?;
+        if small.contains(addr) {
+            small.free(addr, &mut writes)?;
+        } else {
+            large
+                .iter_mut()
+                .find(|a| a.contains(addr))
+                .ok_or(HeapError::BadPointer(addr))?
+                .free(addr, log.pmem(), &mut writes)?;
+        }
         if let Some(c) = cell {
             writes.push((c, 0));
         }
-        Self::commit(&mut shard.log, &writes)?;
-        if let Some(sb) = released {
-            // Fully empty: back to the stealable pool (owner cleared while
-            // the shard lock is still held, then published).
-            self.set_owner(sb as usize, 0);
-            self.pool.lock().push(sb);
-        }
-        drop(guard);
-        if idx != home {
-            self.stats.remote_frees.fetch_add(1, Ordering::Relaxed);
-            self.metrics.remote_frees.inc();
-        }
+        Self::commit(log, &writes)?;
+        self.stats.frees.fetch_add(1, Ordering::Relaxed);
+        self.metrics.frees.inc();
         Ok(())
-    }
-
-    fn free_large(&self, addr: VAddr, cell: Option<VAddr>) -> Result<(), HeapError> {
-        let mut guard = self.large.lock();
-        let LargeShard { log, areas } = &mut *guard;
-        let area = areas
-            .iter_mut()
-            .find(|a| a.contains(addr))
-            .ok_or(HeapError::BadPointer(addr))?;
-        let mut writes: Vec<WordWrite> = Vec::with_capacity(12);
-        area.free(addr, log.pmem(), &mut writes)?;
-        if let Some(c) = cell {
-            writes.push((c, 0));
-        }
-        Self::commit(log, &writes)
     }
 
     /// Allocates `size` bytes of persistent memory and durably stores the
@@ -1019,23 +656,12 @@ impl PHeap {
         if !cell.is_persistent() || !cell.is_word_aligned() {
             return Err(HeapError::VolatileCell(cell));
         }
-        // Read the cell through the home shard's handle (no lock needed
-        // for the read itself; the guard is dropped before routing).
-        let addr = {
-            let guard = self.lock_shard(self.home_shard());
-            VAddr(guard.log.pmem().read_u64(cell))
-        };
+        let mut st = self.state.lock();
+        let addr = VAddr(st.log.pmem().read_u64(cell));
         if addr.is_null() {
             return Err(HeapError::BadPointer(addr));
         }
-        if self.geom.contains(addr) {
-            self.free_small(addr, Some(cell))?;
-        } else {
-            self.free_large(addr, Some(cell))?;
-        }
-        self.stats.frees.fetch_add(1, Ordering::Relaxed);
-        self.metrics.frees.inc();
-        Ok(())
+        self.free_locked(&mut st, addr, Some(cell))
     }
 
     /// Frees a block by address (for callers that manage their own pointer
@@ -1045,14 +671,7 @@ impl PHeap {
     /// # Errors
     /// Fails if `addr` is not a live heap block.
     pub fn pfree_addr(&self, addr: VAddr) -> Result<(), HeapError> {
-        if self.geom.contains(addr) {
-            self.free_small(addr, None)?;
-        } else {
-            self.free_large(addr, None)?;
-        }
-        self.stats.frees.fetch_add(1, Ordering::Relaxed);
-        self.metrics.frees.inc();
-        Ok(())
+        self.free_locked(&mut self.state.lock(), addr, None)
     }
 
     /// Allocates without a destination cell. The caller **must** make a
@@ -1068,28 +687,14 @@ impl PHeap {
 
     /// Usable size of a live allocation, if `addr` is one.
     pub fn usable_size(&self, addr: VAddr) -> Option<u64> {
-        if let Some(sb) = self.geom.sb_of(addr) {
-            let sb = sb as usize;
-            loop {
-                match self.owner_of(sb) {
-                    0 => return None,
-                    o => {
-                        let guard = self.lock_shard((o - 1) as usize);
-                        if self.owner_of(sb) == o {
-                            return guard.small.usable_size(addr);
-                        }
-                        // Ownership moved while we were locking; retry.
-                    }
-                }
-            }
-        } else {
-            let guard = self.large.lock();
-            guard
-                .areas
-                .iter()
-                .find(|a| a.contains(addr))
-                .and_then(|a| a.usable_size(guard.log.pmem(), addr))
+        let st = self.state.lock();
+        if st.small.contains(addr) {
+            return st.small.usable_size(addr);
         }
+        st.large
+            .iter()
+            .find(|a| a.contains(addr))
+            .and_then(|a| a.usable_size(st.log.pmem(), addr))
     }
 
     /// Activity counters (lock-free reads of the padded stat cells).
@@ -1100,8 +705,6 @@ impl PHeap {
             small_allocs: self.stats.small_allocs.load(Ordering::Relaxed),
             large_allocs: self.stats.large_allocs.load(Ordering::Relaxed),
             replayed: self.stats.replayed.load(Ordering::Relaxed),
-            remote_frees: self.stats.remote_frees.load(Ordering::Relaxed),
-            steals: self.stats.steals.load(Ordering::Relaxed),
         }
     }
 
@@ -1199,38 +802,30 @@ mod tests {
     }
 
     #[test]
-    fn reopen_with_different_shard_counts() {
-        let (_env, regions, pmem) = setup();
-        let (cell_area, _) = regions.static_area();
-        let mut addrs = Vec::new();
-        {
-            let heap = PHeap::open(&regions, small_heap().with_shards(4)).unwrap();
-            assert_eq!(heap.shard_count(), 4);
-            for i in 0..40u64 {
-                let cell = cell_area.add(i * 8);
-                addrs.push(heap.pmalloc(48, cell).unwrap());
-            }
+    fn reopen_replays_every_allocator_log_of_an_older_image() {
+        let (env, regions, pmem) = setup();
+        let (area, _) = regions.static_area();
+        let (c1, c2) = (area, area.add(8));
+        let header = PHeap::open(&regions, small_heap()).unwrap().header_addr();
+        // An image written by the sharded heap: a second shard log and the
+        // large-allocator log, each holding one committed but unapplied
+        // record, counted by header word 1.
+        let log_bytes = mnemosyne_rawl::LOG_HEADER_BYTES + 64 * 8;
+        for (name, cell, val) in [("pheap.log1", c1, 11), ("pheap.llog", c2, 22)] {
+            let r = regions.pmap(name, log_bytes, &pmem).unwrap();
+            let mut log = TornbitLog::create(regions.pmem_handle(), r.addr, 64).unwrap();
+            log.append(&[cell.0, val]).unwrap();
+            log.flush();
         }
-        // Narrower reopen: all 4 logs replayed, blocks distributed over 2
-        // shards.
-        {
-            let heap = PHeap::open(&regions, small_heap().with_shards(2)).unwrap();
-            assert_eq!(heap.shard_count(), 2);
-            for &a in &addrs {
-                assert_eq!(heap.usable_size(a), Some(64));
-            }
-        }
-        // Wider reopen (non-power-of-two): new logs are created and the
-        // header's log count is bumped durably.
-        let heap = PHeap::open(&regions, small_heap().with_shards(7)).unwrap();
-        assert_eq!(heap.shard_count(), 7);
-        for (i, &a) in addrs.iter().enumerate() {
-            assert_eq!(heap.usable_size(a), Some(64), "block {i} lost");
-            assert_eq!(pmem.read_u64(cell_area.add(i as u64 * 8)), a.0);
-        }
-        for i in 0..addrs.len() as u64 {
-            heap.pfree(cell_area.add(i * 8)).unwrap();
-        }
+        pmem.store_u64(header.add(8), 2);
+        pmem.flush(header.add(8));
+        pmem.fence();
+        env.sim.crash(CrashPolicy::DropAll);
+
+        let heap = PHeap::open(&regions, small_heap()).unwrap();
+        assert_eq!(pmem.read_u64(c1), 11, "pheap.log1 was not replayed");
+        assert_eq!(pmem.read_u64(c2), 22, "pheap.llog was not replayed");
+        assert_eq!(heap.stats().replayed, 2);
     }
 
     #[test]
@@ -1356,51 +951,22 @@ mod tests {
     #[test]
     fn first_small_alloc_steals_from_pool() {
         let (_env, regions, _pmem) = setup();
-        let heap = PHeap::open(&regions, small_heap().with_shards(1)).unwrap();
+        let heap = PHeap::open(&regions, small_heap()).unwrap();
         let (cell, _) = regions.static_area();
+        let before = heap.small_occupancy();
+        assert_eq!(before.owned_superblocks, 0);
+        assert_eq!(before.pooled_superblocks, before.total_superblocks);
         heap.pmalloc(64, cell).unwrap();
-        // The shard owned nothing, so its first superblock came from the
-        // global pool.
-        assert_eq!(heap.stats().steals, 1);
-    }
-
-    #[test]
-    fn remote_free_routed_to_owning_shard() {
-        let (_env, regions, _pmem) = setup();
-        let heap = std::sync::Arc::new(PHeap::open(&regions, small_heap().with_shards(2)).unwrap());
-        let (area, _) = regions.static_area();
-        let owner_home = heap.home_shard();
-        let cell = area;
-        let a = heap.pmalloc(64, cell).unwrap();
-        // Thread slots are monotone, so two spawned threads land on both
-        // shards; the one whose home differs performs the remote free.
-        let mut freed = false;
-        for _ in 0..2 {
-            let heap2 = std::sync::Arc::clone(&heap);
-            let did = std::thread::spawn(move || {
-                if heap2.home_shard() != owner_home {
-                    heap2.pfree(cell).unwrap();
-                    true
-                } else {
-                    false
-                }
-            })
-            .join()
-            .unwrap();
-            if did {
-                freed = true;
-                break;
-            }
-        }
-        assert!(freed, "one of two consecutive threads must map remotely");
-        assert_eq!(heap.stats().remote_frees, 1);
-        assert_eq!(heap.usable_size(a), None);
+        // No superblock was assigned yet, so the first came from the pool.
+        let after = heap.small_occupancy();
+        assert_eq!(after.owned_superblocks, 1);
+        assert_eq!(after.pooled_superblocks, before.pooled_superblocks - 1);
     }
 
     #[test]
     fn concurrent_allocations_distinct() {
         let (_env, regions, _pmem) = setup();
-        let heap = std::sync::Arc::new(PHeap::open(&regions, small_heap().with_shards(4)).unwrap());
+        let heap = std::sync::Arc::new(PHeap::open(&regions, small_heap()).unwrap());
         let (area, _) = regions.static_area();
         let mut handles = Vec::new();
         for t in 0..4u64 {
@@ -1427,7 +993,7 @@ mod tests {
     #[test]
     fn concurrent_mixed_alloc_free_across_shards() {
         let (_env, regions, _pmem) = setup();
-        let heap = std::sync::Arc::new(PHeap::open(&regions, small_heap().with_shards(3)).unwrap());
+        let heap = std::sync::Arc::new(PHeap::open(&regions, small_heap()).unwrap());
         let (area, _) = regions.static_area();
         let mut handles = Vec::new();
         for t in 0..3u64 {
@@ -1442,7 +1008,7 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        // Free everything from the main thread: most frees are remote.
+        // Free everything from the main thread.
         for i in 0..150u64 {
             heap.pfree(area.add(i * 8)).unwrap();
         }
@@ -1509,9 +1075,7 @@ mod tests {
     #[test]
     fn grow_routes_to_small_pool_when_exhausted() {
         let (_env, regions, _pmem) = setup();
-        let cfg = HeapConfig::default()
-            .with_sizes(68 << 10, 1 << 20)
-            .with_shards(1);
+        let cfg = HeapConfig::default().with_sizes(68 << 10, 1 << 20);
         let heap = PHeap::open(&regions, cfg).unwrap();
         let (area, _) = regions.static_area();
         // 68 KB small area = 64 KB after the header page = 7 superblocks;
@@ -1534,7 +1098,7 @@ mod tests {
         assert!(occ.total_superblocks > 7, "no superblocks were added");
         assert!(
             occ.pooled_superblocks > 0,
-            "grown superblocks not stealable"
+            "grown superblocks not in the pool"
         );
         // The next small allocation is served from the grown pool — not
         // the large-object fallback path.
@@ -1547,9 +1111,7 @@ mod tests {
     #[test]
     fn small_grown_blocks_survive_crash_and_reopen() {
         let (env, regions, pmem) = setup();
-        let cfg = HeapConfig::default()
-            .with_sizes(68 << 10, 1 << 20)
-            .with_shards(1);
+        let cfg = HeapConfig::default().with_sizes(68 << 10, 1 << 20);
         let (area, _) = regions.static_area();
         let (a, total_after, cap) = {
             let heap = PHeap::open(&regions, cfg.clone()).unwrap();
@@ -1607,12 +1169,9 @@ mod tests {
     #[test]
     fn debug_format_is_lock_free() {
         let (_env, regions, _pmem) = setup();
-        let heap = PHeap::open(&regions, small_heap().with_shards(2)).unwrap();
-        // Hold every lock the heap has; Debug must still complete.
-        let _g0 = heap.shards[0].lock();
-        let _g1 = heap.shards[1].lock();
-        let _gl = heap.large.lock();
-        let _gp = heap.pool.lock();
+        let heap = PHeap::open(&regions, small_heap()).unwrap();
+        // Hold the heap lock; Debug must still complete.
+        let _g = heap.state.lock();
         let s = format!("{heap:?}");
         assert!(s.contains("PHeap"), "{s}");
     }

@@ -14,20 +14,16 @@
 //! * **large blocks** — a dlmalloc-style boundary-tag allocator
 //!   ([`large`]) with logged header updates and coalescing on free.
 //!
-//! The heap is **sharded** for concurrency, mirroring Hoard's per-thread
-//! superblock ownership: N shards each own a set of superblocks, their own
-//! volatile size-class lists, and their own tornbit RAWL allocator log.
-//! Threads hash to a home shard, steal fresh superblocks from a global
-//! pool when a class runs dry, and route frees of remotely-owned blocks to
-//! the owning shard's log. Recovery replays all shard logs and scavenges
-//! the superblock ranges in parallel, rebuilding the (volatile) ownership
-//! map from the persistent metadata.
+//! One lock guards the whole heap: its one tornbit RAWL allocator log, the
+//! small allocator and the large areas. Hoard's per-processor arenas only
+//! serve scalability; DESIGN.md §7 ("one heap lock") has the measurements
+//! that decided against them.
 //!
 //! Atomicity: every operation appends a redo record (a flat list of
 //! `(address, value)` word writes covering the bitmap/header update *and*
-//! the caller's destination pointer cell) to the shard's tornbit RAWL,
-//! then applies the writes. Recovery replays complete records, so the heap
-//! and the caller's pointer always agree — the §3.4 anti-leak protocol.
+//! the caller's destination pointer cell) to the allocator log, then
+//! applies the writes. Recovery replays complete records, so the heap and
+//! the caller's pointer always agree — the §3.4 anti-leak protocol.
 //!
 //! # Example
 //!
@@ -63,9 +59,7 @@ pub mod large;
 pub mod small;
 
 pub use error::HeapError;
-pub use heap::{
-    GrowStats, HeapConfig, HeapStats, PHeap, SmallOccupancy, MAX_EXT_AREAS, MAX_SHARDS,
-};
+pub use heap::{GrowStats, HeapConfig, HeapStats, PHeap, SmallOccupancy, MAX_EXT_AREAS};
 
 /// Superblock size in bytes (Hoard's granularity; §4.3 uses 8 KB).
 pub const SUPERBLOCK_BYTES: u64 = 8192;

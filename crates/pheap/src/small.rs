@@ -5,30 +5,26 @@
 //! Persistent state per superblock is just its block size and a bitmap
 //! vector of allocated blocks, kept in a *metadata area separated from the
 //! data* to reduce corruption risk. Everything else — per-class lists,
-//! free counts, bitmap mirrors, and crucially *which shard owns which
-//! superblock* — is volatile and rebuilt by scavenging at startup, exactly
-//! like the paper's rebuilt speed indexes.
+//! free counts, bitmap mirrors and the pool of empty superblocks — is
+//! volatile and rebuilt by scavenging at startup, exactly like the paper's
+//! rebuilt speed indexes.
 //!
-//! Hoard's central idea is per-thread superblock ownership. The sharded
-//! heap realises it with two types:
+//! Three types:
 //!
-//! * [`SmallLayout`] — the immutable geometry of the small area (where
-//!   metadata and superblocks live), shared by every shard and by the
-//!   parallel scavenger ([`SmallLayout::scan_range`]);
-//! * [`ShardSmall`] — one shard's volatile view of the superblocks it
-//!   currently owns. A shard allocates only from its own superblocks,
-//!   adopts fresh ones from the global pool when a class runs dry, and
-//!   releases fully empty ones back to the pool.
+//! * [`SmallLayout`] — the geometry of one segment of the small area
+//!   (where its metadata and superblocks live);
+//! * [`SmallGeom`] — the segments in order (the base segment, then the
+//!   small extension segments online growth adds), addressed by one
+//!   global superblock index;
+//! * [`SmallAlloc`] — the volatile allocator over that geometry: the
+//!   assigned superblocks, the size-class lists and the free-superblock
+//!   pool. The heap keeps one, behind its lock.
 //!
 //! Mutations are returned as `(address, value)` word-write lists; the heap
-//! front end logs them (together with the caller's pointer-cell write) to
-//! the shard's allocator log and applies them durably, making each
-//! operation atomic.
+//! logs them (together with the caller's pointer-cell write) to its
+//! allocator log and applies them durably, making each operation atomic.
 
 use std::collections::HashMap;
-use std::sync::Arc;
-
-use parking_lot::RwLock;
 
 use mnemosyne_region::{PMem, VAddr};
 
@@ -64,25 +60,13 @@ pub fn class_size(class: usize) -> u64 {
 /// One pending durable word write.
 pub type WordWrite = (VAddr, u64);
 
-/// Immutable geometry of the small-object area: metadata entries first
-/// (page aligned), superblocks after. Shared by all shards.
+/// Geometry of one segment of the small-object area: metadata entries
+/// first (page aligned), superblocks after.
 #[derive(Debug, Clone, Copy)]
 pub struct SmallLayout {
     meta_base: VAddr,
     sbs_base: VAddr,
     n_superblocks: u32,
-}
-
-/// Scavenged persistent state of one assigned superblock, as read back by
-/// [`SmallLayout::scan_range`].
-#[derive(Debug, Clone)]
-pub struct SbMeta {
-    /// Size class the superblock is assigned to.
-    pub class: usize,
-    /// Blocks still free.
-    pub free_count: u32,
-    /// Allocation bitmap (invalid tail bits already masked off).
-    pub bitmap: [u64; BITMAP_WORDS],
 }
 
 impl SmallLayout {
@@ -139,102 +123,36 @@ impl SmallLayout {
     pub fn sb_of(&self, addr: VAddr) -> u32 {
         (addr.offset_from(self.sbs_base) / SUPERBLOCK_BYTES) as u32
     }
-
-    /// Reads back the persistent metadata of superblocks `[from, to)` —
-    /// one slice of the startup scavenge of §4.3, whose cost §6.3.2
-    /// measures. Recovery runs several slices concurrently, one [`PMem`]
-    /// handle each.
-    ///
-    /// Returns `(assigned, empty)`: superblocks carrying live state, and
-    /// fully unassigned ones (candidates for the global pool). A
-    /// superblock whose block-size word is implausible appears in
-    /// *neither* list — it is quarantined so nothing allocates from it.
-    pub fn scan_range(&self, pmem: &PMem, from: u32, to: u32) -> (Vec<(u32, SbMeta)>, Vec<u32>) {
-        let mut assigned = Vec::new();
-        let mut empty = Vec::new();
-        for sb in from..to.min(self.n_superblocks) {
-            let bs = pmem.read_u64(self.meta_addr(sb));
-            if bs == 0 {
-                empty.push(sb);
-                continue;
-            }
-            let class = match class_of(bs) {
-                Some(c) if class_size(c) == bs => c,
-                _ => continue, // quarantine: unknown block size
-            };
-            let blocks = (SUPERBLOCK_BYTES / bs) as u32;
-            let mut bm = [0u64; BITMAP_WORDS];
-            let mut used = 0;
-            for (w, slot) in bm.iter_mut().enumerate() {
-                // Mask out bits beyond the superblock's block count: a
-                // corrupted bitmap word must not make `used` exceed
-                // `blocks` (underflow below) or make alloc hand out
-                // addresses past the superblock.
-                let lo = (w as u32) * 64;
-                let valid = blocks.saturating_sub(lo).min(64);
-                let mask = if valid >= 64 {
-                    !0u64
-                } else {
-                    (1u64 << valid) - 1
-                };
-                *slot = pmem.read_u64(self.bitmap_word_addr(sb, w)) & mask;
-                used += slot.count_ones();
-            }
-            assigned.push((
-                sb,
-                SbMeta {
-                    class,
-                    free_count: blocks - used,
-                    bitmap: bm,
-                },
-            ));
-        }
-        (assigned, empty)
-    }
 }
 
 /// Append-only segmented geometry of the whole small area: the base
 /// segment plus any **small extension segments** added by online growth
 /// (`PHeap::grow` routes a grow here when the free-superblock pool has
 /// run dry). Superblock indices are *global* — segment k's superblocks
-/// follow segment k-1's — so the owner table, the steal pool, and every
-/// shard speak one index space regardless of which segment a superblock
-/// lives in. Segments are only ever appended, never removed, so a global
-/// index stays valid for the life of the heap.
-#[derive(Debug)]
+/// follow segment k-1's — so the class lists and the pool speak one index
+/// space regardless of which segment a superblock lives in. Segments are
+/// only ever appended, never removed, so a global index stays valid for
+/// the life of the heap.
+#[derive(Debug, Default)]
 pub struct SmallGeom {
     /// `(first_global_index, layout)` per segment.
-    segs: RwLock<Vec<(u32, SmallLayout)>>,
+    segs: Vec<(u32, SmallLayout)>,
 }
 
 impl SmallGeom {
-    /// Geometry holding only the base segment.
-    pub fn new(base: SmallLayout) -> SmallGeom {
-        SmallGeom {
-            segs: RwLock::new(vec![(0, base)]),
-        }
-    }
-
     /// Appends a segment, returning the global index of its first
     /// superblock.
-    pub fn push(&self, layout: SmallLayout) -> u32 {
-        let mut segs = self.segs.write();
-        let (last_base, last) = *segs.last().expect("geometry always has a base segment");
-        let base = last_base + last.superblocks();
-        segs.push((base, layout));
+    pub fn push(&mut self, layout: SmallLayout) -> u32 {
+        let base = self.superblocks();
+        self.segs.push((base, layout));
         base
     }
 
     /// Total superblocks across all segments.
     pub fn superblocks(&self) -> u32 {
-        let segs = self.segs.read();
-        let (last_base, last) = *segs.last().expect("base segment");
-        last_base + last.superblocks()
-    }
-
-    /// Snapshot of `(first_global_index, layout)` per segment.
-    pub fn segments(&self) -> Vec<(u32, SmallLayout)> {
-        self.segs.read().clone()
+        self.segs
+            .last()
+            .map_or(0, |(base, l)| base + l.superblocks())
     }
 
     /// Segment covering global superblock `sb`.
@@ -243,8 +161,7 @@ impl SmallGeom {
     /// Panics if `sb` is out of range — callers hold a global index that
     /// some segment produced, so a miss is a heap bug.
     fn locate(&self, sb: u32) -> (u32, SmallLayout) {
-        let segs = self.segs.read();
-        for &(base, l) in segs.iter().rev() {
+        for &(base, l) in self.segs.iter().rev() {
             if sb >= base {
                 return (base, l);
             }
@@ -258,8 +175,7 @@ impl SmallGeom {
         l.meta_addr(sb - base)
     }
 
-    /// Address of bitmap word `widx` of superblock `sb`.
-    pub(crate) fn bitmap_word_addr(&self, sb: u32, widx: usize) -> VAddr {
+    fn bitmap_word_addr(&self, sb: u32, widx: usize) -> VAddr {
         let (base, l) = self.locate(sb);
         l.bitmap_word_addr(sb - base, widx)
     }
@@ -272,22 +188,19 @@ impl SmallGeom {
 
     /// Whether `addr` lies in any segment's superblock data area.
     pub fn contains(&self, addr: VAddr) -> bool {
-        self.segs.read().iter().any(|(_, l)| l.contains(addr))
+        self.segs.iter().any(|(_, l)| l.contains(addr))
     }
 
     /// Global superblock index covering `addr`, if any segment does.
     pub fn sb_of(&self, addr: VAddr) -> Option<u32> {
-        let segs = self.segs.read();
-        for &(base, l) in segs.iter() {
-            if l.contains(addr) {
-                return Some(base + l.sb_of(addr));
-            }
-        }
-        None
+        self.segs
+            .iter()
+            .find(|(_, l)| l.contains(addr))
+            .map(|&(base, l)| base + l.sb_of(addr))
     }
 }
 
-/// Volatile per-superblock state inside the owning shard.
+/// Volatile state of one assigned superblock.
 #[derive(Debug)]
 struct SbState {
     class: u8,
@@ -295,71 +208,116 @@ struct SbState {
     bitmap: [u64; BITMAP_WORDS],
 }
 
-/// One shard's volatile view of the superblocks it owns. Superblock
-/// indices are global ([`SmallGeom`]).
+/// The volatile small-object allocator: which superblocks are assigned to
+/// a size class and what they hold, the per-class lists of those with free
+/// space, and the pool of fully empty superblocks any class can take.
 #[derive(Debug)]
-pub struct ShardSmall {
-    geom: Arc<SmallGeom>,
-    owned: HashMap<u32, SbState>,
-    /// Owned superblocks with free space, per class.
+pub struct SmallAlloc {
+    geom: SmallGeom,
+    assigned: HashMap<u32, SbState>,
+    /// Assigned superblocks with free space, per class.
     class_lists: Vec<Vec<u32>>,
+    /// Fully empty superblocks; the last entry is handed out first.
+    pool: Vec<u32>,
 }
 
-impl ShardSmall {
-    /// An empty shard view over `geom` (owns nothing yet).
-    pub fn new(geom: Arc<SmallGeom>) -> ShardSmall {
-        ShardSmall {
-            geom,
-            owned: HashMap::new(),
+impl Default for SmallAlloc {
+    fn default() -> Self {
+        SmallAlloc {
+            geom: SmallGeom::default(),
+            assigned: HashMap::new(),
             class_lists: vec![Vec::new(); NCLASSES],
+            pool: Vec::new(),
         }
     }
+}
 
-    /// Adopts a scavenged superblock with live state (recovery path).
-    pub fn adopt_scavenged(&mut self, sb: u32, meta: &SbMeta) {
-        if meta.free_count > 0 {
-            self.class_lists[meta.class].push(sb);
-        }
-        self.owned.insert(
-            sb,
-            SbState {
-                class: meta.class as u8,
-                free_count: meta.free_count,
-                bitmap: meta.bitmap,
-            },
-        );
+impl SmallAlloc {
+    /// Appends a freshly formatted segment: its metadata reads zero, so
+    /// every superblock goes to the pool, lowest index handed out first.
+    pub fn add_segment(&mut self, seg: SmallLayout) {
+        let off = self.geom.push(seg);
+        self.pool.extend((off..off + seg.superblocks()).rev());
     }
 
-    /// Allocates one block of size class `class` from an *owned*
-    /// superblock, appending the durable bitmap write. Returns `None` when
-    /// every owned superblock of the class is full — the caller then
-    /// steals a fresh superblock from the global pool
-    /// ([`ShardSmall::adopt_fresh_and_alloc`]) or falls back to the large
-    /// allocator.
+    /// Rebuilds the allocator over `segs` (the base segment, then the
+    /// small extension segments in commit order) by reading back every
+    /// superblock's persistent metadata — the startup scavenge of §4.3,
+    /// whose cost §6.3.2 measures. A superblock whose block-size word is
+    /// implausible is quarantined: neither assigned nor pooled, so nothing
+    /// allocates from it.
+    pub fn scavenge(pmem: &PMem, segs: &[SmallLayout]) -> SmallAlloc {
+        let mut s = SmallAlloc::default();
+        for &seg in segs {
+            let off = s.geom.push(seg);
+            for local in 0..seg.superblocks() {
+                let sb = off + local;
+                let bs = pmem.read_u64(seg.meta_addr(local));
+                if bs == 0 {
+                    s.pool.push(sb);
+                    continue;
+                }
+                let class = match class_of(bs) {
+                    Some(c) if class_size(c) == bs => c,
+                    _ => continue, // quarantine: unknown block size
+                };
+                let blocks = (SUPERBLOCK_BYTES / bs) as u32;
+                let mut bitmap = [0u64; BITMAP_WORDS];
+                let mut used = 0;
+                for (w, slot) in bitmap.iter_mut().enumerate() {
+                    // Mask out bits beyond the superblock's block count: a
+                    // corrupted bitmap word must not make `used` exceed
+                    // `blocks` (underflow below) or make alloc hand out
+                    // addresses past the superblock.
+                    let valid = blocks.saturating_sub(w as u32 * 64).min(64);
+                    let mask = if valid >= 64 {
+                        !0u64
+                    } else {
+                        (1u64 << valid) - 1
+                    };
+                    *slot = pmem.read_u64(seg.bitmap_word_addr(local, w)) & mask;
+                    used += slot.count_ones();
+                }
+                let free_count = blocks - used;
+                if free_count > 0 {
+                    s.class_lists[class].push(sb);
+                }
+                s.assigned.insert(
+                    sb,
+                    SbState {
+                        class: class as u8,
+                        free_count,
+                        bitmap,
+                    },
+                );
+            }
+        }
+        // Pushed in ascending order; hand out the lowest index first.
+        s.pool.reverse();
+        s
+    }
+
+    /// Allocates one block of size class `class`, appending its durable
+    /// writes: the bitmap word, plus the block-size word when the block
+    /// comes from a superblock taken from the pool. Returns `None` when no
+    /// assigned superblock of the class has room and the pool is empty —
+    /// the heap then falls back to the large allocator.
     pub fn alloc(&mut self, class: usize, writes: &mut Vec<WordWrite>) -> Option<VAddr> {
-        // Find an owned superblock with space, dropping exhausted ones
+        // An assigned superblock with space, dropping exhausted ones
         // lazily.
-        let sb = loop {
-            let sb = self.class_lists[class].last().copied()?;
-            if self.owned.get(&sb).is_some_and(|s| s.free_count > 0) {
-                break sb;
+        while let Some(&sb) = self.class_lists[class].last() {
+            if self.assigned.get(&sb).is_some_and(|s| s.free_count > 0) {
+                if let Some(a) = self.alloc_in(sb, class, writes) {
+                    return Some(a);
+                }
+                break;
             }
             self.class_lists[class].pop();
-        };
-        self.alloc_in(sb, class, writes)
-    }
-
-    /// Adopts a fresh (fully empty) superblock from the global pool,
-    /// assigns it to `class` (durable block-size write) and allocates the
-    /// first block from it.
-    pub fn adopt_fresh_and_alloc(
-        &mut self,
-        sb: u32,
-        class: usize,
-        writes: &mut Vec<WordWrite>,
-    ) -> VAddr {
+        }
+        // None left: assign a fresh superblock from the pool.
+        let sb = self.pool.pop()?;
         let bs = class_size(class);
-        self.owned.insert(
+        self.assigned.insert(
             sb,
             SbState {
                 class: class as u8,
@@ -369,14 +327,16 @@ impl ShardSmall {
         );
         self.class_lists[class].push(sb);
         writes.push((self.geom.meta_addr(sb), bs));
-        self.alloc_in(sb, class, writes)
-            .expect("fresh superblock must have a free block")
+        Some(
+            self.alloc_in(sb, class, writes)
+                .expect("fresh superblock must have a free block"),
+        )
     }
 
     fn alloc_in(&mut self, sb: u32, class: usize, writes: &mut Vec<WordWrite>) -> Option<VAddr> {
         let bs = class_size(class);
         let blocks = (SUPERBLOCK_BYTES / bs) as u32;
-        let state = self.owned.get_mut(&sb)?;
+        let state = self.assigned.get_mut(&sb)?;
         for widx in 0..BITMAP_WORDS.min(blocks.div_ceil(64) as usize) {
             let word = state.bitmap[widx];
             if word == u64::MAX {
@@ -398,65 +358,49 @@ impl ShardSmall {
         None
     }
 
-    /// Frees the block at `addr` (which must belong to a superblock this
-    /// shard owns — the heap routes by the owner table), appending the
-    /// durable bitmap write. Returns `Some(sb)` if the superblock became
-    /// fully empty and was relinquished: its block-size word is reset to 0
-    /// in `writes` and the caller must return it to the global pool.
+    /// Frees the block at `addr`, appending the durable bitmap write. A
+    /// superblock left fully empty goes back to the pool, its block-size
+    /// word reset to 0 in `writes`.
     ///
     /// # Errors
     /// [`HeapError::BadPointer`] for misaligned, unallocated, or
-    /// not-owned-here addresses.
-    pub fn free(
-        &mut self,
-        addr: VAddr,
-        writes: &mut Vec<WordWrite>,
-    ) -> Result<Option<u32>, HeapError> {
-        let sb = match self.geom.sb_of(addr) {
-            Some(sb) => sb,
-            None => return Err(HeapError::BadPointer(addr)),
-        };
-        let state = match self.owned.get_mut(&sb) {
-            Some(s) => s,
-            None => return Err(HeapError::BadPointer(addr)),
-        };
+    /// unassigned addresses.
+    pub fn free(&mut self, addr: VAddr, writes: &mut Vec<WordWrite>) -> Result<(), HeapError> {
+        let bad = || HeapError::BadPointer(addr);
+        let sb = self.geom.sb_of(addr).ok_or_else(bad)?;
+        let state = self.assigned.get_mut(&sb).ok_or_else(bad)?;
         let class = state.class as usize;
         let bs = class_size(class);
         let off = addr.offset_from(self.geom.sb_addr(sb));
         if !off.is_multiple_of(bs) {
-            return Err(HeapError::BadPointer(addr));
+            return Err(bad());
         }
         let idx = (off / bs) as u32;
         let widx = (idx / 64) as usize;
         let bit = 1u64 << (idx % 64);
         if state.bitmap[widx] & bit == 0 {
-            return Err(HeapError::BadPointer(addr)); // double free
+            return Err(bad()); // double free
         }
         state.bitmap[widx] &= !bit;
         state.free_count += 1;
         writes.push((self.geom.bitmap_word_addr(sb, widx), state.bitmap[widx]));
-        let blocks = (SUPERBLOCK_BYTES / bs) as u32;
-        if state.free_count == blocks {
-            // Fully empty: relinquish to the global pool for any shard and
-            // class.
-            self.owned.remove(&sb);
+        if state.free_count == (SUPERBLOCK_BYTES / bs) as u32 {
+            // Fully empty: back to the pool for any class.
+            self.assigned.remove(&sb);
             self.class_lists[class].retain(|&s| s != sb);
             writes.push((self.geom.meta_addr(sb), 0));
-            Ok(Some(sb))
-        } else {
-            if state.free_count == 1 {
-                // Was full; make it findable again.
-                self.class_lists[class].push(sb);
-            }
-            Ok(None)
+            self.pool.push(sb);
+        } else if state.free_count == 1 {
+            // Was full; make it findable again.
+            self.class_lists[class].push(sb);
         }
+        Ok(())
     }
 
-    /// Block size of the allocation at `addr`, if it is a live block of an
-    /// owned superblock.
+    /// Block size of the allocation at `addr`, if it is a live small block.
     pub fn usable_size(&self, addr: VAddr) -> Option<u64> {
         let sb = self.geom.sb_of(addr)?;
-        let state = self.owned.get(&sb)?;
+        let state = self.assigned.get(&sb)?;
         let bs = class_size(state.class as usize);
         let off = addr.offset_from(self.geom.sb_addr(sb));
         if !off.is_multiple_of(bs) {
@@ -467,19 +411,29 @@ impl ShardSmall {
         (set != 0).then_some(bs)
     }
 
-    /// Superblocks currently owned by this shard.
-    pub fn owned_superblocks(&self) -> usize {
-        self.owned.len()
+    /// Whether `addr` lies in any segment's superblock data area.
+    pub fn contains(&self, addr: VAddr) -> bool {
+        self.geom.contains(addr)
     }
 
-    /// Total free blocks across owned superblocks (diagnostics).
-    pub fn free_blocks(&self) -> u64 {
-        self.owned.values().map(|s| s.free_count as u64).sum()
+    /// Superblocks currently assigned to a size class.
+    pub fn assigned_superblocks(&self) -> usize {
+        self.assigned.len()
     }
 
-    /// Total allocated blocks across owned superblocks (diagnostics).
+    /// Fully empty superblocks in the pool.
+    pub fn pooled_superblocks(&self) -> usize {
+        self.pool.len()
+    }
+
+    /// Superblocks across all segments.
+    pub fn total_superblocks(&self) -> usize {
+        self.geom.superblocks() as usize
+    }
+
+    /// Total allocated blocks across assigned superblocks (diagnostics).
     pub fn live_blocks(&self) -> u64 {
-        self.owned
+        self.assigned
             .values()
             .map(|s| SUPERBLOCK_BYTES / class_size(s.class as usize) - s.free_count as u64)
             .sum()
@@ -489,6 +443,12 @@ impl ShardSmall {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn over(layout: SmallLayout) -> SmallAlloc {
+        let mut s = SmallAlloc::default();
+        s.add_segment(layout);
+        s
+    }
 
     #[test]
     fn class_mapping() {
@@ -512,17 +472,17 @@ mod tests {
     #[test]
     fn alloc_free_cycle_volatile_side() {
         let base = VAddr(0x1000_0000_0000);
-        let layout = SmallLayout::new(base, 1 << 20);
-        let mut s = ShardSmall::new(Arc::new(SmallGeom::new(layout)));
+        let mut s = over(SmallLayout::new(base, 1 << 20));
         let mut w = Vec::new();
-        let a = s.adopt_fresh_and_alloc(0, 0, &mut w);
+        let a = s.alloc(0, &mut w).unwrap();
         // Fresh superblock: block-size write + bitmap write.
         assert_eq!(w.len(), 2);
         let b = s.alloc(0, &mut w).unwrap();
         assert_ne!(a, b);
         assert_eq!(s.usable_size(a), Some(8));
         w.clear();
-        assert_eq!(s.free(a, &mut w).unwrap(), None);
+        s.free(a, &mut w).unwrap();
+        assert_eq!(w.len(), 1, "a block still lives there: bitmap write only");
         assert_eq!(s.usable_size(a), None);
         assert!(matches!(s.free(a, &mut w), Err(HeapError::BadPointer(_))));
     }
@@ -530,30 +490,33 @@ mod tests {
     #[test]
     fn distinct_addresses_until_full_superblock() {
         let base = VAddr(0x1000_0000_0000);
-        let layout = SmallLayout::new(base, 64 << 10);
-        let mut s = ShardSmall::new(Arc::new(SmallGeom::new(layout)));
+        // 16 KB holds one metadata page and exactly one superblock.
+        let layout = SmallLayout::new(base, 16 << 10);
+        assert_eq!(layout.superblocks(), 1);
+        let mut s = over(layout);
         let mut seen = std::collections::HashSet::new();
         let mut w = Vec::new();
-        s.adopt_fresh_and_alloc(0, 0, &mut w);
-        for _ in 0..1023 {
+        for _ in 0..1024 {
             let a = s.alloc(0, &mut w).unwrap();
             assert!(seen.insert(a), "duplicate address {a}");
         }
-        // 8192 / 8 = 1024 blocks: the superblock is now full.
+        // 8192 / 8 = 1024 blocks: the only superblock is now full.
         assert!(s.alloc(0, &mut w).is_none());
     }
 
     #[test]
     fn empty_superblock_relinquished() {
         let base = VAddr(0x1000_0000_0000);
-        let layout = SmallLayout::new(base, 64 << 10);
-        let mut s = ShardSmall::new(Arc::new(SmallGeom::new(layout)));
+        let mut s = over(SmallLayout::new(base, 64 << 10));
+        let total = s.pooled_superblocks();
         let mut w = Vec::new();
-        let a = s.adopt_fresh_and_alloc(3, 5, &mut w); // 256-byte class
-        assert_eq!(s.owned_superblocks(), 1);
+        let a = s.alloc(5, &mut w).unwrap(); // 256-byte class
+        assert_eq!(s.assigned_superblocks(), 1);
+        assert_eq!(s.pooled_superblocks(), total - 1);
         w.clear();
-        assert_eq!(s.free(a, &mut w).unwrap(), Some(3));
-        assert_eq!(s.owned_superblocks(), 0);
+        s.free(a, &mut w).unwrap();
+        assert_eq!(s.assigned_superblocks(), 0);
+        assert_eq!(s.pooled_superblocks(), total);
         // The block-size reset write is included.
         assert!(w.iter().any(|&(_, v)| v == 0));
     }
@@ -561,10 +524,9 @@ mod tests {
     #[test]
     fn misaligned_free_rejected() {
         let base = VAddr(0x1000_0000_0000);
-        let layout = SmallLayout::new(base, 64 << 10);
-        let mut s = ShardSmall::new(Arc::new(SmallGeom::new(layout)));
+        let mut s = over(SmallLayout::new(base, 64 << 10));
         let mut w = Vec::new();
-        let a = s.adopt_fresh_and_alloc(0, 5, &mut w);
+        let a = s.alloc(5, &mut w).unwrap();
         assert!(matches!(
             s.free(a.add(7), &mut w),
             Err(HeapError::BadPointer(_))
@@ -578,12 +540,13 @@ mod tests {
         let l0 = SmallLayout::new(base0, 128 << 10);
         let l1 = SmallLayout::new(base1, 128 << 10);
         let n0 = l0.superblocks();
-        let g = SmallGeom::new(l0);
+        let mut g = SmallGeom::default();
+        assert_eq!(g.push(l0), 0);
         assert_eq!(g.superblocks(), n0);
         // Appending returns the first global index of the new segment.
         assert_eq!(g.push(l1), n0);
         assert_eq!(g.superblocks(), n0 + l1.superblocks());
-        assert_eq!(g.segments().len(), 2);
+        assert_eq!(g.segs.len(), 2);
         // Local addressing within each segment, global indices outside.
         assert_eq!(g.meta_addr(0), l0.meta_addr(0));
         assert_eq!(g.sb_addr(n0 - 1), l0.sb_addr(n0 - 1));
@@ -603,9 +566,9 @@ mod tests {
     fn free_of_unowned_superblock_rejected() {
         let base = VAddr(0x1000_0000_0000);
         let layout = SmallLayout::new(base, 64 << 10);
-        let mut s = ShardSmall::new(Arc::new(SmallGeom::new(layout)));
+        let mut s = over(layout);
         let mut w = Vec::new();
-        // Superblock 2 was never adopted by this shard.
+        // Superblock 2 was never assigned to a class.
         assert!(matches!(
             s.free(layout.sb_addr(2), &mut w),
             Err(HeapError::BadPointer(_))

@@ -1,13 +1,11 @@
-//! Property tests for the sharded heap's cross-shard machinery.
+//! Property tests for the heap under concurrent churn.
 //!
-//! Across shard counts 1, 2, and 7 (one shard, an even split, and a
-//! count that leaves thread→shard hashing unbalanced), interleaved
-//! concurrent allocation with a random mix of immediate (local) frees
-//! and deferred frees — which the main thread later issues as *remote*
-//! frees routed to the owning shard — must never hand out the same
-//! block twice, and freeing everything must return every superblock:
-//! no block stays marked live and no superblock is stranded outside
-//! the shard-owned + pooled census.
+//! Three threads interleave allocation with a random mix of immediate
+//! frees and deferred frees — which the main thread later issues for
+//! blocks other threads allocated — and the heap must never hand out the
+//! same block twice. Freeing everything must return every superblock: no
+//! block stays marked live and no superblock is stranded outside the
+//! assigned + pooled census.
 
 use std::collections::HashSet;
 use std::path::PathBuf;
@@ -34,14 +32,13 @@ fn dir(tag: &str) -> PathBuf {
 /// block the case touches.
 type Plan = Vec<(u16, bool)>;
 
-fn churn(shards: usize, plans: Vec<Plan>) {
+fn churn(plans: Vec<Plan>) {
     let d = dir("churn");
     std::fs::create_dir_all(&d).unwrap();
     let sim = ScmSim::new(ScmConfig::for_testing(32 << 20));
     let mgr = RegionManager::boot(&sim, &d).unwrap();
     let (regions, _pmem) = Regions::open(&mgr, 1 << 16).unwrap();
-    let heap = Arc::new(PHeap::open(&regions, HeapConfig::default().with_shards(shards)).unwrap());
-    assert_eq!(heap.shard_count(), shards);
+    let heap = Arc::new(PHeap::open(&regions, HeapConfig::default()).unwrap());
 
     let handles: Vec<_> = plans
         .into_iter()
@@ -74,14 +71,14 @@ fn churn(shards: usize, plans: Vec<Plan>) {
     }
 
     // No double allocation: every live pointer is unique, regardless of
-    // which shard served it or whether its superblock was stolen from
+    // which thread allocated it or whether its superblock was taken from
     // the pool mid-run.
     let total: usize = results.iter().map(Vec::len).sum();
     let distinct: HashSet<_> = results.iter().flatten().copied().collect();
     assert_eq!(distinct.len(), total, "allocator handed out a block twice");
 
-    // Remote-free every survivor from this (fourth) thread, then demand
-    // a leak-free census: nothing live, every superblock accounted for.
+    // Free every survivor from this (fourth) thread, then demand a
+    // leak-free census: nothing live, every superblock accounted for.
     for addr in results.into_iter().flatten() {
         heap.pfree_addr(addr).unwrap();
     }
@@ -108,12 +105,11 @@ proptest! {
 
     #[test]
     fn concurrent_churn_never_double_allocates_or_leaks(
-        shards in (0usize..3).prop_map(|i| [1usize, 2, 7][i]),
         plans in proptest::collection::vec(
             proptest::collection::vec((1u16..2049, any::<bool>()), 1..48),
             THREADS..THREADS + 1,
         ),
     ) {
-        churn(shards, plans);
+        churn(plans);
     }
 }

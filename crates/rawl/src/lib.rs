@@ -51,13 +51,11 @@
 pub mod commit_log;
 pub mod error;
 mod metrics;
-pub mod multi;
 pub mod shared;
 pub mod tornbit;
 pub mod tornbit_log;
 
 pub use commit_log::CommitRecordLog;
 pub use error::LogError;
-pub use multi::{recover_all, RecoveredLog};
 pub use shared::LOG_HEADER_BYTES;
 pub use tornbit_log::{LogTruncator, TornbitLog};

@@ -156,17 +156,11 @@ impl TornbitLog {
         })
     }
 
-    /// Whether a tornbit log header is present at `base` (used to decide
-    /// between [`TornbitLog::create`] and [`TornbitLog::recover`]).
-    pub fn exists(pmem: &PMem, base: VAddr) -> bool {
-        pmem.read_u64(base) == TORNBIT_MAGIC
-    }
-
-    /// Recovers the log at `base` if one exists there, otherwise creates a
-    /// fresh one of `capacity_words`. Returns the producer handle plus any
-    /// records recovered (empty for a fresh log). This is the open path
-    /// for subsystems that keep a *set* of logs and may grow it between
-    /// boots (e.g. the sharded persistent heap adding shard logs).
+    /// Recovers the log at `base` if a tornbit log header is present there,
+    /// otherwise creates a fresh one of `capacity_words`. Returns the
+    /// producer handle plus any records recovered (empty for a fresh log).
+    /// This is the open path for a log region that a previous boot may or
+    /// may not have formatted (e.g. a transaction thread slot's log).
     ///
     /// # Errors
     /// Propagates [`TornbitLog::create`] / [`TornbitLog::recover`] errors.
@@ -175,7 +169,7 @@ impl TornbitLog {
         base: VAddr,
         capacity_words: u64,
     ) -> Result<(TornbitLog, Vec<Vec<u64>>), LogError> {
-        if TornbitLog::exists(&pmem, base) {
+        if pmem.read_u64(base) == TORNBIT_MAGIC {
             TornbitLog::recover(pmem, base)
         } else {
             TornbitLog::create(pmem, base, capacity_words).map(|log| (log, Vec::new()))
@@ -600,6 +594,25 @@ mod tests {
         env.sim.crash(CrashPolicy::DropAll);
         let (_log, records) = recover(&env);
         assert_eq!(records, vec![vec![1, 2, 3]]);
+    }
+
+    #[test]
+    fn open_or_create_round_trip() {
+        let (env, _log) = setup(256);
+        let pmem = env.regions.pmem_handle();
+        let base = env
+            .regions
+            .pmap("fresh", LOG_HEADER_BYTES + 256 * 8, &pmem)
+            .unwrap()
+            .addr;
+        let (mut log, records) = TornbitLog::open_or_create(pmem, base, 256).unwrap();
+        assert!(records.is_empty(), "fresh log has no records");
+        log.append(&[7, 8, 9]).unwrap();
+        log.flush();
+        env.sim.crash(CrashPolicy::DropAll);
+        let (_log, records) =
+            TornbitLog::open_or_create(env.regions.pmem_handle(), base, 256).unwrap();
+        assert_eq!(records, vec![vec![7, 8, 9]]);
     }
 
     #[test]

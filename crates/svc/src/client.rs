@@ -297,7 +297,7 @@ impl Client {
         }
     }
 
-    /// Forces a checkpoint pass on the server: the allocator logs are
+    /// Forces a checkpoint pass on the server: the allocator log is
     /// swept (the redo logs empty themselves at commit) and the
     /// outstanding redo backlog is reported.
     ///

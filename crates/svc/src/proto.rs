@@ -183,7 +183,7 @@ impl Request {
 /// Result of an on-demand checkpoint ([`Response::CkptDone`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CkptSummary {
-    /// Log words durably reclaimed (redo logs plus allocator logs).
+    /// Log words durably reclaimed (redo logs plus the allocator log).
     pub reclaimed_words: u64,
     /// Outstanding redo-log words when the pass started.
     pub outstanding_before: u64,

@@ -141,7 +141,11 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<ServerShared>) {
             let shared = Arc::clone(shared);
             std::thread::spawn(move || serve_conn(stream, &shared))
         };
-        shared.conns.lock().push((handle, join));
+        let mut conns = shared.conns.lock();
+        // A finished connection's socket clone is the last handle on its
+        // descriptor; dropping the entry releases it.
+        conns.retain(|(_, join)| !join.is_finished());
+        conns.push((handle, join));
     }
 }
 

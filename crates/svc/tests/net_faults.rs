@@ -296,6 +296,62 @@ fn conn_bound_refuses_excess_connections() {
     std::fs::remove_dir_all(&d).ok();
 }
 
+/// Short connections must not pile up descriptors in the daemon: under a
+/// common `ulimit -n` of 1024, `accept` would otherwise start failing
+/// after about a thousand of them.
+#[cfg(target_os = "linux")]
+#[test]
+fn closed_connections_release_their_descriptors() {
+    use std::io::{BufRead, BufReader};
+    use std::process::{Child, Command, Stdio};
+
+    /// The real daemon, killed on drop so a failing test leaves no process.
+    struct Daemon(Child);
+    impl Drop for Daemon {
+        fn drop(&mut self) {
+            let _ = self.0.kill();
+            let _ = self.0.wait();
+        }
+    }
+
+    let d = dir("fds");
+    let mut child = Command::new(env!("CARGO_BIN_EXE_mnemosyned"))
+        .args(["--addr", "127.0.0.1:0", "--scm-mb", "32", "--dir"])
+        .arg(&d)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .unwrap();
+    let stdout = child.stdout.take().unwrap();
+    let daemon = Daemon(child);
+    let mut line = String::new();
+    BufReader::new(stdout).read_line(&mut line).unwrap();
+    let addr = line
+        .trim()
+        .strip_prefix("listening on ")
+        .unwrap_or_else(|| panic!("unexpected banner {line:?}"))
+        .to_string();
+    let fd_dir = format!("/proc/{}/fd", daemon.0.id());
+    let fds = || std::fs::read_dir(&fd_dir).unwrap().count();
+
+    let start = fds();
+    for _ in 0..300 {
+        let mut c = Client::connect(addr.as_str()).unwrap();
+        c.ping().unwrap();
+    }
+    let end = fds();
+    assert!(
+        end <= start + 8,
+        "300 closed connections left {} descriptors behind ({start} -> {end})",
+        end - start
+    );
+    let mut c = Client::connect(addr.as_str()).unwrap();
+    c.ping().unwrap();
+    drop(c);
+    drop(daemon);
+    std::fs::remove_dir_all(&d).ok();
+}
+
 /// Graceful drain: SHUTDOWN is acknowledged only after every accepted
 /// request settles, and requests arriving during the drain get the typed
 /// `Draining` answer rather than being half-served.

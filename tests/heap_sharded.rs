@@ -1,18 +1,18 @@
-//! Crash-point sweep over *concurrent* allocation on the sharded heap.
+//! Crash-point sweep over *concurrent* allocation on the heap.
 //!
-//! Three worker threads (each hashing to its own shard) allocate into
-//! their own rows of persistent cells and free half of their blocks
-//! locally; the main thread then frees the survivors — remote frees
-//! routed to each block's owning shard — and anchors a final batch that
-//! must survive. The sweep kills the machine at every durability
-//! primitive along the way: per-shard log appends, superblock metadata
-//! writes, cell stores, and the remote-free path are all crash targets.
+//! Three worker threads allocate into their own rows of persistent cells
+//! and free half of their blocks; the main thread then frees the blocks
+//! the workers allocated and kept, and anchors a final batch that must
+//! survive. The sweep kills the machine at every durability primitive
+//! along the way: allocator-log appends, superblock metadata writes, cell
+//! stores, and frees from a thread other than the allocating one are all
+//! crash targets.
 //!
 //! The invariant accepts any crash-consistent prefix: a cell is either
 //! zero or holds a pointer the recovered heap recognises, no two cells
 //! alias one block, and once every surviving pointer is freed the
 //! small-area census must show zero live blocks with every superblock
-//! either shard-owned or pooled.
+//! either assigned or pooled.
 //!
 //! No barriers anywhere in the workload: once a fault plan fires, every
 //! thread dies at its *next* primitive, so a thread parked on a barrier
@@ -42,7 +42,6 @@ fn dir(tag: &str) -> PathBuf {
 fn builder(p: &std::path::Path) -> mnemosyne::MnemosyneBuilder {
     Mnemosyne::builder(p)
         .scm_config(ScmConfig::virtual_clock(16 << 20))
-        .heap_shards(3)
         .truncation(Truncation::Sync)
 }
 
@@ -55,7 +54,7 @@ fn workload(m: &Mnemosyne) -> Result<(), Error> {
     let heap = Arc::clone(m.heap());
 
     // Phase 1 (concurrent): each worker fills its own cell row, then
-    // frees its even-indexed blocks — local frees on its home shard.
+    // frees its even-indexed blocks.
     let handles: Vec<_> = (0..THREADS)
         .map(|t| {
             let heap = Arc::clone(&heap);
@@ -87,8 +86,8 @@ fn workload(m: &Mnemosyne) -> Result<(), Error> {
         r?;
     }
 
-    // Phase 2: the main thread (its own home shard) frees the workers'
-    // surviving odd-indexed blocks — remote frees crossing shards.
+    // Phase 2: the main thread frees the workers' surviving odd-indexed
+    // blocks.
     for t in 0..THREADS {
         for i in (1..PER_THREAD).step_by(2) {
             heap.pfree(area.add((t * PER_THREAD + i) * 8))?;
@@ -132,7 +131,7 @@ fn check(m: &Mnemosyne) -> Result<(), String> {
         }
     }
     // Freeing every anchored pointer must drain the heap completely:
-    // alloc and cell-anchor commit atomically through the shard logs, so
+    // alloc and cell-anchor commit atomically through the allocator log, so
     // a recovered block without a cell (a leak) is a protocol violation.
     for (cell, _) in live {
         heap.pfree(cell)
