@@ -1,5 +1,5 @@
 //! Runs the full experiment suite: every table and figure of §6, plus
-//! the microcost, reincarnation, reliability and recovery experiments.
+//! the microcost, reincarnation and reliability experiments.
 //!
 //! Unlike a plain script of bench invocations, failures are *contained
 //! and propagated*: each experiment runs under
@@ -27,7 +27,6 @@ fn main() {
         ("microcosts", exp::microcosts::run),
         ("reincarnation", exp::reincarnation::run),
         ("reliability", exp::reliability::run),
-        ("recovery", exp::recovery::run),
     ];
 
     let results: Vec<(&str, Result<(), String>)> = suite

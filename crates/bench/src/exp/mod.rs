@@ -6,7 +6,6 @@ pub mod fig6;
 pub mod fig7;
 pub mod hashbench;
 pub mod microcosts;
-pub mod recovery;
 pub mod reincarnation;
 pub mod reliability;
 pub mod table1;

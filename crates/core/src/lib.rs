@@ -215,14 +215,6 @@ impl MnemosyneBuilder {
         self
     }
 
-    /// Sets the worker-thread count for parallel log replay at open
-    /// (`0` = auto: the host parallelism, clamped to
-    /// `[1, max_threads]`).
-    pub fn recovery_threads(mut self, n: usize) -> Self {
-        self.mtm_config = self.mtm_config.with_recovery_threads(n);
-        self
-    }
-
     /// Boots from an in-memory media image (what the SCM held at the
     /// instant of a crash) instead of the media file. The device size is
     /// taken from the image — it is the same physical part.

@@ -110,6 +110,9 @@ impl Mnemosyne {
         let a = slot_addr(slot);
         let mut th = self.register_thread()?;
         let off = th.atomic(|tx| {
+            if tx.read_u64(a)? != 0 {
+                return Ok(None); // taken since the scan
+            }
             let off = tx.read_u64(bump_addr)?;
             if off + size > var_len {
                 return Err(tx.cancel());
@@ -121,10 +124,13 @@ impl Mnemosyne {
             // The name-length word is what makes the slot visible;
             // written last in the buffered write set, applied atomically.
             tx.write_u64(a, name.len() as u64)?;
-            Ok(off)
+            Ok(Some(off))
         });
+        drop(th);
         match off {
-            Ok(off) => Ok(var_base.add(off)),
+            Ok(Some(off)) => Ok(var_base.add(off)),
+            // A concurrent binder took the slot this scan picked: rescan.
+            Ok(None) => self.pstatic(name, size),
             Err(crate::TxError::Cancelled) => Err(Error::PStatic(format!(
                 "static area exhausted binding '{name}'"
             ))),
@@ -176,6 +182,29 @@ mod tests {
         let mut buf = [1u8; 32];
         m.pmem_handle().read(a, &mut buf);
         assert_eq!(buf, [0u8; 32]);
+        std::fs::remove_dir_all(&d).ok();
+    }
+
+    /// Binders racing for the same free slot must not overwrite each
+    /// other's entry: every name still resolves to the address its first
+    /// binding returned.
+    #[test]
+    fn concurrent_binders_keep_their_slots() {
+        let d = dir("race");
+        let m = Mnemosyne::builder(&d).scm_size(32 << 20).open().unwrap();
+        for round in 0..8 {
+            let names: Vec<String> = (0..4).map(|t| format!("r{round}t{t}")).collect();
+            let bound: Vec<VAddr> = std::thread::scope(|s| {
+                let hs: Vec<_> = names
+                    .iter()
+                    .map(|n| s.spawn(|| m.pstatic(n, 64).unwrap()))
+                    .collect();
+                hs.into_iter().map(|h| h.join().unwrap()).collect()
+            });
+            for (n, &a) in names.iter().zip(&bound) {
+                assert_eq!(m.pstatic(n, 64).unwrap(), a, "'{n}' lost its slot");
+            }
+        }
         std::fs::remove_dir_all(&d).ok();
     }
 

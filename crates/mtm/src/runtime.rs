@@ -1,7 +1,6 @@
 //! The transaction runtime: per-thread redo logs, commit/abort, recovery,
 //! and synchronous or asynchronous log truncation (§5).
 
-use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -63,27 +62,19 @@ pub enum Truncation {
     Async,
 }
 
+/// Slots in the global versioned-lock table.
+const LOCK_TABLE_SLOTS: usize = 1 << 20;
+
 /// Configuration for [`MtmRuntime::open`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MtmConfig {
     /// Maximum concurrently registered transaction threads (one redo log
-    /// each).
+    /// each, named `mtm.log{i}`).
     pub max_threads: usize,
     /// Capacity of each per-thread redo log, in words.
     pub log_words: u64,
-    /// Slots in the global versioned-lock table.
-    pub lock_table_size: usize,
     /// Truncation regime.
     pub truncation: Truncation,
-    /// Region-name prefix for the logs.
-    pub name_prefix: String,
-    /// Bounded-backoff patience: how many escalating waits a transaction
-    /// spends on a foreign-owned lock before aborting. `0` restores raw
-    /// abort-on-conflict.
-    pub max_lock_waits: u32,
-    /// Worker threads for parallel log replay at open. `0` (the default)
-    /// resolves to the host parallelism, clamped to `[1, max_threads]`.
-    pub recovery_threads: usize,
 }
 
 impl Default for MtmConfig {
@@ -91,11 +82,7 @@ impl Default for MtmConfig {
         MtmConfig {
             max_threads: 8,
             log_words: 1 << 15,
-            lock_table_size: 1 << 20,
             truncation: Truncation::Sync,
-            name_prefix: "mtm".to_string(),
-            max_lock_waits: 6,
-            recovery_threads: 0,
         }
     }
 }
@@ -111,30 +98,6 @@ impl MtmConfig {
     pub fn with_max_threads(mut self, n: usize) -> Self {
         self.max_threads = n;
         self
-    }
-
-    /// Overrides the bounded-backoff patience on contended locks.
-    pub fn with_max_lock_waits(mut self, waits: u32) -> Self {
-        self.max_lock_waits = waits;
-        self
-    }
-
-    /// Overrides the parallel-recovery worker count (`0` = auto).
-    pub fn with_recovery_threads(mut self, n: usize) -> Self {
-        self.recovery_threads = n;
-        self
-    }
-
-    /// The effective recovery worker count: the explicit setting, else the
-    /// host parallelism — always clamped to `[1, max_threads]` (there is
-    /// one log per thread slot, so more workers than slots cannot help).
-    pub fn resolve_recovery_threads(&self) -> usize {
-        let n = if self.recovery_threads > 0 {
-            self.recovery_threads
-        } else {
-            std::thread::available_parallelism().map_or(1, |n| n.get())
-        };
-        n.clamp(1, self.max_threads.max(1))
     }
 }
 
@@ -153,8 +116,7 @@ pub struct MtmStats {
 }
 
 /// What the last [`MtmRuntime::open`] had to do to restore the machine:
-/// the measured side of the recovery SLO (the `recovery` bench reports
-/// these figures per outstanding-log size).
+/// the measured side of the recovery SLO.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RecoveryStats {
     /// Committed-but-unflushed transactions replayed from the redo logs.
@@ -162,18 +124,16 @@ pub struct RecoveryStats {
     /// Live log words scanned across all thread slots (the outstanding
     /// log the previous incarnation left behind).
     pub scanned_words: u64,
-    /// Critical-path time of the scan + replay phases: the max over the
-    /// parallel workers, in the emulator's virtual time domain when the
-    /// virtual clock is on, wall time otherwise.
+    /// Time of the scan + replay, in the emulator's virtual time domain
+    /// when the virtual clock is on, wall time otherwise.
     pub replay_ns: u64,
-    /// Worker threads the replay actually used.
-    pub threads: usize,
 }
 
 /// Result of one [`MtmRuntime::checkpoint`] pass.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CkptStats {
-    /// Log words durably reclaimed (redo logs plus the allocator log).
+    /// Redo-log words durably reclaimed (always 0 in the synchronous
+    /// regime, whose logs are empty between commits).
     pub reclaimed_words: u64,
     /// Outstanding redo-log words when the checkpoint started.
     pub outstanding_before: u64,
@@ -219,7 +179,7 @@ pub(crate) struct MtmMetrics {
     pub(crate) backoff_spins: Histogram,
     /// Checkpoints completed ([`MtmRuntime::checkpoint`]).
     pub(crate) ckpt_runs: Counter,
-    /// Log words reclaimed by checkpoints (redo logs + allocator log).
+    /// Redo-log words reclaimed by checkpoints.
     pub(crate) ckpt_words: Counter,
     /// High-water mark of outstanding redo-log words observed at
     /// checkpoint entry.
@@ -227,7 +187,7 @@ pub(crate) struct MtmMetrics {
     /// Per-checkpoint duration (virtual ns when the clock is emulated).
     pub(crate) ckpt_ns: Histogram,
     /// Worst log-replay time measured at open, in milliseconds — the
-    /// recovery SLO gauge the `recovery` bench drills into.
+    /// recovery SLO gauge.
     pub(crate) replay_ms: MaxGauge,
 }
 
@@ -319,10 +279,8 @@ pub struct MtmRuntime {
     heap: RwLock<Option<Arc<PHeap>>>,
     slots: Mutex<Vec<Option<TornbitLog>>>,
     truncation: Truncation,
-    max_lock_waits: u32,
     commits: AtomicU64,
     aborts: AtomicU64,
-    replayed: AtomicU64,
     stalls: AtomicU64,
     metrics: MtmMetrics,
     manager: Mutex<Option<ManagerHandle>>,
@@ -349,196 +307,81 @@ impl MtmRuntime {
     /// Fails on region exhaustion or corrupt logs.
     pub fn open(regions: &Arc<Regions>, config: MtmConfig) -> Result<Arc<MtmRuntime>, TxError> {
         let pmem = regions.pmem_handle();
-        let threads = config.resolve_recovery_threads();
+        // Virtual time is accounted per handle: the recovery time is each
+        // log handle's scan plus `pmem`'s replay.
+        let mut replay_ns = 0u64;
 
-        // Map every slot's log region first (the region table is one
-        // shared structure); the per-log scans below then touch disjoint
-        // regions and can run in parallel.
-        let mut bases = Vec::with_capacity(config.max_threads);
-        for i in 0..config.max_threads {
-            let name = format!("{}.log{}", config.name_prefix, i);
-            let r = regions.pmap(&name, LOG_HEADER_BYTES + config.log_words * 8, &pmem)?;
-            bases.push(r.addr);
-        }
-
-        let wall = Instant::now();
-        let log_words = config.log_words;
-
-        // Phase 1 — parallel scan: torn-bit scan, record decode, and tail
-        // sanitisation of each slot's log, round-robin over the workers so
-        // populated logs spread evenly. Joined explicitly: a simulated
-        // crash fired inside a worker must resurface with its payload
-        // intact (the crash-sweep harness matches on it).
-        let nscan = threads.min(bases.len().max(1));
-        let mut work: Vec<Vec<(usize, VAddr, PMem)>> = (0..nscan).map(|_| Vec::new()).collect();
-        for (i, &base) in bases.iter().enumerate() {
-            work[i % nscan].push((i, base, regions.pmem_handle()));
-        }
-        type Scanned = (Vec<(usize, TornbitLog, Vec<Vec<u64>>)>, u64);
-        let joined: Vec<std::thread::Result<Result<Scanned, LogError>>> = std::thread::scope(|s| {
-            let handles: Vec<_> = work
-                .into_iter()
-                .map(|batch| {
-                    s.spawn(move || -> Result<Scanned, LogError> {
-                        let mut out = Vec::with_capacity(batch.len());
-                        let mut busy = 0u64;
-                        for (i, base, hp) in batch {
-                            let timer = hp.stopwatch();
-                            let (log, records) = TornbitLog::open_or_create(hp, base, log_words)?;
-                            busy += log.pmem().elapsed_ns(&timer);
-                            out.push((i, log, records));
-                        }
-                        Ok((out, busy))
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join()).collect()
-        });
-        let mut per_slot: Vec<Option<(TornbitLog, Vec<Vec<u64>>)>> =
-            (0..bases.len()).map(|_| None).collect();
-        let mut scan_ns = 0u64;
-        let mut first_panic = None;
-        let mut first_err = None;
-        for j in joined {
-            match j {
-                Ok(Ok((out, busy))) => {
-                    scan_ns = scan_ns.max(busy);
-                    for (i, log, records) in out {
-                        per_slot[i] = Some((log, records));
-                    }
-                }
-                Ok(Err(e)) => first_err = first_err.or(Some(e)),
-                Err(payload) => first_panic = first_panic.or(Some(payload)),
-            }
-        }
-        if let Some(p) = first_panic {
-            std::panic::resume_unwind(p);
-        }
-        if let Some(e) = first_err {
-            return Err(TxError::Log(e));
-        }
-
-        // Merge in slot order (deterministic), validating each record.
-        let mut logs = Vec::with_capacity(bases.len());
-        let mut pending: Vec<(u64, Vec<(VAddr, u64)>)> = Vec::new();
+        // Scan: map each slot's log and recover its records.
+        let mut logs = Vec::with_capacity(config.max_threads);
+        let mut records: Vec<Vec<u64>> = Vec::new();
         let mut scanned_words = 0u64;
-        for entry in per_slot {
-            let (log, records) = entry.expect("every slot scanned");
+        for i in 0..config.max_threads {
+            let bytes = LOG_HEADER_BYTES + config.log_words * 8;
+            let r = regions.pmap(&format!("mtm.log{i}"), bytes, &pmem)?;
+            let handle = regions.pmem_handle();
+            let timer = handle.stopwatch();
+            let (log, recs) = TornbitLog::open_or_create(handle, r.addr, config.log_words)?;
+            replay_ns += log.pmem().elapsed_ns(&timer);
             scanned_words += log.len_words();
-            for rec in records {
-                // Redo records are [ts, (addr,val)*]. Every record is
-                // checksum-verified by recovery, so a structurally
-                // malformed one means corruption slipped past the
-                // media-level checks — refuse to replay it.
-                if rec.is_empty() || rec.len() % 2 == 0 {
-                    return Err(TxError::Log(LogError::Corrupt {
-                        position: 0,
-                        detail: "malformed redo record in recovered log",
-                    }));
-                }
-                let ts = rec[0];
-                let writes = rec[1..]
-                    .chunks_exact(2)
-                    .map(|c| (VAddr(c[0]), c[1]))
-                    .collect();
-                pending.push((ts, writes));
-            }
+            records.extend(recs);
             logs.push(log);
         }
-
-        // Phase 2 — parallel replay of committed transactions (§5
-        // recovery). The flattened write stream is walked in global
-        // timestamp order and partitioned by target *cache line*: writes
-        // to one address always land in one partition in timestamp
-        // order, so the parallel apply is write-for-write equivalent to
-        // the serial one — and the line granularity keeps each flushed
-        // line owned by exactly one worker, so the flush traffic
-        // actually divides instead of every worker touching every line.
-        // Each worker stores its partition, flushes the lines, and
-        // fences once.
-        pending.sort_by_key(|&(ts, _)| ts);
-        let replayed = pending.len() as u64;
-        let mut parts: Vec<Vec<(VAddr, u64)>> = (0..threads).map(|_| Vec::new()).collect();
-        for (_, writes) in &pending {
-            for &(addr, val) in writes {
-                parts[(addr.0 >> 6) as usize % threads].push((addr, val));
-            }
+        // Redo records are [ts, (addr,val)*]. Every record is
+        // checksum-verified by recovery, so a structurally malformed one
+        // means corruption slipped past the media-level checks — refuse to
+        // replay it.
+        if records.iter().any(|rec| rec.len() % 2 == 0) {
+            return Err(TxError::Log(LogError::Corrupt {
+                position: 0,
+                detail: "malformed redo record in recovered log",
+            }));
         }
-        let mut replay_ns = 0u64;
-        if replayed > 0 {
-            let joined: Vec<std::thread::Result<Result<u64, LogError>>> = std::thread::scope(|s| {
-                let handles: Vec<_> = parts
-                    .into_iter()
-                    .filter(|p| !p.is_empty())
-                    .map(|part| {
-                        let hp = regions.pmem_handle();
-                        s.spawn(move || -> Result<u64, LogError> {
-                            let timer = hp.stopwatch();
-                            for &(addr, _) in &part {
-                                // A redo address outside every mapped
-                                // region would be a segfault-analogue
-                                // panic; surface it as typed corruption
-                                // instead (the checksum passed, so the
-                                // region table itself regressed —
-                                // either way, don't crash).
-                                if hp.try_translate(addr).is_err() {
-                                    return Err(LogError::Corrupt {
-                                        position: 0,
-                                        detail: "redo record targets an unmapped address",
-                                    });
-                                }
-                            }
-                            for &(addr, val) in &part {
-                                hp.store_u64(addr, val);
-                            }
-                            for &(addr, _) in &part {
-                                hp.flush(addr);
-                            }
-                            hp.fence();
-                            Ok(hp.elapsed_ns(&timer))
-                        })
-                    })
-                    .collect();
-                handles.into_iter().map(|h| h.join()).collect()
-            });
-            let mut first_panic = None;
-            let mut first_err = None;
-            for j in joined {
-                match j {
-                    Ok(Ok(busy)) => replay_ns = replay_ns.max(busy),
-                    Ok(Err(e)) => first_err = first_err.or(Some(e)),
-                    Err(payload) => first_panic = first_panic.or(Some(payload)),
-                }
+
+        // Replay committed transactions in global timestamp order (§5
+        // recovery): store every write, flush it, fence once.
+        records.sort_by_key(|rec| rec[0]);
+        let replayed = records.len() as u64;
+        let writes: Vec<(VAddr, u64)> = records
+            .iter()
+            .flat_map(|rec| rec[1..].chunks_exact(2).map(|c| (VAddr(c[0]), c[1])))
+            .collect();
+        if !writes.is_empty() {
+            let timer = pmem.stopwatch();
+            // A redo address outside every mapped region would be a
+            // segfault-analogue panic; surface it as typed corruption
+            // instead, before any write lands (the checksum passed, so the
+            // region table itself regressed — either way, don't crash).
+            if writes
+                .iter()
+                .any(|&(addr, _)| pmem.try_translate(addr).is_err())
+            {
+                return Err(TxError::Log(LogError::Corrupt {
+                    position: 0,
+                    detail: "redo record targets an unmapped address",
+                }));
             }
-            if let Some(p) = first_panic {
-                std::panic::resume_unwind(p);
+            for &(addr, val) in &writes {
+                pmem.store_u64(addr, val);
             }
-            if let Some(e) = first_err {
-                return Err(TxError::Log(e));
+            for &(addr, _) in &writes {
+                pmem.flush(addr);
             }
+            pmem.fence();
+            replay_ns += pmem.elapsed_ns(&timer);
         }
         for log in &mut logs {
             log.truncate_all();
         }
-
-        // Critical-path recovery time: max over the parallel workers per
-        // phase under the virtual clock, wall time otherwise.
-        let total_ns = if pmem.mode() == EmulationMode::Virtual {
-            scan_ns + replay_ns
-        } else {
-            wall.elapsed().as_nanos() as u64
-        };
         let recovery = RecoveryStats {
             replayed,
             scanned_words,
-            replay_ns: total_ns,
-            threads,
+            replay_ns,
         };
 
         let metrics = MtmMetrics::new(regions.telemetry());
         metrics.replayed.add(replayed);
         if replayed > 0 {
-            metrics.replay_ms.record(total_ns.div_ceil(1_000_000));
+            metrics.replay_ms.record(replay_ns.div_ceil(1_000_000));
         }
         // Every log gets a consumer handle up front: backlog accounting
         // reads them in both regimes, and in the async regime the manager
@@ -554,14 +397,12 @@ impl MtmRuntime {
 
         let rt = Arc::new(MtmRuntime {
             clock: GlobalClock::new(),
-            locks: LockTable::new(config.lock_table_size),
+            locks: LockTable::new(LOCK_TABLE_SLOTS),
             regions: Arc::clone(regions),
             heap: RwLock::new(None),
             truncation: config.truncation,
-            max_lock_waits: config.max_lock_waits,
             commits: AtomicU64::new(0),
             aborts: AtomicU64::new(0),
-            replayed: AtomicU64::new(replayed),
             stalls: AtomicU64::new(0),
             metrics,
             manager: Mutex::new(None),
@@ -641,7 +482,7 @@ impl MtmRuntime {
         MtmStats {
             commits: self.commits.load(Ordering::Relaxed),
             aborts: self.aborts.load(Ordering::Relaxed),
-            replayed: self.replayed.load(Ordering::Relaxed),
+            replayed: self.recovery.replayed,
             stalls: self.stalls.load(Ordering::Relaxed),
         }
     }
@@ -675,11 +516,7 @@ impl MtmRuntime {
         self.truncation
     }
 
-    pub(crate) fn max_lock_waits(&self) -> u32 {
-        self.max_lock_waits
-    }
-
-    /// Parallel-recovery figures from the last [`MtmRuntime::open`].
+    /// Recovery figures from the last [`MtmRuntime::open`].
     pub fn recovery_stats(&self) -> RecoveryStats {
         self.recovery
     }
@@ -698,11 +535,13 @@ impl MtmRuntime {
 
     /// Runs one checkpoint pass: in the asynchronous regime, one
     /// log-manager pass over the redo logs (each record's data lines
-    /// forced out, then the record truncated); in both regimes, a sweep of
-    /// the attached heap's allocator log. In the synchronous regime the
-    /// redo logs are left alone — each belongs to its committing thread,
-    /// which empties it before releasing its locks. Safe to call from any
-    /// thread, concurrently with committing transactions.
+    /// forced out, then the record truncated). In the synchronous regime
+    /// the redo logs are left alone — each belongs to its committing
+    /// thread, which empties it before releasing its locks — and the pass
+    /// only records the backlog. The allocator log needs no pass in either
+    /// regime: every heap operation truncates it before releasing the heap
+    /// lock. Safe to call from any thread, concurrently with committing
+    /// transactions.
     pub fn checkpoint(&self) -> CkptStats {
         let wall = Instant::now();
         let truncators = self.ckpt.truncators.lock();
@@ -710,18 +549,13 @@ impl MtmRuntime {
         let busy_before: u64 = truncators.iter().map(|t| t.pmem().accounted_ns()).sum();
         let before: u64 = truncators.iter().map(|t| t.backlog_words()).sum();
         self.metrics.ckpt_outstanding_hwm.record(before);
-        let mut words = match self.truncation {
+        let words = match self.truncation {
             Truncation::Sync => 0,
             Truncation::Async => drain_logs(&truncators),
         };
         let after: u64 = truncators.iter().map(|t| t.backlog_words()).sum();
         let busy_after: u64 = truncators.iter().map(|t| t.pmem().accounted_ns()).sum();
         drop(truncators);
-        // Allocator logs truncate per-op and are almost always empty
-        // already; the sweep turns "almost always" into a bound.
-        if let Some(heap) = self.heap() {
-            words += heap.checkpoint();
-        }
         self.metrics.ckpt_runs.inc();
         self.metrics.ckpt_words.add(words);
         let ns = if virt {
@@ -1078,7 +912,9 @@ impl Tx<'_> {
             // fence. A log therefore holds a record only while its
             // transaction holds that record's locks.
             let truncate_timer = self.th.pmem().stopwatch();
-            let lines: HashSet<u64> = self.write_set.keys().map(|a| a & !63).collect();
+            let mut lines: Vec<u64> = self.write_set.keys().map(|a| a & !63).collect();
+            lines.sort_unstable();
+            lines.dedup();
             for line in lines {
                 self.th.pmem().flush(VAddr(line));
             }

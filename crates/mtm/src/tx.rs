@@ -2,12 +2,24 @@
 //! encounter-time locking (§5).
 
 use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasherDefault, DefaultHasher};
 
 use mnemosyne_region::VAddr;
 
 use crate::error::TxAbort;
 use crate::locks::LockState;
 use crate::runtime::TxThread;
+
+/// Bounded-backoff patience: how many escalating waits a transaction
+/// spends on a foreign-owned lock before aborting.
+const MAX_LOCK_WAITS: u32 = 6;
+
+/// Buffered writes by address. The fixed-key hasher makes the iteration
+/// order — the order of a redo record's pairs and of the write-back
+/// stores — the same on every run, so a crash scheduled at the Nth
+/// primitive lands on the same word every time. (The keys are addresses
+/// the program chose, not outside input.)
+type WriteSet = HashMap<u64, u64, BuildHasherDefault<DefaultHasher>>;
 
 /// An in-flight durable memory transaction. All persistent reads and
 /// writes inside an `atomic` closure must go through these accessors (the
@@ -17,7 +29,7 @@ pub struct Tx<'a> {
     /// Read validation horizon (TinySTM's `rv`).
     pub(crate) rv: u64,
     /// Buffered new values, word granularity (lazy version management).
-    pub(crate) write_set: HashMap<u64, u64>,
+    pub(crate) write_set: WriteSet,
     /// Reads: `(lock index, observed version)`.
     pub(crate) read_set: Vec<(usize, u64)>,
     /// Acquired locks: `(lock index, pre-acquire version)`.
@@ -47,7 +59,7 @@ impl<'a> Tx<'a> {
         Tx {
             th,
             rv,
-            write_set: HashMap::new(),
+            write_set: WriteSet::default(),
             read_set: Vec::new(),
             lock_set: Vec::new(),
             owned: HashSet::new(),
@@ -61,7 +73,7 @@ impl<'a> Tx<'a> {
     /// aborting on the first owned probe (raw spin/abort), the thread
     /// waits a randomised, exponentially growing number of spins — the
     /// exponent raised further by the site's contention level, so hot
-    /// sites wait longer — and re-probes, up to `max_lock_waits` rounds.
+    /// sites wait longer — and re-probes, up to [`MAX_LOCK_WAITS`] rounds.
     ///
     /// Returns `Ok(())` to re-probe; `Err(TxAbort::Conflict)` once
     /// patience is exhausted (livelock/deadlock escape: two transactions
@@ -71,7 +83,7 @@ impl<'a> Tx<'a> {
             self.th.rt().metrics().lock_conflicts.inc();
             self.th.rt().locks().note_conflict(idx);
         }
-        if *waits >= self.th.rt().max_lock_waits() {
+        if *waits >= MAX_LOCK_WAITS {
             self.th.rt().metrics().conflict_aborts.inc();
             return Err(TxAbort::Conflict);
         }

@@ -10,7 +10,7 @@ use std::sync::atomic::Ordering;
 use parking_lot::Mutex;
 
 use mnemosyne_obs::{Counter, Histogram, PaddedAtomicU64, Telemetry, Unit};
-use mnemosyne_rawl::{LogError, TornbitLog};
+use mnemosyne_rawl::TornbitLog;
 use mnemosyne_region::{PMem, Regions, VAddr};
 
 use crate::error::HeapError;
@@ -19,7 +19,7 @@ use crate::small::{class_of, SmallAlloc, SmallLayout, WordWrite};
 
 /// Heap header magic ("PHEAPHD2"), stored in the first word of the small
 /// region; written last during formatting so a torn format is re-run. The
-/// second header word counts the allocator logs `{prefix}.log{i}` the
+/// second header word counts the allocator logs `pheap.log{i}` the
 /// image has: a fresh heap writes 1, an image written by the earlier
 /// sharded heap counts one per shard, and open replays them all. The third
 /// header word counts committed **extension areas** ([`PHeap::grow`]);
@@ -35,39 +35,30 @@ const MAX_LOGS: u64 = 64;
 /// trust, and keeps region-table usage sane).
 pub const MAX_EXT_AREAS: u64 = 64;
 
-/// Configuration for [`PHeap::open`].
+/// Allocator-log capacity in words. An operation's record is a few dozen
+/// words and the log is emptied after every operation.
+const LOG_WORDS: u64 = 4096;
+
+/// Configuration for [`PHeap::open`]. The heap's regions are named
+/// `pheap.*`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HeapConfig {
-    /// Prefix for the heap's region names (allows several heaps).
-    pub name_prefix: String,
     /// Bytes for the small-object area (superblocks + bitmaps).
     pub small_bytes: u64,
     /// Bytes for the large-object area.
     pub large_bytes: u64,
-    /// Allocator-log capacity in words.
-    pub log_words: u64,
 }
 
 impl Default for HeapConfig {
     fn default() -> Self {
         HeapConfig {
-            name_prefix: "pheap".to_string(),
             small_bytes: 4 << 20,
             large_bytes: 4 << 20,
-            log_words: 4096,
         }
     }
 }
 
 impl HeapConfig {
-    /// Config with a distinct name prefix.
-    pub fn named(prefix: &str) -> Self {
-        HeapConfig {
-            name_prefix: prefix.to_string(),
-            ..Self::default()
-        }
-    }
-
     /// Overrides the area sizes.
     pub fn with_sizes(mut self, small: u64, large: u64) -> Self {
         self.small_bytes = small;
@@ -135,7 +126,7 @@ struct HeapMetrics {
     superblock_allocs: Counter,
     large_allocs: Counter,
     /// Small requests that fell back to the large allocator because the
-    /// superblock area was exhausted.
+    /// superblock area was exhausted (also counted in `large_allocs`).
     fallback_allocs: Counter,
     replayed: Counter,
     /// Successful online [`PHeap::grow`] calls.
@@ -181,10 +172,6 @@ impl HeapState {
 pub struct PHeap {
     state: Mutex<HeapState>,
     header: VAddr,
-    /// Region-name prefix, kept for naming extension areas at [`grow`].
-    ///
-    /// [`grow`]: PHeap::grow
-    name_prefix: String,
     stats: StatCells,
     metrics: HeapMetrics,
 }
@@ -205,7 +192,7 @@ impl PHeap {
     /// 1. maps the small and large areas and the allocator log;
     /// 2. on first run, formats them and publishes the header magic;
     /// 3. otherwise **replays** every allocator log the header counts
-    ///    (plus the separate large-allocator log `{prefix}.llog` of an
+    ///    (plus the separate large-allocator log `pheap.llog` of an
     ///    image written by the earlier sharded heap), then **scavenges**
     ///    the superblock metadata and the large chunk chains to rebuild
     ///    the volatile indexes (§4.3, §6.3.2). The first log then serves
@@ -217,12 +204,11 @@ impl PHeap {
     /// Fails on region exhaustion, log corruption, or a corrupt chunk
     /// chain.
     pub fn open(regions: &Regions, config: HeapConfig) -> Result<PHeap, HeapError> {
-        let prefix = &config.name_prefix;
         let pmem = regions.pmem_handle();
-        let small_r = regions.pmap(&format!("{prefix}.small"), config.small_bytes, &pmem)?;
-        let large_r = regions.pmap(&format!("{prefix}.large"), config.large_bytes, &pmem)?;
-        let log_bytes = mnemosyne_rawl::LOG_HEADER_BYTES + config.log_words * 8;
-        let log_r = regions.pmap(&format!("{prefix}.log0"), log_bytes, &pmem)?;
+        let small_r = regions.pmap("pheap.small", config.small_bytes, &pmem)?;
+        let large_r = regions.pmap("pheap.large", config.large_bytes, &pmem)?;
+        let log_bytes = mnemosyne_rawl::LOG_HEADER_BYTES + LOG_WORDS * 8;
+        let log_r = regions.pmap("pheap.log0", log_bytes, &pmem)?;
 
         // First page of the small region: heap header (word 0 = magic,
         // word 1 = number of allocator logs, word 2 = number of committed
@@ -236,7 +222,7 @@ impl PHeap {
 
         let state = if pmem.read_u64(header) != HEAP_MAGIC {
             // Fresh heap: format everything, publish the magic last.
-            let log = TornbitLog::create(regions.pmem_handle(), log_r.addr, config.log_words)?;
+            let log = TornbitLog::create(regions.pmem_handle(), log_r.addr, LOG_WORDS)?;
             let mut small = SmallAlloc::default();
             small.add_segment(base);
             let mut large = LargeAlloc::new(large_r.addr, large_r.len);
@@ -277,9 +263,9 @@ impl PHeap {
                 // area (`.ext{e}`) or a small extension segment (`.sext{e}`,
                 // from a grow routed to the superblock pool); both share the
                 // one counter so the commit protocol stays a single word.
-                if let Some(r) = regions.find(&format!("{prefix}.ext{e}")) {
+                if let Some(r) = regions.find(&format!("pheap.ext{e}")) {
                     large_specs.push((r.addr, r.len));
-                } else if let Some(r) = regions.find(&format!("{prefix}.sext{e}")) {
+                } else if let Some(r) = regions.find(&format!("pheap.sext{e}")) {
                     small_segs.push(SmallLayout::new(r.addr, r.len));
                 } else {
                     return Err(HeapError::Corrupt(
@@ -292,13 +278,13 @@ impl PHeap {
             let mut log_bases = vec![log_r.addr];
             for i in 1..nlogs {
                 let r = regions
-                    .find(&format!("{prefix}.log{i}"))
+                    .find(&format!("pheap.log{i}"))
                     .ok_or(HeapError::Corrupt(
                         "counted allocator log is missing from the region table",
                     ))?;
                 log_bases.push(r.addr);
             }
-            log_bases.extend(regions.find(&format!("{prefix}.llog")).map(|r| r.addr));
+            log_bases.extend(regions.find("pheap.llog").map(|r| r.addr));
             let mut serving = None;
             let mut replayed = 0u64;
             for base in log_bases {
@@ -329,7 +315,6 @@ impl PHeap {
         Ok(PHeap {
             state: Mutex::new(state),
             header,
-            name_prefix: config.name_prefix,
             stats,
             metrics,
         })
@@ -375,54 +360,20 @@ impl PHeap {
 
     /// Logs then applies an operation's writes — the §4.3 atomicity
     /// protocol (the log flush is the commit point; recovery redoes the
-    /// rest).
+    /// rest). The log is empty on entry: every operation truncates it
+    /// before releasing the heap lock, so an append can fail only with
+    /// `RecordTooLarge`.
     fn commit(log: &mut TornbitLog, writes: &[WordWrite]) -> Result<(), HeapError> {
         let mut record = Vec::with_capacity(writes.len() * 2);
         for &(a, v) in writes {
             record.push(a.0);
             record.push(v);
         }
-        match log.append(&record) {
-            Ok(()) => {}
-            Err(LogError::Full { .. }) => {
-                // Synchronous truncation: prior ops are fully applied.
-                log.truncate_all();
-                log.append(&record)?;
-            }
-            Err(e) => return Err(e.into()),
-        }
+        log.append(&record)?;
         log.flush();
         Self::apply(log.pmem(), writes);
         log.truncate_all();
         Ok(())
-    }
-
-    /// Checkpoint sweep: truncates the allocator log if it still holds
-    /// records, returning the words reclaimed.
-    ///
-    /// Allocator operations already truncate the log after applying each
-    /// op, so it is almost always empty and this is nearly free — but a
-    /// checkpoint wants a *bound*, not a likelihood, on the
-    /// outstanding-log bytes a reboot must replay, and this provides it.
-    ///
-    /// A busy heap is skipped rather than waited on (`try_lock`): a held
-    /// lock means an allocator op is in flight, and that op truncates the
-    /// log before releasing the lock, so the bound holds without this
-    /// sweep. Crucially, allocations run inside transactions that hold STM
-    /// word locks — a checkpoint that *blocked* allocation here (for even a
-    /// scheduling quantum) would stall the owner and cascade every
-    /// concurrent transaction into conflict aborts. Every record truncated
-    /// here was fully applied (the op holds the lock from append through
-    /// truncate), so dropping it cannot lose state.
-    pub fn checkpoint(&self) -> u64 {
-        let Some(mut st) = self.state.try_lock() else {
-            return 0;
-        };
-        let live = st.log.len_words();
-        if live > 0 {
-            st.log.truncate_all();
-        }
-        live
     }
 
     /// Grows the heap online by mapping a fresh **extension area** of (at
@@ -431,9 +382,9 @@ impl PHeap {
     /// The new capacity goes where the pressure is: when the small area's
     /// free-superblock pool has run dry (small requests are spilling to
     /// the large allocator via the fallback path), the extension becomes a
-    /// **small segment** (`{prefix}.sext{E}`) of fresh superblocks pushed
+    /// **small segment** (`pheap.sext{E}`) of fresh superblocks pushed
     /// into the pool; otherwise it becomes a **large extension area**
-    /// (`{prefix}.ext{E}`). Both kinds share header word 2, so growth stays
+    /// (`pheap.ext{E}`). Both kinds share header word 2, so growth stays
     /// atomic against crashes with a single durable word as the commit
     /// point:
     ///
@@ -464,8 +415,8 @@ impl PHeap {
         if e >= MAX_EXT_AREAS {
             return Err(HeapError::OutOfMemory { requested: bytes });
         }
-        let large_name = format!("{}.ext{}", self.name_prefix, e);
-        let small_name = format!("{}.sext{}", self.name_prefix, e);
+        let large_name = format!("pheap.ext{e}");
+        let small_name = format!("pheap.sext{e}");
         // Re-adopt an interrupted grow's leftover under either name; a
         // fresh grow routes by where the pressure is.
         let (region, is_small) = match (regions.find(&large_name), regions.find(&small_name)) {
@@ -527,20 +478,15 @@ impl PHeap {
         let from_small = class.and_then(|c| small.alloc(c, &mut writes));
         let a = match from_small {
             Some(a) => a,
-            None => {
-                if class.is_some() {
-                    // Small area exhausted: fall back to the large allocator.
-                    self.metrics.fallback_allocs.inc();
-                }
-                // First fit across the base area and any extensions. An
-                // area's `alloc` pushes no writes before it finds a
-                // fitting chunk, so trying the next area after a miss is
-                // safe.
-                large
-                    .iter_mut()
-                    .find_map(|area| area.alloc(size, log.pmem(), &mut writes))
-                    .ok_or(HeapError::OutOfMemory { requested: size })?
-            }
+            // A large request, or a small one the exhausted small area
+            // cannot serve. First fit across the base area and any
+            // extensions. An area's `alloc` pushes no writes before it
+            // finds a fitting chunk, so trying the next area after a miss
+            // is safe.
+            None => large
+                .iter_mut()
+                .find_map(|area| area.alloc(size, log.pmem(), &mut writes))
+                .ok_or(HeapError::OutOfMemory { requested: size })?,
         };
         if let Some(c) = cell {
             writes.push((c, a.0));
@@ -550,7 +496,10 @@ impl PHeap {
         if from_small.is_some() {
             self.stats.small_allocs.fetch_add(1, Ordering::Relaxed);
             self.metrics.superblock_allocs.inc();
-        } else if class.is_none() {
+        } else {
+            if class.is_some() {
+                self.metrics.fallback_allocs.inc();
+            }
             self.stats.large_allocs.fetch_add(1, Ordering::Relaxed);
             self.metrics.large_allocs.inc();
         }
@@ -1106,6 +1055,29 @@ mod tests {
         assert_eq!(heap.usable_size(a), Some(4096));
         assert_eq!(heap.metrics.fallback_allocs.get(), 0);
         assert_eq!(heap.large_capacity(), before_large);
+    }
+
+    #[test]
+    fn exhausted_small_area_falls_back_to_the_large_allocator() {
+        let (_env, regions, _pmem) = setup();
+        let cfg = HeapConfig::default().with_sizes(68 << 10, 1 << 20);
+        let heap = PHeap::open(&regions, cfg).unwrap();
+        let (area, _) = regions.static_area();
+        // 14 blocks of 4 KB fill the 7 superblocks; the 15th cannot be
+        // served by the small area.
+        for i in 0..15u64 {
+            heap.pmalloc(4096, area.add(i * 8)).unwrap();
+        }
+        let m = &heap.metrics;
+        assert_eq!(m.fallback_allocs.get(), 1);
+        assert_eq!(
+            m.superblock_allocs.get() + m.large_allocs.get(),
+            m.allocs.get(),
+            "an allocation was counted by neither allocator"
+        );
+        assert_eq!(heap.stats().large_allocs, 1);
+        heap.pfree(area.add(14 * 8)).unwrap();
+        assert_eq!(heap.stats().frees, 1);
     }
 
     #[test]

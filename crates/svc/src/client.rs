@@ -297,9 +297,9 @@ impl Client {
         }
     }
 
-    /// Forces a checkpoint pass on the server: the allocator log is
-    /// swept (the redo logs empty themselves at commit) and the
-    /// outstanding redo backlog is reported.
+    /// Forces a checkpoint pass on the server: an asynchronous redo
+    /// backlog is drained (synchronous redo logs empty themselves at
+    /// commit) and the outstanding redo backlog is reported.
     ///
     /// # Errors
     /// Socket/protocol failures, overload shedding, or a server-side

@@ -154,9 +154,9 @@ pub enum Request {
     /// `mnemosyne-telemetry-v1` JSON snapshot ([`Response::Stats`]).
     /// Served on the admin side path, even while the server drains.
     Stats,
-    /// Admin: run one checkpoint pass right now (sweep the allocator
-    /// logs; the redo logs empty themselves at commit), answered with
-    /// [`Response::CkptDone`].
+    /// Admin: run one checkpoint pass right now (drain an asynchronous
+    /// redo backlog; synchronous redo logs empty themselves at commit),
+    /// answered with [`Response::CkptDone`].
     Checkpoint,
     /// Admin: liveness + load report ([`Response::Health`]). Served on
     /// the admin side path, even while the server drains.
@@ -183,7 +183,7 @@ impl Request {
 /// Result of an on-demand checkpoint ([`Response::CkptDone`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CkptSummary {
-    /// Log words durably reclaimed (redo logs plus the allocator log).
+    /// Redo-log words durably reclaimed.
     pub reclaimed_words: u64,
     /// Outstanding redo-log words when the pass started.
     pub outstanding_before: u64,

@@ -1,8 +1,8 @@
 //! Operational-resilience tests: a synchronous log never outlives its
 //! commit, so no record from one log can be replayed over a newer write
-//! from another; checkpoints lose nothing; and parallel recovery — even
-//! crashed mid-replay — is exactly as safe as the serial replay it
-//! replaces.
+//! from another; checkpoints lose nothing; and recovery — one thread
+//! replaying every log in timestamp order — restores each committed value,
+//! survives being crashed mid-replay, and crashes the same way every time.
 //!
 //! The tests that need a redo backlog build it in the regime that has
 //! one: `Truncation::Async` with the log manager stopped
@@ -18,8 +18,11 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Barrier;
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
+
 use mnemosyne::{
-    crash_payload, crash_sweep, CrashPolicy, Mnemosyne, ScmConfig, SweepConfig, Truncation,
+    crash_payload, crash_sweep, CrashPolicy, FaultPlan, Mnemosyne, ScmConfig, ScmSim, SweepConfig,
+    Truncation,
 };
 
 /// Sweep scratch root that CI uploads on failure.
@@ -248,12 +251,12 @@ fn crash_sweep_with_mid_workload_checkpoints_loses_nothing() {
     std::fs::remove_dir_all(&base).ok();
 }
 
-/// Double fault through the *parallel* replay path: every workload crash
-/// point is followed by crashes scheduled inside 4-thread recovery
-/// itself (scan and replay workers both issue counted primitives), and a
-/// clean reboot afterwards must still satisfy the invariant.
+/// Double fault through replay: every workload crash point is followed
+/// by crashes scheduled inside recovery itself (the log scan and the
+/// replay both issue counted primitives), and a clean reboot afterwards
+/// must still satisfy the invariant.
 #[test]
-fn double_fault_during_parallel_replay_loses_nothing() {
+fn double_fault_during_replay_loses_nothing() {
     const TXS: u64 = 6;
     const LOG_WORDS: u64 = 1 << 8;
     // Two-word records take 8 log words; the manager is gone, so all of
@@ -273,11 +276,10 @@ fn double_fault_during_parallel_replay_loses_nothing() {
                 .scm_config(ScmConfig::virtual_clock(8 << 20))
                 .truncation(Truncation::Async)
                 .log_words(LOG_WORDS)
-                .recovery_threads(4)
         },
         |m| {
             // No manager: every record lingers, so recovery always has a
-            // real multi-record backlog to replay in parallel.
+            // real multi-record backlog to replay.
             m.mtm().kill();
             let cell = m.pstatic("dblcell", 64)?;
             let mut th = m.register_thread()?;
@@ -285,8 +287,8 @@ fn double_fault_during_parallel_replay_loses_nothing() {
                 th.atomic(|tx| {
                     let v = tx.read_u64(cell)?;
                     tx.write_u64(cell, v + 1)?;
-                    // Touch neighbouring lines too, so the replay
-                    // stream spans several address partitions.
+                    // Touch neighbouring words too, so the replay stream
+                    // overwrites words across records.
                     tx.write_u64(cell.add(8 + (i % 7) * 8), v)?;
                     Ok(())
                 })?;
@@ -314,16 +316,18 @@ fn double_fault_during_parallel_replay_loses_nothing() {
     std::fs::remove_dir_all(&base).ok();
 }
 
-/// Parallel replay must be write-for-write equivalent to serial replay:
-/// reboot the same crash image at 1 and 4 threads and compare the
-/// recovered state word for word.
+/// Replay restores a four-log backlog exactly: four producers commit
+/// under `Truncation::Async` with the manager stopped, the crash drops
+/// every data line, and the reboot must replay every committed record and
+/// leave each word at the value its last commit wrote.
 #[test]
-fn parallel_replay_matches_serial_replay() {
+fn replay_restores_the_last_committed_value_of_every_word() {
+    const PRODUCERS: u64 = 4;
     const TXS: u64 = 50;
     const LOG_WORDS: u64 = 1 << 10;
     // As above: 8 log words a record, half the log to spare.
     const _: () = assert!(TXS * 8 < LOG_WORDS / 2);
-    let d = dir("equiv");
+    let d = dir("replay");
     let build = |dir: &std::path::Path| {
         Mnemosyne::builder(dir)
             .scm_config(ScmConfig::virtual_clock(16 << 20))
@@ -335,9 +339,9 @@ fn parallel_replay_matches_serial_replay() {
     m.mtm().kill();
     // Every producer holds its slot before any commits, so each fills a
     // log of its own (a slot freed early would be reused, log and all).
-    let registered = Barrier::new(4);
+    let registered = Barrier::new(PRODUCERS as usize);
     std::thread::scope(|s| {
-        for t in 0..4u64 {
+        for t in 0..PRODUCERS {
             let (m, registered) = (&m, &registered);
             s.spawn(move || {
                 let area = m.pstatic(&format!("eq{t}"), 64 * 8).unwrap();
@@ -357,37 +361,84 @@ fn parallel_replay_matches_serial_replay() {
     assert!(m.mtm().outstanding_log_words() > 0);
     let (d, image) = m.crash(CrashPolicy::DropAll);
 
-    let read_all = |m: &Mnemosyne| -> Vec<u64> {
-        let mut th = m.register_thread().unwrap();
-        let mut out = Vec::new();
-        for t in 0..4u64 {
-            let area = m.pstatic(&format!("eq{t}"), 64 * 8).unwrap();
-            for w in 0..64u64 {
-                out.push(th.atomic(|tx| tx.read_u64(area.add(w * 8))).unwrap());
-            }
+    let m = build(&d).from_image(image).open().unwrap();
+    // One record per commit, plus each producer's `pstatic` binding.
+    assert_eq!(m.mtm().recovery_stats().replayed, PRODUCERS * (TXS + 1));
+    let mut th = m.register_thread().unwrap();
+    for t in 0..PRODUCERS {
+        let mut want = [0u64; 64];
+        for i in 0..TXS {
+            want[(i % 64) as usize] = t * 10_000 + i;
+            want[((i + 13) % 64) as usize] = t * 10_000 + i + 1;
         }
-        out
+        let area = m.pstatic(&format!("eq{t}"), 64 * 8).unwrap();
+        for (w, &v) in (0u64..).zip(&want) {
+            let got = th.atomic(|tx| tx.read_u64(area.add(w * 8))).unwrap();
+            assert_eq!(got, v, "producer {t}, word {w}");
+        }
+    }
+    drop(th);
+    drop(m);
+    std::fs::remove_dir_all(&d).ok();
+}
+
+/// A crash inside recovery lands on the same primitive every time: the
+/// same workload crash point followed by the same recovery crash point
+/// leaves byte-identical media. The backlog spans four logs (four
+/// transaction threads, committing in turn from one OS thread), so a
+/// recovery that scanned or replayed them concurrently would race for the
+/// scheduled primitive.
+#[test]
+fn crash_inside_recovery_is_deterministic() {
+    let scm = ScmConfig::virtual_clock(8 << 20);
+    let build = |dir: &std::path::Path| {
+        Mnemosyne::builder(dir)
+            .scm_config(scm.clone())
+            .truncation(Truncation::Async)
+            .log_words(1 << 8)
+    };
+    // Runs the workload under `wplan` and then recovery under `rplan`,
+    // each unwinding if its plan fires; returns the media afterwards.
+    let run = |tag: &str, wplan: &FaultPlan, rplan: &FaultPlan| -> Vec<u8> {
+        let m = build(&dir(tag)).open().unwrap();
+        m.sim().set_fault_plan(wplan.clone());
+        let _ = catch_unwind(AssertUnwindSafe(|| {
+            m.mtm().kill();
+            let area = m.pstatic("det", 4 * 64).unwrap();
+            let mut ths: Vec<_> = (0..4).map(|_| m.register_thread().unwrap()).collect();
+            for i in 0..12u64 {
+                for (t, th) in (0..).zip(&mut ths) {
+                    th.atomic(|tx| tx.write_u64(area.add(t * 64 + (i % 8) * 8), i))
+                        .unwrap();
+                }
+            }
+        }));
+        let (d, image) = m.crash(CrashPolicy::DropAll);
+        let sim = ScmSim::from_image(&image, scm.clone());
+        sim.set_fault_plan(rplan.clone());
+        let _ = catch_unwind(AssertUnwindSafe(|| build(&d).with_sim(sim.clone()).open()));
+        sim.crash(CrashPolicy::DropAll);
+        std::fs::remove_dir_all(&d).ok();
+        sim.image()
     };
 
-    let serial = {
-        let m = build(&d)
-            .from_image(image.clone())
-            .recovery_threads(1)
-            .open()
-            .unwrap();
-        assert_eq!(m.mtm().recovery_stats().threads, 1);
-        assert!(m.mtm().recovery_stats().replayed > 0);
-        read_all(&m)
-    };
-    let parallel = {
-        let m = build(&d)
-            .from_image(image)
-            .recovery_threads(4)
-            .open()
-            .unwrap();
-        assert_eq!(m.mtm().recovery_stats().threads, 4);
-        read_all(&m)
-    };
-    assert_eq!(serial, parallel, "parallel replay diverged from serial");
-    std::fs::remove_dir_all(&d).ok();
+    // Crash the workload three quarters in, and recovery half way.
+    let (wcount, rcount) = (FaultPlan::count_only(), FaultPlan::count_only());
+    run("det-wcount", &wcount, &FaultPlan::count_only());
+    let k = wcount.primitives() * 3 / 4;
+    run("det-rcount", &FaultPlan::crash_at(k), &rcount);
+    let j = rcount.primitives() / 2;
+    let images: Vec<Vec<u8>> = ["det-a", "det-b"]
+        .into_iter()
+        .map(|tag| {
+            let (wplan, rplan) = (FaultPlan::crash_at(k), FaultPlan::crash_at(j));
+            let image = run(tag, &wplan, &rplan);
+            assert!(wplan.fired().is_some() && rplan.fired().is_some());
+            image
+        })
+        .collect();
+    assert!(
+        images[0] == images[1],
+        "crash at workload primitive {k}, then recovery primitive {j}, left different media"
+    );
 }
