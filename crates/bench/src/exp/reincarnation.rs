@@ -59,6 +59,8 @@ pub fn run(scale: Scale) {
             .truncation(Truncation::Async)
             .open()
             .expect("open");
+        // No log manager: every transaction below stays in its log.
+        m.mtm().kill();
         let area = m.pstatic("cells", 8 * 4096).expect("cells");
         let heap = m.heap();
         for i in 0..allocs {
@@ -112,6 +114,7 @@ pub fn run(scale: Scale) {
             .truncation(Truncation::Async)
             .open()
             .expect("open");
+        m.mtm().kill();
         let area = m.pstatic("cells", 8 * 4096).expect("cells");
         let mut th = m.register_thread().expect("thread");
         for i in 0..txs {

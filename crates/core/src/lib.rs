@@ -404,13 +404,10 @@ impl Mnemosyne {
     /// the image is saved, if a poisoned log kept its records (a
     /// checkpoint skips it; the next open reports the corruption).
     pub fn shutdown(self) -> Result<(), Error> {
-        // Synchronous logs are empty already; one pass empties every
-        // healthy asynchronous one, and the bound keeps a poisoned one
-        // from being spun on.
-        for _ in 0..4 {
-            if self.mtm.outstanding_log_words() == 0 {
-                break;
-            }
+        // Synchronous logs are empty already. At quiescence one
+        // commit-ordered pass reaches every published record of every
+        // healthy asynchronous log; a poisoned one keeps its records.
+        if self.mtm.outstanding_log_words() > 0 {
             self.mtm.checkpoint();
         }
         let stranded = self.mtm.outstanding_log_words();

@@ -4,7 +4,6 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Instant;
 
 use parking_lot::{Mutex, RwLock};
 
@@ -13,7 +12,6 @@ use mnemosyne_pheap::PHeap;
 use mnemosyne_rawl::{LogError, LogTruncator, TornbitLog, LOG_HEADER_BYTES};
 use mnemosyne_region::{PMem, Regions, VAddr};
 use mnemosyne_scm::clock::Stopwatch;
-use mnemosyne_scm::EmulationMode;
 
 use crate::error::{TxAbort, TxError};
 use crate::gclock::GlobalClock;
@@ -55,10 +53,11 @@ pub enum Truncation {
     /// disjoint and replay order cannot matter.
     #[default]
     Sync,
-    /// A log-manager thread — the regime's only truncator — drains logs
-    /// off the critical path: shorter commits, but threads stall when the
-    /// log fills faster than the manager drains it (Figure 6 measures both
-    /// regimes).
+    /// A log-manager thread — the regime's only truncator — retires
+    /// records off the critical path, oldest-first across all logs, so a
+    /// record is dropped only after every older record for its words:
+    /// shorter commits, but threads stall when the log fills faster than
+    /// the manager retires it (Figure 6 measures both regimes).
     Async,
 }
 
@@ -225,13 +224,22 @@ struct ManagerHandle {
     join: Option<JoinHandle<()>>,
 }
 
-/// The consumer handles of every redo log. In the asynchronous regime
-/// whoever holds the mutex — a log-manager pass or
+/// The consumer handles of every redo log, and the one persistent-memory
+/// handle every pass over them runs on. In the asynchronous regime
+/// whoever holds its mutex — a log-manager pass or
 /// [`MtmRuntime::checkpoint`] — is the logs' one truncator; in the
 /// synchronous regime the handles are only read (backlog accounting) and
 /// each log's owning [`TxThread`] truncates it.
 struct CkptShared {
-    truncators: Mutex<Vec<LogTruncator>>,
+    pmem: PMem,
+    truncators: Vec<LogTruncator>,
+}
+
+impl CkptShared {
+    /// Published redo-log words not yet truncated, across every log.
+    fn backlog_words(&self) -> u64 {
+        self.truncators.iter().map(|t| t.backlog_words()).sum()
+    }
 }
 
 /// The durable-transaction runtime. Create once per process with
@@ -273,7 +281,7 @@ struct CkptShared {
 /// # }
 /// ```
 pub struct MtmRuntime {
-    clock: GlobalClock,
+    clock: Arc<GlobalClock>,
     locks: LockTable,
     regions: Arc<Regions>,
     heap: RwLock<Option<Arc<PHeap>>>,
@@ -284,7 +292,7 @@ pub struct MtmRuntime {
     stalls: AtomicU64,
     metrics: MtmMetrics,
     manager: Mutex<Option<ManagerHandle>>,
-    ckpt: Arc<CkptShared>,
+    ckpt: Arc<Mutex<CkptShared>>,
     recovery: RecoveryStats,
 }
 
@@ -338,40 +346,40 @@ impl MtmRuntime {
         }
 
         // Replay committed transactions in global timestamp order (§5
-        // recovery): store every write, flush it, fence once.
+        // recovery): store every write, then retire the records as a
+        // manager pass does, oldest first across all logs, so a crash
+        // inside recovery leaves the next one a suffix of the commit order.
         records.sort_by_key(|rec| rec[0]);
         let replayed = records.len() as u64;
         let writes: Vec<(VAddr, u64)> = records
             .iter()
             .flat_map(|rec| rec[1..].chunks_exact(2).map(|c| (VAddr(c[0]), c[1])))
             .collect();
-        if !writes.is_empty() {
-            let timer = pmem.stopwatch();
-            // A redo address outside every mapped region would be a
-            // segfault-analogue panic; surface it as typed corruption
-            // instead, before any write lands (the checksum passed, so the
-            // region table itself regressed — either way, don't crash).
-            if writes
-                .iter()
-                .any(|&(addr, _)| pmem.try_translate(addr).is_err())
-            {
-                return Err(TxError::Log(LogError::Corrupt {
-                    position: 0,
-                    detail: "redo record targets an unmapped address",
-                }));
-            }
-            for &(addr, val) in &writes {
-                pmem.store_u64(addr, val);
-            }
-            for &(addr, _) in &writes {
-                pmem.flush(addr);
-            }
-            pmem.fence();
-            replay_ns += pmem.elapsed_ns(&timer);
+        // A redo address outside every mapped region would be a
+        // segfault-analogue panic; surface it as typed corruption instead,
+        // before any write lands (the checksum passed, so the region table
+        // itself regressed — either way, don't crash).
+        if writes
+            .iter()
+            .any(|&(addr, _)| pmem.try_translate(addr).is_err())
+        {
+            return Err(TxError::Log(LogError::Corrupt {
+                position: 0,
+                detail: "redo record targets an unmapped address",
+            }));
         }
-        for log in &mut logs {
-            log.truncate_all();
+        let timer = pmem.stopwatch();
+        for &(addr, val) in &writes {
+            pmem.store_u64(addr, val);
         }
+        // Every log's consumer handle: backlog accounting reads them in
+        // both regimes; recovery and every async pass truncate through them.
+        let ckpt = CkptShared {
+            pmem,
+            truncators: logs.iter().map(TornbitLog::truncator).collect(),
+        };
+        drain_logs(&ckpt, u64::MAX);
+        replay_ns += ckpt.pmem.elapsed_ns(&timer);
         let recovery = RecoveryStats {
             replayed,
             scanned_words,
@@ -383,20 +391,11 @@ impl MtmRuntime {
         if replayed > 0 {
             metrics.replay_ms.record(replay_ns.div_ceil(1_000_000));
         }
-        // Every log gets a consumer handle up front: backlog accounting
-        // reads them in both regimes, and in the async regime the manager
-        // and `checkpoint` drain through them (the mutex serializes the
-        // two).
-        let ckpt = Arc::new(CkptShared {
-            truncators: Mutex::new(
-                logs.iter()
-                    .map(|log| log.truncator(regions.pmem_handle()))
-                    .collect(),
-            ),
-        });
+        let ckpt = Arc::new(Mutex::new(ckpt));
+        let clock = Arc::new(GlobalClock::new());
 
         let rt = Arc::new(MtmRuntime {
-            clock: GlobalClock::new(),
+            clock: Arc::clone(&clock),
             locks: LockTable::new(LOCK_TABLE_SLOTS),
             regions: Arc::clone(regions),
             heap: RwLock::new(None),
@@ -416,9 +415,13 @@ impl MtmRuntime {
             let hard = Arc::new(AtomicBool::new(false));
             let stop2 = Arc::clone(&stop);
             let hard2 = Arc::clone(&hard);
+            // The lock is shared with `MtmRuntime::checkpoint`; holding it
+            // per pass (not across the idle sleep) lets a checkpoint slot
+            // in between manager passes.
+            let pass = move || drain_logs(&ckpt.lock(), clock.now());
             let join = std::thread::Builder::new()
                 .name("mtm-log-manager".into())
-                .spawn(move || log_manager(&ckpt, stop2, hard2))
+                .spawn(move || log_manager(pass, stop2, hard2))
                 .expect("spawn log manager");
             *rt.manager.lock() = Some(ManagerHandle {
                 stop,
@@ -525,17 +528,13 @@ impl MtmRuntime {
     /// thread slots — what a crash right now would have to replay. In the
     /// synchronous regime that is only the records of commits in flight.
     pub fn outstanding_log_words(&self) -> u64 {
-        self.ckpt
-            .truncators
-            .lock()
-            .iter()
-            .map(|t| t.backlog_words())
-            .sum()
+        self.ckpt.lock().backlog_words()
     }
 
     /// Runs one checkpoint pass: in the asynchronous regime, one
-    /// log-manager pass over the redo logs (each record's data lines
-    /// forced out, then the record truncated). In the synchronous regime
+    /// log-manager pass, retiring every record published before it began
+    /// in commit order (its data lines forced out, then the record
+    /// truncated). In the synchronous regime
     /// the redo logs are left alone — each belongs to its committing
     /// thread, which empties it before releasing its locks — and the pass
     /// only records the backlog. The allocator log needs no pass in either
@@ -543,27 +542,19 @@ impl MtmRuntime {
     /// lock. Safe to call from any thread, concurrently with committing
     /// transactions.
     pub fn checkpoint(&self) -> CkptStats {
-        let wall = Instant::now();
-        let truncators = self.ckpt.truncators.lock();
-        let virt = self.regions.pmem_handle().mode() == EmulationMode::Virtual;
-        let busy_before: u64 = truncators.iter().map(|t| t.pmem().accounted_ns()).sum();
-        let before: u64 = truncators.iter().map(|t| t.backlog_words()).sum();
+        let ckpt = self.ckpt.lock();
+        let timer = ckpt.pmem.stopwatch();
+        let before = ckpt.backlog_words();
         self.metrics.ckpt_outstanding_hwm.record(before);
         let words = match self.truncation {
             Truncation::Sync => 0,
-            Truncation::Async => drain_logs(&truncators),
+            Truncation::Async => drain_logs(&ckpt, self.clock.now()),
         };
-        let after: u64 = truncators.iter().map(|t| t.backlog_words()).sum();
-        let busy_after: u64 = truncators.iter().map(|t| t.pmem().accounted_ns()).sum();
-        drop(truncators);
+        let after = ckpt.backlog_words();
+        self.metrics.ckpt_ns.record(ckpt.pmem.elapsed_ns(&timer));
+        drop(ckpt);
         self.metrics.ckpt_runs.inc();
         self.metrics.ckpt_words.add(words);
-        let ns = if virt {
-            busy_after.saturating_sub(busy_before)
-        } else {
-            wall.elapsed().as_nanos() as u64
-        };
-        self.metrics.ckpt_ns.record(ns);
         CkptStats {
             reclaimed_words: words,
             outstanding_before: before,
@@ -599,45 +590,52 @@ impl Drop for MtmRuntime {
     }
 }
 
-/// Records consumed between intermediate truncations of one log-manager
-/// drain pass. Small enough that a producer stalled on a full log sees
-/// freed space after a bounded amount of manager work (instead of only
-/// when the whole backlog has drained), large enough that the truncation
-/// fence stays amortised.
-const MANAGER_DRAIN_STEP: usize = 16;
-
-/// One log-manager pass: drains every healthy log, forcing the values
-/// named by each record out to SCM before truncating it (§5). Truncation
-/// is incremental — the head advances every [`MANAGER_DRAIN_STEP`] records,
-/// so producers stall for bounded time even behind a deep backlog. The
-/// caller holds the [`CkptShared`] mutex. Returns the words reclaimed.
-fn drain_logs(truncators: &[LogTruncator]) -> u64 {
+/// One log-manager pass (§5): retires published redo records in commit
+/// order across every log. It takes the oldest head record stamped at or
+/// below `horizon`, forces out the lines it names, and truncates its log
+/// just past it (one head-word store, one fence), until no such record is
+/// left. A live pass reads its horizon from the global clock once, at its
+/// start; recovery, whose records all predate it, passes `u64::MAX`. The
+/// caller holds the [`CkptShared`] mutex (or, in recovery, owns it).
+/// Returns the words reclaimed.
+///
+/// A crash anywhere in the pass drops no record before an older one for
+/// the same word: the older record was published before its transaction
+/// released that word's lock, so before the newer transaction took the
+/// lock and ticked the clock, so before the pass read the horizon — it is
+/// part of the pass, and it is retired first. (Publishing is
+/// `Release`/`Acquire`, the tick `AcqRel`, the horizon read `Acquire`.)
+fn drain_logs(ckpt: &CkptShared, horizon: u64) -> u64 {
+    // A corrupt log poisons itself and drops out; its producer gets the
+    // typed error.
+    let peek = |t: &LogTruncator| {
+        let head = t.peek(&ckpt.pmem).ok().flatten();
+        head.filter(|(rec, _)| rec[0] <= horizon)
+    };
+    let mut heads: Vec<_> = ckpt.truncators.iter().map(peek).collect();
     let mut words = 0;
-    for t in truncators {
-        if t.poisoned() {
-            continue; // corrupt log: the producer gets the typed error
+    while let Some((_, i)) = heads
+        .iter()
+        .enumerate()
+        .filter_map(|(i, h)| Some((h.as_ref()?.0[0], i)))
+        .min()
+    {
+        let (rec, end) = heads[i].take().expect("the oldest head is present");
+        // rec = [ts, (addr, val)*]; flush each written line.
+        for pair in rec[1..].chunks_exact(2) {
+            ckpt.pmem.flush(VAddr(pair[0]));
         }
-        let head = t.head_pos();
-        let _ = t.drain_incremental(MANAGER_DRAIN_STEP, |rec| {
-            // rec = [ts, (addr, val)*]; flush each written line.
-            for pair in rec[1..].chunks_exact(2) {
-                t.pmem().flush(VAddr(pair[0]));
-            }
-        });
-        words += t.head_pos() - head;
+        words += ckpt.truncators[i].truncate_to(&ckpt.pmem, end);
+        heads[i] = peek(&ckpt.truncators[i]);
     }
     words
 }
 
-/// The asynchronous log manager (§5): passes over the logs until stopped,
-/// sleeping briefly when a pass finds nothing.
-fn log_manager(ckpt: &CkptShared, stop: Arc<AtomicBool>, hard: Arc<AtomicBool>) {
+/// The asynchronous log manager (§5): runs `pass` until stopped, sleeping
+/// briefly when a pass reclaims nothing.
+fn log_manager(pass: impl Fn() -> u64, stop: Arc<AtomicBool>, hard: Arc<AtomicBool>) {
     while !stop.load(Ordering::Relaxed) {
-        // The lock is shared with `MtmRuntime::checkpoint`; holding it per
-        // pass (not across the idle sleep) lets a checkpoint slot in
-        // between manager sweeps.
-        let reclaimed = drain_logs(&ckpt.truncators.lock());
-        if reclaimed == 0 {
+        if pass() == 0 {
             std::thread::sleep(std::time::Duration::from_micros(20));
         }
     }
@@ -645,7 +643,7 @@ fn log_manager(ckpt: &CkptShared, stop: Arc<AtomicBool>, hard: Arc<AtomicBool>) 
         return; // killed: model abrupt process death, no final sweep
     }
     // Graceful shutdown: final sweep so nothing is stranded.
-    drain_logs(&ckpt.truncators.lock());
+    pass();
 }
 
 /// A worker thread's transaction context: owns one per-thread redo log.

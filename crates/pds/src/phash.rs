@@ -214,10 +214,13 @@ impl PHashTable {
         limit: usize,
     ) -> Result<ScanEntries, TxError> {
         let this = *self;
-        th.atomic(|tx| this.scan_prefix_in(tx, prefix, limit))
+        th.atomic(|tx| this.scan_prefix_in(tx, prefix, limit, usize::MAX))
     }
 
-    /// [`PHashTable::scan_prefix`] inside an already-open transaction.
+    /// [`PHashTable::scan_prefix`] inside an already-open transaction,
+    /// with a byte budget next to `limit`: the scan stops before the entry
+    /// that would take the entries' size past `max_bytes`, an entry costing
+    /// its key and value bytes plus 8 (their two `u32` lengths on the wire).
     ///
     /// # Errors
     /// Propagates transaction aborts to the enclosing `atomic`.
@@ -226,10 +229,12 @@ impl PHashTable {
         tx: &mut mnemosyne::Tx<'_>,
         prefix: &[u8],
         limit: usize,
+        max_bytes: usize,
     ) -> Result<ScanEntries, TxAbort> {
         let table = VAddr(tx.read_u64(self.root_cell)?);
         let buckets = tx.read_u64(table.add(HDR_BUCKETS))?;
         let mut out = Vec::new();
+        let mut bytes = 0;
         for b in 0..buckets {
             let mut node = VAddr(tx.read_u64(table.add(HDR_ARRAY + b * 8))?);
             while !node.is_null() {
@@ -242,6 +247,10 @@ impl PHashTable {
                     tx.read_bytes(node.add(24), &mut k)?;
                     if k.starts_with(prefix) {
                         let vlen = tx.read_u64(node.add(16))? as usize;
+                        bytes += 8 + klen + vlen;
+                        if bytes > max_bytes {
+                            return Ok(out);
+                        }
                         let mut v = vec![0u8; vlen];
                         tx.read_bytes(node.add(24 + pad8(klen)), &mut v)?;
                         out.push((k, v));

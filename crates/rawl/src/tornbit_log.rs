@@ -371,13 +371,11 @@ impl TornbitLog {
     }
 
     /// Creates the single consumer handle for asynchronous truncation from
-    /// another thread. `pmem` must be a handle for that thread.
-    pub fn truncator(&self, pmem: PMem) -> LogTruncator {
-        let metrics = LogMetrics::tornbit(pmem.telemetry());
+    /// another thread.
+    pub fn truncator(&self) -> LogTruncator {
         LogTruncator {
             shared: Arc::clone(&self.shared),
-            pmem,
-            metrics,
+            metrics: LogMetrics::tornbit(self.pmem.telemetry()),
         }
     }
 
@@ -414,12 +412,11 @@ impl TornbitLog {
     }
 }
 
-/// Consumer handle: drains durable records and truncates the log from a
-/// separate thread (§4.4 asynchronous truncation; §5's log-manager
-/// thread).
+/// Consumer handle: reads the oldest durable record and truncates the log
+/// past it from a separate thread (§4.4 asynchronous truncation; §5's log
+/// manager), on that thread's `PMem`.
 pub struct LogTruncator {
     shared: Arc<LogShared>,
-    pmem: PMem,
     metrics: LogMetrics,
 }
 
@@ -432,87 +429,41 @@ impl std::fmt::Debug for LogTruncator {
 }
 
 impl LogTruncator {
-    /// Reads every durable (fenced) record, invokes `f` on each, then
-    /// durably truncates past them. Returns the number of records
-    /// consumed.
+    /// The log's oldest published (fenced) record and the stream position
+    /// just past it, read through `pmem`; `None` if it holds none — or if
+    /// it is poisoned, since a poisoned log is no longer consumed.
     ///
     /// # Errors
-    /// [`LogError::Corrupt`] if a fenced record fails its checksum. The
-    /// records consumed before the corrupt one are still truncated (they
-    /// were delivered to `f`), the log is poisoned so the producer stops
-    /// appending, and the damaged region is left in place for recovery to
-    /// report.
-    pub fn drain(&self, f: impl FnMut(&[u64])) -> Result<usize, LogError> {
-        self.drain_incremental(usize::MAX, f)
-    }
-
-    /// Like [`LogTruncator::drain`], but durably truncates every
-    /// `step_records` records *during* the pass instead of once at the
-    /// end, so a producer blocked on a full log sees freed space after a
-    /// bounded amount of consumer work — what the transaction runtime's
-    /// log manager uses to keep `mtm.truncation_stalls` bounded under
-    /// sustained load.
-    ///
-    /// Each intermediate truncation costs one word write + one fence on
-    /// the consumer handle; `step_records == usize::MAX` recovers the
-    /// single-truncation behaviour of `drain`. A `step_records` of 0 is
-    /// treated as 1.
-    ///
-    /// # Errors
-    /// Same contract as [`LogTruncator::drain`]: on a checksum failure the
-    /// records consumed before the corrupt one are still truncated and the
-    /// log is poisoned.
-    pub fn drain_incremental(
-        &self,
-        step_records: usize,
-        mut f: impl FnMut(&[u64]),
-    ) -> Result<usize, LogError> {
-        let step = step_records.max(1);
+    /// [`LogError::Corrupt`] if the record fails its checksum. The log is
+    /// poisoned so the producer stops appending, and the damaged region is
+    /// left in place for recovery to report.
+    pub fn peek(&self, pmem: &PMem) -> Result<Option<(Vec<u64>, u64)>, LogError> {
         let end = self.shared.fenced.load(Ordering::Acquire);
-        let mut p = self.shared.head.load(Ordering::Relaxed);
-        let read_word = |pos: u64| self.pmem.read_u64(self.shared.word_addr(pos));
-        let mut n = 0;
-        let mut since_truncate = 0;
-        let mut truncated_to = p;
-        let mut corrupt = None;
-        while p < end {
-            match decode_record(&read_word, p, end, self.shared.capacity) {
-                Decoded::Record(payload, next) => {
-                    f(&payload);
-                    p = next;
-                    n += 1;
-                    since_truncate += 1;
-                    if since_truncate >= step {
-                        self.shared.truncate_to(&self.pmem, p);
-                        self.metrics.truncations.inc();
-                        truncated_to = p;
-                        since_truncate = 0;
-                    }
-                }
-                Decoded::Incomplete => break,
-                Decoded::Corrupt { position, detail } => {
-                    corrupt = Some(LogError::Corrupt { position, detail });
-                    break;
-                }
-            }
+        let head = self.shared.head.load(Ordering::Relaxed);
+        if self.shared.poisoned.load(Ordering::Acquire) {
+            return Ok(None);
         }
-        if p > truncated_to {
-            self.shared.truncate_to(&self.pmem, p);
-            self.metrics.truncations.inc();
-        }
-        match corrupt {
-            Some(e) => {
+        let read_word = |pos: u64| pmem.read_u64(self.shared.word_addr(pos));
+        match decode_record(&read_word, head, end, self.shared.capacity) {
+            Decoded::Record(payload, next) => Ok(Some((payload, next))),
+            Decoded::Incomplete => Ok(None),
+            Decoded::Corrupt { position, detail } => {
                 self.metrics.corruptions.inc();
                 self.shared.poisoned.store(true, Ordering::Release);
-                Err(e)
+                Err(LogError::Corrupt { position, detail })
             }
-            None => Ok(n),
         }
     }
 
-    /// Stream position of the oldest live word (the truncate point).
-    pub fn head_pos(&self) -> u64 {
-        self.shared.head.load(Ordering::Acquire)
+    /// Durably drops every record before stream position `pos` (one that
+    /// [`LogTruncator::peek`] returned): one head-word store and one fence
+    /// on `pmem`. Returns the words reclaimed.
+    pub fn truncate_to(&self, pmem: &PMem, pos: u64) -> u64 {
+        let words = self.shared.truncate_to(pmem, pos);
+        if words > 0 {
+            self.metrics.truncations.inc();
+        }
+        words
     }
 
     /// Words awaiting consumption. (Head first: it only ever advances
@@ -521,17 +472,6 @@ impl LogTruncator {
     pub fn backlog_words(&self) -> u64 {
         let head = self.shared.head.load(Ordering::Acquire);
         self.shared.fenced.load(Ordering::Acquire) - head
-    }
-
-    /// Whether this log was poisoned by a corruption detection; a poisoned
-    /// log should no longer be drained.
-    pub fn poisoned(&self) -> bool {
-        self.shared.poisoned.load(Ordering::Acquire)
-    }
-
-    /// The consumer-side persistent-memory handle.
-    pub fn pmem(&self) -> &PMem {
-        &self.pmem
     }
 }
 
@@ -762,67 +702,22 @@ mod tests {
 
     #[test]
     fn async_truncator_drains_only_fenced_records() {
-        let (_env, mut log) = setup(256);
-        let tr = log.truncator(_env.regions.pmem_handle());
+        let (env, mut log) = setup(256);
+        let tr = log.truncator();
+        let pmem = env.regions.pmem_handle();
         log.append(&[1, 2]).unwrap();
         log.flush();
         log.append(&[3, 4]).unwrap(); // not fenced yet
-        let mut seen = Vec::new();
-        let n = tr.drain(|r| seen.push(r.to_vec())).unwrap();
-        assert_eq!(n, 1);
-        assert_eq!(seen, vec![vec![1, 2]]);
+        let (rec, end) = tr.peek(&pmem).unwrap().unwrap();
+        assert_eq!(rec, vec![1, 2]);
+        tr.truncate_to(&pmem, end);
+        assert_eq!(tr.peek(&pmem).unwrap(), None);
         log.flush();
-        let n = tr.drain(|r| seen.push(r.to_vec())).unwrap();
-        assert_eq!(n, 1);
-        assert_eq!(seen[1], vec![3, 4]);
+        let (rec, end) = tr.peek(&pmem).unwrap().unwrap();
+        assert_eq!(rec, vec![3, 4]);
+        tr.truncate_to(&pmem, end);
         // Space reclaimed for the producer.
         assert_eq!(log.free_words(), 256);
-    }
-
-    #[test]
-    fn drain_incremental_frees_space_during_the_pass() {
-        let (_env, mut log) = setup(256);
-        let tr = log.truncator(_env.regions.pmem_handle());
-        for i in 0..8u64 {
-            log.append(&[i, i + 1]).unwrap();
-        }
-        log.flush();
-        let backlog_at_start = tr.backlog_words();
-        assert!(backlog_at_start > 0);
-        // With step=1 the head must advance after every record, so the
-        // backlog seen from inside the callback strictly shrinks: a
-        // producer blocked on Full would observe freed space mid-pass.
-        let mut backlogs = Vec::new();
-        let n = tr
-            .drain_incremental(1, |_| backlogs.push(tr.backlog_words()))
-            .unwrap();
-        assert_eq!(n, 8);
-        // The callback for record k runs before record k's truncation, so
-        // the first observation equals the full backlog and each later one
-        // is strictly smaller than its predecessor.
-        assert_eq!(backlogs[0], backlog_at_start);
-        for w in backlogs.windows(2) {
-            assert!(w[1] < w[0], "backlog must shrink mid-pass: {backlogs:?}");
-        }
-        assert_eq!(tr.backlog_words(), 0);
-        assert_eq!(log.free_words(), 256);
-    }
-
-    #[test]
-    fn drain_incremental_step_counts_truncation_fences() {
-        let (env, mut log) = setup(512);
-        let tr = log.truncator(env.regions.pmem_handle());
-        for i in 0..9u64 {
-            log.append(&[i]).unwrap();
-        }
-        log.flush();
-        let before = env.sim.stats().fences;
-        let n = tr.drain_incremental(4, |_| {}).unwrap();
-        assert_eq!(n, 9);
-        // 9 records at step 4: truncations after records 4 and 8, plus the
-        // final catch-up truncation — one fence each.
-        assert_eq!(env.sim.stats().fences - before, 3);
-        assert_eq!(log.free_words(), 512);
     }
 
     #[test]
@@ -855,14 +750,21 @@ mod tests {
     #[test]
     fn async_truncation_across_threads() {
         let (env, mut log) = setup(128);
-        let tr = log.truncator(env.regions.pmem_handle());
+        let tr = log.truncator();
+        let pmem = env.regions.pmem_handle();
         let total = 200u64;
         let consumer = std::thread::spawn(move || {
             let mut sum = 0u64;
             let mut seen = 0u64;
             while seen < total {
-                seen += tr.drain(|r| sum += r[0]).unwrap() as u64;
-                std::thread::yield_now();
+                match tr.peek(&pmem).unwrap() {
+                    Some((rec, end)) => {
+                        sum += rec[0];
+                        seen += 1;
+                        tr.truncate_to(&pmem, end);
+                    }
+                    None => std::thread::yield_now(),
+                }
             }
             sum
         });
@@ -925,7 +827,7 @@ mod tests {
     #[test]
     fn truncator_poisons_log_on_corrupt_record() {
         let (env, mut log) = setup(256);
-        let tr = log.truncator(env.regions.pmem_handle());
+        let tr = log.truncator();
         log.append(&[11, 22, 33]).unwrap();
         log.flush();
         // Corrupt a payload word of the fenced record in place.
@@ -935,7 +837,9 @@ mod tests {
         pmem.store_u64(addr, w ^ (1 << 17));
         pmem.flush(addr);
         pmem.fence();
-        assert!(matches!(tr.drain(|_| {}), Err(LogError::Corrupt { .. })));
+        assert!(matches!(tr.peek(&pmem), Err(LogError::Corrupt { .. })));
+        // A poisoned log is no longer consumed.
+        assert_eq!(tr.peek(&pmem).unwrap(), None);
         // The producer must now get a typed error instead of spinning on
         // Full forever.
         assert!(matches!(log.append(&[1]), Err(LogError::Corrupt { .. })));

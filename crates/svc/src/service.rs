@@ -35,7 +35,7 @@ use mnemosyne_obs::{Counter, Histogram, Telemetry, Unit};
 use mnemosyne_pds::PHashTable;
 use parking_lot::Mutex;
 
-use crate::proto::{CkptSummary, GrowInfo, HealthInfo, Request, Response};
+use crate::proto::{CkptSummary, GrowInfo, HealthInfo, Request, Response, MAX_FRAME};
 
 /// Tuning for a [`KvService`].
 #[derive(Debug, Clone)]
@@ -528,9 +528,13 @@ fn exec_batch(
                         Response::NotFound
                     }
                 }
-                Request::Scan(prefix, limit) => {
-                    Response::Entries(table.scan_prefix_in(tx, prefix, *limit as usize)?)
-                }
+                // The ENTRIES opcode and count take 5 bytes of the frame.
+                Request::Scan(prefix, limit) => Response::Entries(table.scan_prefix_in(
+                    tx,
+                    prefix,
+                    *limit as usize,
+                    MAX_FRAME - 5,
+                )?),
                 // Admin verbs are routed around the queue by submit();
                 // reaching the data path would be a dispatch bug.
                 Request::Stats | Request::Checkpoint | Request::Health | Request::Grow(_) => {

@@ -52,6 +52,29 @@ fn tcp_round_trip_all_ops() {
     std::fs::remove_dir_all(&d).ok();
 }
 
+/// A SCAN whose matches outgrow one frame answers with the entries that
+/// fit under `MAX_FRAME`: fewer than asked for, never a frame the client
+/// rejects.
+#[test]
+fn scan_answer_fits_the_frame_cap() {
+    let d = dir("bigscan");
+    let m = boot(&d);
+    let svc = KvService::start(&m, SvcConfig::default()).unwrap();
+    let server = KvServer::bind(svc.clone(), "127.0.0.1:0").unwrap();
+    let mut c = Client::connect(server.local_addr()).unwrap();
+    let value = vec![7u8; 64 << 10];
+    for i in 0..20u8 {
+        c.put(&[b'p', i], &value).unwrap();
+    }
+    let entries = c.scan(b"p", 0).unwrap();
+    // 5 + 15 * (8 + 2 + 64 KiB) bytes fit in 1 MiB; a 16th entry would not.
+    assert_eq!(entries.len(), 15);
+    assert!(entries.iter().all(|(k, v)| k[0] == b'p' && *v == value));
+    server.stop();
+    svc.stop();
+    std::fs::remove_dir_all(&d).ok();
+}
+
 #[test]
 fn pipelined_requests_answered_in_order() {
     let d = dir("pipe");

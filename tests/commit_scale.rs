@@ -1,6 +1,6 @@
 //! Crash-point sweeps and concurrency tests for the commit path: the
 //! synchronous commit that truncates under its locks, the asynchronous
-//! log manager's incremental drain, and the adaptive contention manager.
+//! log manager's commit-ordered pass, and the adaptive contention manager.
 //!
 //! The sweep driver re-runs a workload crashing at every strided
 //! durability primitive; the workloads are shaped so that the crash
@@ -9,8 +9,8 @@
 //! * between a synchronous commit's redo fence and its truncating fence —
 //!   the record is durable, the data may not be, and recovery must replay
 //!   it;
-//! * inside the log manager's incremental drain — the head may have
-//!   advanced past some records of a pass but not others;
+//! * inside a log-manager pass — it may have retired some of the pass's
+//!   records but not others;
 //! * multi-word transactions must stay atomic across all of it: the
 //!   invariant is always "every cell carries the same value".
 
@@ -103,11 +103,11 @@ fn sync_batched_commit_survives_crash_sweep() {
 }
 
 /// Async mode with a log so small the producer outruns the manager: the
-/// sweep crashes inside the manager's *incremental* drain, where the
-/// head has advanced past part of a pass — recovery must replay exactly
-/// the surviving suffix, never a torn record.
+/// sweep crashes inside a manager pass, which has retired part of its
+/// records — recovery must replay exactly the surviving suffix, never a
+/// torn record.
 #[test]
-fn async_incremental_truncation_survives_crash_sweep() {
+fn async_truncation_survives_crash_sweep() {
     let d = dir("async");
     let width = 12u64;
     let rounds = 10u64;

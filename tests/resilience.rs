@@ -1,6 +1,7 @@
-//! Operational-resilience tests: a synchronous log never outlives its
-//! commit, so no record from one log can be replayed over a newer write
-//! from another; checkpoints lose nothing; and recovery — one thread
+//! Operational-resilience tests: no record from one log can be replayed
+//! over a newer write from another — a synchronous log never outlives its
+//! commit, and the asynchronous log manager retires records in commit
+//! order; checkpoints lose nothing; and recovery — one thread
 //! replaying every log in timestamp order — restores each committed value,
 //! survives being crashed mid-replay, and crashes the same way every time.
 //!
@@ -15,14 +16,14 @@
 //! whole corpus as an artifact on test failure.
 
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Barrier;
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use mnemosyne::{
-    crash_payload, crash_sweep, CrashPolicy, FaultPlan, Mnemosyne, ScmConfig, ScmSim, SweepConfig,
-    Truncation,
+    crash_payload, crash_sweep, CrashPolicy, Error, FaultPlan, Mnemosyne, MnemosyneBuilder,
+    ScmConfig, ScmSim, SweepConfig, Truncation, VAddr,
 };
 
 /// Sweep scratch root that CI uploads on failure.
@@ -71,6 +72,93 @@ fn idle_log_cannot_undo_another_logs_acknowledged_overwrite() {
     std::fs::remove_dir_all(&d).ok();
 }
 
+/// Stack for the two-log overwrite below: Async, so records outlive
+/// their commits, and the virtual clock, so crash points repeat.
+fn two_log_build(dir: &std::path::Path) -> MnemosyneBuilder {
+    Mnemosyne::builder(dir)
+        .scm_config(ScmConfig::virtual_clock(8 << 20))
+        .truncation(Truncation::Async)
+        .log_words(1 << 10)
+}
+
+/// The Async twin of the test above, manager stopped: `y` (slot 1)
+/// commits `W = 1`, then `x` (slot 0) commits `W = 2`; returns `W`.
+fn two_log_overwrite(m: &Mnemosyne) -> Result<VAddr, Error> {
+    m.mtm().kill();
+    let w = m.pstatic("w", 8)?;
+    let mut x = m.register_thread()?;
+    let mut y = m.register_thread()?;
+    y.atomic(|tx| tx.write_u64(w, 1))?;
+    x.atomic(|tx| tx.write_u64(w, 2))?;
+    Ok(w)
+}
+
+/// One checkpoint — one manager pass — retires both records of the
+/// two-log overwrite. A pass that dropped `x`'s newer record first would
+/// leave `y`'s older one for a crash in between to replay. Every
+/// primitive is a crash point.
+#[test]
+fn manager_pass_cannot_undo_another_logs_acknowledged_overwrite() {
+    let base = corpus_dir("async-twolog");
+    let acked = AtomicBool::new(false);
+    let cfg = SweepConfig {
+        max_points: usize::MAX,
+        ..SweepConfig::default()
+    };
+    let report = crash_sweep(
+        &base,
+        &cfg,
+        two_log_build,
+        |m| {
+            acked.store(false, Ordering::SeqCst);
+            two_log_overwrite(m)?;
+            acked.store(true, Ordering::SeqCst);
+            m.mtm().checkpoint();
+            Ok(())
+        },
+        |m| {
+            let w = m.pstatic("w", 8).map_err(|e| e.to_string())?;
+            let mut th = m.register_thread().map_err(|e| e.to_string())?;
+            let v = th.atomic(|tx| tx.read_u64(w)).map_err(|e| e.to_string())?;
+            if acked.load(Ordering::SeqCst) && v != 2 {
+                return Err(format!("W reads {v} once 2 was acknowledged"));
+            }
+            Ok(())
+        },
+    )
+    .unwrap();
+    assert!(report.passed(), "failures: {:?}", report.failures);
+    assert_eq!(report.points_tested as u64, report.workload_primitives);
+    std::fs::remove_dir_all(&base).ok();
+}
+
+/// Recovery retires what it replays in commit order too: with both
+/// records of the two-log overwrite left behind, a crash at any primitive
+/// of recovery followed by a clean reboot still reads `W = 2`.
+#[test]
+fn crash_inside_recovery_cannot_undo_another_logs_acknowledged_overwrite() {
+    let m = two_log_build(&dir("rec-twolog")).open().unwrap();
+    let w = two_log_overwrite(&m).unwrap();
+    let scm = m.sim().config().clone();
+    let (d, image) = m.crash(CrashPolicy::DropAll);
+    let count = FaultPlan::count_only();
+    let reboot = two_log_build(&d).from_image(image.clone());
+    drop(reboot.fault_plan(count.clone()).open().unwrap());
+    for j in 0..count.primitives() {
+        let sim = ScmSim::from_image(&image, scm.clone());
+        sim.set_fault_plan(FaultPlan::crash_at(j));
+        let _ = catch_unwind(AssertUnwindSafe(|| {
+            two_log_build(&d).with_sim(sim.clone()).open()
+        }));
+        sim.crash(CrashPolicy::DropAll);
+        let m = two_log_build(&d).from_image(sim.image()).open().unwrap();
+        let mut th = m.register_thread().unwrap();
+        let v = th.atomic(|tx| tx.read_u64(w)).unwrap();
+        assert_eq!(v, 2, "crash at recovery primitive {j}");
+    }
+    std::fs::remove_dir_all(&d).ok();
+}
+
 /// A synchronous commit truncates its own record before it returns, so a
 /// sustained writer never has a backlog — and what it committed last
 /// survives losing every cached line.
@@ -114,85 +202,92 @@ fn sync_commits_leave_no_outstanding_log_and_survive_drop_all() {
 /// after a crash anywhere — and a second one inside recovery — it must
 /// hold at least every acknowledged bump and at most every attempted one.
 /// A stale record replayed over a newer write would take it backwards.
+/// Both regimes; under Async the log manager runs throughout.
 #[test]
 fn two_threads_bumping_shared_cells_survive_crash_sweep() {
-    const CELLS: usize = 3;
-    const BUMPS_PER_THREAD: u64 = 12;
-    let base = corpus_dir("shared-cells");
-    let attempted: [AtomicU64; CELLS] = Default::default();
-    let acked: [AtomicU64; CELLS] = Default::default();
-    let cfg = SweepConfig {
-        max_points: 16,
-        recovery_points: 2,
-        ..SweepConfig::default()
-    };
-    let report = crash_sweep(
-        &base,
-        &cfg,
-        |p| Mnemosyne::builder(p).scm_config(ScmConfig::virtual_clock(8 << 20)),
-        |m| {
-            for c in attempted.iter().chain(&acked) {
-                c.store(0, Ordering::SeqCst);
-            }
-            let cells = m.pstatic("shared", CELLS as u64 * 8)?;
-            std::thread::scope(|s| {
-                let bumpers: Vec<_> = (0..2)
-                    .map(|_| {
-                        s.spawn(|| {
-                            let mut th = m.register_thread().unwrap();
-                            for i in 0..BUMPS_PER_THREAD {
-                                let c = i as usize % CELLS;
-                                let cell = cells.add(c as u64 * 8);
-                                attempted[c].fetch_add(1, Ordering::SeqCst);
-                                th.atomic(|tx| {
-                                    let v = tx.read_u64(cell)?;
-                                    tx.write_u64(cell, v + 1)
-                                })
-                                .unwrap();
-                                acked[c].fetch_add(1, Ordering::SeqCst);
-                            }
+    for truncation in [Truncation::Sync, Truncation::Async] {
+        const CELLS: usize = 3;
+        const BUMPS_PER_THREAD: u64 = 12;
+        let base = corpus_dir(&format!("shared-cells-{truncation:?}"));
+        let attempted: [AtomicU64; CELLS] = Default::default();
+        let acked: [AtomicU64; CELLS] = Default::default();
+        let cfg = SweepConfig {
+            max_points: 16,
+            recovery_points: 2,
+            ..SweepConfig::default()
+        };
+        let report = crash_sweep(
+            &base,
+            &cfg,
+            |p| {
+                Mnemosyne::builder(p)
+                    .scm_config(ScmConfig::virtual_clock(8 << 20))
+                    .truncation(truncation)
+            },
+            |m| {
+                for c in attempted.iter().chain(&acked) {
+                    c.store(0, Ordering::SeqCst);
+                }
+                let cells = m.pstatic("shared", CELLS as u64 * 8)?;
+                std::thread::scope(|s| {
+                    let bumpers: Vec<_> = (0..2)
+                        .map(|_| {
+                            s.spawn(|| {
+                                let mut th = m.register_thread().unwrap();
+                                for i in 0..BUMPS_PER_THREAD {
+                                    let c = i as usize % CELLS;
+                                    let cell = cells.add(c as u64 * 8);
+                                    attempted[c].fetch_add(1, Ordering::SeqCst);
+                                    th.atomic(|tx| {
+                                        let v = tx.read_u64(cell)?;
+                                        tx.write_u64(cell, v + 1)
+                                    })
+                                    .unwrap();
+                                    acked[c].fetch_add(1, Ordering::SeqCst);
+                                }
+                            })
                         })
-                    })
-                    .collect();
-                for b in bumpers {
-                    // An injected crash unwinds the bumper it fires in, and
-                    // the other at its next primitive; anything else is a bug.
-                    if let Err(payload) = b.join() {
-                        if crash_payload(&*payload).is_none() {
-                            std::panic::resume_unwind(payload);
+                        .collect();
+                    for b in bumpers {
+                        // An injected crash unwinds the bumper it fires in, and
+                        // the other at its next primitive; anything else is a bug.
+                        if let Err(payload) = b.join() {
+                            if crash_payload(&*payload).is_none() {
+                                std::panic::resume_unwind(payload);
+                            }
                         }
                     }
-                }
-            });
-            Ok(())
-        },
-        |m| {
-            let cells = m
-                .pstatic("shared", CELLS as u64 * 8)
-                .map_err(|e| e.to_string())?;
-            let mut th = m.register_thread().map_err(|e| e.to_string())?;
-            for c in 0..CELLS {
-                let v = th
-                    .atomic(|tx| tx.read_u64(cells.add(c as u64 * 8)))
+                });
+                Ok(())
+            },
+            |m| {
+                let cells = m
+                    .pstatic("shared", CELLS as u64 * 8)
                     .map_err(|e| e.to_string())?;
-                let (lo, hi) = (
-                    acked[c].load(Ordering::SeqCst),
-                    attempted[c].load(Ordering::SeqCst),
-                );
-                if v < lo || v > hi {
-                    return Err(format!(
-                        "cell {c} holds {v}: {lo} bumps acknowledged, {hi} attempted"
-                    ));
+                let mut th = m.register_thread().map_err(|e| e.to_string())?;
+                for c in 0..CELLS {
+                    let v = th
+                        .atomic(|tx| tx.read_u64(cells.add(c as u64 * 8)))
+                        .map_err(|e| e.to_string())?;
+                    let (lo, hi) = (
+                        acked[c].load(Ordering::SeqCst),
+                        attempted[c].load(Ordering::SeqCst),
+                    );
+                    if v < lo || v > hi {
+                        return Err(format!(
+                            "cell {c} holds {v}: {lo} bumps acknowledged, {hi} attempted"
+                        ));
+                    }
                 }
-            }
-            Ok(())
-        },
-    )
-    .unwrap();
-    assert!(report.passed(), "failures: {:?}", report.failures);
-    assert!(report.crashes_fired > 0);
-    assert!(report.recovery_points_tested > 0);
-    std::fs::remove_dir_all(&base).ok();
+                Ok(())
+            },
+        )
+        .unwrap();
+        assert!(report.passed(), "{truncation:?}: {:?}", report.failures);
+        assert!(report.crashes_fired > 0);
+        assert!(report.recovery_points_tested > 0);
+        std::fs::remove_dir_all(&base).ok();
+    }
 }
 
 /// A checkpoint's primitives are crash points like any other. Sweeping a
