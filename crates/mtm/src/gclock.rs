@@ -5,19 +5,13 @@
 //! total order over transactions by storing this global counter along with
 //! each transaction in the log." The counter is volatile: recovery derives
 //! replay order from the logged timestamps, not from the counter itself.
-//!
-//! The counter is cache-line padded ([`PaddedAtomicU64`]): every commit
-//! ticks it, so whatever the `GlobalClock` is embedded next to would
-//! otherwise false-share the hottest line in the system.
 
-use std::sync::atomic::Ordering;
-
-use mnemosyne_obs::PaddedAtomicU64;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The global transaction clock.
 #[derive(Debug, Default)]
 pub struct GlobalClock {
-    now: PaddedAtomicU64,
+    now: AtomicU64,
 }
 
 impl GlobalClock {

@@ -11,16 +11,9 @@
 //! The table is volatile: it is rebuilt empty at program start, which is
 //! correct because recovery replays committed transactions before any new
 //! transaction runs.
-//!
-//! Slots are cache-line padded ([`PaddedAtomicU64`]): the commit hot path
-//! CASes a handful of slots per transaction, and with bare `AtomicU64`s
-//! eight neighbouring (unrelated) locks would false-share one line, so
-//! independent commits on different words still bounced a line between
-//! cores.
 
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicU64, Ordering};
 
-use mnemosyne_obs::PaddedAtomicU64;
 use mnemosyne_region::VAddr;
 
 /// Outcome of probing a lock word.
@@ -32,26 +25,11 @@ pub enum LockState {
     Owned(usize),
 }
 
-/// Conflict-site hint table size. Coarser than the lock table on purpose:
-/// hints only need to distinguish "hot neighbourhood" from "cold", and a
-/// small table keeps the whole thing resident in a few cache lines' worth
-/// of padded slots.
-const HINT_SITES: usize = 256;
-
-/// Saturation cap for a site's contention level. Levels feed exponential
-/// backoff shifts, so 8 already means "wait up to 256× the base spin".
-const HINT_CAP: u64 = 8;
-
-/// The global versioned-lock table, plus the per-site contention hints
-/// that drive adaptive backoff on encounter-time conflicts.
+/// The global versioned-lock table.
 #[derive(Debug)]
 pub struct LockTable {
-    slots: Vec<PaddedAtomicU64>,
+    slots: Vec<AtomicU64>,
     mask: u64,
-    /// Conflict-site contention levels, indexed by `idx % HINT_SITES`.
-    /// Raised when a thread finds a lock foreign-owned, lowered when a
-    /// wait resolves without an abort; saturating both ways.
-    hints: Vec<PaddedAtomicU64>,
 }
 
 impl LockTable {
@@ -59,24 +37,11 @@ impl LockTable {
     pub fn new(size: usize) -> Self {
         let n = size.next_power_of_two().max(64);
         let mut slots = Vec::with_capacity(n);
-        slots.resize_with(n, PaddedAtomicU64::default);
-        let mut hints = Vec::with_capacity(HINT_SITES);
-        hints.resize_with(HINT_SITES, PaddedAtomicU64::default);
+        slots.resize_with(n, AtomicU64::default);
         LockTable {
             slots,
             mask: n as u64 - 1,
-            hints,
         }
-    }
-
-    /// Number of slots.
-    pub fn len(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Whether the table is empty (never true in practice).
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
     }
 
     /// Lock index covering a persistent address. Word-granularity hashing
@@ -118,43 +83,12 @@ impl LockTable {
     pub fn release(&self, idx: usize, version: u64) {
         self.slots[idx].store(version << 1, Ordering::Release);
     }
-
-    #[inline]
-    fn hint(&self, idx: usize) -> &PaddedAtomicU64 {
-        &self.hints[idx & (HINT_SITES - 1)]
-    }
-
-    /// Records that a thread found lock `idx` foreign-owned: raises the
-    /// covering site's contention level (saturating at a small cap).
-    #[inline]
-    pub fn note_conflict(&self, idx: usize) {
-        let h = self.hint(idx);
-        let _ = h.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| {
-            (v < HINT_CAP).then(|| v + 1)
-        });
-    }
-
-    /// Records that a wait on lock `idx` resolved without an abort:
-    /// lowers the site's contention level (saturating at zero).
-    #[inline]
-    pub fn note_resolved(&self, idx: usize) {
-        let h = self.hint(idx);
-        let _ = h.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| v.checked_sub(1));
-    }
-
-    /// Current contention level of the site covering lock `idx`, in
-    /// `0..=8`. Adaptive backoff adds this to its exponential shift, so
-    /// hot sites wait longer before re-probing (and give the owner time
-    /// to finish) while cold sites retry almost immediately.
-    #[inline]
-    pub fn contention(&self, idx: usize) -> u64 {
-        self.hint(idx).load(Ordering::Relaxed)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runtime::LOCK_TABLE_SLOTS;
 
     #[test]
     fn acquire_release_cycle() {
@@ -188,33 +122,13 @@ mod tests {
 
     #[test]
     fn size_rounds_to_power_of_two() {
-        assert_eq!(LockTable::new(1000).len(), 1024);
-        assert_eq!(LockTable::new(1).len(), 64);
+        assert_eq!(LockTable::new(1000).slots.len(), 1024);
+        assert_eq!(LockTable::new(1).slots.len(), 64);
     }
 
     #[test]
-    fn contention_hints_saturate_both_ways() {
-        let t = LockTable::new(64);
-        let idx = 17;
-        assert_eq!(t.contention(idx), 0);
-        t.note_resolved(idx); // below zero: saturates
-        assert_eq!(t.contention(idx), 0);
-        for _ in 0..20 {
-            t.note_conflict(idx);
-        }
-        assert_eq!(t.contention(idx), 8, "level caps at 8");
-        t.note_resolved(idx);
-        t.note_resolved(idx);
-        assert_eq!(t.contention(idx), 6);
-    }
-
-    #[test]
-    fn contention_hints_cover_sites_not_individual_locks() {
-        let t = LockTable::new(1 << 12);
-        // Locks 256 apart share a hint site.
-        t.note_conflict(3);
-        assert_eq!(t.contention(3 + 256), 1);
-        // Neighbouring locks do not.
-        assert_eq!(t.contention(4), 0);
+    fn one_word_per_lock() {
+        let t = LockTable::new(LOCK_TABLE_SLOTS);
+        assert_eq!(std::mem::size_of_val(t.slots.as_slice()), 8 << 20);
     }
 }

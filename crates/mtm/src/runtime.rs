@@ -62,7 +62,7 @@ pub enum Truncation {
 }
 
 /// Slots in the global versioned-lock table.
-const LOCK_TABLE_SLOTS: usize = 1 << 20;
+pub(crate) const LOCK_TABLE_SLOTS: usize = 1 << 20;
 
 /// Configuration for [`MtmRuntime::open`].
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -68,26 +68,24 @@ impl<'a> Tx<'a> {
         }
     }
 
-    /// Bounded adaptive backoff on a lock found foreign-owned — the
-    /// contention manager for encounter-time conflicts. Instead of
-    /// aborting on the first owned probe (raw spin/abort), the thread
-    /// waits a randomised, exponentially growing number of spins — the
-    /// exponent raised further by the site's contention level, so hot
-    /// sites wait longer — and re-probes, up to [`MAX_LOCK_WAITS`] rounds.
+    /// Bounded backoff on a lock found foreign-owned — the contention
+    /// manager for encounter-time conflicts. Instead of aborting on the
+    /// first owned probe, the thread waits a randomised, exponentially
+    /// growing number of spins and re-probes, up to [`MAX_LOCK_WAITS`]
+    /// rounds per access.
     ///
     /// Returns `Ok(())` to re-probe; `Err(TxAbort::Conflict)` once
     /// patience is exhausted (livelock/deadlock escape: two transactions
     /// waiting on each other's locks must eventually abort one).
-    fn backoff_on_owned(&mut self, idx: usize, waits: &mut u32) -> Result<(), TxAbort> {
+    fn backoff_on_owned(&mut self, waits: &mut u32) -> Result<(), TxAbort> {
         if *waits == 0 {
             self.th.rt().metrics().lock_conflicts.inc();
-            self.th.rt().locks().note_conflict(idx);
         }
         if *waits >= MAX_LOCK_WAITS {
             self.th.rt().metrics().conflict_aborts.inc();
             return Err(TxAbort::Conflict);
         }
-        let shift = (*waits as u64 + 1 + self.th.rt().locks().contention(idx)).min(14);
+        let shift = (*waits + 1).min(14);
         let spins = self.th.next_rand() % (1u64 << shift);
         self.th.rt().metrics().backoff_spins.record(spins);
         // The wait issues no durability primitives, so under fault
@@ -100,15 +98,6 @@ impl<'a> Tx<'a> {
         }
         *waits += 1;
         Ok(())
-    }
-
-    /// Bookkeeping for a conflict episode that resolved without an abort:
-    /// decay the site's contention hint.
-    fn note_wait_resolved(&mut self, idx: usize, waits: &mut u32) {
-        if *waits > 0 {
-            self.th.rt().locks().note_resolved(idx);
-            *waits = 0;
-        }
     }
 
     /// Validates every recorded read against the lock table; on success
@@ -154,9 +143,8 @@ impl<'a> Tx<'a> {
         let mut waits = 0u32;
         loop {
             match self.th.rt().locks().probe(idx) {
-                LockState::Owned(_) => self.backoff_on_owned(idx, &mut waits)?,
+                LockState::Owned(_) => self.backoff_on_owned(&mut waits)?,
                 LockState::Version(v1) => {
-                    self.note_wait_resolved(idx, &mut waits);
                     let val = self.th.pmem().read_u64(addr);
                     match self.th.rt().locks().probe(idx) {
                         LockState::Version(v2) if v2 == v1 => {
@@ -197,9 +185,8 @@ impl<'a> Tx<'a> {
             let mut waits = 0u32;
             loop {
                 match self.th.rt().locks().probe(idx) {
-                    LockState::Owned(_) => self.backoff_on_owned(idx, &mut waits)?,
+                    LockState::Owned(_) => self.backoff_on_owned(&mut waits)?,
                     LockState::Version(v) => {
-                        self.note_wait_resolved(idx, &mut waits);
                         if v > self.rv {
                             // Someone committed to this slot after our
                             // snapshot horizon. Validate-and-extend *before*
@@ -296,11 +283,5 @@ impl<'a> Tx<'a> {
     /// does not retry.
     pub fn cancel(&self) -> TxAbort {
         TxAbort::Cancelled
-    }
-
-    /// Number of buffered word writes (diagnostics; drives the write-set
-    /// costs analysed in §6.3).
-    pub fn write_set_len(&self) -> usize {
-        self.write_set.len()
     }
 }

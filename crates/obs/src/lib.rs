@@ -47,13 +47,11 @@
 mod histogram;
 mod json;
 mod metric;
-mod padded;
 mod registry;
 mod snapshot;
 
 pub use histogram::{Histogram, HISTOGRAM_BUCKETS};
 pub use json::{parse as parse_json, JsonError, JsonValue};
 pub use metric::{Counter, Kind, MaxGauge, Unit};
-pub use padded::PaddedAtomicU64;
 pub use registry::Telemetry;
 pub use snapshot::{CounterValue, HistogramValue, TelemetrySnapshot, SCHEMA};

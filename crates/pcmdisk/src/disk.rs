@@ -295,11 +295,6 @@ impl PcmDisk {
         self.state.lock().dirty.clear();
     }
 
-    /// Number of dirty (unsynced) blocks.
-    pub fn dirty_blocks(&self) -> usize {
-        self.state.lock().dirty.len()
-    }
-
     /// Snapshot of the counters.
     pub fn stats(&self) -> (u64, u64, u64, u64, u64) {
         (

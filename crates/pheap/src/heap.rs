@@ -5,11 +5,11 @@
 //! its word writes, logs them as one redo record and applies them (§4.3).
 //! The lock is also what keeps the allocator log single-producer.
 
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::Mutex;
 
-use mnemosyne_obs::{Counter, Histogram, PaddedAtomicU64, Telemetry, Unit};
+use mnemosyne_obs::{Counter, Histogram, Telemetry, Unit};
 use mnemosyne_rawl::TornbitLog;
 use mnemosyne_region::{PMem, Regions, VAddr};
 
@@ -105,15 +105,15 @@ pub struct HeapStats {
     pub replayed: u64,
 }
 
-/// Per-heap stat cells: cache-line-padded atomics, so [`PHeap::stats`]
-/// (and `Debug`) never take the heap lock.
+/// Per-heap stat cells: atomics, so [`PHeap::stats`] (and `Debug`) never
+/// take the heap lock.
 #[derive(Default)]
 struct StatCells {
-    allocs: PaddedAtomicU64,
-    frees: PaddedAtomicU64,
-    small_allocs: PaddedAtomicU64,
-    large_allocs: PaddedAtomicU64,
-    replayed: PaddedAtomicU64,
+    allocs: AtomicU64,
+    frees: AtomicU64,
+    small_allocs: AtomicU64,
+    large_allocs: AtomicU64,
+    replayed: AtomicU64,
 }
 
 /// `pheap.*` telemetry in the machine's registry, mirroring [`HeapStats`]
@@ -177,7 +177,7 @@ pub struct PHeap {
 }
 
 impl std::fmt::Debug for PHeap {
-    /// Lock-free: reads the padded stat cells, so formatting can never
+    /// Lock-free: reads the stat cells, so formatting can never
     /// deadlock or serialise against allocation.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PHeap")
@@ -646,7 +646,7 @@ impl PHeap {
             .and_then(|a| a.usable_size(st.log.pmem(), addr))
     }
 
-    /// Activity counters (lock-free reads of the padded stat cells).
+    /// Activity counters (lock-free reads of the stat cells).
     pub fn stats(&self) -> HeapStats {
         HeapStats {
             allocs: self.stats.allocs.load(Ordering::Relaxed),

@@ -206,14 +206,4 @@ impl LargeAlloc {
     pub fn capacity(&self) -> u64 {
         self.len
     }
-
-    /// Total free bytes (diagnostics).
-    pub fn free_bytes(&self) -> u64 {
-        self.free.iter().map(|&(_, s)| s).sum()
-    }
-
-    /// Largest free chunk (diagnostics).
-    pub fn largest_free(&self) -> u64 {
-        self.free.iter().map(|&(_, s)| s).max().unwrap_or(0)
-    }
 }

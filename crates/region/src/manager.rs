@@ -251,11 +251,6 @@ impl RegionManager {
             .map(|(&fid, _)| fid)
     }
 
-    /// Name of a registered file.
-    pub fn file_name(&self, fid: FileId) -> Option<String> {
-        self.inner.state.lock().inodes.get(&fid).cloned()
-    }
-
     /// Ensures page `page_off` of file `fid` is resident in an SCM frame
     /// and returns the frame's physical base address.
     ///

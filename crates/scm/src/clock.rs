@@ -64,11 +64,6 @@ impl DelayEngine {
     pub fn accounted_ns(&self) -> u64 {
         self.accounted_ns.get()
     }
-
-    /// Resets the accounted-time counter (used between benchmark phases).
-    pub fn reset(&self) {
-        self.accounted_ns.set(0);
-    }
 }
 
 /// Busy-wait for `ns` nanoseconds. Calibration in the paper found inserted
@@ -133,8 +128,6 @@ mod tests {
         e.delay(150);
         e.delay(0);
         assert_eq!(e.accounted_ns(), 300);
-        e.reset();
-        assert_eq!(e.accounted_ns(), 0);
     }
 
     #[test]

@@ -76,12 +76,6 @@ impl ScmConfig {
         self
     }
 
-    /// Overrides the emulation mode, returning the modified config.
-    pub fn with_mode(mut self, mode: EmulationMode) -> Self {
-        self.mode = mode;
-        self
-    }
-
     /// Builds a config from one of the Table 1 technology presets, taking
     /// the midpoint of the preset's write-latency range as the extra write
     /// latency (clamped at DRAM parity: DRAM itself yields 0 extra).

@@ -76,11 +76,6 @@ impl Media {
         self.words.len() as u64 * WORD
     }
 
-    /// Number of 64-bit words.
-    pub fn word_count(&self) -> usize {
-        self.words.len()
-    }
-
     /// Atomically reads the word containing `addr` (which must be
     /// word-aligned).
     ///
@@ -151,18 +146,6 @@ impl Media {
     pub fn flip_bit(&self, addr: PAddr, bit: u32) {
         debug_assert!(addr.is_word_aligned(), "unaligned bit flip at {addr}");
         self.words[addr.word_index()].fetch_xor(1u64 << (bit % 64), Ordering::Relaxed);
-    }
-
-    /// Overwrites the word at `addr` with pseudo-random garbage derived
-    /// from `seed` (corruption injection: a torn device write that left an
-    /// arbitrary bit pattern).
-    ///
-    /// # Panics
-    /// Panics if `addr` is unaligned or out of range.
-    pub fn tear_word(&self, addr: PAddr, seed: u64) {
-        debug_assert!(addr.is_word_aligned(), "unaligned torn word at {addr}");
-        let garbage = crate::faults::mix64(seed ^ addr.0);
-        self.words[addr.word_index()].store(garbage, Ordering::Relaxed);
     }
 
     /// Seeded corruption of `[addr, addr + len)`: flips `flips` independent
@@ -271,17 +254,6 @@ mod tests {
         assert_eq!(m.read_word(PAddr(8)), 0xff00);
         m.flip_bit(PAddr(8), 64); // modulo: bit 0
         assert_eq!(m.read_word(PAddr(8)), 0xff01);
-    }
-
-    #[test]
-    fn tear_word_is_seed_deterministic() {
-        let a = Media::new(64);
-        let b = Media::new(64);
-        a.tear_word(PAddr(16), 99);
-        b.tear_word(PAddr(16), 99);
-        assert_eq!(a.read_word(PAddr(16)), b.read_word(PAddr(16)));
-        b.tear_word(PAddr(16), 100);
-        assert_ne!(a.read_word(PAddr(16)), b.read_word(PAddr(16)));
     }
 
     #[test]

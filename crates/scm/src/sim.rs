@@ -210,12 +210,6 @@ impl ScmSim {
         self.inner.media.flip_bit(addr, bit);
     }
 
-    /// Corruption injection: replaces the media word at `addr` with
-    /// seed-derived garbage — a torn device write.
-    pub fn inject_torn_word(&self, addr: PAddr, seed: u64) {
-        self.inner.media.tear_word(addr, seed);
-    }
-
     /// Corruption injection: flips `flips` seeded single bits across
     /// `[addr, addr + len)` — e.g. targeted at a log region to exercise
     /// recovery's corruption detection.
@@ -501,11 +495,6 @@ impl MemHandle {
     /// Nanoseconds of modelled SCM delay accounted on this handle.
     pub fn accounted_ns(&self) -> u64 {
         self.engine.accounted_ns()
-    }
-
-    /// Resets this handle's accounted-time counter.
-    pub fn reset_accounting(&self) {
-        self.engine.reset()
     }
 
     /// Starts a stopwatch appropriate for this handle's emulation mode

@@ -56,7 +56,7 @@ fn parse_bytes(s: &str) -> Option<u64> {
         None => (lower.as_str(), 0),
     };
     let v: u64 = num.parse().ok()?;
-    v.checked_shl(shift).filter(|&b| b > 0 || v == 0)
+    v.checked_mul(1 << shift)
 }
 
 fn main() -> ExitCode {
@@ -213,5 +213,23 @@ fn main() -> ExitCode {
             eprintln!("kvctl: {e}");
             ExitCode::from(3)
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_bytes;
+
+    #[test]
+    fn parse_bytes_scales_suffixes() {
+        assert_eq!(parse_bytes("0"), Some(0));
+        assert_eq!(parse_bytes("4k"), Some(4 << 10));
+        assert_eq!(parse_bytes("1g"), Some(1 << 30));
+    }
+
+    #[test]
+    fn parse_bytes_rejects_overflowing_sizes() {
+        assert_eq!(parse_bytes("17179869185g"), None);
+        assert_eq!(parse_bytes("18014398509481985k"), None);
     }
 }

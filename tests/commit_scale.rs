@@ -1,6 +1,7 @@
 //! Crash-point sweeps and concurrency tests for the commit path: the
 //! synchronous commit that truncates under its locks, the asynchronous
-//! log manager's commit-ordered pass, and the adaptive contention manager.
+//! log manager's commit-ordered pass, and the bounded-backoff contention
+//! manager.
 //!
 //! The sweep driver re-runs a workload crashing at every strided
 //! durability primitive; the workloads are shaped so that the crash
