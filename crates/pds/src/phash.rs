@@ -5,12 +5,24 @@
 //! pointers plus singly linked nodes. Each node is one `pmalloc` block:
 //!
 //! ```text
-//! [next ptr][klen][vlen][key bytes (8-aligned)][value bytes]
+//! [next ptr][klen][vlen][key bytes (8-aligned)][value bytes (8-aligned)]
 //! ```
 //!
 //! Every mutation runs in one durable transaction; a 64-byte insert
 //! touches the bucket head, the node fields, and the payload — the ~15
 //! updates to ~5 cache lines the paper counts for its 4.3 µs insert.
+//! Replacing a key's value with one of the same padded length writes the
+//! value words (and `vlen`, if it changed) in place: no allocation, no
+//! free, no link or head write, so the commit's two fences are the whole
+//! persist cost. Only a value of another padded length unlinks the node,
+//! frees it and links a new one at the bucket head.
+//!
+//! The bucket count is fixed when the table is created and read from its
+//! persistent header on every operation; there is no resize. A lookup
+//! walks one chain, so size the table near the key count it will hold.
+//! The creating transaction writes `buckets + 2` words, so its redo record
+//! must fit one thread's log: with the default 32 768-word log, 8 192
+//! buckets fit and 16 384 fail with `LogError::RecordTooLarge`.
 
 use mnemosyne::{Mnemosyne, TxAbort, TxError, TxThread, VAddr};
 
@@ -44,28 +56,48 @@ pub struct PHashTable {
 
 impl PHashTable {
     /// Opens (or creates, on first run) the named table with
-    /// `buckets` chains.
+    /// `buckets` chains. A table that already exists keeps the bucket
+    /// count it was created with.
     ///
     /// # Errors
-    /// Propagates pstatic/transaction failures.
+    /// `buckets == 0`, or an existing table whose header holds 0 buckets,
+    /// is rejected with [`std::io::ErrorKind::InvalidInput`] /
+    /// [`std::io::ErrorKind::InvalidData`] (every operation hashes modulo
+    /// the count). A table too large for one transaction's redo record
+    /// (see the module doc) fails with `LogError::RecordTooLarge` and is
+    /// not created. Propagates other pstatic/transaction failures.
     pub fn open(
         m: &Mnemosyne,
         th: &mut TxThread,
         name: &str,
         buckets: u64,
     ) -> Result<PHashTable, mnemosyne::Error> {
+        if buckets == 0 {
+            return Err(mnemosyne::Error::Io(std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                format!("hash table {name:?}: 0 buckets"),
+            )));
+        }
         let root_cell = m.pstatic(name, 8)?;
-        th.atomic(|tx| {
-            if tx.read_u64(root_cell)? == 0 {
-                let table = tx.pmalloc(HDR_ARRAY + buckets * 8)?;
-                tx.write_u64(table.add(HDR_BUCKETS), buckets)?;
-                for i in 0..buckets {
-                    tx.write_u64(table.add(HDR_ARRAY + i * 8), 0)?;
-                }
-                tx.write_u64(root_cell, table.0)?;
+        let header_buckets = th.atomic(|tx| {
+            let table = tx.read_u64(root_cell)?;
+            if table != 0 {
+                return tx.read_u64(VAddr(table).add(HDR_BUCKETS));
             }
-            Ok(())
+            let table = tx.pmalloc(HDR_ARRAY + buckets * 8)?;
+            tx.write_u64(table.add(HDR_BUCKETS), buckets)?;
+            for i in 0..buckets {
+                tx.write_u64(table.add(HDR_ARRAY + i * 8), 0)?;
+            }
+            tx.write_u64(root_cell, table.0)?;
+            Ok(buckets)
         })?;
+        if header_buckets == 0 {
+            return Err(mnemosyne::Error::Io(std::io::Error::new(
+                std::io::ErrorKind::InvalidData,
+                format!("hash table {name:?}: header holds 0 buckets"),
+            )));
+        }
         Ok(PHashTable { root_cell })
     }
 
@@ -105,7 +137,8 @@ impl PHashTable {
         }
     }
 
-    /// Inserts or replaces `key → value` in one durable transaction.
+    /// Inserts or replaces `key → value` in one durable transaction. A
+    /// replacement of the same padded length is written in place.
     ///
     /// # Errors
     /// Propagates transaction/heap failures.
@@ -128,6 +161,14 @@ impl PHashTable {
     ) -> Result<(), TxAbort> {
         let bucket = Self::bucket_addr(tx, self.root_cell, key)?;
         if let Some((link, node)) = Self::find_in_chain(tx, bucket, key)? {
+            let vlen = tx.read_u64(node.add(16))?;
+            // The node's value area fits: no alloc, free or relink.
+            if pad8(vlen as usize) == pad8(value.len()) {
+                if vlen != value.len() as u64 {
+                    tx.write_u64(node.add(16), value.len() as u64)?;
+                }
+                return tx.write_bytes(node.add(24 + pad8(key.len())), value);
+            }
             let next = tx.read_u64(node)?;
             tx.write_u64(link, next)?;
             tx.pfree(node);
@@ -455,6 +496,155 @@ mod tests {
         assert_eq!(m.mtm().stats().commits - commits_before, 1);
         assert_eq!(h.len(&mut th).unwrap(), 9);
         assert!(h.get(&mut th, &3u64.to_le_bytes()).unwrap().is_none());
+        std::fs::remove_dir_all(&d).ok();
+    }
+
+    /// The node `key` lives in, read from the chain.
+    fn node_of(th: &mut TxThread, h: PHashTable, key: &[u8]) -> VAddr {
+        th.atomic(|tx| {
+            let bucket = PHashTable::bucket_addr(tx, h.root_cell, key)?;
+            Ok(PHashTable::find_in_chain(tx, bucket, key)?.unwrap().1)
+        })
+        .unwrap()
+    }
+
+    fn heap_ops(m: &Mnemosyne) -> (u64, u64) {
+        let s = m.telemetry().snapshot();
+        (s.counter("pheap.allocs"), s.counter("pheap.frees"))
+    }
+
+    #[test]
+    fn same_padded_length_overwrites_in_place() {
+        let d = dir("inplace");
+        let m = Mnemosyne::builder(&d).scm_size(32 << 20).open().unwrap();
+        let mut th = m.register_thread().unwrap();
+        let h = PHashTable::open(&m, &mut th, "tbl", 4).unwrap();
+        for k in 0..8u8 {
+            h.put(&mut th, &[k], &[k; 64]).unwrap();
+        }
+        let node = node_of(&mut th, h, &[3]);
+        let ops = heap_ops(&m);
+        h.put(&mut th, &[3], &[0xAB; 64]).unwrap();
+        assert_eq!(node_of(&mut th, h, &[3]), node, "the node moved");
+        assert_eq!(heap_ops(&m), ops, "(allocs, frees) moved");
+        assert_eq!(h.get(&mut th, &[3]).unwrap().unwrap(), vec![0xAB; 64]);
+
+        // 60 -> 57 bytes pads to 64 both times: in place, and exactly 57
+        // bytes read back.
+        h.put(&mut th, &[5], &[1; 60]).unwrap();
+        let node = node_of(&mut th, h, &[5]);
+        let ops = heap_ops(&m);
+        h.put(&mut th, &[5], &[2; 57]).unwrap();
+        assert_eq!(node_of(&mut th, h, &[5]), node);
+        assert_eq!(heap_ops(&m), ops);
+        assert_eq!(h.get(&mut th, &[5]).unwrap().unwrap(), vec![2; 57]);
+
+        // 64 -> 72 bytes needs a bigger node.
+        let ops = heap_ops(&m);
+        h.put(&mut th, &[3], &[7; 72]).unwrap();
+        assert_eq!(heap_ops(&m), (ops.0 + 1, ops.1 + 1));
+        assert_eq!(h.get(&mut th, &[3]).unwrap().unwrap(), vec![7; 72]);
+        for k in (0..8u8).filter(|&k| k != 3 && k != 5) {
+            assert_eq!(h.get(&mut th, &[k]).unwrap().unwrap(), vec![k; 64]);
+        }
+        assert_eq!(h.len(&mut th).unwrap(), 8);
+        std::fs::remove_dir_all(&d).ok();
+    }
+
+    /// Every crash point of an in-place overwrite of a 64-byte value
+    /// recovers the old value or the new one, never a mix.
+    #[test]
+    fn in_place_overwrite_survives_every_crash_point() {
+        use mnemosyne::{crash_sweep, ScmConfig, SweepConfig, Truncation};
+        use std::sync::atomic::{AtomicU8, Ordering};
+        let d = dir("inplace-sweep");
+        const OLD: [u8; 64] = [0x11; 64];
+        const NEW: [u8; 64] = [0xEE; 64];
+        // 0: nothing acked, 1: OLD acked, 2: NEW acked.
+        let acked = AtomicU8::new(0);
+        let cfg = SweepConfig {
+            max_points: 10_000,
+            ..SweepConfig::default()
+        };
+        let report = crash_sweep(
+            &d,
+            &cfg,
+            |p| {
+                Mnemosyne::builder(p)
+                    .scm_config(ScmConfig::virtual_clock(1 << 20))
+                    .heap_sizes(128 << 10, 128 << 10)
+                    .max_threads(2)
+                    .log_words(1024)
+                    .truncation(Truncation::Sync)
+            },
+            |m| {
+                acked.store(0, Ordering::SeqCst);
+                let mut th = m.register_thread()?;
+                let h = PHashTable::open(m, &mut th, "tbl", 1)?;
+                h.put(&mut th, b"k", &OLD)?;
+                acked.store(1, Ordering::SeqCst);
+                h.put(&mut th, b"k", &NEW)?;
+                acked.store(2, Ordering::SeqCst);
+                Ok(())
+            },
+            |m| {
+                let mut th = m.register_thread().map_err(|e| e.to_string())?;
+                let h = PHashTable::open(m, &mut th, "tbl", 1).map_err(|e| e.to_string())?;
+                let got = h.get(&mut th, b"k").map_err(|e| e.to_string())?;
+                let ok = match acked.load(Ordering::SeqCst) {
+                    0 => got.is_none() || got.as_deref() == Some(&OLD[..]),
+                    1 => got.as_deref() == Some(&OLD[..]) || got.as_deref() == Some(&NEW[..]),
+                    _ => got.as_deref() == Some(&NEW[..]),
+                };
+                ok.then_some(()).ok_or(format!("recovered {got:?}"))
+            },
+        )
+        .unwrap();
+        assert!(report.passed(), "failures: {:?}", report.failures);
+        assert_eq!(
+            report.points_tested as u64, report.workload_primitives,
+            "not every point was tried: {report}"
+        );
+        std::fs::remove_dir_all(&d).ok();
+    }
+
+    #[test]
+    fn bucket_count_bounds() {
+        let d = dir("bounds");
+        let m = Mnemosyne::builder(&d).scm_size(32 << 20).open().unwrap();
+        let mut th = m.register_thread().unwrap();
+        let zero = PHashTable::open(&m, &mut th, "zero", 0).unwrap_err();
+        assert!(
+            matches!(&zero, mnemosyne::Error::Io(e) if e.kind() == std::io::ErrorKind::InvalidInput),
+            "{zero:?}"
+        );
+        // A header of 0 (a table written by an older build that took 0).
+        let cell = m.pstatic("zero-hdr", 8).unwrap();
+        th.atomic(|tx| {
+            let table = tx.pmalloc(HDR_ARRAY)?;
+            tx.write_u64(table.add(HDR_BUCKETS), 0)?;
+            tx.write_u64(cell, table.0)
+        })
+        .unwrap();
+        let zero = PHashTable::open(&m, &mut th, "zero-hdr", 64).unwrap_err();
+        assert!(
+            matches!(&zero, mnemosyne::Error::Io(e) if e.kind() == std::io::ErrorKind::InvalidData),
+            "{zero:?}"
+        );
+
+        // 16 384 buckets do not fit the default 32 768-word redo log: the
+        // open fails cleanly and leaves no table behind.
+        let big = PHashTable::open(&m, &mut th, "big", 16_384).unwrap_err();
+        assert!(
+            matches!(
+                big,
+                mnemosyne::Error::Tx(TxError::Log(mnemosyne::LogError::RecordTooLarge { .. }))
+            ),
+            "{big:?}"
+        );
+        let h = PHashTable::open(&m, &mut th, "big", 8_192).unwrap();
+        h.put(&mut th, b"k", b"v").unwrap();
+        assert_eq!(h.get(&mut th, b"k").unwrap().unwrap(), b"v");
         std::fs::remove_dir_all(&d).ok();
     }
 

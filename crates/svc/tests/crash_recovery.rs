@@ -32,6 +32,10 @@ const CLIENTS: u8 = 2;
 const PUTS_PER_CLIENT: u8 = 9;
 /// Keys both clients overwrite.
 const SHARED_KEYS: u8 = 3;
+/// The workloads create their table, and a sweep strides its points
+/// evenly over every primitive: the default 4 096 buckets would put most
+/// points inside the table's creation instead of the serving traffic.
+const SWEEP_BUCKETS: u64 = 16;
 
 /// One client PUT to a shared key, stamped on a clock all clients share:
 /// `start` before the request is sent, `acked` once the reply is in hand
@@ -59,6 +63,7 @@ fn serve_workload(m: &Mnemosyne, history: &Mutex<Vec<PutRec>>) -> Result<(), mne
         m,
         SvcConfig {
             max_batch: 4,
+            buckets: SWEEP_BUCKETS,
             ..SvcConfig::default()
         },
     )?;
@@ -174,6 +179,7 @@ fn grow_workload(
         m,
         SvcConfig {
             max_batch: 4,
+            buckets: SWEEP_BUCKETS,
             ..SvcConfig::default()
         },
     )?;
@@ -246,6 +252,10 @@ fn grow_crash_sweep_recovers_old_or_new_capacity() {
     );
     assert!(report.points_tested >= 8, "report: {report}");
     assert!(
+        report.workload_primitives < 1_000,
+        "most points would land in table creation: {report}"
+    );
+    assert!(
         report.crashes_fired > 0,
         "no crash ever fired mid-workload: {report}"
     );
@@ -280,6 +290,10 @@ fn crash_sweep_never_loses_acknowledged_writes() {
         report.failures
     );
     assert!(report.points_tested >= 10, "report: {report}");
+    assert!(
+        report.workload_primitives < 1_000,
+        "most points would land in table creation: {report}"
+    );
     assert!(
         report.crashes_fired > 0,
         "no crash ever fired mid-service: {report}"

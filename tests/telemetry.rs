@@ -244,7 +244,18 @@ fn cost_budget_table() {
             );
         }
     });
+    // Same length as the preloaded value: written in place.
     let phash_put = delta(&m, || table.put(&mut th, &key(seq[0]), &[0; 64]).unwrap());
+    // A fresh key allocates its node.
+    let phash_insert = delta(&m, || table.put(&mut th, &key(PRELOAD), &[0; 64]).unwrap());
+    let phash_puts = delta(&m, || {
+        th.atomic(|tx| {
+            seq.iter()
+                .enumerate()
+                .try_for_each(|(i, &k)| table.put_in(tx, &key(k), &[i as u8; 64]))
+        })
+        .unwrap()
+    });
     drop(th);
 
     let lf = LfHashTable::open(&m, "kv.lf").unwrap();
@@ -260,7 +271,7 @@ fn cost_budget_table() {
 
     // Row names are the `kvload --trace` probe names where the setup
     // is the same; the sequence rows have no probe twin.
-    let table: [(&str, &TelemetrySnapshot, &str, u64); 16] = [
+    let table: [(&str, &TelemetrySnapshot, &str, u64); 18] = [
         ("rawl.append8", &append8, "scm.fences", 1),
         ("rawl.append8", &append8, "rawl.flushes", 1),
         ("rawl.append8", &append8, "rawl.append_words", 8),
@@ -273,7 +284,16 @@ fn cost_budget_table() {
         ("mtm.ro8", &ro8, "scm.fences", 0),
         ("mtm.ro8", &ro8, "rawl.append_words", 0),
         ("mtm.ro8", &ro8, "rawl.truncations", 0),
-        ("pds.phash_put", &phash_put, "scm.fences", 10),
+        ("pds.phash_put", &phash_put, "scm.fences", 2),
+        // 2 for the commit + 4 for the node's allocation, which the heap
+        // commits on its own allocator log (half the alloc/free pair).
+        ("pds.phash_insert", &phash_insert, "scm.fences", 6),
+        (
+            "pds.phash_put x 64 in one commit",
+            &phash_puts,
+            "scm.fences",
+            2,
+        ),
         ("pds.phash_get x 64", &phash_gets, "scm.reads", 2116),
         ("pds.phash_get x 64", &phash_gets, "scm.fences", 0),
         ("pds.lfhash_put x 64", &lf_puts, "scm.fences", 452),
