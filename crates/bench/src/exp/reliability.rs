@@ -86,7 +86,7 @@ pub fn run(scale: Scale) {
         &cfg,
         |p| {
             Mnemosyne::builder(p)
-                .scm_config(ScmConfig::virtual_clock(8 << 20))
+                .scm_config(ScmConfig::for_testing(8 << 20))
                 .truncation(Truncation::Sync)
         },
         workload,

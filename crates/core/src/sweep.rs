@@ -15,9 +15,10 @@
 //! crash targets too), after which a clean reboot must still satisfy the
 //! invariant.
 //!
-//! Under the `Virtual` clock with synchronous truncation the primitive
-//! counter is deterministic: the same seed, plan, and workload reproduce
-//! the same crash point on every run.
+//! With synchronous truncation and a single-threaded workload the primitive
+//! counter is deterministic: it counts primitives, not time, and recovery
+//! replays the logs on the opening thread, so the same seed, plan, and
+//! workload reproduce the same crash point on every run.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
@@ -476,7 +477,7 @@ mod tests {
                 &cfg,
                 |p| {
                     Mnemosyne::builder(p)
-                        .scm_config(crate::ScmConfig::virtual_clock(8 << 20))
+                        .scm_config(crate::ScmConfig::for_testing(8 << 20))
                         .truncation(crate::Truncation::Sync)
                 },
                 |m| bump_workload(m, 3),
@@ -507,7 +508,7 @@ mod tests {
             &cfg,
             |p| {
                 Mnemosyne::builder(p)
-                    .scm_config(crate::ScmConfig::virtual_clock(8 << 20))
+                    .scm_config(crate::ScmConfig::for_testing(8 << 20))
                     .truncation(crate::Truncation::Sync)
             },
             |m| bump_workload(m, 2),
@@ -533,7 +534,7 @@ mod tests {
         let report = crash_sweep(
             &d,
             &cfg,
-            |p| Mnemosyne::builder(p).scm_config(crate::ScmConfig::virtual_clock(8 << 20)),
+            |p| Mnemosyne::builder(p).scm_config(crate::ScmConfig::for_testing(8 << 20)),
             |m| bump_workload(m, 1),
             |_| Err("always unhappy".to_string()),
         )

@@ -1,9 +1,10 @@
 //! The transaction runtime: per-thread redo logs, commit/abort, recovery,
 //! and synchronous or asynchronous log truncation (§5).
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
+use std::time::Instant;
 
 use parking_lot::{Mutex, RwLock};
 
@@ -11,7 +12,6 @@ use mnemosyne_obs::{Counter, Histogram, MaxGauge, Telemetry, Unit};
 use mnemosyne_pheap::PHeap;
 use mnemosyne_rawl::{LogError, LogTruncator, TornbitLog, LOG_HEADER_BYTES};
 use mnemosyne_region::{PMem, Regions, VAddr};
-use mnemosyne_scm::clock::Stopwatch;
 
 use crate::error::{TxAbort, TxError};
 use crate::gclock::GlobalClock;
@@ -123,8 +123,7 @@ pub struct RecoveryStats {
     /// Live log words scanned across all thread slots (the outstanding
     /// log the previous incarnation left behind).
     pub scanned_words: u64,
-    /// Time of the scan + replay, in the emulator's virtual time domain
-    /// when the virtual clock is on, wall time otherwise.
+    /// Wall time of the scan + replay.
     pub replay_ns: u64,
 }
 
@@ -141,11 +140,9 @@ pub struct CkptStats {
     pub outstanding_after: u64,
 }
 
-/// `mtm.*` telemetry registered in the machine's registry. The runtime
-/// keeps its own [`MtmStats`] atomics for instance-local queries; these
-/// registry handles carry the same events into the machine-wide
-/// snapshot, plus the per-phase commit-latency attribution the paper's
-/// Figures 4–6 are about.
+/// `mtm.*` telemetry registered in the machine's registry: the only
+/// count of runtime events ([`MtmStats`] reads it), plus the per-phase
+/// commit-latency attribution the paper's Figures 4–6 are about.
 pub(crate) struct MtmMetrics {
     /// Transaction attempts ([`Tx::begin`] calls, including conflict
     /// retries). Identity: `tx_begins == commits + aborts`.
@@ -183,7 +180,7 @@ pub(crate) struct MtmMetrics {
     /// High-water mark of outstanding redo-log words observed at
     /// checkpoint entry.
     pub(crate) ckpt_outstanding_hwm: MaxGauge,
-    /// Per-checkpoint duration (virtual ns when the clock is emulated).
+    /// Per-checkpoint duration.
     pub(crate) ckpt_ns: Histogram,
     /// Worst log-replay time measured at open, in milliseconds — the
     /// recovery SLO gauge.
@@ -287,9 +284,6 @@ pub struct MtmRuntime {
     heap: RwLock<Option<Arc<PHeap>>>,
     slots: Mutex<Vec<Option<TornbitLog>>>,
     truncation: Truncation,
-    commits: AtomicU64,
-    aborts: AtomicU64,
-    stalls: AtomicU64,
     metrics: MtmMetrics,
     manager: Mutex<Option<ManagerHandle>>,
     ckpt: Arc<Mutex<CkptShared>>,
@@ -315,21 +309,17 @@ impl MtmRuntime {
     /// Fails on region exhaustion or corrupt logs.
     pub fn open(regions: &Arc<Regions>, config: MtmConfig) -> Result<Arc<MtmRuntime>, TxError> {
         let pmem = regions.pmem_handle();
-        // Virtual time is accounted per handle: the recovery time is each
-        // log handle's scan plus `pmem`'s replay.
-        let mut replay_ns = 0u64;
 
         // Scan: map each slot's log and recover its records.
+        let timer = Instant::now();
         let mut logs = Vec::with_capacity(config.max_threads);
         let mut records: Vec<Vec<u64>> = Vec::new();
         let mut scanned_words = 0u64;
         for i in 0..config.max_threads {
             let bytes = LOG_HEADER_BYTES + config.log_words * 8;
             let r = regions.pmap(&format!("mtm.log{i}"), bytes, &pmem)?;
-            let handle = regions.pmem_handle();
-            let timer = handle.stopwatch();
-            let (log, recs) = TornbitLog::open_or_create(handle, r.addr, config.log_words)?;
-            replay_ns += log.pmem().elapsed_ns(&timer);
+            let (log, recs) =
+                TornbitLog::open_or_create(regions.pmem_handle(), r.addr, config.log_words)?;
             scanned_words += log.len_words();
             records.extend(recs);
             logs.push(log);
@@ -368,7 +358,6 @@ impl MtmRuntime {
                 detail: "redo record targets an unmapped address",
             }));
         }
-        let timer = pmem.stopwatch();
         for &(addr, val) in &writes {
             pmem.store_u64(addr, val);
         }
@@ -379,7 +368,7 @@ impl MtmRuntime {
             truncators: logs.iter().map(TornbitLog::truncator).collect(),
         };
         drain_logs(&ckpt, u64::MAX);
-        replay_ns += ckpt.pmem.elapsed_ns(&timer);
+        let replay_ns = timer.elapsed().as_nanos() as u64;
         let recovery = RecoveryStats {
             replayed,
             scanned_words,
@@ -400,9 +389,6 @@ impl MtmRuntime {
             regions: Arc::clone(regions),
             heap: RwLock::new(None),
             truncation: config.truncation,
-            commits: AtomicU64::new(0),
-            aborts: AtomicU64::new(0),
-            stalls: AtomicU64::new(0),
             metrics,
             manager: Mutex::new(None),
             ckpt: Arc::clone(&ckpt),
@@ -480,13 +466,15 @@ impl MtmRuntime {
         Err(TxError::NoThreadSlots)
     }
 
-    /// Activity counters.
+    /// Activity counters: `mtm.commits`, `mtm.aborts` and
+    /// `mtm.truncation_stalls` of the machine's registry (shared by every
+    /// runtime opened over it), and this open's replay count.
     pub fn stats(&self) -> MtmStats {
         MtmStats {
-            commits: self.commits.load(Ordering::Relaxed),
-            aborts: self.aborts.load(Ordering::Relaxed),
+            commits: self.metrics.commits.get(),
+            aborts: self.metrics.aborts.get(),
             replayed: self.recovery.replayed,
-            stalls: self.stalls.load(Ordering::Relaxed),
+            stalls: self.metrics.truncation_stalls.get(),
         }
     }
 
@@ -543,7 +531,7 @@ impl MtmRuntime {
     /// transactions.
     pub fn checkpoint(&self) -> CkptStats {
         let ckpt = self.ckpt.lock();
-        let timer = ckpt.pmem.stopwatch();
+        let timer = Instant::now();
         let before = ckpt.backlog_words();
         self.metrics.ckpt_outstanding_hwm.record(before);
         let words = match self.truncation {
@@ -551,7 +539,9 @@ impl MtmRuntime {
             Truncation::Async => drain_logs(&ckpt, self.clock.now()),
         };
         let after = ckpt.backlog_words();
-        self.metrics.ckpt_ns.record(ckpt.pmem.elapsed_ns(&timer));
+        self.metrics
+            .ckpt_ns
+            .record(timer.elapsed().as_nanos() as u64);
         drop(ckpt);
         self.metrics.ckpt_runs.inc();
         self.metrics.ckpt_words.add(words);
@@ -801,14 +791,13 @@ impl Tx<'_> {
         if self.write_set.is_empty() && self.allocs.is_empty() && self.frees.is_empty() {
             // Read-only: reads were validated incrementally.
             self.release_locks_restoring();
-            self.th.rt().commits.fetch_add(1, Ordering::Relaxed);
             self.th.rt().metrics().commits.inc();
             return Ok(());
         }
-        let commit_timer = self.th.pmem().stopwatch();
+        let commit_timer = Instant::now();
 
         // Validate the read set.
-        let validate_timer = self.th.pmem().stopwatch();
+        let validate_timer = Instant::now();
         for &(idx, version) in &self.read_set {
             match self.th.rt().locks().probe(idx) {
                 crate::locks::LockState::Version(v) if v == version => {}
@@ -816,7 +805,6 @@ impl Tx<'_> {
                 _ => {
                     self.release_locks_restoring();
                     self.rollback_allocs();
-                    self.th.rt().aborts.fetch_add(1, Ordering::Relaxed);
                     self.th.rt().metrics().aborts.inc();
                     return Err(TxAbort::Conflict);
                 }
@@ -826,7 +814,7 @@ impl Tx<'_> {
             .rt()
             .metrics()
             .validate_ns
-            .record(self.th.pmem().elapsed_ns(&validate_timer));
+            .record(validate_timer.elapsed().as_nanos() as u64);
 
         let ts = self.th.rt().clock().tick();
 
@@ -838,8 +826,8 @@ impl Tx<'_> {
             record.push(val);
         }
         let truncation = self.th.rt().truncation();
-        let log_timer = self.th.pmem().stopwatch();
-        let mut stall_timer: Option<Stopwatch> = None;
+        let log_timer = Instant::now();
+        let mut stall_timer: Option<Instant> = None;
         loop {
             match self.th.log_mut().append(&record) {
                 Ok(()) => break,
@@ -853,8 +841,7 @@ impl Tx<'_> {
                 // full; a record larger than the log is RecordTooLarge.)
                 Err(LogError::Full { .. }) if truncation == Truncation::Async => {
                     if stall_timer.is_none() {
-                        stall_timer = Some(self.th.pmem().stopwatch());
-                        self.th.rt().stalls.fetch_add(1, Ordering::Relaxed);
+                        stall_timer = Some(Instant::now());
                         self.th.rt().metrics().truncation_stalls.inc();
                     }
                     self.th.pmem().poll_crash();
@@ -866,7 +853,6 @@ impl Tx<'_> {
                 Err(e) => {
                     self.release_locks_restoring();
                     self.rollback_allocs();
-                    self.th.rt().aborts.fetch_add(1, Ordering::Relaxed);
                     self.th.rt().metrics().aborts.inc();
                     return Err(TxAbort::Log(e));
                 }
@@ -877,7 +863,7 @@ impl Tx<'_> {
                 .rt()
                 .metrics()
                 .stall_ns
-                .record(self.th.pmem().elapsed_ns(&t));
+                .record(t.elapsed().as_nanos() as u64);
         }
         // The single commit fence: the record is durable, but not yet
         // visible to the async truncator (write-back hasn't happened).
@@ -886,10 +872,10 @@ impl Tx<'_> {
             .rt()
             .metrics()
             .log_ns
-            .record(self.th.pmem().elapsed_ns(&log_timer));
+            .record(log_timer.elapsed().as_nanos() as u64);
 
         // Write back buffered values (lazy version management).
-        let writeback_timer = self.th.pmem().stopwatch();
+        let writeback_timer = Instant::now();
         for (&addr, &val) in &self.write_set {
             self.th.pmem().store_u64(VAddr(addr), val);
         }
@@ -900,7 +886,7 @@ impl Tx<'_> {
             .rt()
             .metrics()
             .writeback_ns
-            .record(self.th.pmem().elapsed_ns(&writeback_timer));
+            .record(writeback_timer.elapsed().as_nanos() as u64);
 
         if truncation == Truncation::Sync {
             // §5 synchronous truncation, while every write lock is still
@@ -909,7 +895,7 @@ impl Tx<'_> {
             // the record — one head-word store and the commit's closing
             // fence. A log therefore holds a record only while its
             // transaction holds that record's locks.
-            let truncate_timer = self.th.pmem().stopwatch();
+            let truncate_timer = Instant::now();
             let mut lines: Vec<u64> = self.write_set.keys().map(|a| a & !63).collect();
             lines.sort_unstable();
             lines.dedup();
@@ -921,7 +907,7 @@ impl Tx<'_> {
                 .rt()
                 .metrics()
                 .truncate_ns
-                .record(self.th.pmem().elapsed_ns(&truncate_timer));
+                .record(truncate_timer.elapsed().as_nanos() as u64);
         }
 
         // Publish the new version and release ownership.
@@ -939,13 +925,12 @@ impl Tx<'_> {
                 }
             }
         }
-        self.th.rt().commits.fetch_add(1, Ordering::Relaxed);
         self.th.rt().metrics().commits.inc();
         self.th
             .rt()
             .metrics()
             .commit_ns
-            .record(self.th.pmem().elapsed_ns(&commit_timer));
+            .record(commit_timer.elapsed().as_nanos() as u64);
         Ok(())
     }
 
@@ -954,7 +939,6 @@ impl Tx<'_> {
     pub(crate) fn abort(mut self) {
         self.release_locks_restoring();
         self.rollback_allocs();
-        self.th.rt().aborts.fetch_add(1, Ordering::Relaxed);
         self.th.rt().metrics().aborts.inc();
     }
 

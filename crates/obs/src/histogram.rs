@@ -70,10 +70,8 @@ impl HistogramCore {
     }
 }
 
-/// A latency distribution over fixed log2 buckets. Values are
-/// nanoseconds in the recording handle's time domain — the SCM
-/// emulator's virtual clock under `EmulationMode::Virtual`, the wall
-/// clock otherwise. Cloning is cheap; obtain one from
+/// A distribution over fixed log2 buckets; latencies are recorded in
+/// wall-clock nanoseconds. Cloning is cheap; obtain one from
 /// [`crate::Telemetry::histogram`].
 #[derive(Clone)]
 pub struct Histogram(pub(crate) Arc<HistogramCore>);

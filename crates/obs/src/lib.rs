@@ -9,8 +9,7 @@
 //! * [`Counter`] — a lock-free, per-thread-sharded event counter;
 //! * [`MaxGauge`] — a monotonic high-water mark (e.g. log occupancy);
 //! * [`Histogram`] — a latency distribution over fixed log2 buckets,
-//!   fed with nanoseconds from either the wall clock or the SCM
-//!   emulator's virtual clock;
+//!   fed with wall-clock nanoseconds;
 //! * [`Telemetry`] — the registry a simulated machine (and everything
 //!   booted over it) records into, with [`Telemetry::snapshot`] /
 //!   [`TelemetrySnapshot::since`] for phase measurement;

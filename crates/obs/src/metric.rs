@@ -18,7 +18,7 @@ pub enum Unit {
     Words,
     /// Bytes.
     Bytes,
-    /// Nanoseconds (wall or virtual clock, per the emulation mode).
+    /// Nanoseconds.
     Nanoseconds,
     /// Milliseconds (coarse operational gauges, e.g. recovery replay time).
     Milliseconds,

@@ -1,6 +1,5 @@
 //! The PCM block device.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use parking_lot::{Mutex, RwLock};
@@ -60,35 +59,28 @@ impl DiskConfig {
     }
 }
 
-/// Operation counters (plus total modelled device time).
-#[derive(Debug, Default)]
+/// Operation counters (plus total modelled device time), registered
+/// under `pcmdisk.*` names. A block device is its own machine, so it owns
+/// its own [`Telemetry`] registry rather than borrowing an SCM
+/// simulator's.
+#[derive(Debug)]
 pub struct DiskStats {
     /// Block reads served.
-    pub reads: AtomicU64,
+    pub reads: Counter,
     /// Block writes into the page cache.
-    pub writes: AtomicU64,
+    pub writes: Counter,
     /// Sync operations.
-    pub syncs: AtomicU64,
+    pub syncs: Counter,
     /// Blocks actually forced to PCM by syncs.
-    pub synced_blocks: AtomicU64,
+    pub synced_blocks: Counter,
     /// Modelled device time in nanoseconds.
-    pub accounted_ns: AtomicU64,
+    pub accounted_ns: Counter,
 }
 
-/// `pcmdisk.*` registry counters mirroring [`DiskStats`]. A block device
-/// is its own machine, so it owns its own [`Telemetry`] registry rather
-/// than borrowing an SCM simulator's.
-struct DiskMetrics {
-    reads: Counter,
-    writes: Counter,
-    syncs: Counter,
-    synced_blocks: Counter,
-    accounted_ns: Counter,
-}
-
-impl DiskMetrics {
-    fn new(telemetry: &Telemetry) -> DiskMetrics {
-        DiskMetrics {
+impl DiskStats {
+    /// Registers the `pcmdisk.*` counters in `telemetry`.
+    pub fn new(telemetry: &Telemetry) -> DiskStats {
+        DiskStats {
             reads: telemetry.counter("pcmdisk.reads", Unit::Count),
             writes: telemetry.counter("pcmdisk.writes", Unit::Count),
             syncs: telemetry.counter("pcmdisk.syncs", Unit::Count),
@@ -112,7 +104,6 @@ pub struct PcmDisk {
     state: Mutex<DiskState>,
     stats: DiskStats,
     telemetry: Telemetry,
-    metrics: DiskMetrics,
     /// Optional crash-point schedule; each block forced to media reports a
     /// [`FaultSite::BlockWrite`] primitive.
     faults: RwLock<Option<FaultPlan>>,
@@ -130,16 +121,15 @@ impl PcmDisk {
     /// Creates a zeroed device.
     pub fn new(config: DiskConfig) -> PcmDisk {
         let telemetry = Telemetry::new();
-        let metrics = DiskMetrics::new(&telemetry);
+        let stats = DiskStats::new(&telemetry);
         PcmDisk {
             state: Mutex::new(DiskState {
                 media: vec![0; (config.blocks * BLOCK_SIZE) as usize],
                 dirty: std::collections::HashMap::new(),
             }),
             config,
-            stats: DiskStats::default(),
+            stats,
             telemetry,
-            metrics,
             faults: RwLock::new(None),
         }
     }
@@ -181,8 +171,7 @@ impl PcmDisk {
     }
 
     fn delay(&self, ns: u64) {
-        self.stats.accounted_ns.fetch_add(ns, Ordering::Relaxed);
-        self.metrics.accounted_ns.add(ns);
+        self.stats.accounted_ns.add(ns);
         if self.config.mode == EmulationMode::Spin {
             let start = Instant::now();
             while (start.elapsed().as_nanos() as u64) < ns {
@@ -198,8 +187,7 @@ impl PcmDisk {
     pub fn read_block(&self, idx: u64, buf: &mut [u8]) {
         assert!(idx < self.config.blocks, "block {idx} out of range");
         assert_eq!(buf.len() as u64, BLOCK_SIZE);
-        self.stats.reads.fetch_add(1, Ordering::Relaxed);
-        self.metrics.reads.inc();
+        self.stats.reads.inc();
         let st = self.state.lock();
         if let Some(d) = st.dirty.get(&idx) {
             buf.copy_from_slice(d);
@@ -217,8 +205,7 @@ impl PcmDisk {
     pub fn write_block(&self, idx: u64, data: &[u8]) {
         assert!(idx < self.config.blocks, "block {idx} out of range");
         assert_eq!(data.len() as u64, BLOCK_SIZE);
-        self.stats.writes.fetch_add(1, Ordering::Relaxed);
-        self.metrics.writes.inc();
+        self.stats.writes.inc();
         self.state.lock().dirty.insert(idx, data.to_vec());
     }
 
@@ -227,8 +214,7 @@ impl PcmDisk {
     /// (`write_latency + block/bandwidth` nanoseconds). Returns the number
     /// of blocks synced.
     pub fn sync(&self) -> u64 {
-        self.stats.syncs.fetch_add(1, Ordering::Relaxed);
-        self.metrics.syncs.inc();
+        self.stats.syncs.inc();
         let dirty: Vec<(u64, Vec<u8>)> = {
             let mut st = self.state.lock();
             st.dirty.drain().collect()
@@ -249,16 +235,14 @@ impl PcmDisk {
         let per_block = self.config.write_latency_ns
             + (BLOCK_SIZE as f64 / self.config.bandwidth_bytes_per_ns) as u64;
         self.delay(self.config.sync_syscall_ns + n * per_block);
-        self.stats.synced_blocks.fetch_add(n, Ordering::Relaxed);
-        self.metrics.synced_blocks.add(n);
+        self.stats.synced_blocks.add(n);
         n
     }
 
     /// Forces only the dirty blocks selected by `pred` to the media (the
     /// per-file `fsync` path). Returns blocks synced.
     pub fn sync_if(&self, pred: impl Fn(u64) -> bool) -> u64 {
-        self.stats.syncs.fetch_add(1, Ordering::Relaxed);
-        self.metrics.syncs.inc();
+        self.stats.syncs.inc();
         let dirty: Vec<(u64, Vec<u8>)> = {
             let mut st = self.state.lock();
             let keys: Vec<u64> = st.dirty.keys().copied().filter(|&b| pred(b)).collect();
@@ -283,8 +267,7 @@ impl PcmDisk {
         let per_block = self.config.write_latency_ns
             + (BLOCK_SIZE as f64 / self.config.bandwidth_bytes_per_ns) as u64;
         self.delay(self.config.sync_syscall_ns + n * per_block);
-        self.stats.synced_blocks.fetch_add(n, Ordering::Relaxed);
-        self.metrics.synced_blocks.add(n);
+        self.stats.synced_blocks.add(n);
         n
     }
 
@@ -298,11 +281,11 @@ impl PcmDisk {
     /// Snapshot of the counters.
     pub fn stats(&self) -> (u64, u64, u64, u64, u64) {
         (
-            self.stats.reads.load(Ordering::Relaxed),
-            self.stats.writes.load(Ordering::Relaxed),
-            self.stats.syncs.load(Ordering::Relaxed),
-            self.stats.synced_blocks.load(Ordering::Relaxed),
-            self.stats.accounted_ns.load(Ordering::Relaxed),
+            self.stats.reads.get(),
+            self.stats.writes.get(),
+            self.stats.syncs.get(),
+            self.stats.synced_blocks.get(),
+            self.stats.accounted_ns.get(),
         )
     }
 }

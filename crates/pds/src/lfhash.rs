@@ -1301,7 +1301,7 @@ mod tests {
             &cfg,
             |p| {
                 Mnemosyne::builder(p)
-                    .scm_config(ScmConfig::virtual_clock(8 << 20))
+                    .scm_config(ScmConfig::for_testing(8 << 20))
                     .truncation(Truncation::Sync)
             },
             |m| {
@@ -1335,7 +1335,7 @@ mod tests {
         let d = dir("recrash");
         let build = |p: &Path| {
             Mnemosyne::builder(p)
-                .scm_config(ScmConfig::virtual_clock(8 << 20))
+                .scm_config(ScmConfig::for_testing(8 << 20))
                 .truncation(Truncation::Sync)
         };
         // Count the crash-free workload's primitives, then leave a

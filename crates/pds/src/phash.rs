@@ -571,7 +571,7 @@ mod tests {
             &cfg,
             |p| {
                 Mnemosyne::builder(p)
-                    .scm_config(ScmConfig::virtual_clock(1 << 20))
+                    .scm_config(ScmConfig::for_testing(1 << 20))
                     .heap_sizes(128 << 10, 128 << 10)
                     .max_threads(2)
                     .log_words(1024)

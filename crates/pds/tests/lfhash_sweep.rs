@@ -114,7 +114,7 @@ fn two_handle_crash_sweep_never_loses_or_duplicates_acked_ops() {
         &cfg,
         |p| {
             Mnemosyne::builder(p)
-                .scm_config(ScmConfig::virtual_clock(16 << 20))
+                .scm_config(ScmConfig::for_testing(16 << 20))
                 .truncation(Truncation::Sync)
         },
         |m| workload(m, &expected),

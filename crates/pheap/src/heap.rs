@@ -5,7 +5,7 @@
 //! its word writes, logs them as one redo record and applies them (§4.3).
 //! The lock is also what keeps the allocator log single-producer.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Instant;
 
 use parking_lot::Mutex;
 
@@ -90,7 +90,8 @@ pub struct GrowStats {
     pub large_capacity: u64,
 }
 
-/// Counters describing heap activity since open.
+/// Counters describing heap activity on this machine: the `pheap.*`
+/// registry counters, shared by every heap opened over the same regions.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HeapStats {
     /// Successful `pmalloc` calls.
@@ -101,24 +102,13 @@ pub struct HeapStats {
     pub small_allocs: u64,
     /// Allocations served by the large-object allocator.
     pub large_allocs: u64,
-    /// Redo records replayed during the last recovery.
+    /// Redo records replayed by recovery.
     pub replayed: u64,
 }
 
-/// Per-heap stat cells: atomics, so [`PHeap::stats`] (and `Debug`) never
-/// take the heap lock.
-#[derive(Default)]
-struct StatCells {
-    allocs: AtomicU64,
-    frees: AtomicU64,
-    small_allocs: AtomicU64,
-    large_allocs: AtomicU64,
-    replayed: AtomicU64,
-}
-
-/// `pheap.*` telemetry in the machine's registry, mirroring [`HeapStats`]
-/// plus the fallback path, growth, and the §6.3.2 scavenge cost that the
-/// plain struct does not expose.
+/// `pheap.*` telemetry in the machine's registry: the only count of heap
+/// events. [`HeapStats`] reads five of them; the fallback path, growth
+/// and the §6.3.2 scavenge cost are registry-only.
 struct HeapMetrics {
     allocs: Counter,
     frees: Counter,
@@ -172,12 +162,11 @@ impl HeapState {
 pub struct PHeap {
     state: Mutex<HeapState>,
     header: VAddr,
-    stats: StatCells,
     metrics: HeapMetrics,
 }
 
 impl std::fmt::Debug for PHeap {
-    /// Lock-free: reads the stat cells, so formatting can never
+    /// Lock-free: reads the registry counters, so formatting can never
     /// deadlock or serialise against allocation.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PHeap")
@@ -218,7 +207,6 @@ impl PHeap {
         let exts_addr = header.add(16);
         let base = SmallLayout::new(small_r.addr.add(4096), small_r.len - 4096);
         let metrics = HeapMetrics::new(regions.telemetry());
-        let stats = StatCells::default();
 
         let state = if pmem.read_u64(header) != HEAP_MAGIC {
             // Fresh heap: format everything, publish the magic last.
@@ -292,12 +280,11 @@ impl PHeap {
                 replayed += Self::replay(&mut log, &records)?;
                 serving.get_or_insert(log);
             }
-            stats.replayed.store(replayed, Ordering::Relaxed);
             metrics.replayed.add(replayed);
 
             // Scavenge: rebuild the volatile indexes from what the replay
             // left on media.
-            let sw = pmem.stopwatch();
+            let timer = Instant::now();
             let small = SmallAlloc::scavenge(&pmem, &small_segs);
             let mut large = Vec::with_capacity(large_specs.len());
             for (addr, len) in large_specs {
@@ -305,7 +292,9 @@ impl PHeap {
                 area.scavenge(&pmem)?;
                 large.push(area);
             }
-            metrics.scavenge_ns.record(pmem.elapsed_ns(&sw));
+            metrics
+                .scavenge_ns
+                .record(timer.elapsed().as_nanos() as u64);
             HeapState {
                 log: serving.expect("log 0 is always counted"),
                 small,
@@ -315,7 +304,6 @@ impl PHeap {
         Ok(PHeap {
             state: Mutex::new(state),
             header,
-            stats,
             metrics,
         })
     }
@@ -494,16 +482,13 @@ impl PHeap {
         Self::commit(log, &writes)?;
         drop(guard);
         if from_small.is_some() {
-            self.stats.small_allocs.fetch_add(1, Ordering::Relaxed);
             self.metrics.superblock_allocs.inc();
         } else {
             if class.is_some() {
                 self.metrics.fallback_allocs.inc();
             }
-            self.stats.large_allocs.fetch_add(1, Ordering::Relaxed);
             self.metrics.large_allocs.inc();
         }
-        self.stats.allocs.fetch_add(1, Ordering::Relaxed);
         self.metrics.allocs.inc();
         Ok(a)
     }
@@ -531,7 +516,6 @@ impl PHeap {
             writes.push((c, 0));
         }
         Self::commit(log, &writes)?;
-        self.stats.frees.fetch_add(1, Ordering::Relaxed);
         self.metrics.frees.inc();
         Ok(())
     }
@@ -646,14 +630,15 @@ impl PHeap {
             .and_then(|a| a.usable_size(st.log.pmem(), addr))
     }
 
-    /// Activity counters (lock-free reads of the stat cells).
+    /// Activity counters (lock-free reads of the registry).
     pub fn stats(&self) -> HeapStats {
+        let m = &self.metrics;
         HeapStats {
-            allocs: self.stats.allocs.load(Ordering::Relaxed),
-            frees: self.stats.frees.load(Ordering::Relaxed),
-            small_allocs: self.stats.small_allocs.load(Ordering::Relaxed),
-            large_allocs: self.stats.large_allocs.load(Ordering::Relaxed),
-            replayed: self.stats.replayed.load(Ordering::Relaxed),
+            allocs: m.allocs.get(),
+            frees: m.frees.get(),
+            small_allocs: m.superblock_allocs.get(),
+            large_allocs: m.large_allocs.get(),
+            replayed: m.replayed.get(),
         }
     }
 

@@ -77,10 +77,6 @@ struct RegionsMetrics {
     punmaps: Counter,
     /// High-water mark of pages committed across all dynamic regions.
     mapped_pages: MaxGauge,
-    /// Successful in-place `pgrow` calls that actually widened a region.
-    grows: Counter,
-    /// Bytes added by those grows.
-    grow_bytes: Counter,
 }
 
 impl RegionsMetrics {
@@ -89,8 +85,6 @@ impl RegionsMetrics {
             pmaps: telemetry.counter("region.pmaps", Unit::Count),
             punmaps: telemetry.counter("region.punmaps", Unit::Count),
             mapped_pages: telemetry.max_gauge("region.mapped_pages", Unit::Count),
-            grows: telemetry.counter("region.grow.calls", Unit::Count),
-            grow_bytes: telemetry.counter("region.grow.bytes", Unit::Bytes),
         }
     }
 }
@@ -328,79 +322,6 @@ impl Regions {
         Ok(region)
     }
 
-    /// Grows the dynamic region `name` in place to `new_len` bytes
-    /// (page-rounded) without a restart. A no-op when the region is
-    /// already that large.
-    ///
-    /// Growth is **atomic**: the new length becomes visible to future
-    /// boots only through one durable single-word update of the region
-    /// table's `len` field, so a crash at any point recovers to either
-    /// the old or the new size — never to a torn in-between. The added
-    /// pages read as zeros until written (backing files extend sparsely).
-    ///
-    /// In-place growth requires the virtual range directly above the
-    /// region to be free. Regions are placed first-fit from the bottom,
-    /// so this typically only holds for the topmost region; callers that
-    /// need unconditional growth map an extension region instead (see the
-    /// heap's extension-area scheme).
-    ///
-    /// # Errors
-    /// Fails if the region does not exist, the range above it is
-    /// occupied, or the address space is exhausted.
-    pub fn pgrow(&self, name: &str, new_len: u64, pmem: &PMem) -> Result<Region> {
-        if name == STATIC_REGION_NAME {
-            return Err(RegionError::BadName(name.to_string()));
-        }
-        let new_len = new_len.max(PAGE_SIZE).div_ceil(PAGE_SIZE) * PAGE_SIZE;
-        let mut table = self.table.lock();
-        let pos = table
-            .iter()
-            .position(|s| s.region.name == name)
-            .ok_or_else(|| RegionError::NoSuchRegion(name.to_string()))?;
-        let old = table[pos].region.clone();
-        if new_len <= old.len {
-            return Ok(old);
-        }
-        let end = old.addr.add(new_len);
-        if end.0 > PERSISTENT_BASE + crate::PERSISTENT_SIZE {
-            return Err(RegionError::OutOfAddressSpace);
-        }
-        if let Some(blocker) = table
-            .iter()
-            .find(|s| s.region.name != name && s.region.addr >= old.addr && s.region.addr < end)
-        {
-            return Err(RegionError::RegionExists(blocker.region.name.clone()));
-        }
-
-        // Widen the volatile mapping first: unmap the old VMA (resident
-        // pages stay in SCM, keyed by file page) and remap the same file
-        // over the wider range.
-        let mgr = self.aspace.manager().clone();
-        let fid = mgr.register_file(name)?;
-        self.aspace.unmap(old.addr)?;
-        if let Err(e) = self.aspace.map(old.addr, new_len / PAGE_SIZE, fid) {
-            // Restore the old mapping so a failed grow leaves the region
-            // usable; the table slot was never touched.
-            self.aspace.map(old.addr, old.len / PAGE_SIZE, fid)?;
-            return Err(e);
-        }
-
-        // The commit point: one durable word update of the slot's length.
-        // Before this lands, a reboot sees the old size; after, the new.
-        let slot_addr = Self::slot_addr(table[pos].index);
-        pmem.store_u64(slot_addr.add(8), new_len);
-        pmem.flush(slot_addr.add(8));
-        pmem.fence();
-
-        table[pos].region.len = new_len;
-        let region = table[pos].region.clone();
-        self.metrics.grows.inc();
-        self.metrics.grow_bytes.add(new_len - old.len);
-        let pages: u64 = table.iter().map(|s| s.region.len / PAGE_SIZE).sum();
-        self.metrics.mapped_pages.record(pages);
-        Ok(region)
-    }
-
     /// Deletes the dynamic region `name` — the paper's `punmap`: unmaps the
     /// range, frees its SCM frames and removes the backing file.
     ///
@@ -550,66 +471,6 @@ mod tests {
         // New process, same boot.
         let (rg2, _pmem2) = Regions::open(&mgr, 1 << 16).unwrap();
         assert!(rg2.find("keep").is_some());
-        fs::remove_dir_all(dir).ok();
-    }
-
-    #[test]
-    fn pgrow_extends_region_and_survives_reboot() {
-        let (sim, mgr, dir) = setup();
-        let addr = {
-            let (rg, pmem) = Regions::open(&mgr, 1 << 16).unwrap();
-            let r = rg.pmap("growme", 8192, &pmem).unwrap();
-            pmem.store_u64(r.addr, 11);
-            pmem.flush(r.addr);
-            pmem.fence();
-            let g = rg.pgrow("growme", 32768, &pmem).unwrap();
-            assert_eq!(g.addr, r.addr, "growth is in place");
-            assert_eq!(g.len, 32768);
-            // Old data intact, new pages readable (zero-filled), and the
-            // new tail is writable.
-            assert_eq!(pmem.read_u64(r.addr), 11);
-            assert_eq!(pmem.read_u64(r.addr.add(16384)), 0);
-            pmem.store_u64(r.addr.add(32768 - 8), 22);
-            pmem.flush(r.addr.add(32768 - 8));
-            pmem.fence();
-            r.addr
-        };
-        sim.crash(CrashPolicy::DropAll);
-        let (_sim2, mgr2) = reboot(&sim, &dir);
-        let (rg2, pmem2) = Regions::open(&mgr2, 1 << 16).unwrap();
-        let r2 = rg2.find("growme").expect("region survives");
-        assert_eq!(r2.len, 32768, "grown length is durable");
-        assert_eq!(pmem2.read_u64(addr), 11);
-        assert_eq!(pmem2.read_u64(addr.add(32768 - 8)), 22);
-        fs::remove_dir_all(dir).ok();
-    }
-
-    #[test]
-    fn pgrow_refused_when_range_above_is_occupied() {
-        let (_sim, mgr, dir) = setup();
-        let (rg, pmem) = Regions::open(&mgr, 1 << 16).unwrap();
-        let a = rg.pmap("low", 8192, &pmem).unwrap();
-        rg.pmap("high", 4096, &pmem).unwrap();
-        assert!(matches!(
-            rg.pgrow("low", 65536, &pmem),
-            Err(RegionError::RegionExists(_))
-        ));
-        // The failed grow left the region intact and mapped.
-        pmem.store_u64(a.addr, 5);
-        assert_eq!(rg.find("low").unwrap().len, 8192);
-        // The topmost region can still grow.
-        assert_eq!(rg.pgrow("high", 16384, &pmem).unwrap().len, 16384);
-        assert!(rg.pgrow("missing", 4096, &pmem).is_err());
-        fs::remove_dir_all(dir).ok();
-    }
-
-    #[test]
-    fn pgrow_same_size_is_a_noop() {
-        let (_sim, mgr, dir) = setup();
-        let (rg, pmem) = Regions::open(&mgr, 1 << 16).unwrap();
-        let r = rg.pmap("same", 8192, &pmem).unwrap();
-        assert_eq!(rg.pgrow("same", 4096, &pmem).unwrap(), r);
-        assert_eq!(rg.pgrow("same", 8192, &pmem).unwrap(), r);
         fs::remove_dir_all(dir).ok();
     }
 

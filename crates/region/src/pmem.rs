@@ -10,8 +10,7 @@
 //! that want to probe use [`PMem::try_translate`].
 
 use mnemosyne_obs::Telemetry;
-use mnemosyne_scm::clock::Stopwatch;
-use mnemosyne_scm::{EmulationMode, MemHandle, PAddr};
+use mnemosyne_scm::{MemHandle, PAddr};
 
 use crate::aspace::AddressSpace;
 use crate::error::Result;
@@ -183,28 +182,6 @@ impl PMem {
         let mut b = [0u8; 8];
         self.read(addr, &mut b);
         u64::from_le_bytes(b)
-    }
-
-    /// Nanoseconds of modelled SCM delay accounted on this thread.
-    pub fn accounted_ns(&self) -> u64 {
-        self.mem.accounted_ns()
-    }
-
-    /// Starts a stopwatch in this handle's time domain (wall clock or
-    /// virtual clock depending on the emulation mode).
-    pub fn stopwatch(&self) -> Stopwatch {
-        self.mem.stopwatch()
-    }
-
-    /// Nanoseconds since `sw` was started on this handle, in its time
-    /// domain.
-    pub fn elapsed_ns(&self, sw: &Stopwatch) -> u64 {
-        self.mem.elapsed_ns(sw)
-    }
-
-    /// The emulation mode in effect.
-    pub fn mode(&self) -> EmulationMode {
-        self.mem.mode()
     }
 
     /// The telemetry registry of the machine this handle addresses.

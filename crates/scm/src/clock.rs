@@ -3,9 +3,8 @@
 //! The paper's emulator (§6.1) inserts delays with a loop reading the TSC
 //! until the requested time has elapsed. [`EmulationMode::Spin`] reproduces
 //! that, so wall-clock measurements over the simulator are meaningful.
-//! [`EmulationMode::Virtual`] instead *accounts* the delay on a per-thread
-//! virtual clock, giving deterministic, machine-independent timings for the
-//! table/figure harness. [`EmulationMode::None`] disables delays for tests.
+//! [`EmulationMode::None`] disables delays for tests. Either way every delay
+//! is accounted on the handle, and all timing is wall clock.
 
 use std::cell::Cell;
 use std::time::Instant;
@@ -19,13 +18,11 @@ pub enum EmulationMode {
     /// Busy-wait for the modelled duration (the paper's §6.1 method); makes
     /// wall-clock benchmark numbers reflect the modelled technology.
     Spin,
-    /// Account delays on a per-thread virtual clock without waiting.
-    Virtual,
 }
 
 /// Per-thread delay engine. Owned by a [`crate::MemHandle`]; deliberately
-/// `!Sync` (uses `Cell`) because write-combining buffers and virtual time
-/// are per-hardware-thread state.
+/// `!Sync` (uses `Cell`) because write-combining buffers and accounted
+/// delay are per-hardware-thread state.
 #[derive(Debug)]
 pub struct DelayEngine {
     mode: EmulationMode,
@@ -49,7 +46,7 @@ impl DelayEngine {
 
     /// Realise a delay of `ns` nanoseconds according to the mode. The delay
     /// is always *accounted*, so [`Self::accounted_ns`] can be used to
-    /// report modelled device time even in `Spin` mode.
+    /// report modelled device time in either mode.
     pub fn delay(&self, ns: u64) {
         if ns == 0 {
             return;
@@ -76,38 +73,6 @@ fn spin_for(ns: u64) {
     }
 }
 
-/// A stopwatch that reads either wall-clock time or a handle's virtual
-/// clock, so timing code is written once for both modes: under
-/// [`EmulationMode::Virtual`] an interval is the modelled SCM latency the
-/// handle accrued (attribution matches the model, not host noise), and
-/// wall time otherwise. Owns no borrow, so it can outlive moves and
-/// mutable uses of the handle it was started on; start and read it
-/// through [`crate::MemHandle::stopwatch`] / [`crate::MemHandle::elapsed_ns`].
-#[derive(Debug)]
-pub struct Stopwatch {
-    start_wall: Instant,
-    start_virtual_ns: u64,
-}
-
-impl Stopwatch {
-    /// Starts timing against the given engine.
-    pub fn start(engine: &DelayEngine) -> Self {
-        Stopwatch {
-            start_wall: Instant::now(),
-            start_virtual_ns: engine.accounted_ns(),
-        }
-    }
-
-    /// Elapsed nanoseconds: wall time in `None`/`Spin` modes, accounted
-    /// virtual time in `Virtual` mode.
-    pub fn elapsed_ns(&self, engine: &DelayEngine) -> u64 {
-        match engine.mode() {
-            EmulationMode::Virtual => engine.accounted_ns().saturating_sub(self.start_virtual_ns),
-            _ => self.start_wall.elapsed().as_nanos() as u64,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -122,35 +87,10 @@ mod tests {
     }
 
     #[test]
-    fn virtual_mode_accumulates() {
-        let e = DelayEngine::new(EmulationMode::Virtual);
-        e.delay(150);
-        e.delay(150);
-        e.delay(0);
-        assert_eq!(e.accounted_ns(), 300);
-    }
-
-    #[test]
     fn spin_mode_waits_at_least_target() {
         let e = DelayEngine::new(EmulationMode::Spin);
         let t = Instant::now();
         e.delay(200_000); // 200 µs
         assert!(t.elapsed().as_nanos() as u64 >= 200_000);
-    }
-
-    #[test]
-    fn stopwatch_virtual_reads_accounted_time() {
-        let e = DelayEngine::new(EmulationMode::Virtual);
-        let sw = Stopwatch::start(&e);
-        e.delay(1234);
-        assert_eq!(sw.elapsed_ns(&e), 1234);
-    }
-
-    #[test]
-    fn stopwatch_wall_reads_real_time() {
-        let e = DelayEngine::new(EmulationMode::None);
-        let sw = Stopwatch::start(&e);
-        spin_for(100_000);
-        assert!(sw.elapsed_ns(&e) >= 100_000);
     }
 }

@@ -1,7 +1,6 @@
 //! Configuration of the simulated SCM device and its performance model.
 
 use crate::clock::EmulationMode;
-use crate::tech::TechPreset;
 
 /// Configuration for an [`crate::ScmSim`].
 ///
@@ -24,9 +23,8 @@ pub struct ScmConfig {
     /// Effective streaming (write-through) bandwidth in bytes per
     /// nanosecond. 4.0 corresponds to the 4 GB/s cap used in the paper.
     pub write_bandwidth_bytes_per_ns: f64,
-    /// How delays are realised: not at all, by spinning (wall-clock
-    /// benchmarking, the paper's method), or on a deterministic virtual
-    /// clock.
+    /// How delays are realised: not at all, or by spinning (wall-clock
+    /// benchmarking, the paper's method).
     pub mode: EmulationMode,
     /// Maximum number of dirty lines the simulated cache holds before it
     /// starts writing lines back in the background. Background write-backs
@@ -59,38 +57,11 @@ impl ScmConfig {
         }
     }
 
-    /// Deterministic virtual-clock configuration used by the table/figure
-    /// harness: per-thread elapsed time is *accounted* rather than spun, so
-    /// experiment output is machine-independent.
-    pub fn virtual_clock(size: u64) -> Self {
-        ScmConfig {
-            mode: EmulationMode::Virtual,
-            ..Self::paper_default(size)
-        }
-    }
-
     /// Overrides the extra write latency, returning the modified config.
     /// Used by the Figure 7 sensitivity sweep (150/1000/2000 ns).
     pub fn with_write_latency_ns(mut self, ns: u64) -> Self {
         self.write_latency_ns = ns;
         self
-    }
-
-    /// Builds a config from one of the Table 1 technology presets, taking
-    /// the midpoint of the preset's write-latency range as the extra write
-    /// latency (clamped at DRAM parity: DRAM itself yields 0 extra).
-    pub fn from_tech(size: u64, preset: TechPreset, mode: EmulationMode) -> Self {
-        let spec = preset.spec();
-        let dram_write = TechPreset::Dram.spec().write_ns_mid();
-        let extra = spec.write_ns_mid().saturating_sub(dram_write);
-        ScmConfig {
-            size,
-            write_latency_ns: extra,
-            read_latency_ns: 0,
-            write_bandwidth_bytes_per_ns: 4.0,
-            mode,
-            cache_capacity_lines: 1 << 14,
-        }
     }
 
     /// Device size rounded up to whole cache lines.
@@ -129,17 +100,5 @@ mod tests {
     fn latency_override() {
         let c = ScmConfig::for_testing(4096).with_write_latency_ns(2000);
         assert_eq!(c.write_latency_ns, 2000);
-    }
-
-    #[test]
-    fn dram_preset_has_zero_extra_latency() {
-        let c = ScmConfig::from_tech(4096, TechPreset::Dram, EmulationMode::None);
-        assert_eq!(c.write_latency_ns, 0);
-    }
-
-    #[test]
-    fn pcm_preset_has_positive_extra_latency() {
-        let c = ScmConfig::from_tech(4096, TechPreset::PcmPrototype, EmulationMode::None);
-        assert!(c.write_latency_ns > 0);
     }
 }

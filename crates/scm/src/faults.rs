@@ -25,8 +25,9 @@
 //!
 //! Because the plan can be attached before boot, a crash can land *inside*
 //! recovery itself (mid-replay), not just inside the workload. The counter
-//! is strictly deterministic for single-threaded workloads under the
-//! `Virtual` clock: the same seed and plan reproduce the same crash point.
+//! counts primitives, not time, so it is strictly deterministic for
+//! single-threaded workloads: the same seed and plan reproduce the same
+//! crash point.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;

@@ -9,7 +9,7 @@ use parking_lot::{Mutex, RwLock};
 
 use crate::addr::{PAddr, CACHE_LINE};
 use crate::cache::CacheModel;
-use crate::clock::{DelayEngine, EmulationMode, Stopwatch};
+use crate::clock::DelayEngine;
 use crate::config::ScmConfig;
 use crate::crash::CrashPolicy;
 use crate::faults::{FaultPlan, FaultSite};
@@ -310,7 +310,7 @@ impl DmaHandle {
 /// primitives plus loads (§4.1, Table 3).
 ///
 /// `Send` (can move to a worker thread) but intentionally neither `Sync`
-/// nor `Clone`: the write-combining buffer and virtual clock are
+/// nor `Clone`: the write-combining buffer and accounted delay are
 /// per-thread.
 pub struct MemHandle {
     inner: Arc<SimInner>,
@@ -497,24 +497,6 @@ impl MemHandle {
         self.engine.accounted_ns()
     }
 
-    /// Starts a stopwatch appropriate for this handle's emulation mode
-    /// (wall clock for `None`/`Spin`, virtual clock for `Virtual`).
-    pub fn stopwatch(&self) -> Stopwatch {
-        Stopwatch::start(&self.engine)
-    }
-
-    /// Nanoseconds since `sw` was started, in this handle's time domain.
-    /// Read it on the handle it was started on (or one sharing its
-    /// engine): virtual time is accounted per handle.
-    pub fn elapsed_ns(&self, sw: &Stopwatch) -> u64 {
-        sw.elapsed_ns(&self.engine)
-    }
-
-    /// The emulation mode this handle runs under.
-    pub fn mode(&self) -> EmulationMode {
-        self.engine.mode()
-    }
-
     /// Device-wide statistics snapshot.
     pub fn stats(&self) -> StatsSnapshot {
         self.inner.stats.snapshot()
@@ -623,8 +605,8 @@ mod tests {
     }
 
     #[test]
-    fn virtual_mode_accounts_flush_latency() {
-        let s = ScmSim::new(ScmConfig::virtual_clock(1 << 16));
+    fn flush_latency_is_accounted() {
+        let s = ScmSim::new(ScmConfig::for_testing(1 << 16));
         let m = s.handle();
         m.store_u64(PAddr(0), 5);
         m.flush(PAddr(0));
@@ -635,7 +617,7 @@ mod tests {
 
     #[test]
     fn fence_charges_bandwidth_for_streaming() {
-        let s = ScmSim::new(ScmConfig::virtual_clock(1 << 16));
+        let s = ScmSim::new(ScmConfig::for_testing(1 << 16));
         let m = s.handle();
         for i in 0..512u64 {
             m.wtstore_u64(PAddr(i * 8), i);
@@ -647,7 +629,7 @@ mod tests {
 
     #[test]
     fn flush_of_clean_line_costs_nothing() {
-        let s = ScmSim::new(ScmConfig::virtual_clock(1 << 16));
+        let s = ScmSim::new(ScmConfig::for_testing(1 << 16));
         let m = s.handle();
         m.flush(PAddr(128));
         assert_eq!(m.accounted_ns(), 0);

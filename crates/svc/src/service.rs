@@ -238,11 +238,11 @@ impl Inner {
             q.inflight = n;
             q.pending.drain(..n).collect()
         };
-        let timer = th.pmem().stopwatch();
+        let timer = Instant::now();
         let outcome = catch_unwind(AssertUnwindSafe(|| exec_batch(&self.table, th, &batch)));
         let replies = match outcome {
             Ok(Ok(replies)) => {
-                let ns = th.pmem().elapsed_ns(&timer);
+                let ns = timer.elapsed().as_nanos() as u64;
                 self.metrics.batch_size.record(batch.len() as u64);
                 self.metrics.requests.add(batch.len() as u64);
                 for _ in &batch {

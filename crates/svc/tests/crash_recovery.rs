@@ -49,7 +49,7 @@ struct PutRec {
 
 fn builder(p: &Path) -> mnemosyne::MnemosyneBuilder {
     Mnemosyne::builder(p)
-        .scm_config(ScmConfig::virtual_clock(16 << 20))
+        .scm_config(ScmConfig::for_testing(16 << 20))
         .truncation(Truncation::Sync)
 }
 

@@ -410,7 +410,7 @@ fn shutdown_drains_acks_then_refuses_new_work() {
 fn no_acked_write_lost_under_network_abuse() {
     let d = dir("abuse");
     let m = Mnemosyne::builder(&d)
-        .scm_config(ScmConfig::virtual_clock(16 << 20))
+        .scm_config(ScmConfig::for_testing(16 << 20))
         .truncation(Truncation::Sync)
         .open()
         .unwrap();
@@ -474,7 +474,7 @@ fn no_acked_write_lost_under_network_abuse() {
 
     let (dir, image) = m.crash(CrashPolicy::DropAll);
     let m2 = Mnemosyne::builder(&dir)
-        .scm_config(ScmConfig::virtual_clock(16 << 20))
+        .scm_config(ScmConfig::for_testing(16 << 20))
         .truncation(Truncation::Sync)
         .from_image(image)
         .open()

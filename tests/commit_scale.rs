@@ -89,7 +89,7 @@ fn sync_batched_commit_survives_crash_sweep() {
         &cfg,
         |p: &Path| {
             Mnemosyne::builder(p)
-                .scm_config(ScmConfig::virtual_clock(8 << 20))
+                .scm_config(ScmConfig::for_testing(8 << 20))
                 .truncation(Truncation::Sync)
                 .log_words(256)
         },
@@ -123,7 +123,7 @@ fn async_truncation_survives_crash_sweep() {
         &cfg,
         |p: &Path| {
             Mnemosyne::builder(p)
-                .scm_config(ScmConfig::virtual_clock(8 << 20))
+                .scm_config(ScmConfig::for_testing(8 << 20))
                 .truncation(Truncation::Async)
                 .log_words(128)
         },
@@ -145,7 +145,7 @@ fn contended_lock_resolves_by_backoff() {
     let d = dir("backoff");
     let m = Arc::new(
         Mnemosyne::builder(&d)
-            .scm_config(ScmConfig::virtual_clock(8 << 20))
+            .scm_config(ScmConfig::for_testing(8 << 20))
             .truncation(Truncation::Sync)
             .open()
             .unwrap(),

@@ -143,7 +143,7 @@ fn lcg(x: u64) -> u64 {
 
 fn sweep_builder(p: &std::path::Path) -> mnemosyne::MnemosyneBuilder {
     Mnemosyne::builder(p)
-        .scm_config(ScmConfig::virtual_clock(8 << 20))
+        .scm_config(ScmConfig::for_testing(8 << 20))
         .truncation(Truncation::Sync)
 }
 

@@ -41,7 +41,7 @@ fn dir(tag: &str) -> PathBuf {
 
 fn builder(p: &std::path::Path) -> mnemosyne::MnemosyneBuilder {
     Mnemosyne::builder(p)
-        .scm_config(ScmConfig::virtual_clock(16 << 20))
+        .scm_config(ScmConfig::for_testing(16 << 20))
         .truncation(Truncation::Sync)
 }
 

@@ -73,10 +73,10 @@ fn idle_log_cannot_undo_another_logs_acknowledged_overwrite() {
 }
 
 /// Stack for the two-log overwrite below: Async, so records outlive
-/// their commits, and the virtual clock, so crash points repeat.
+/// their commits.
 fn two_log_build(dir: &std::path::Path) -> MnemosyneBuilder {
     Mnemosyne::builder(dir)
-        .scm_config(ScmConfig::virtual_clock(8 << 20))
+        .scm_config(ScmConfig::for_testing(8 << 20))
         .truncation(Truncation::Async)
         .log_words(1 << 10)
 }
@@ -169,7 +169,7 @@ fn sync_commits_leave_no_outstanding_log_and_survive_drop_all() {
     // `log_words` shapes the region layout.)
     let build = |dir: &std::path::Path| {
         Mnemosyne::builder(dir)
-            .scm_config(ScmConfig::virtual_clock(32 << 20))
+            .scm_config(ScmConfig::for_testing(32 << 20))
             .truncation(Truncation::Sync)
             .log_words(1 << 14)
     };
@@ -221,7 +221,7 @@ fn two_threads_bumping_shared_cells_survive_crash_sweep() {
             &cfg,
             |p| {
                 Mnemosyne::builder(p)
-                    .scm_config(ScmConfig::virtual_clock(8 << 20))
+                    .scm_config(ScmConfig::for_testing(8 << 20))
                     .truncation(truncation)
             },
             |m| {
@@ -306,7 +306,7 @@ fn crash_sweep_with_mid_workload_checkpoints_loses_nothing() {
         &cfg,
         |p| {
             Mnemosyne::builder(p)
-                .scm_config(ScmConfig::virtual_clock(8 << 20))
+                .scm_config(ScmConfig::for_testing(8 << 20))
                 .truncation(Truncation::Sync)
         },
         |m| {
@@ -368,7 +368,7 @@ fn double_fault_during_replay_loses_nothing() {
         &cfg,
         |p| {
             Mnemosyne::builder(p)
-                .scm_config(ScmConfig::virtual_clock(8 << 20))
+                .scm_config(ScmConfig::for_testing(8 << 20))
                 .truncation(Truncation::Async)
                 .log_words(LOG_WORDS)
         },
@@ -425,7 +425,7 @@ fn replay_restores_the_last_committed_value_of_every_word() {
     let d = dir("replay");
     let build = |dir: &std::path::Path| {
         Mnemosyne::builder(dir)
-            .scm_config(ScmConfig::virtual_clock(16 << 20))
+            .scm_config(ScmConfig::for_testing(16 << 20))
             .truncation(Truncation::Async)
             .log_words(LOG_WORDS)
             .max_threads(6)
@@ -485,7 +485,7 @@ fn replay_restores_the_last_committed_value_of_every_word() {
 /// scheduled primitive.
 #[test]
 fn crash_inside_recovery_is_deterministic() {
-    let scm = ScmConfig::virtual_clock(8 << 20);
+    let scm = ScmConfig::for_testing(8 << 20);
     let build = |dir: &std::path::Path| {
         Mnemosyne::builder(dir)
             .scm_config(scm.clone())

@@ -1,8 +1,9 @@
-//! Cross-layer telemetry tests: the registry must agree with the layer
-//! stats it mirrors, survive a JSON round trip losslessly, pin the exact
-//! cost budget of the small operations (single-fence tornbit appends,
-//! two-fence commits), expose Figure 7 abort rates and §5 truncation
-//! stalls, and stay fully documented in METRICS.md.
+//! Cross-layer telemetry tests: the registry's counting identities hold,
+//! it survives a JSON round trip losslessly, its wall-clock timings nest
+//! (commit phases within the commit, recovery within the open), it pins
+//! the exact cost budget of the small operations (single-fence tornbit
+//! appends, two-fence commits), exposes Figure 7 abort rates and §5
+//! truncation stalls, and stays fully documented in METRICS.md.
 
 use std::path::PathBuf;
 
@@ -58,15 +59,6 @@ fn snapshot_roundtrips_through_json_and_identities_hold() {
     assert_eq!(snap.counter("pheap.allocs"), 8);
     assert!(snap.counter("rawl.appends") > 0);
     assert!(snap.counter("scm.fences") > 0);
-
-    // Registry mirrors the layer-local stats structs.
-    let mtm = m.mtm().stats();
-    assert_eq!(snap.counter("mtm.commits"), mtm.commits);
-    assert_eq!(snap.counter("mtm.aborts"), mtm.aborts);
-    let heap_stats = heap.stats();
-    assert_eq!(snap.counter("pheap.allocs"), heap_stats.allocs);
-    let scm = m.sim().stats();
-    assert_eq!(snap.counter("scm.fences"), scm.fences);
 
     // Lossless JSON round trip, tags included.
     let json = snap.to_json_with(&[("experiment", "roundtrip-test"), ("scale", "quick")]);
@@ -311,7 +303,7 @@ fn cost_budget_table() {
 }
 
 /// Figure 7's y-axis — the transaction abort rate — is computable from
-/// telemetry alone and agrees with the runtime's own counters.
+/// telemetry alone.
 #[test]
 fn fig7_abort_rate_computable_from_telemetry() {
     let d = dir("aborts");
@@ -391,9 +383,6 @@ fn fig7_abort_rate_computable_from_telemetry() {
     contender.join().unwrap();
 
     let snap = m.telemetry().snapshot();
-    let stats = m.mtm().stats();
-    assert_eq!(snap.counter("mtm.aborts"), stats.aborts);
-    assert_eq!(snap.counter("mtm.commits"), stats.commits);
     assert!(
         snap.counter("mtm.aborts") >= 1,
         "a transaction attempting a word owned by a parked transaction must abort"
@@ -409,7 +398,7 @@ fn fig7_abort_rate_computable_from_telemetry() {
 
 /// §5: with asynchronous truncation and a log too small for two records,
 /// the committing thread must stall waiting for the log manager — and
-/// the stall is surfaced in both `MtmStats` and the registry.
+/// the stall is counted and timed.
 #[test]
 fn async_truncation_stalls_are_surfaced() {
     let d = dir("stall");
@@ -441,9 +430,73 @@ fn async_truncation_stalls_are_surfaced() {
         stats.stalls >= 1,
         "a 128-word async log must stall 85-word appends at least once"
     );
-    assert_eq!(snap.counter("mtm.truncation_stalls"), stats.stalls);
     let stall_hist = snap.histogram("mtm.stall_ns").expect("stall histogram");
     assert_eq!(stall_hist.count, stats.stalls);
+    std::fs::remove_dir_all(&d).ok();
+}
+
+/// One time domain: the commit phases are disjoint wall-clock
+/// subintervals of the commit, so their histogram sums never exceed the
+/// commit's; and recovery's scan + replay is part of the open that ran it.
+#[test]
+fn wall_clock_timings_nest() {
+    let d = dir("nest");
+    let m = Mnemosyne::builder(&d).scm_size(32 << 20).open().unwrap();
+    let cells = m.pstatic("cells", 8 * 8).unwrap();
+    let mut th = m.register_thread().unwrap();
+    let d200 = delta(&m, || {
+        for _ in 0..200u64 {
+            th.atomic(|tx| {
+                let v = tx.read_u64(cells)?;
+                (0..8).try_for_each(|w| tx.write_u64(cells.add(w * 8), v + 1))
+            })
+            .unwrap();
+        }
+    });
+    let sum = |name: &str| d200.histogram(name).map_or(0, |h| h.sum);
+    assert_eq!(d200.histogram("mtm.commit_ns").unwrap().count, 200);
+    let phases: u64 = ["validate", "log", "writeback", "truncate"]
+        .iter()
+        .map(|p| sum(&format!("mtm.commit.{p}_ns")))
+        .sum();
+    let commit = sum("mtm.commit_ns");
+    assert!(
+        phases <= commit,
+        "commit phases sum to {phases} ns, more than the {commit} ns of the commits"
+    );
+
+    drop(th);
+    drop(m);
+
+    // Leave records in the logs for the next open to replay.
+    let m = Mnemosyne::builder(&d)
+        .scm_size(32 << 20)
+        .truncation(Truncation::Async)
+        .open()
+        .unwrap();
+    m.mtm().kill();
+    let mut th = m.register_thread().unwrap();
+    for i in 0..20u64 {
+        th.atomic(|tx| tx.write_u64(cells, 1000 + i)).unwrap();
+    }
+    drop(th);
+    let (dir2, img) = m.crash(CrashPolicy::DropAll);
+    let t = std::time::Instant::now();
+    let m2 = Mnemosyne::builder(&dir2).from_image(img).open().unwrap();
+    let open_ns = t.elapsed().as_nanos() as u64;
+    let rec = m2.mtm().recovery_stats();
+    assert!(
+        rec.replayed > 0,
+        "the killed manager left records to replay"
+    );
+    assert!(
+        rec.replay_ns <= open_ns,
+        "replay took {} ns inside an open of {open_ns} ns",
+        rec.replay_ns
+    );
+    let mut th2 = m2.register_thread().unwrap();
+    assert_eq!(th2.atomic(|tx| tx.read_u64(cells)).unwrap(), 1019);
+    drop(th2);
     std::fs::remove_dir_all(&d).ok();
 }
 
