@@ -4,8 +4,7 @@
 //! Each experiment lives in [`exp`] as a `run(scale)` function that
 //! prints the same rows/series the paper reports, annotated with the
 //! paper's own numbers for comparison. One binary per table/figure wraps
-//! each function; `benches/repro.rs` runs the whole suite under
-//! `cargo bench`.
+//! each function; the `repro_all` binary runs the whole suite.
 //!
 //! Absolute numbers are not expected to match the paper (different host,
 //! software PCM emulation); the *shape* — who wins, by roughly what

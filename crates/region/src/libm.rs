@@ -451,6 +451,32 @@ mod tests {
     }
 
     #[test]
+    fn punmap_leaves_no_dirty_line_in_the_reused_frame() {
+        let (sim, mgr, dir) = setup();
+        let (rg, pmem) = Regions::open(&mgr, 1 << 16).unwrap();
+        let a = rg.pmap("a", 4096, &pmem).unwrap();
+        for i in 0..512u64 {
+            pmem.store_u64(a.addr.add(i * 8), i + 1);
+        }
+        pmem.flush_range(a.addr, 4096);
+        pmem.fence();
+        for i in 0..512u64 {
+            pmem.store_u64(a.addr.add(i * 8), u64::MAX - i); // never flushed
+        }
+        rg.punmap("a", &pmem).unwrap();
+        let b = rg.pmap("b", 4096, &pmem).unwrap();
+        let nonzero = |pmem: &PMem| {
+            (0..512u64)
+                .filter(|i| pmem.read_u64(b.addr.add(i * 8)) != 0)
+                .count()
+        };
+        assert_eq!(nonzero(&pmem), 0, "b reads a's dirty lines");
+        sim.crash(CrashPolicy::DropAll);
+        assert_eq!(nonzero(&pmem), 0, "the crash put a's words back into b");
+        fs::remove_dir_all(dir).ok();
+    }
+
+    #[test]
     fn pmap_into_stores_address_in_cell() {
         let (_sim, mgr, dir) = setup();
         let (rg, pmem) = Regions::open(&mgr, 1 << 16).unwrap();

@@ -337,9 +337,9 @@ impl RegionManager {
         Ok(())
     }
 
-    /// Discards all resident pages of `fid` (without write-back) and
-    /// removes the file from the inode table and the disk. Used by
-    /// `punmap` when a region is destroyed.
+    /// Discards all resident pages of `fid` (without writing them to the
+    /// file) and removes the file from the inode table and the disk. Used
+    /// by `punmap` when a region is destroyed.
     ///
     /// # Errors
     /// Propagates backing-file I/O errors.
@@ -356,6 +356,10 @@ impl RegionManager {
             self.inner
                 .dma
                 .write(self.inner.layout.map_entry(frame), &0u64.to_le_bytes());
+            // The next owner must not inherit this file's dirty lines, nor
+            // the pre-images a crash would put back into its page.
+            let frame_addr = self.inner.layout.frame_addr(frame);
+            self.inner.dma.flush_range(frame_addr, PAGE_SIZE);
             st.free_frames.push(frame);
             let aspaces = self.inner.aspaces.lock();
             for w in aspaces.iter() {

@@ -3,9 +3,12 @@
 //! The cache is the reason consistent updates are hard on SCM (§3.2.3): a
 //! cacheable store is immediately visible to loads but not durable — the
 //! line may reach the media at any time (background eviction) or never (a
-//! crash discards it). This model tracks *dirty words* per 64-byte line;
-//! `flush` (the `clflush` analogue) writes a line to the media, and a crash
-//! hands the set of still-pending words to the crash policy.
+//! crash discards it). Stores land on the media at once, which is what a
+//! coherent load sees, so loads never consult this model. What it tracks
+//! per 64-byte line is the *pre-image* of each dirty word: the value a
+//! crash puts back unless the policy says the store retired. `flush` (the
+//! `clflush` analogue) and eviction make a line durable by forgetting its
+//! pre-images.
 
 use std::collections::HashMap;
 
@@ -16,18 +19,39 @@ use crate::media::Media;
 
 const SHARDS: usize = 64;
 
-/// One cached line: new values of dirty words plus a dirty mask.
+/// One dirty line: the pre-images of its dirty words plus a dirty mask.
 #[derive(Debug, Clone, Copy, Default)]
 struct CacheLine {
     words: [u64; WORDS_PER_LINE],
     dirty: u8,
 }
 
+impl CacheLine {
+    /// The pre-image slot of the word at `addr`, if that word is dirty.
+    fn pre_image(&mut self, addr: PAddr) -> Option<&mut u64> {
+        let w = word_in_line(addr);
+        (self.dirty & (1 << w) != 0).then(|| &mut self.words[w])
+    }
+
+    /// Records `media`'s value of the word at `addr` as its pre-image,
+    /// unless an earlier store already dirtied it.
+    fn record_pre_image(&mut self, media: &Media, addr: PAddr) {
+        let w = word_in_line(addr);
+        if self.dirty & (1 << w) == 0 {
+            self.words[w] = media.read_word(addr);
+            self.dirty |= 1 << w;
+        }
+    }
+}
+
+fn word_in_line(addr: PAddr) -> usize {
+    ((addr.0 / 8) % WORDS_PER_LINE as u64) as usize
+}
+
 /// Sharded dirty-line map standing in for the processor cache hierarchy.
 ///
-/// Clean data is never cached here — reads of clean words go straight to
-/// media, which is behaviourally equivalent (loads always see the newest
-/// value) and keeps the model small.
+/// A store or CAS writes the media while holding its line's shard lock,
+/// so the pre-image it records is the value the media held just before.
 #[derive(Debug)]
 pub struct CacheModel {
     shards: Vec<Mutex<HashMap<u64, CacheLine>>>,
@@ -71,30 +95,24 @@ impl CacheModel {
         let mut off = 0usize;
         while off < data.len() {
             let a = addr.add(off as u64);
-            let widx = ((a.0 / 8) % WORDS_PER_LINE as u64) as usize;
+            let word = PAddr(a.0 - a.0 % 8);
+            entry.record_pre_image(media, word);
             let start = a.word_offset() as usize;
             let n = (8 - start).min(data.len() - off);
-            let bit = 1u8 << widx;
-            let mut cur = if entry.dirty & bit != 0 {
-                entry.words[widx]
-            } else {
-                media.read_word(PAddr(a.0 - a.0 % 8))
-            };
-            let mut bytes = cur.to_le_bytes();
+            let mut bytes = media.read_word(word).to_le_bytes();
             bytes[start..start + n].copy_from_slice(&data[off..off + n]);
-            cur = u64::from_le_bytes(bytes);
-            entry.words[widx] = cur;
-            entry.dirty |= bit;
+            media.write_word(word, u64::from_le_bytes(bytes));
             off += n;
         }
-        // Capacity pressure: evict some other dirty line to media, like a
-        // real cache replacing a victim. The victim becomes durable.
+        self.evict_beyond_capacity(&mut shard, line);
+    }
+
+    /// Capacity pressure: some other dirty line becomes durable, like a
+    /// real cache replacing a victim.
+    fn evict_beyond_capacity(&self, shard: &mut HashMap<u64, CacheLine>, line: u64) {
         if shard.len() > self.capacity_per_shard {
-            let victim = *shard.keys().find(|&&l| l != line).unwrap_or(&line);
-            if victim != line {
-                if let Some(v) = shard.remove(&victim) {
-                    write_line_back(media, victim, &v);
-                }
+            if let Some(&victim) = shard.keys().find(|&&l| l != line) {
+                shard.remove(&victim);
             }
         }
     }
@@ -102,100 +120,77 @@ impl CacheModel {
     /// Single-word compare-and-swap at 8-aligned `addr` (the `lock
     /// cmpxchg` analogue). Holding the line's shard lock makes the
     /// read-compare-write atomic with respect to every concurrent
-    /// cacheable store or read of the same line. On success the new value
-    /// becomes a dirty cached word — visible immediately, durable only
-    /// after a flush — and the same capacity pressure as a store may
-    /// evict some *other* line. On failure returns the current value.
+    /// cacheable store of the same line. On success the new value is
+    /// visible immediately and durable only after a flush, and the same
+    /// capacity pressure as a store may evict some *other* line. On
+    /// failure returns the current value.
     pub fn cas_word(&self, media: &Media, addr: PAddr, expected: u64, new: u64) -> Result<(), u64> {
         debug_assert_eq!(addr.0 % 8, 0, "cas_word requires word alignment");
         let line = addr.line_index();
-        let widx = ((addr.0 / 8) % WORDS_PER_LINE as u64) as usize;
-        let bit = 1u8 << widx;
         let mut shard = self.shard(line).lock();
-        let entry = shard.entry(line).or_default();
-        let cur = if entry.dirty & bit != 0 {
-            entry.words[widx]
-        } else {
-            media.read_word(addr)
-        };
+        let cur = media.read_word(addr);
         if cur != expected {
-            // Don't leave a clean placeholder entry behind.
-            if entry.dirty == 0 {
-                shard.remove(&line);
-            }
             return Err(cur);
         }
-        entry.words[widx] = new;
-        entry.dirty |= bit;
-        if shard.len() > self.capacity_per_shard {
-            let victim = *shard.keys().find(|&&l| l != line).unwrap_or(&line);
-            if victim != line {
-                if let Some(v) = shard.remove(&victim) {
-                    write_line_back(media, victim, &v);
-                }
-            }
-        }
+        shard.entry(line).or_default().record_pre_image(media, addr);
+        media.write_word(addr, new);
+        self.evict_beyond_capacity(&mut shard, line);
         Ok(())
     }
 
-    /// Reads bytes at `addr`, seeing dirty cached words first, clean words
-    /// from the media.
-    pub fn read_bytes(&self, media: &Media, addr: PAddr, buf: &mut [u8]) {
-        let mut off = 0usize;
-        while off < buf.len() {
-            let a = addr.add(off as u64);
-            let word_base = PAddr(a.0 - a.0 % 8);
-            let line = a.line_index();
-            let widx = ((a.0 / 8) % WORDS_PER_LINE as u64) as usize;
-            let word = {
-                let shard = self.shard(line).lock();
-                match shard.get(&line) {
-                    Some(entry) if entry.dirty & (1 << widx) != 0 => entry.words[widx],
-                    _ => media.read_word(word_base),
+    /// Streaming stores retiring from a write-combining buffer, in program
+    /// order. Where a word is dirty its cached value still shadows the
+    /// retired one, which replaces the pre-image instead; every other word
+    /// lands on the media. Takes each line's shard lock once per run of
+    /// words in that line.
+    pub fn retire_streaming(&self, media: &Media, words: &[(PAddr, u64)]) {
+        for run in words.chunk_by(|a, b| a.0.line_index() == b.0.line_index()) {
+            let line = run[0].0.line_index();
+            let mut shard = self.shard(line).lock();
+            let mut entry = shard.get_mut(&line);
+            for &(addr, value) in run {
+                match entry.as_deref_mut().and_then(|e| e.pre_image(addr)) {
+                    Some(pre) => *pre = value,
+                    None => media.write_word(addr, value),
                 }
-            };
-            let bytes = word.to_le_bytes();
-            let start = a.word_offset() as usize;
-            let n = (8 - start).min(buf.len() - off);
-            buf[off..off + n].copy_from_slice(&bytes[start..start + n]);
-            off += n;
+            }
         }
     }
 
-    /// Flushes the line containing `addr` to media (the `clflush`
-    /// analogue). Returns `true` if the line was dirty — the caller charges
-    /// PCM write latency only in that case.
-    pub fn flush_line(&self, media: &Media, addr: PAddr) -> bool {
+    /// Flips one bit of the durable copy of the word at `addr`: its
+    /// pre-image if the word is dirty (the cached value hides the failed
+    /// cell until a crash), the media word otherwise.
+    pub fn flip_durable_bit(&self, media: &Media, addr: PAddr, bit: u32) {
         let line = addr.line_index();
         let mut shard = self.shard(line).lock();
-        match shard.remove(&line) {
-            Some(entry) => {
-                write_line_back(media, line, &entry);
-                true
-            }
-            None => false,
+        match shard.get_mut(&line).and_then(|e| e.pre_image(addr)) {
+            Some(pre) => *pre ^= 1 << (bit % 64),
+            None => media.flip_bit(addr, bit),
         }
     }
 
-    /// Writes every dirty line back to media (orderly shutdown — *not*
-    /// available to recovery code, which must assume a crash instead).
-    pub fn writeback_all(&self, media: &Media) {
+    /// Makes the line containing `addr` durable (the `clflush` analogue)
+    /// by forgetting its pre-images. Returns `true` if the line was dirty —
+    /// the caller charges PCM write latency only in that case.
+    pub fn flush_line(&self, addr: PAddr) -> bool {
+        let line = addr.line_index();
+        self.shard(line).lock().remove(&line).is_some()
+    }
+
+    /// Makes every dirty line durable (orderly shutdown — *not* available
+    /// to recovery code, which must assume a crash instead).
+    pub fn writeback_all(&self) {
         for s in &self.shards {
-            let mut shard = s.lock();
-            for (line, entry) in shard.drain() {
-                write_line_back(media, line, &entry);
-            }
+            s.lock().clear();
         }
     }
 
-    /// Removes and returns all pending dirty words as `(address, value)`
-    /// pairs. Used by crash injection: the crash policy decides which of
-    /// these ever reached the media.
-    pub fn drain_pending(&self) -> Vec<(PAddr, u64)> {
+    /// Every dirty word with its pre-image, in address order. A crash
+    /// hands them to the policy in that order, so a seeded policy replays.
+    pub fn pre_images(&self) -> Vec<(PAddr, u64)> {
         let mut out = Vec::new();
         for s in &self.shards {
-            let mut shard = s.lock();
-            for (line, entry) in shard.drain() {
+            for (&line, entry) in s.lock().iter() {
                 for w in 0..WORDS_PER_LINE {
                     if entry.dirty & (1 << w) != 0 {
                         out.push((PAddr(line * CACHE_LINE + w as u64 * 8), entry.words[w]));
@@ -203,20 +198,13 @@ impl CacheModel {
                 }
             }
         }
+        out.sort_unstable_by_key(|&(a, _)| a.0);
         out
     }
 
     /// Number of dirty lines currently held.
     pub fn dirty_lines(&self) -> usize {
         self.shards.iter().map(|s| s.lock().len()).sum()
-    }
-}
-
-fn write_line_back(media: &Media, line: u64, entry: &CacheLine) {
-    for w in 0..WORDS_PER_LINE {
-        if entry.dirty & (1 << w) != 0 {
-            media.write_word(PAddr(line * CACHE_LINE + w as u64 * 8), entry.words[w]);
-        }
     }
 }
 
@@ -228,28 +216,37 @@ mod tests {
         (Media::new(1 << 16), CacheModel::new(1024))
     }
 
+    fn read(media: &Media, addr: PAddr, len: usize) -> Vec<u8> {
+        let mut buf = vec![0u8; len];
+        media.read_bytes(addr, &mut buf);
+        buf
+    }
+
     #[test]
-    fn store_visible_to_read_but_not_media() {
+    fn store_lands_on_media_and_keeps_pre_image() {
         let (media, cache) = setup();
+        media.write_word(PAddr(128), 9);
         cache.store_bytes(&media, PAddr(128), &[1, 2, 3, 4]);
-        let mut buf = [0u8; 4];
-        cache.read_bytes(&media, PAddr(128), &mut buf);
-        assert_eq!(buf, [1, 2, 3, 4]);
-        // Media still zero: the store is not durable.
-        assert_eq!(media.read_word(PAddr(128)), 0);
+        assert_eq!(read(&media, PAddr(128), 4), [1, 2, 3, 4]);
+        // Not durable: a crash would put the 9 back.
+        assert_eq!(cache.pre_images(), [(PAddr(128), 9)]);
+        // A second store keeps the first pre-image.
+        cache.store_bytes(&media, PAddr(128), &[5]);
+        assert_eq!(cache.pre_images(), [(PAddr(128), 9)]);
     }
 
     #[test]
     fn flush_makes_durable() {
         let (media, cache) = setup();
         cache.store_bytes(&media, PAddr(128), &[1, 2, 3, 4]);
-        assert!(cache.flush_line(&media, PAddr(130)));
+        assert!(cache.flush_line(PAddr(130)));
+        assert!(cache.pre_images().is_empty());
         assert_eq!(
             media.read_word(PAddr(128)),
             u64::from_le_bytes([1, 2, 3, 4, 0, 0, 0, 0])
         );
         // Second flush is a no-op on a clean line.
-        assert!(!cache.flush_line(&media, PAddr(130)));
+        assert!(!cache.flush_line(PAddr(130)));
     }
 
     #[test]
@@ -257,9 +254,11 @@ mod tests {
         let (media, cache) = setup();
         media.write_word(PAddr(64), u64::MAX);
         cache.store_bytes(&media, PAddr(66), &[0]);
-        let mut buf = [0u8; 8];
-        cache.read_bytes(&media, PAddr(64), &mut buf);
-        assert_eq!(buf, [0xff, 0xff, 0, 0xff, 0xff, 0xff, 0xff, 0xff]);
+        assert_eq!(
+            read(&media, PAddr(64), 8),
+            [0xff, 0xff, 0, 0xff, 0xff, 0xff, 0xff, 0xff]
+        );
+        assert_eq!(cache.pre_images(), [(PAddr(64), u64::MAX)]);
     }
 
     #[test]
@@ -267,23 +266,21 @@ mod tests {
         let (media, cache) = setup();
         let data: Vec<u8> = (0..100u8).collect();
         cache.store_bytes(&media, PAddr(30), &data);
-        let mut buf = vec![0u8; 100];
-        cache.read_bytes(&media, PAddr(30), &mut buf);
-        assert_eq!(buf, data);
+        assert_eq!(read(&media, PAddr(30), 100), data);
         assert!(cache.dirty_lines() >= 2);
     }
 
     #[test]
-    fn drain_pending_reports_dirty_words() {
+    fn pre_images_report_dirty_words_in_address_order() {
         let (media, cache) = setup();
-        cache.store_bytes(&media, PAddr(0), &[0xaa]);
+        media.write_word(PAddr(8), 3);
+        cache.store_bytes(&media, PAddr(4096 * 3), &[0xcc]);
         cache.store_bytes(&media, PAddr(8), &[0xbb]);
-        let mut pending = cache.drain_pending();
-        pending.sort_by_key(|(a, _)| a.0);
-        assert_eq!(pending.len(), 2);
-        assert_eq!(pending[0], (PAddr(0), 0xaa));
-        assert_eq!(pending[1], (PAddr(8), 0xbb));
-        assert_eq!(cache.dirty_lines(), 0);
+        cache.store_bytes(&media, PAddr(0), &[0xaa]);
+        assert_eq!(
+            cache.pre_images(),
+            [(PAddr(0), 0), (PAddr(8), 3), (PAddr(4096 * 3), 0)]
+        );
     }
 
     #[test]
@@ -291,8 +288,9 @@ mod tests {
         let (media, cache) = setup();
         cache.store_bytes(&media, PAddr(0), &[1]);
         cache.store_bytes(&media, PAddr(4096), &[2]);
-        cache.writeback_all(&media);
+        cache.writeback_all();
         assert_eq!(cache.dirty_lines(), 0);
+        assert!(cache.pre_images().is_empty());
         assert_eq!(media.read_word(PAddr(0)), 1);
         assert_eq!(media.read_word(PAddr(4096)), 2);
     }
@@ -300,20 +298,32 @@ mod tests {
     #[test]
     fn cas_word_sees_dirty_and_clean_values() {
         let (media, cache) = setup();
-        // Clean word: CAS reads from media.
+        // Clean word.
         media.write_word(PAddr(64), 5);
         assert_eq!(cache.cas_word(&media, PAddr(64), 4, 9), Err(5));
         assert!(cache.cas_word(&media, PAddr(64), 5, 9).is_ok());
-        // The winning value is cached-dirty, not yet on media.
-        assert_eq!(media.read_word(PAddr(64)), 5);
-        // Dirty word: a second CAS must see the cached 9.
+        // The winning value is visible but not durable: 5 is its pre-image.
+        assert_eq!(cache.pre_images(), [(PAddr(64), 5)]);
+        // Dirty word: a second CAS must see the 9.
         assert_eq!(cache.cas_word(&media, PAddr(64), 5, 1), Err(9));
         assert!(cache.cas_word(&media, PAddr(64), 9, 11).is_ok());
-        assert!(cache.flush_line(&media, PAddr(64)));
+        assert_eq!(cache.pre_images(), [(PAddr(64), 5)]);
+        assert!(cache.flush_line(PAddr(64)));
         assert_eq!(media.read_word(PAddr(64)), 11);
         // A failed CAS on a clean line leaves no dirty entry behind.
         assert_eq!(cache.cas_word(&media, PAddr(128), 1, 2), Err(0));
         assert_eq!(cache.dirty_lines(), 0);
+    }
+
+    #[test]
+    fn streaming_words_retire_beneath_dirty_words() {
+        let (media, cache) = setup();
+        cache.store_bytes(&media, PAddr(0), &7u64.to_le_bytes());
+        cache.retire_streaming(&media, &[(PAddr(0), 1), (PAddr(8), 2), (PAddr(0), 3)]);
+        // The cached 7 still shadows the streamed 3, which is now durable.
+        assert_eq!(media.read_word(PAddr(0)), 7);
+        assert_eq!(cache.pre_images(), [(PAddr(0), 3)]);
+        assert_eq!(media.read_word(PAddr(8)), 2);
     }
 
     #[test]
@@ -328,11 +338,10 @@ mod tests {
             cache.dirty_lines() < 10,
             "older lines must have been evicted"
         );
-        // Every line is still readable with its stored value.
+        // Evicted lines keep no pre-image; every line still reads its value.
+        assert_eq!(cache.pre_images().len(), cache.dirty_lines());
         for i in 0..10u64 {
-            let mut b = [0u8; 1];
-            cache.read_bytes(&media, PAddr(i * SHARDS as u64 * CACHE_LINE), &mut b);
-            assert_eq!(b[0], 7);
+            assert_eq!(read(&media, PAddr(i * SHARDS as u64 * CACHE_LINE), 1), [7]);
         }
     }
 }

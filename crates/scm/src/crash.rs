@@ -9,8 +9,6 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::addr::PAddr;
-
 /// Decides the fate of in-flight words at a simulated crash.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum CrashPolicy {
@@ -40,21 +38,19 @@ impl CrashPolicy {
         }
     }
 
-    /// Applies the policy: returns the subset of `pending` words that
-    /// reached the media.
-    pub fn select(&self, pending: Vec<(PAddr, u64)>) -> Vec<(PAddr, u64)> {
+    /// Decides, for each of `n` pending words in the order they are
+    /// handed over, whether it retired before the failure.
+    pub fn retired(&self, n: usize) -> Vec<bool> {
         match *self {
-            CrashPolicy::ApplyAll => pending,
-            CrashPolicy::DropAll => Vec::new(),
+            CrashPolicy::ApplyAll => vec![true; n],
+            CrashPolicy::DropAll => vec![false; n],
             CrashPolicy::Random {
                 seed,
                 apply_probability,
             } => {
                 let mut rng = StdRng::seed_from_u64(seed);
-                pending
-                    .into_iter()
-                    .filter(|_| rng.gen_bool(apply_probability.clamp(0.0, 1.0)))
-                    .collect()
+                let p = apply_probability.clamp(0.0, 1.0);
+                (0..n).map(|_| rng.gen_bool(p)).collect()
             }
         }
     }
@@ -64,26 +60,26 @@ impl CrashPolicy {
 mod tests {
     use super::*;
 
-    fn sample() -> Vec<(PAddr, u64)> {
-        (0..100).map(|i| (PAddr(i * 8), i)).collect()
+    fn retired(policy: CrashPolicy) -> usize {
+        policy.retired(100).into_iter().filter(|&r| r).count()
     }
 
     #[test]
     fn apply_all_keeps_everything() {
-        assert_eq!(CrashPolicy::ApplyAll.select(sample()).len(), 100);
+        assert_eq!(retired(CrashPolicy::ApplyAll), 100);
     }
 
     #[test]
     fn drop_all_keeps_nothing() {
-        assert!(CrashPolicy::DropAll.select(sample()).is_empty());
+        assert_eq!(retired(CrashPolicy::DropAll), 0);
     }
 
     #[test]
     fn random_is_deterministic_per_seed() {
-        let a = CrashPolicy::random(42).select(sample());
-        let b = CrashPolicy::random(42).select(sample());
+        let a = CrashPolicy::random(42).retired(100);
+        let b = CrashPolicy::random(42).retired(100);
         assert_eq!(a, b);
-        let c = CrashPolicy::random(43).select(sample());
+        let c = CrashPolicy::random(43).retired(100);
         assert_ne!(a, c, "different seeds should normally differ");
     }
 
@@ -93,17 +89,17 @@ mod tests {
             seed: 1,
             apply_probability: 1.0,
         };
-        assert_eq!(all.select(sample()).len(), 100);
+        assert_eq!(retired(all), 100);
         let none = CrashPolicy::Random {
             seed: 1,
             apply_probability: 0.0,
         };
-        assert!(none.select(sample()).is_empty());
+        assert_eq!(retired(none), 0);
     }
 
     #[test]
     fn random_is_a_strict_subset_usually() {
-        let kept = CrashPolicy::random(7).select(sample());
-        assert!(!kept.is_empty() && kept.len() < 100);
+        let kept = retired(CrashPolicy::random(7));
+        assert!(kept > 0 && kept < 100);
     }
 }

@@ -7,8 +7,11 @@
 //!
 //! * a byte-addressable persistent **media** array attached to the memory
 //!   bus, with atomic 64-bit writes ([`media::Media`]);
-//! * a write-back **processor cache** in front of it — cacheable stores are
-//!   *not* durable until the line is flushed ([`cache::CacheModel`]);
+//! * a write-back **processor cache** in front of it — cacheable stores
+//!   land on the media at once, so loads read the media without a lock,
+//!   but are *not* durable until the line is flushed: the cache model
+//!   keeps each dirty word's pre-image for a crash to put back
+//!   ([`cache::CacheModel`]);
 //! * per-thread **write-combining buffers** for streaming (`movntq`) stores,
 //!   which may retire out of order ([`wc::WcBuffer`]);
 //! * the four **hardware primitives** Mnemosyne builds on —

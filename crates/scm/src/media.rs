@@ -3,8 +3,9 @@
 //! The media is an array of `AtomicU64` words — the paper assumes SCM
 //! memory systems "support an atomic write of at least 64 bits" (§2), and
 //! making the word the atomic unit bakes that assumption into the type.
-//! Everything above the media (cache, write-combining buffers) is volatile
-//! simulation state that a crash may discard.
+//! Cacheable stores land here at once; the cache model keeps the
+//! pre-images a crash would put back, and the write-combining buffers hold
+//! streaming stores until they retire. Both are volatile simulation state.
 
 use std::fs;
 use std::io;
@@ -15,9 +16,9 @@ use crate::addr::{PAddr, WORD};
 
 /// The persistent word array backing an SCM device.
 ///
-/// All accesses use relaxed atomics: ordering between simulated "hardware"
-/// events is provided by the locks in the cache/WC models, and real SCM
-/// provides no cross-word ordering either.
+/// Loads are `Acquire` and stores `Release` (plain `mov`s on x86): loads
+/// take no lock, so these atomics are what orders a load after the store
+/// it observes, as coherent memory does.
 pub struct Media {
     words: Box<[AtomicU64]>,
 }
@@ -53,22 +54,14 @@ impl Media {
         media
     }
 
-    /// Loads media from a file written by [`Media::save`].
+    /// Loads media from an image file written by
+    /// [`crate::ScmSim::shutdown_to`].
     ///
     /// # Errors
     /// Returns any I/O error from reading the file.
     pub fn load(path: &Path, size: u64) -> io::Result<Self> {
         let image = fs::read(path)?;
         Ok(Media::from_image(&image, size))
-    }
-
-    /// Saves a byte image of the media to a file, allowing the "machine" to
-    /// be powered back on later.
-    ///
-    /// # Errors
-    /// Returns any I/O error from writing the file.
-    pub fn save(&self, path: &Path) -> io::Result<()> {
-        fs::write(path, self.image())
     }
 
     /// Size in bytes.
@@ -84,7 +77,7 @@ impl Media {
     #[inline]
     pub fn read_word(&self, addr: PAddr) -> u64 {
         debug_assert!(addr.is_word_aligned(), "unaligned word read at {addr}");
-        self.words[addr.word_index()].load(Ordering::Relaxed)
+        self.words[addr.word_index()].load(Ordering::Acquire)
     }
 
     /// Atomically writes the word at `addr` (must be word-aligned). This is
@@ -95,7 +88,7 @@ impl Media {
     #[inline]
     pub fn write_word(&self, addr: PAddr, value: u64) {
         debug_assert!(addr.is_word_aligned(), "unaligned word write at {addr}");
-        self.words[addr.word_index()].store(value, Ordering::Relaxed);
+        self.words[addr.word_index()].store(value, Ordering::Release);
     }
 
     /// Reads `buf.len()` bytes starting at `addr`, crossing word boundaries
@@ -104,7 +97,7 @@ impl Media {
         let mut off = 0usize;
         while off < buf.len() {
             let a = addr.add(off as u64);
-            let word = self.words[a.word_index()].load(Ordering::Relaxed);
+            let word = self.words[a.word_index()].load(Ordering::Acquire);
             let bytes = word.to_le_bytes();
             let start = a.word_offset() as usize;
             let n = (8 - start).min(buf.len() - off);
@@ -127,12 +120,12 @@ impl Media {
             if n == 8 {
                 let mut buf = [0u8; 8];
                 buf.copy_from_slice(&data[off..off + 8]);
-                self.words[idx].store(u64::from_le_bytes(buf), Ordering::Relaxed);
+                self.words[idx].store(u64::from_le_bytes(buf), Ordering::Release);
             } else {
-                let cur = self.words[idx].load(Ordering::Relaxed);
+                let cur = self.words[idx].load(Ordering::Acquire);
                 let mut bytes = cur.to_le_bytes();
                 bytes[start..start + n].copy_from_slice(&data[off..off + n]);
-                self.words[idx].store(u64::from_le_bytes(bytes), Ordering::Relaxed);
+                self.words[idx].store(u64::from_le_bytes(bytes), Ordering::Release);
             }
             off += n;
         }
@@ -145,34 +138,14 @@ impl Media {
     /// Panics if `addr` is unaligned or out of range.
     pub fn flip_bit(&self, addr: PAddr, bit: u32) {
         debug_assert!(addr.is_word_aligned(), "unaligned bit flip at {addr}");
-        self.words[addr.word_index()].fetch_xor(1u64 << (bit % 64), Ordering::Relaxed);
-    }
-
-    /// Seeded corruption of `[addr, addr + len)`: flips `flips` independent
-    /// single bits at pseudo-random word/bit positions in the range. The
-    /// same seed corrupts the same bits — tests stay reproducible.
-    ///
-    /// # Panics
-    /// Panics if the range is empty or out of bounds.
-    pub fn corrupt_range(&self, addr: PAddr, len: u64, seed: u64, flips: u32) {
-        assert!(len >= 8, "corruption range must cover at least one word");
-        let words = len / 8;
-        for i in 0..flips {
-            let r = crate::faults::mix64(
-                seed.wrapping_add(i as u64)
-                    .wrapping_mul(0x2545_F491_4F6C_DD1D),
-            );
-            let word = r % words;
-            let bit = ((r >> 32) % 64) as u32;
-            self.flip_bit(PAddr(addr.0 + word * 8), bit);
-        }
+        self.words[addr.word_index()].fetch_xor(1u64 << (bit % 64), Ordering::AcqRel);
     }
 
     /// Full byte image of the media (for crash/reboot snapshots).
     pub fn image(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.words.len() * 8);
         for w in self.words.iter() {
-            out.extend_from_slice(&w.load(Ordering::Relaxed).to_le_bytes());
+            out.extend_from_slice(&w.load(Ordering::Acquire).to_le_bytes());
         }
         out
     }
@@ -257,30 +230,13 @@ mod tests {
     }
 
     #[test]
-    fn corrupt_range_flips_within_bounds() {
-        let m = Media::new(256);
-        m.corrupt_range(PAddr(64), 64, 7, 8);
-        let outside: u64 = (0..8).map(|i| m.read_word(PAddr(i * 8))).sum::<u64>()
-            + (16..32).map(|i| m.read_word(PAddr(i * 8))).sum::<u64>();
-        assert_eq!(outside, 0, "corruption must stay inside the range");
-        let inside = (8..16).filter(|&i| m.read_word(PAddr(i * 8)) != 0).count();
-        assert!(inside > 0, "at least one word must be corrupted");
-        // Deterministic per seed.
-        let m2 = Media::new(256);
-        m2.corrupt_range(PAddr(64), 64, 7, 8);
-        for i in 8..16u64 {
-            assert_eq!(m.read_word(PAddr(i * 8)), m2.read_word(PAddr(i * 8)));
-        }
-    }
-
-    #[test]
     fn save_and_load_file() {
         let dir = std::env::temp_dir().join(format!("scm-media-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("media.img");
         let m = Media::new(128);
         m.write_word(PAddr(16), 7);
-        m.save(&path).unwrap();
+        std::fs::write(&path, m.image()).unwrap();
         let m2 = Media::load(&path, 128).unwrap();
         assert_eq!(m2.read_word(PAddr(16)), 7);
         std::fs::remove_dir_all(&dir).ok();

@@ -175,59 +175,92 @@ impl ScmSim {
         &self.inner.telemetry
     }
 
-    /// Injects a crash: every in-flight word (dirty cache words and pending
-    /// write-combining entries of *all* threads) is handed to `policy`,
-    /// which decides the retired subset; the rest is lost. Afterwards the
-    /// media holds exactly what a real machine's SCM would hold after the
-    /// failure. Handles remain usable — they model the rebooted machine's
-    /// (empty) cache.
+    /// Injects a crash: every in-flight word (dirty cache words in address
+    /// order, then pending write-combining entries of *all* threads) is
+    /// handed to `policy`, which decides the retired subset. A dirty word
+    /// that did not retire gets its pre-image back; a streaming store that
+    /// did retire lands on top. Afterwards the media holds exactly what a
+    /// real machine's SCM would hold after the failure. Handles remain
+    /// usable — they model the rebooted machine's (empty) cache.
     pub fn crash(&self, policy: CrashPolicy) {
         // The crash consumes any attached fault plan: handles now model the
         // rebooted machine, whose primitives execute normally again.
         *self.inner.faults.write() = None;
-        let mut pending = self.inner.cache.drain_pending();
+        let cached = self.inner.cache.pre_images();
+        self.inner.cache.writeback_all();
+        let mut streamed = Vec::new();
         for wc in self.inner.wc_registry.lock().iter() {
             if let Some(wc) = wc.upgrade() {
-                pending.extend(wc.lock().take_pending());
+                streamed.extend(wc.lock().take_pending());
             }
         }
-        for (addr, value) in policy.select(pending) {
-            self.inner.media.write_word(addr, value);
+        let retired = policy.retired(cached.len() + streamed.len());
+        let (cache_fate, wc_fate) = retired.split_at(cached.len());
+        for (&(addr, pre), &kept) in cached.iter().zip(cache_fate) {
+            if !kept {
+                self.inner.media.write_word(addr, pre);
+            }
+        }
+        for (&(addr, value), &kept) in streamed.iter().zip(wc_fate) {
+            if kept {
+                self.inner.media.write_word(addr, value);
+            }
         }
         self.inner.stats.crashes.inc();
     }
 
-    /// Captures the post-crash media image. Combined with
-    /// [`ScmSim::from_image`] this models power-off/power-on.
+    /// Captures what has reached the media: unflushed cacheable stores
+    /// show their pre-images and pending streaming stores are absent.
+    /// Combined with [`ScmSim::from_image`] this models power-off/power-on.
     pub fn image(&self) -> Vec<u8> {
-        self.inner.media.image()
+        let mut image = self.inner.media.image();
+        for (addr, pre) in self.inner.cache.pre_images() {
+            let at = addr.0 as usize;
+            image[at..at + 8].copy_from_slice(&pre.to_le_bytes());
+        }
+        image
     }
 
-    /// Corruption injection: flips one bit of the media word at `addr`
-    /// (`bit` taken modulo 64), bypassing cache and buffers — a failed PCM
-    /// cell. Recovery code must *detect* this, not trust it.
+    /// Corruption injection: flips one bit of what the media durably holds
+    /// for the word at `addr` (`bit` taken modulo 64), bypassing cache and
+    /// buffers — a failed PCM cell. Recovery code must *detect* this, not
+    /// trust it.
     pub fn inject_bit_flip(&self, addr: PAddr, bit: u32) {
-        self.inner.media.flip_bit(addr, bit);
+        self.inner
+            .cache
+            .flip_durable_bit(&self.inner.media, addr, bit);
     }
 
-    /// Corruption injection: flips `flips` seeded single bits across
-    /// `[addr, addr + len)` — e.g. targeted at a log region to exercise
-    /// recovery's corruption detection.
+    /// Corruption injection: flips `flips` seeded single bits at
+    /// pseudo-random word/bit positions across `[addr, addr + len)` — e.g.
+    /// targeted at a log region to exercise recovery's corruption
+    /// detection. The same seed corrupts the same bits.
+    ///
+    /// # Panics
+    /// Panics if the range is shorter than a word or out of bounds.
     pub fn inject_corruption(&self, addr: PAddr, len: u64, seed: u64, flips: u32) {
-        self.inner.media.corrupt_range(addr, len, seed, flips);
+        assert!(len >= 8, "corruption range must cover at least one word");
+        for i in 0..flips {
+            let r = crate::faults::mix64(
+                seed.wrapping_add(i as u64)
+                    .wrapping_mul(0x2545_F491_4F6C_DD1D),
+            );
+            self.inject_bit_flip(PAddr(addr.0 + r % (len / 8) * 8), ((r >> 32) % 64) as u32);
+        }
     }
 
     /// Orderly power-down: write every dirty line back, then save the media
-    /// image to `path`.
+    /// image to `path`. A machine that died to a fault plan saves only what
+    /// reached the media.
     ///
     /// # Errors
     /// Returns any I/O error from writing the file.
     pub fn shutdown_to(&self, path: &Path) -> std::io::Result<()> {
         if !self.inner.dead() {
-            self.inner.cache.writeback_all(&self.inner.media);
+            self.inner.cache.writeback_all();
             self.drain_wc_all();
         }
-        self.inner.media.save(path)
+        std::fs::write(path, self.image())
     }
 
     /// Drains every thread's write-combining buffer to the media, like a
@@ -240,7 +273,7 @@ impl ScmSim {
         }
         for wc in self.inner.wc_registry.lock().iter() {
             if let Some(wc) = wc.upgrade() {
-                wc.lock().drain(&self.inner.media);
+                wc.lock().drain(&self.inner.cache, &self.inner.media);
             }
         }
     }
@@ -274,14 +307,14 @@ impl std::fmt::Debug for DmaHandle {
 }
 
 impl DmaHandle {
-    /// Bulk read directly from media. Ignores (volatile) cached data, which
-    /// is correct for swap-out only if callers flush first; the region
-    /// manager does.
+    /// Bulk read directly from media. Sees every cacheable store, flushed
+    /// or not; a swap-out flushes first so the frame keeps no dirty line.
     pub fn read(&self, addr: PAddr, buf: &mut [u8]) {
         self.inner.media.read_bytes(addr, buf);
     }
 
-    /// Bulk write directly to media.
+    /// Bulk write directly to media. The target must hold no dirty line
+    /// (the region manager writes only frames it has flushed).
     pub fn write(&self, addr: PAddr, data: &[u8]) {
         if !self.inner.alive() {
             return;
@@ -289,9 +322,9 @@ impl DmaHandle {
         self.inner.media.write_bytes(addr, data);
     }
 
-    /// Flushes any cached (volatile) data for `len` bytes starting at
-    /// `addr` out to media, so a following [`DmaHandle::read`] sees current
-    /// contents. Used before swapping a page out.
+    /// Makes the `len` bytes starting at `addr` durable, so no dirty line
+    /// (and no pre-image a crash would restore) outlives the frame's
+    /// current owner. Used before swapping a page out or freeing it.
     pub fn flush_range(&self, addr: PAddr, len: u64) {
         if !self.inner.alive() {
             return;
@@ -299,9 +332,7 @@ impl DmaHandle {
         let first = addr.line_index();
         let last = addr.add(len.saturating_sub(1)).line_index();
         for line in first..=last {
-            self.inner
-                .cache
-                .flush_line(&self.inner.media, PAddr(line * CACHE_LINE));
+            self.inner.cache.flush_line(PAddr(line * CACHE_LINE));
         }
     }
 }
@@ -336,7 +367,7 @@ impl Drop for MemHandle {
             // the crash policy decides their fate.
             return;
         }
-        self.wc.lock().drain(&self.inner.media);
+        self.wc.lock().drain(&self.inner.cache, &self.inner.media);
     }
 }
 
@@ -370,7 +401,9 @@ impl MemHandle {
             return;
         }
         self.inner.stats.wtstore_words.inc();
-        self.wc.lock().push(&self.inner.media, addr, value);
+        self.wc
+            .lock()
+            .push(&self.inner.cache, &self.inner.media, addr, value);
     }
 
     /// Streaming store of a word-aligned byte buffer whose length is a
@@ -393,6 +426,7 @@ impl MemHandle {
             let mut b = [0u8; 8];
             b.copy_from_slice(chunk);
             wc.push(
+                &self.inner.cache,
                 &self.inner.media,
                 addr.add(i as u64 * 8),
                 u64::from_le_bytes(b),
@@ -430,7 +464,7 @@ impl MemHandle {
             return;
         }
         self.inner.stats.flushes.inc();
-        if self.inner.cache.flush_line(&self.inner.media, addr) {
+        if self.inner.cache.flush_line(addr) {
             self.inner.stats.dirty_flushes.inc();
             self.engine.delay(self.inner.config.write_latency_ns);
         }
@@ -457,21 +491,22 @@ impl MemHandle {
             return;
         }
         self.inner.stats.fences.inc();
-        let bytes = self.wc.lock().drain(&self.inner.media);
+        let bytes = self.wc.lock().drain(&self.inner.cache, &self.inner.media);
         let bw_ns = (bytes as f64 / self.inner.config.write_bandwidth_bytes_per_ns) as u64;
         self.engine
             .delay(self.inner.config.write_latency_ns + bw_ns);
     }
 
-    /// Load of `buf.len()` bytes at `addr`. Sees dirty cached data (normal
-    /// coherent loads); does not snoop write-combining buffers, matching
-    /// the weak ordering of streaming stores.
+    /// Load of `buf.len()` bytes at `addr`, straight from the media and
+    /// without a lock. Sees every cacheable store (normal coherent loads);
+    /// does not snoop write-combining buffers, matching the weak ordering
+    /// of streaming stores.
     pub fn read(&self, addr: PAddr, buf: &mut [u8]) {
         self.inner.stats.reads.inc();
         if self.inner.config.read_latency_ns > 0 {
             self.engine.delay(self.inner.config.read_latency_ns);
         }
-        self.inner.cache.read_bytes(&self.inner.media, addr, buf);
+        self.inner.media.read_bytes(addr, buf);
     }
 
     /// Load of one 64-bit word.
@@ -807,6 +842,139 @@ mod tests {
         m2.flush(PAddr(0));
         m2.fence();
         assert_eq!(m2.read_u64(PAddr(0)), 5);
+    }
+
+    #[test]
+    fn streaming_store_under_a_dirty_word_retires_beneath_it() {
+        for (policy, durable) in [(CrashPolicy::DropAll, 2), (CrashPolicy::ApplyAll, 1)] {
+            let s = sim();
+            let m = s.handle();
+            m.store_u64(PAddr(256), 1);
+            m.wtstore_u64(PAddr(256), 2);
+            m.fence();
+            // The cached value shadows the retired streaming store.
+            assert_eq!(m.read_u64(PAddr(256)), 1);
+            s.crash(policy);
+            assert_eq!(s.handle().read_u64(PAddr(256)), durable, "{policy:?}");
+        }
+    }
+
+    #[test]
+    fn image_holds_only_what_reached_the_media() {
+        let s = sim();
+        let m = s.handle();
+        m.store_u64(PAddr(0), 1);
+        m.flush(PAddr(0));
+        m.fence();
+        m.store_u64(PAddr(0), 2); // dirty again, over a durable 1
+        m.store_u64(PAddr(64), 3); // never flushed
+        m.wtstore_u64(PAddr(128), 4); // never fenced
+        m.store_u64(PAddr(192), 5);
+        m.flush(PAddr(192));
+        let img = s.image();
+        let word = |a: usize| u64::from_le_bytes(img[a..a + 8].try_into().unwrap());
+        assert_eq!((word(0), word(64), word(128), word(192)), (1, 0, 0, 5));
+        // Taking the image changes nothing the program sees.
+        assert_eq!(m.read_u64(PAddr(0)), 2);
+        assert_eq!(m.read_u64(PAddr(64)), 3);
+    }
+
+    #[test]
+    fn loads_racing_stores_cas_and_flushes_see_written_values() {
+        const ROUNDS: u64 = 2_000;
+        let (flushed, unflushed) = (PAddr(4096), PAddr(8192));
+        let tag = |w: u64, i: u64| (w << 32) | i;
+        let s = sim();
+        let m = s.handle();
+        for w in 0..8 {
+            m.store_u64(flushed.add(w * 8), tag(w, 0));
+            m.store_u64(unflushed.add(w * 8), tag(w, 0));
+        }
+        m.flush(flushed);
+        m.flush(unflushed);
+        m.fence();
+        let s2 = s.clone();
+        let start = Arc::new(std::sync::Barrier::new(2));
+        let start2 = Arc::clone(&start);
+        let writer = std::thread::spawn(move || {
+            let m = s2.handle();
+            start2.wait();
+            for i in 1..=ROUNDS {
+                for w in 0..8 {
+                    m.store_u64(flushed.add(w * 8), tag(w, i));
+                    let a = unflushed.add(w * 8);
+                    assert_eq!(m.cas_u64(a, tag(w, i - 1), tag(w, i)), Ok(()));
+                }
+                m.flush(flushed);
+                m.fence();
+            }
+        });
+        let mut last = [[0u64; 8]; 2];
+        start.wait();
+        while !writer.is_finished() {
+            for (line, base) in [flushed, unflushed].into_iter().enumerate() {
+                for w in 0..8 {
+                    let v = m.read_u64(base.add(w * 8));
+                    assert_eq!(v >> 32, w, "load returned a value nobody wrote");
+                    let i = v & 0xffff_ffff;
+                    assert!(i <= ROUNDS && i >= last[line][w as usize], "word went back");
+                    last[line][w as usize] = i;
+                }
+            }
+        }
+        writer.join().unwrap();
+        s.crash(CrashPolicy::DropAll);
+        let m = s.handle();
+        for w in 0..8 {
+            assert_eq!(m.read_u64(flushed.add(w * 8)), tag(w, ROUNDS));
+            assert_eq!(m.read_u64(unflushed.add(w * 8)), tag(w, 0));
+        }
+    }
+
+    #[test]
+    fn seeded_random_crash_replays() {
+        // 32 lines that share one cache shard.
+        let run = || {
+            let s = sim();
+            let m = s.handle();
+            for i in 0..32u64 {
+                m.store_u64(PAddr(i * 64 * 64), i + 1);
+            }
+            s.crash(CrashPolicy::random(7));
+            s.image()
+        };
+        let first = run();
+        for _ in 0..20 {
+            assert!(run() == first, "random(7) retired a different subset");
+        }
+    }
+
+    #[test]
+    fn inject_corruption_flips_within_bounds() {
+        let corrupt = || {
+            let s = sim();
+            s.inject_corruption(PAddr(64), 64, 7, 8);
+            let m = s.handle();
+            (0..32u64)
+                .map(|i| m.read_u64(PAddr(i * 8)))
+                .collect::<Vec<_>>()
+        };
+        let words = corrupt();
+        let outside: u64 = words[..8].iter().chain(&words[16..]).sum();
+        assert_eq!(outside, 0, "corruption must stay inside the range");
+        assert!(words[8..16].iter().any(|&w| w != 0), "nothing corrupted");
+        assert_eq!(corrupt(), words, "deterministic per seed");
+    }
+
+    #[test]
+    fn bit_flip_under_a_dirty_word_hits_the_durable_copy() {
+        let s = sim();
+        let m = s.handle();
+        m.store_u64(PAddr(64), 0xff00);
+        s.inject_bit_flip(PAddr(64), 0);
+        assert_eq!(m.read_u64(PAddr(64)), 0xff00, "the cached value hides it");
+        s.crash(CrashPolicy::DropAll);
+        assert_eq!(s.handle().read_u64(PAddr(64)), 1);
     }
 
     #[test]

@@ -13,6 +13,7 @@
 //!    bandwidth term (§6.1).
 
 use crate::addr::PAddr;
+use crate::cache::CacheModel;
 use crate::media::Media;
 
 /// Maximum pending words before the oldest line drains spontaneously, like
@@ -40,7 +41,7 @@ impl WcBuffer {
     /// # Panics
     /// Panics if `addr` is not 8-byte aligned: `movntq` operates on whole
     /// words.
-    pub fn push(&mut self, media: &Media, addr: PAddr, value: u64) {
+    pub fn push(&mut self, cache: &CacheModel, media: &Media, addr: PAddr, value: u64) {
         assert!(
             addr.is_word_aligned(),
             "wtstore requires word alignment: {addr}"
@@ -49,20 +50,18 @@ impl WcBuffer {
         self.bytes_since_fence += 8;
         if self.pending.len() > PENDING_CAPACITY_WORDS {
             // Drain the oldest half to media: buffer reclaim.
-            let drained: Vec<_> = self.pending.drain(..PENDING_CAPACITY_WORDS / 2).collect();
-            for (a, v) in drained {
-                media.write_word(a, v);
-            }
+            let half = PENDING_CAPACITY_WORDS / 2;
+            cache.retire_streaming(media, &self.pending[..half]);
+            self.pending.drain(..half);
         }
     }
 
     /// Drains every pending word to the media (the fence operation) and
     /// returns the number of bytes streamed since the previous fence, which
     /// the caller converts into a bandwidth delay.
-    pub fn drain(&mut self, media: &Media) -> u64 {
-        for (a, v) in self.pending.drain(..) {
-            media.write_word(a, v);
-        }
+    pub fn drain(&mut self, cache: &CacheModel, media: &Media) -> u64 {
+        cache.retire_streaming(media, &self.pending);
+        self.pending.clear();
         std::mem::take(&mut self.bytes_since_fence)
     }
 
@@ -83,15 +82,19 @@ impl WcBuffer {
 mod tests {
     use super::*;
 
+    fn setup(size: u64) -> (CacheModel, Media) {
+        (CacheModel::new(1024), Media::new(size))
+    }
+
     #[test]
     fn pending_until_drained() {
-        let media = Media::new(4096);
+        let (cache, media) = setup(4096);
         let mut wc = WcBuffer::new();
-        wc.push(&media, PAddr(0), 11);
-        wc.push(&media, PAddr(8), 22);
+        wc.push(&cache, &media, PAddr(0), 11);
+        wc.push(&cache, &media, PAddr(8), 22);
         assert_eq!(wc.pending_words(), 2);
         assert_eq!(media.read_word(PAddr(0)), 0, "not durable before fence");
-        let bytes = wc.drain(&media);
+        let bytes = wc.drain(&cache, &media);
         assert_eq!(bytes, 16);
         assert_eq!(media.read_word(PAddr(0)), 11);
         assert_eq!(media.read_word(PAddr(8)), 22);
@@ -100,18 +103,18 @@ mod tests {
 
     #[test]
     fn bandwidth_counter_resets_per_fence() {
-        let media = Media::new(4096);
+        let (cache, media) = setup(4096);
         let mut wc = WcBuffer::new();
-        wc.push(&media, PAddr(0), 1);
-        assert_eq!(wc.drain(&media), 8);
-        assert_eq!(wc.drain(&media), 0);
+        wc.push(&cache, &media, PAddr(0), 1);
+        assert_eq!(wc.drain(&cache, &media), 8);
+        assert_eq!(wc.drain(&cache, &media), 0);
     }
 
     #[test]
     fn take_pending_loses_writes() {
-        let media = Media::new(4096);
+        let (cache, media) = setup(4096);
         let mut wc = WcBuffer::new();
-        wc.push(&media, PAddr(16), 5);
+        wc.push(&cache, &media, PAddr(16), 5);
         let pending = wc.take_pending();
         assert_eq!(pending, vec![(PAddr(16), 5)]);
         assert_eq!(media.read_word(PAddr(16)), 0);
@@ -120,17 +123,17 @@ mod tests {
     #[test]
     #[should_panic(expected = "word alignment")]
     fn unaligned_wtstore_panics() {
-        let media = Media::new(4096);
+        let (cache, media) = setup(4096);
         let mut wc = WcBuffer::new();
-        wc.push(&media, PAddr(3), 1);
+        wc.push(&cache, &media, PAddr(3), 1);
     }
 
     #[test]
     fn overflow_drains_oldest() {
-        let media = Media::new(1 << 20);
+        let (cache, media) = setup(1 << 20);
         let mut wc = WcBuffer::new();
         for i in 0..(PENDING_CAPACITY_WORDS as u64 + 1) {
-            wc.push(&media, PAddr(i * 8), i);
+            wc.push(&cache, &media, PAddr(i * 8), i);
         }
         // Oldest half drained spontaneously.
         assert_eq!(media.read_word(PAddr(0)), 0u64.wrapping_add(0));
