@@ -89,9 +89,22 @@ impl TestRig {
         latency_ns: u64,
         truncation: Truncation,
     ) -> Arc<Mnemosyne> {
+        self.mnemosyne_in(scm_mb, latency_ns, truncation, EmulationMode::Spin)
+    }
+
+    /// [`TestRig::mnemosyne`] in emulation mode `mode`: under
+    /// [`EmulationMode::None`] no delay is inserted, so timings are what
+    /// the simulator's software costs.
+    pub fn mnemosyne_in(
+        &self,
+        scm_mb: u64,
+        latency_ns: u64,
+        truncation: Truncation,
+        mode: EmulationMode,
+    ) -> Arc<Mnemosyne> {
         let mut config = ScmConfig::paper_default(scm_mb << 20);
         config.write_latency_ns = latency_ns;
-        config.mode = EmulationMode::Spin;
+        config.mode = mode;
         Arc::new(
             Mnemosyne::builder(&self.dir.join(format!("m{latency_ns}")))
                 .scm_config(config)

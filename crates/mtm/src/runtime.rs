@@ -16,7 +16,7 @@ use mnemosyne_region::{PMem, Regions, VAddr};
 use crate::error::{TxAbort, TxError};
 use crate::gclock::GlobalClock;
 use crate::locks::LockTable;
-use crate::tx::Tx;
+use crate::tx::{Descriptor, Tx};
 
 /// When the redo log of a committed transaction is truncated (§5
 /// "Transaction log").
@@ -460,6 +460,7 @@ impl MtmRuntime {
                     slot: i,
                     log: slot.take(),
                     rng: 0x9E37_79B9 ^ (i as u64 + 1),
+                    desc: Descriptor::default(),
                 });
             }
         }
@@ -636,12 +637,14 @@ fn log_manager(pass: impl Fn() -> u64, stop: Arc<AtomicBool>, hard: Arc<AtomicBo
     pass();
 }
 
-/// A worker thread's transaction context: owns one per-thread redo log.
+/// A worker thread's transaction context: owns one per-thread redo log
+/// and the descriptor every transaction on the thread reuses.
 pub struct TxThread {
     rt: Arc<MtmRuntime>,
     slot: usize,
     log: Option<TornbitLog>,
     rng: u64,
+    pub(crate) desc: Descriptor,
 }
 
 impl std::fmt::Debug for TxThread {
@@ -788,7 +791,7 @@ impl Tx<'_> {
     /// durable (one fence), write back, in the synchronous regime force
     /// the data and truncate the log (the second fence), release locks.
     pub(crate) fn commit(mut self) -> Result<(), TxAbort> {
-        if self.write_set.is_empty() && self.allocs.is_empty() && self.frees.is_empty() {
+        if self.d.writes.is_empty() && self.d.allocs.is_empty() && self.d.frees.is_empty() {
             // Read-only: reads were validated incrementally.
             self.release_locks_restoring();
             self.th.rt().metrics().commits.inc();
@@ -798,7 +801,7 @@ impl Tx<'_> {
 
         // Validate the read set.
         let validate_timer = Instant::now();
-        for &(idx, version) in &self.read_set {
+        for &(idx, version) in &self.d.read_set {
             match self.th.rt().locks().probe(idx) {
                 crate::locks::LockState::Version(v) if v == version => {}
                 crate::locks::LockState::Owned(s) if s == self.th.slot() => {}
@@ -818,10 +821,11 @@ impl Tx<'_> {
 
         let ts = self.th.rt().clock().tick();
 
-        // Build and persist the redo record: [ts, (addr, val)*].
-        let mut record = Vec::with_capacity(1 + self.write_set.len() * 2);
+        // Build and persist the redo record: [ts, (addr, val)*], in
+        // first-write order.
+        let record = &mut self.d.record;
         record.push(ts);
-        for (&addr, &val) in &self.write_set {
+        for &(addr, val) in &self.d.writes {
             record.push(addr);
             record.push(val);
         }
@@ -829,7 +833,7 @@ impl Tx<'_> {
         let log_timer = Instant::now();
         let mut stall_timer: Option<Instant> = None;
         loop {
-            match self.th.log_mut().append(&record) {
+            match self.th.log_mut().append(&self.d.record) {
                 Ok(()) => break,
                 // Asynchronous regime: wait for the log manager (§5:
                 // "program threads may stall until there is free log
@@ -876,7 +880,7 @@ impl Tx<'_> {
 
         // Write back buffered values (lazy version management).
         let writeback_timer = Instant::now();
-        for (&addr, &val) in &self.write_set {
+        for &(addr, val) in &self.d.writes {
             self.th.pmem().store_u64(VAddr(addr), val);
         }
         // Now the async truncator may consume (flush + truncate) the
@@ -896,10 +900,11 @@ impl Tx<'_> {
             // fence. A log therefore holds a record only while its
             // transaction holds that record's locks.
             let truncate_timer = Instant::now();
-            let mut lines: Vec<u64> = self.write_set.keys().map(|a| a & !63).collect();
+            let lines = &mut self.d.lines;
+            lines.extend(self.d.writes.iter().map(|&(a, _)| a & !63));
             lines.sort_unstable();
             lines.dedup();
-            for line in lines {
+            for &line in lines.iter() {
                 self.th.pmem().flush(VAddr(line));
             }
             self.th.log_mut().truncate_fenced();
@@ -911,15 +916,15 @@ impl Tx<'_> {
         }
 
         // Publish the new version and release ownership.
-        for &(idx, _) in &self.lock_set {
+        for &(idx, _) in &self.d.lock_set {
             self.th.rt().locks().release(idx, ts);
         }
-        self.lock_set.clear();
+        self.d.lock_set.clear();
 
         // Deferred frees happen after the commit point.
-        if !self.frees.is_empty() {
+        if !self.d.frees.is_empty() {
             if let Some(heap) = self.th.rt().heap() {
-                for &addr in &self.frees {
+                for &addr in &self.d.frees {
                     let freed = heap.pfree_addr(addr);
                     debug_assert!(freed.is_ok(), "deferred pfree failed: {freed:?}");
                 }
@@ -943,22 +948,21 @@ impl Tx<'_> {
     }
 
     fn release_locks_restoring(&mut self) {
-        for &(idx, old_version) in &self.lock_set {
+        for &(idx, old_version) in &self.d.lock_set {
             self.th.rt().locks().release(idx, old_version);
         }
-        self.lock_set.clear();
-        self.owned.clear();
+        self.d.lock_set.clear();
     }
 
     fn rollback_allocs(&mut self) {
-        if self.allocs.is_empty() {
+        if self.d.allocs.is_empty() {
             return;
         }
         if let Some(heap) = self.th.rt().heap() {
-            for &addr in &self.allocs {
+            for &addr in &self.d.allocs {
                 let _ = heap.pfree_addr(addr);
             }
         }
-        self.allocs.clear();
+        self.d.allocs.clear();
     }
 }

@@ -1,8 +1,18 @@
 //! The transaction descriptor: buffered writes, versioned reads,
 //! encounter-time locking (§5).
+//!
+//! Each [`TxThread`] owns one descriptor, as a TinySTM thread owns its
+//! `stm_tx_t`: a transaction borrows it at begin and hands it back,
+//! cleared, when it ends, so a steady-state transaction allocates nothing.
+//! The write set is a vector in first-write order with an address index
+//! for read-own-write; the redo record and the write-back walk the vector,
+//! so both follow the order the program wrote in and every run issues the
+//! same primitives in the same order. Whether the transaction owns a
+//! stripe is read from the lock word itself (`Owned(slot)`), and only a
+//! read of an owned stripe consults the write set.
 
-use std::collections::{HashMap, HashSet};
-use std::hash::{BuildHasherDefault, DefaultHasher};
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use mnemosyne_region::VAddr;
 
@@ -14,12 +24,82 @@ use crate::runtime::TxThread;
 /// spends on a foreign-owned lock before aborting.
 const MAX_LOCK_WAITS: u32 = 6;
 
-/// Buffered writes by address. The fixed-key hasher makes the iteration
-/// order — the order of a redo record's pairs and of the write-back
-/// stores — the same on every run, so a crash scheduled at the Nth
-/// primitive lands on the same word every time. (The keys are addresses
-/// the program chose, not outside input.)
-type WriteSet = HashMap<u64, u64, BuildHasherDefault<DefaultHasher>>;
+/// Hashes a word address with one Fibonacci multiply. The keys are
+/// addresses the program chose, not outside input.
+#[derive(Default)]
+struct AddrHasher(u64);
+
+impl Hasher for AddrHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    #[inline]
+    fn write_u64(&mut self, addr: u64) {
+        self.0 = (self.0 ^ addr).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        // The table indexes by the low bits; bring the well-mixed high
+        // half down.
+        self.0.rotate_left(32)
+    }
+}
+
+/// A thread's transaction state, reused by every transaction it runs.
+#[derive(Default)]
+pub(crate) struct Descriptor {
+    /// Buffered new values, word granularity (lazy version management),
+    /// in first-write order.
+    pub(crate) writes: Vec<(u64, u64)>,
+    /// `address → position in writes`.
+    index: HashMap<u64, usize, BuildHasherDefault<AddrHasher>>,
+    /// Reads: `(lock index, observed version)`.
+    pub(crate) read_set: Vec<(usize, u64)>,
+    /// Acquired locks: `(lock index, pre-acquire version)`.
+    pub(crate) lock_set: Vec<(usize, u64)>,
+    /// Blocks allocated inside this transaction (freed on abort).
+    pub(crate) allocs: Vec<VAddr>,
+    /// Frees deferred to commit success.
+    pub(crate) frees: Vec<VAddr>,
+    /// Commit scratch: the redo record `[ts, (addr, val)*]`.
+    pub(crate) record: Vec<u64>,
+    /// Commit scratch: the distinct modified lines, in address order.
+    pub(crate) lines: Vec<u64>,
+}
+
+impl Descriptor {
+    /// Empties every set, keeping the capacity.
+    fn clear(&mut self) {
+        self.writes.clear();
+        self.index.clear();
+        self.read_set.clear();
+        self.lock_set.clear();
+        self.allocs.clear();
+        self.frees.clear();
+        self.record.clear();
+        self.lines.clear();
+    }
+
+    /// The buffered value of `addr`, if this transaction wrote it.
+    fn buffered(&self, addr: u64) -> Option<u64> {
+        self.index.get(&addr).map(|&i| self.writes[i].1)
+    }
+
+    /// Buffers `value` for `addr`, keeping the position of a first write.
+    fn buffer(&mut self, addr: u64, value: u64) {
+        match self.index.get(&addr) {
+            Some(&i) => self.writes[i].1 = value,
+            None => {
+                self.index.insert(addr, self.writes.len());
+                self.writes.push((addr, value));
+            }
+        }
+    }
+}
 
 /// An in-flight durable memory transaction. All persistent reads and
 /// writes inside an `atomic` closure must go through these accessors (the
@@ -28,27 +108,26 @@ pub struct Tx<'a> {
     pub(crate) th: &'a mut TxThread,
     /// Read validation horizon (TinySTM's `rv`).
     pub(crate) rv: u64,
-    /// Buffered new values, word granularity (lazy version management).
-    pub(crate) write_set: WriteSet,
-    /// Reads: `(lock index, observed version)`.
-    pub(crate) read_set: Vec<(usize, u64)>,
-    /// Acquired locks: `(lock index, pre-acquire version)`.
-    pub(crate) lock_set: Vec<(usize, u64)>,
-    /// Fast membership test for `lock_set`.
-    pub(crate) owned: HashSet<usize>,
-    /// Blocks allocated inside this transaction (freed on abort).
-    pub(crate) allocs: Vec<VAddr>,
-    /// Frees deferred to commit success.
-    pub(crate) frees: Vec<VAddr>,
+    /// The thread's descriptor, lent for this transaction.
+    pub(crate) d: Descriptor,
 }
 
 impl std::fmt::Debug for Tx<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Tx")
             .field("rv", &self.rv)
-            .field("writes", &self.write_set.len())
-            .field("reads", &self.read_set.len())
+            .field("writes", &self.d.writes.len())
+            .field("reads", &self.d.read_set.len())
             .finish()
+    }
+}
+
+/// However the transaction ends — commit, abort, or a panic unwinding
+/// out of its closure — the descriptor goes back to the thread empty.
+impl Drop for Tx<'_> {
+    fn drop(&mut self) {
+        self.d.clear();
+        self.th.desc = std::mem::take(&mut self.d);
     }
 }
 
@@ -56,16 +135,8 @@ impl<'a> Tx<'a> {
     pub(crate) fn begin(th: &'a mut TxThread) -> Tx<'a> {
         th.rt().metrics().tx_begins.inc();
         let rv = th.rt().clock().now();
-        Tx {
-            th,
-            rv,
-            write_set: WriteSet::default(),
-            read_set: Vec::new(),
-            lock_set: Vec::new(),
-            owned: HashSet::new(),
-            allocs: Vec::new(),
-            frees: Vec::new(),
-        }
+        let d = std::mem::take(&mut th.desc);
+        Tx { th, rv, d }
     }
 
     /// Bounded backoff on a lock found foreign-owned — the contention
@@ -105,7 +176,7 @@ impl<'a> Tx<'a> {
     fn extend(&mut self) -> Result<(), TxAbort> {
         let now = self.th.rt().clock().now();
         let locks = self.th.rt().locks();
-        for &(idx, version) in &self.read_set {
+        for &(idx, version) in &self.d.read_set {
             match locks.probe(idx) {
                 LockState::Version(v) if v == version => {}
                 LockState::Owned(s) if s == self.th.slot() => {}
@@ -132,17 +203,17 @@ impl<'a> Tx<'a> {
             addr.is_word_aligned(),
             "unaligned transactional read at {addr}"
         );
-        if let Some(&v) = self.write_set.get(&addr.0) {
-            return Ok(v);
-        }
         let idx = self.th.rt().locks().index_of(addr);
-        if self.owned.contains(&idx) {
-            // We hold the covering lock; memory cannot change under us.
-            return Ok(self.th.pmem().read_u64(addr));
-        }
+        let slot = self.th.slot();
         let mut waits = 0u32;
         loop {
             match self.th.rt().locks().probe(idx) {
+                LockState::Owned(s) if s == slot => {
+                    // We hold the covering lock: the word is ours if we
+                    // wrote it, and otherwise memory cannot change under us.
+                    let v = self.d.buffered(addr.0);
+                    return Ok(v.unwrap_or_else(|| self.th.pmem().read_u64(addr)));
+                }
                 LockState::Owned(_) => self.backoff_on_owned(&mut waits)?,
                 LockState::Version(v1) => {
                     let val = self.th.pmem().read_u64(addr);
@@ -151,7 +222,7 @@ impl<'a> Tx<'a> {
                             if v1 > self.rv {
                                 self.extend()?;
                             }
-                            self.read_set.push((idx, v1));
+                            self.d.read_set.push((idx, v1));
                             return Ok(val);
                         }
                         _ => continue, // raced with a writer; re-probe
@@ -181,32 +252,31 @@ impl<'a> Tx<'a> {
             "unaligned transactional write at {addr}"
         );
         let idx = self.th.rt().locks().index_of(addr);
-        if !self.owned.contains(&idx) {
-            let mut waits = 0u32;
-            loop {
-                match self.th.rt().locks().probe(idx) {
-                    LockState::Owned(_) => self.backoff_on_owned(&mut waits)?,
-                    LockState::Version(v) => {
-                        if v > self.rv {
-                            // Someone committed to this slot after our
-                            // snapshot horizon. Validate-and-extend *before*
-                            // acquiring: a stale read of this very word is
-                            // still visible as a version mismatch now, but
-                            // would be masked once we own the lock.
-                            self.extend()?;
-                            continue;
-                        }
-                        if self.th.rt().locks().try_acquire(idx, self.th.slot(), v) {
-                            self.lock_set.push((idx, v));
-                            self.owned.insert(idx);
-                            break;
-                        }
-                        // CAS raced; re-probe.
+        let slot = self.th.slot();
+        let mut waits = 0u32;
+        loop {
+            match self.th.rt().locks().probe(idx) {
+                LockState::Owned(s) if s == slot => break,
+                LockState::Owned(_) => self.backoff_on_owned(&mut waits)?,
+                LockState::Version(v) => {
+                    if v > self.rv {
+                        // Someone committed to this slot after our snapshot
+                        // horizon. Validate-and-extend *before* acquiring: a
+                        // stale read of this very word is still visible as a
+                        // version mismatch now, but would be masked once we
+                        // own the lock.
+                        self.extend()?;
+                        continue;
                     }
+                    if self.th.rt().locks().try_acquire(idx, slot, v) {
+                        self.d.lock_set.push((idx, v));
+                        break;
+                    }
+                    // CAS raced; re-probe.
                 }
             }
         }
-        self.write_set.insert(addr.0, value);
+        self.d.buffer(addr.0, value);
         Ok(())
     }
 
@@ -269,13 +339,13 @@ impl<'a> Tx<'a> {
             .heap()
             .ok_or_else(|| TxAbort::Heap("no heap attached to runtime".into()))?;
         let addr = heap.pmalloc_unanchored(size)?;
-        self.allocs.push(addr);
+        self.d.allocs.push(addr);
         Ok(addr)
     }
 
     /// Frees a heap block when (and only when) this transaction commits.
     pub fn pfree(&mut self, addr: VAddr) {
-        self.frees.push(addr);
+        self.d.frees.push(addr);
     }
 
     /// Explicitly cancels the transaction: return

@@ -145,6 +145,145 @@ fn read_own_writes() {
     .unwrap();
 }
 
+/// The first two words from `base` that one lock stripe covers. The
+/// Fibonacci hash spreads neighbouring words evenly, so the search may
+/// need one more word than the table has stripes.
+fn aliasing_pair(rt: &MtmRuntime, base: VAddr, words: u64) -> (VAddr, VAddr) {
+    let mut seen = std::collections::HashMap::new();
+    for w in 0..words {
+        let a = base.add(w * 8);
+        if let Some(&first) = seen.get(&rt.locks().index_of(a)) {
+            return (first, a);
+        }
+        seen.insert(rt.locks().index_of(a), a);
+    }
+    panic!("no two of {words} words share a lock stripe");
+}
+
+#[test]
+fn aliased_stripe_reads_memory_not_the_write_set() {
+    let (_env, regions) = setup("alias");
+    let pmem = regions.pmem_handle();
+    let len = 16u64 << 20;
+    let area = regions.pmap("alias", len, &pmem).unwrap().addr;
+    let rt = MtmRuntime::open(&regions, MtmConfig::default()).unwrap();
+    let mut th = rt.register_thread().unwrap();
+    let (a, b) = aliasing_pair(&rt, area, len / 8);
+    th.atomic(|tx| {
+        tx.write_u64(a, 1)?;
+        tx.write_u64(b, 2)
+    })
+    .unwrap();
+    let words: Vec<VAddr> = [a, b]
+        .iter()
+        .flat_map(|w| (0..8).map(move |i| VAddr(w.0 & !63).add(i * 8)))
+        .collect();
+    let before: Vec<u64> = words.iter().map(|&w| pmem.read_u64(w)).collect();
+
+    // Writing A takes the stripe B shares; B must still read memory.
+    th.atomic(|tx| {
+        tx.write_u64(a, 7)?;
+        assert_eq!(tx.read_u64(b)?, 2, "B read A's buffered value");
+        assert_eq!(tx.read_u64(a)?, 7);
+        Ok(())
+    })
+    .unwrap();
+
+    let changed: Vec<VAddr> = words
+        .iter()
+        .zip(&before)
+        .filter(|&(&w, &old)| pmem.read_u64(w) != old)
+        .map(|(&w, _)| w)
+        .collect();
+    assert_eq!(
+        changed,
+        vec![a],
+        "the commit must change only A in A's and B's lines"
+    );
+    assert_eq!(pmem.read_u64(a), 7);
+}
+
+#[test]
+fn cancelled_conflicted_and_unwound_transactions_leave_nothing_behind() {
+    let (_env, regions) = setup("reset");
+    let pmem = regions.pmem_handle();
+    let area = regions.pmap("reset", 4096, &pmem).unwrap().addr;
+    let rt = MtmRuntime::open(&regions, MtmConfig::default()).unwrap();
+    let mut th = rt.register_thread().unwrap();
+    let mut other = rt.register_thread().unwrap();
+    // One word per line: read-from (x, r), written-by-the-failed (z, u)
+    // and written-next (y, v), on six distinct stripes.
+    let [x, y, z, r, u, v] = [0u64, 1, 2, 3, 4, 5].map(|i| area.add(i * 64));
+    let stripes: std::collections::HashSet<usize> = [x, y, z, r, u, v]
+        .iter()
+        .map(|&w| rt.locks().index_of(w))
+        .collect();
+    assert_eq!(stripes.len(), 6);
+
+    // A read left in the descriptor would fail the next commit once
+    // `other` moves the word on; a write left in it would be committed.
+    // The next transaction cancels instead of retrying, so a leftover
+    // fails the test rather than looping.
+    let next_commits_cleanly = |th: &mut mnemosyne_mtm::TxThread, w: VAddr, val: u64| {
+        let mut attempts = 0;
+        let committed = th.atomic(|tx| {
+            attempts += 1;
+            if attempts > 1 {
+                return Err(tx.cancel());
+            }
+            tx.write_u64(w, val)
+        });
+        assert!(committed.is_ok(), "the next transaction aborted");
+        assert_eq!(pmem.read_u64(w), val);
+    };
+
+    // Cancelled.
+    let cancelled: Result<(), TxError> = th.atomic(|tx| {
+        tx.read_u64(x)?;
+        tx.write_u64(z, 666)?;
+        Err(tx.cancel())
+    });
+    assert!(matches!(cancelled, Err(TxError::Cancelled)));
+    other.atomic(|tx| tx.write_u64(x, 1)).unwrap();
+    next_commits_cleanly(&mut th, y, 1);
+    assert_eq!(pmem.read_u64(z), 0, "a cancelled write was committed");
+
+    // Conflicted: the first attempt reads x, `other` commits x, and the
+    // attempt's commit fails validation; the retry writes y alone.
+    let mut attempts = 0;
+    th.atomic(|tx| {
+        attempts += 1;
+        if attempts == 1 {
+            tx.read_u64(x)?;
+            other.atomic(|tx| tx.write_u64(x, 2)).unwrap();
+            tx.write_u64(z, 666)?;
+        }
+        tx.write_u64(y, 2)
+    })
+    .unwrap();
+    assert_eq!(attempts, 2);
+    assert_eq!(
+        pmem.read_u64(z),
+        0,
+        "a conflicted attempt's write was committed"
+    );
+    other.atomic(|tx| tx.write_u64(x, 3)).unwrap();
+    next_commits_cleanly(&mut th, y, 3);
+
+    // Unwound: the closure panics with a read and a write recorded.
+    let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        th.atomic(|tx| -> Result<(), _> {
+            tx.read_u64(r)?;
+            tx.write_u64(u, 666)?;
+            panic!("transaction body panics")
+        })
+    }));
+    assert!(unwound.is_err());
+    other.atomic(|tx| tx.write_u64(r, 4)).unwrap();
+    next_commits_cleanly(&mut th, v, 4);
+    assert_eq!(pmem.read_u64(u), 0, "an unwound write was committed");
+}
+
 #[test]
 fn byte_granularity_accessors() {
     let (_env, regions) = setup("bytes");

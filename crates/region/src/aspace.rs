@@ -5,9 +5,18 @@
 //! table; a miss triggers a fault that asks the region manager to bring
 //! the page in (a *soft* fault if the page is already resident in SCM from
 //! before a restart — the fast path §4.2 describes).
+//!
+//! The page table is a two-level radix array of atomic entries indexed by
+//! virtual page, as a hardware walker reads one: a translation is two
+//! `Acquire` loads and takes no lock. Only the paths that change an entry
+//! — a fault, an eviction's shootdown and `unmap` — serialise, on the
+//! reverse index's mutex. A fault installs its entry while the region
+//! manager still holds its state lock, so an eviction cannot slip in
+//! between a page coming in and its entry appearing.
 
 use std::collections::{BTreeMap, HashMap};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
 
 use parking_lot::{Mutex, RwLock};
 
@@ -15,7 +24,7 @@ use mnemosyne_scm::PAddr;
 
 use crate::error::Result;
 use crate::manager::{FileId, RegionManager};
-use crate::{RegionError, VAddr};
+use crate::{RegionError, VAddr, PAGE_SIZE, PERSISTENT_SIZE};
 
 /// One mapped range of persistent virtual pages.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -24,22 +33,73 @@ struct Vma {
     file_id: FileId,
 }
 
+/// Virtual pages per page-table leaf: 2^14 pages, 64 MiB of address space
+/// in a 128 KiB leaf.
+const LEAF_BITS: u32 = 14;
+const LEAF_PAGES: usize = 1 << LEAF_BITS;
+/// Leaves covering the whole persistent range (2^28 pages).
+const ROOT_LEAVES: usize = ((PERSISTENT_SIZE / PAGE_SIZE) >> LEAF_BITS) as usize;
+
+type Leaf = Box<[AtomicU64; LEAF_PAGES]>;
+
+/// `vpage → frame base`: each entry holds `frame | 1`, and 0 means absent.
+/// Leaves are allocated on the first fault into their range and live as
+/// long as the table. Entries are stored `Release` and loaded `Acquire`,
+/// so a thread that sees an entry also sees the page the fault copied in
+/// before installing it.
+struct PageTable {
+    root: Box<[OnceLock<Leaf>]>,
+}
+
+impl PageTable {
+    fn new() -> PageTable {
+        PageTable {
+            root: (0..ROOT_LEAVES).map(|_| OnceLock::new()).collect(),
+        }
+    }
+
+    /// The frame installed for `vpage`, if any.
+    #[inline]
+    fn get(&self, vpage: u64) -> Option<PAddr> {
+        let leaf = self.root[(vpage >> LEAF_BITS) as usize].get()?;
+        let e = leaf[vpage as usize % LEAF_PAGES].load(Ordering::Acquire);
+        (e != 0).then_some(PAddr(e & !1))
+    }
+
+    /// Installs `frame` for `vpage`, allocating its leaf on first use.
+    fn set(&self, vpage: u64, frame: PAddr) {
+        let leaf = self.root[(vpage >> LEAF_BITS) as usize].get_or_init(|| {
+            let zeroed: Box<[AtomicU64]> = (0..LEAF_PAGES).map(|_| AtomicU64::new(0)).collect();
+            zeroed.try_into().expect("a leaf has LEAF_PAGES entries")
+        });
+        leaf[vpage as usize % LEAF_PAGES].store(frame.0 | 1, Ordering::Release);
+    }
+
+    /// Removes the entry for `vpage`, if any.
+    fn clear(&self, vpage: u64) {
+        if let Some(leaf) = self.root[(vpage >> LEAF_BITS) as usize].get() {
+            leaf[vpage as usize % LEAF_PAGES].store(0, Ordering::Release);
+        }
+    }
+}
+
 pub(crate) struct AspaceInner {
     mgr: RegionManager,
     /// `vpage_start → Vma`, non-overlapping.
     vmas: RwLock<BTreeMap<u64, Vma>>,
-    /// `vpage → frame base` for installed pages.
-    pt: RwLock<HashMap<u64, PAddr>>,
-    /// Reverse index for eviction shootdown: `(file, page) → vpage`.
+    /// Translations read without a lock; written under `installed`.
+    pt: PageTable,
+    /// Reverse index for eviction shootdown: `(file, page) → vpage`. Its
+    /// mutex serialises every page-table write.
     installed: Mutex<HashMap<(FileId, u64), u64>>,
 }
 
 impl AspaceInner {
     /// Removes any page-table entry for `(fid, off)` — called by the
-    /// region manager when it evicts the page.
+    /// region manager, under its state lock, when it evicts the page.
     pub(crate) fn invalidate(&self, fid: FileId, off: u64) {
         if let Some(vpage) = self.installed.lock().remove(&(fid, off)) {
-            self.pt.write().remove(&vpage);
+            self.pt.clear(vpage);
         }
     }
 }
@@ -55,7 +115,7 @@ impl std::fmt::Debug for AddressSpace {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("AddressSpace")
             .field("vmas", &self.inner.vmas.read().len())
-            .field("installed", &self.inner.pt.read().len())
+            .field("installed", &self.inner.installed.lock().len())
             .finish()
     }
 }
@@ -67,7 +127,7 @@ impl AddressSpace {
         let inner = Arc::new(AspaceInner {
             mgr: mgr.clone(),
             vmas: RwLock::new(BTreeMap::new()),
-            pt: RwLock::new(HashMap::new()),
+            pt: PageTable::new(),
             installed: Mutex::new(HashMap::new()),
         });
         mgr.register_aspace(&inner);
@@ -90,6 +150,9 @@ impl AddressSpace {
             return Err(RegionError::Unmapped(addr));
         }
         let start = addr.vpage();
+        if pages > PERSISTENT_SIZE / PAGE_SIZE - start {
+            return Err(RegionError::Unmapped(addr));
+        }
         let mut vmas = self.inner.vmas.write();
         // Overlap check against neighbours.
         if let Some((&s, v)) = vmas.range(..=start).next_back() {
@@ -126,10 +189,9 @@ impl AddressSpace {
             .write()
             .remove(&start)
             .ok_or(RegionError::Unmapped(addr))?;
-        let mut pt = self.inner.pt.write();
         let mut installed = self.inner.installed.lock();
         for vp in start..start + vma.pages {
-            pt.remove(&vp);
+            self.inner.pt.clear(vp);
             installed.remove(&(vma.file_id, vp - start));
         }
         Ok(())
@@ -145,7 +207,7 @@ impl AddressSpace {
             return Err(RegionError::Unmapped(addr));
         }
         let vpage = addr.vpage();
-        if let Some(&frame) = self.inner.pt.read().get(&vpage) {
+        if let Some(frame) = self.inner.pt.get(vpage) {
             return Ok(frame.add(addr.page_offset()));
         }
         self.fault(vpage).map(|f| f.add(addr.page_offset()))
@@ -162,10 +224,14 @@ impl AddressSpace {
                 .ok_or(RegionError::Unmapped(VAddr::from_vpage(vpage)))?;
             (vma.file_id, vpage - start)
         };
-        let frame = self.inner.mgr.page_in(fid, file_page)?;
-        self.inner.pt.write().insert(vpage, frame);
-        self.inner.installed.lock().insert((fid, file_page), vpage);
-        Ok(frame)
+        // Install while the manager still holds its state lock (state →
+        // `installed`, the order eviction takes them in): an eviction of
+        // this page then either precedes the fault or sees the entry.
+        self.inner.mgr.page_in_then(fid, file_page, |frame| {
+            let mut installed = self.inner.installed.lock();
+            installed.insert((fid, file_page), vpage);
+            self.inner.pt.set(vpage, frame);
+        })
     }
 
     /// Pre-faults every page of the VMA starting at `addr` (used by
@@ -181,7 +247,7 @@ impl AddressSpace {
             vmas.get(&start).ok_or(RegionError::Unmapped(addr))?.pages
         };
         for vp in start..start + pages {
-            if !self.inner.pt.read().contains_key(&vp) {
+            if self.inner.pt.get(vp).is_none() {
                 self.fault(vp)?;
             }
         }
@@ -190,7 +256,7 @@ impl AddressSpace {
 
     /// Number of pages currently installed in the page table.
     pub fn installed_pages(&self) -> usize {
-        self.inner.pt.read().len()
+        self.inner.installed.lock().len()
     }
 }
 
@@ -201,6 +267,7 @@ mod tests {
     use mnemosyne_scm::{ScmConfig, ScmSim};
     use std::fs;
     use std::path::PathBuf;
+    use std::sync::atomic::AtomicBool;
 
     fn setup() -> (ScmSim, RegionManager, AddressSpace, PathBuf) {
         let dir = std::env::temp_dir().join(format!(
@@ -239,6 +306,12 @@ mod tests {
         assert!(aspace.map(VAddr::from_vpage(12), 4, fid).is_err());
         assert!(aspace.map(VAddr::from_vpage(8), 4, fid).is_err());
         aspace.map(VAddr::from_vpage(14), 2, fid).unwrap();
+        let last = PERSISTENT_SIZE / PAGE_SIZE - 1;
+        assert!(
+            aspace.map(VAddr::from_vpage(last), 2, fid).is_err(),
+            "past the persistent range"
+        );
+        aspace.map(VAddr::from_vpage(last), 1, fid).unwrap();
         fs::remove_dir_all(dir).ok();
     }
 
@@ -290,6 +363,75 @@ mod tests {
         aspace.map(base, 8, fid).unwrap();
         aspace.prefault(base).unwrap();
         assert_eq!(aspace.installed_pages(), 8);
+        fs::remove_dir_all(dir).ok();
+    }
+
+    #[test]
+    fn concurrent_faults_leave_no_stale_entry() {
+        // Two threads fault pages of their own file into a device with
+        // half the frames the two files need, so a fault may evict the
+        // page the other thread has just brought in. Two spinning threads
+        // keep the cores busy, so a faulting thread can lose its CPU
+        // between the page coming in and its entry going into the table.
+        // After every round, each installed entry must name the frame the
+        // manager holds the page in.
+        const ROUNDS: u64 = 5;
+        const FAULTS: u64 = 1_000;
+        let dir = std::env::temp_dir().join(format!("mnemo-as-race-{}", std::process::id()));
+        fs::remove_dir_all(&dir).ok();
+        fs::create_dir_all(&dir).unwrap();
+        let sim = ScmSim::new(ScmConfig::for_testing(128 << 10));
+        let mgr = RegionManager::boot(&sim, &dir).unwrap();
+        let aspace = AddressSpace::new(&mgr);
+        let pages = mgr.frame_count();
+        let files: Vec<(FileId, u64)> = (0..2)
+            .map(|i| {
+                let fid = mgr.register_file(&format!("f{i}.region")).unwrap();
+                let start = 1 + i * pages;
+                aspace.map(VAddr::from_vpage(start), pages, fid).unwrap();
+                (fid, start)
+            })
+            .collect();
+        for round in 0..ROUNDS {
+            let done = AtomicBool::new(false);
+            let faulted = std::thread::scope(|s| {
+                for _ in 0..2 {
+                    s.spawn(|| {
+                        while !done.load(Ordering::Relaxed) {
+                            std::hint::spin_loop();
+                        }
+                    });
+                }
+                let faulters: Vec<_> = files
+                    .iter()
+                    .enumerate()
+                    .map(|(t, &(_, start))| {
+                        let aspace = &aspace;
+                        s.spawn(move || {
+                            let mut x = round * 2 + t as u64 + 1;
+                            for _ in 0..FAULTS {
+                                x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
+                                let vp = start + (x >> 33) % pages;
+                                aspace.translate(VAddr::from_vpage(vp)).unwrap();
+                            }
+                        })
+                    })
+                    .collect();
+                let faulted = faulters.into_iter().all(|f| f.join().is_ok());
+                done.store(true, Ordering::Relaxed);
+                faulted
+            });
+            assert!(faulted, "a translation failed in round {round}");
+            let stale = files
+                .iter()
+                .flat_map(|&(fid, start)| (0..pages).map(move |off| (fid, start, off)))
+                .filter(|&(fid, start, off)| {
+                    let entry = aspace.inner.pt.get(start + off);
+                    entry.is_some() && entry != mgr.resident_frame(fid, off)
+                })
+                .count();
+            assert_eq!(stale, 0, "stale page-table entries after round {round}");
+        }
         fs::remove_dir_all(dir).ok();
     }
 }

@@ -11,8 +11,9 @@
 //!   the **persistent mapping table** stored at the base of physical SCM
 //!   (`<scm_frame, file, page_offset>` triples), swap of SCM pages to
 //!   backing files under memory pressure, and boot-time reconstruction;
-//! * [`aspace::AddressSpace`]: a process's page table with demand paging
-//!   and soft faults for pages already resident in SCM;
+//! * [`aspace::AddressSpace`]: a process's page table — a radix array
+//!   that translations read without a lock; only the fault path locks —
+//!   with demand paging and soft faults for pages already resident in SCM;
 //! * [`pmem::PMem`]: the per-thread handle applications use — the four
 //!   hardware primitives plus loads, addressed by [`VAddr`];
 //! * [`libm::Regions`]: the `libmnemosyne` layer — the region table kept in

@@ -262,13 +262,33 @@ impl RegionManager {
     /// # Errors
     /// Fails if no frame can be freed or on backing-file I/O errors.
     pub fn page_in(&self, fid: FileId, page_off: u64) -> Result<PAddr> {
+        self.page_in_then(fid, page_off, |_| {})
+    }
+
+    /// [`RegionManager::page_in`], then `install(frame)` before the state
+    /// lock is released. An address space installs its page-table entry
+    /// here, so an eviction on another thread either happens before the
+    /// fault or finds the entry to shoot down.
+    pub(crate) fn page_in_then(
+        &self,
+        fid: FileId,
+        page_off: u64,
+        install: impl FnOnce(PAddr),
+    ) -> Result<PAddr> {
         let mut st = self.inner.state.lock();
+        let frame = self.page_in_locked(&mut st, fid, page_off)?;
+        install(frame);
+        Ok(frame)
+    }
+
+    /// The body of [`RegionManager::page_in`]. Caller holds the state lock.
+    fn page_in_locked(&self, st: &mut ManagerState, fid: FileId, page_off: u64) -> Result<PAddr> {
         if let Some(&frame) = st.resident.get(&(fid, page_off)) {
             return Ok(self.inner.layout.frame_addr(frame));
         }
         let frame = match st.free_frames.pop() {
             Some(f) => f,
-            None => self.evict_locked(&mut st)?,
+            None => self.evict_locked(st)?,
         };
         let name = st
             .inodes
@@ -407,6 +427,17 @@ impl RegionManager {
             self.inner.files.write_page(&name, off, &page)?;
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+impl RegionManager {
+    /// The frame holding page `off` of file `fid`, if it is resident.
+    pub(crate) fn resident_frame(&self, fid: FileId, off: u64) -> Option<PAddr> {
+        let st = self.inner.state.lock();
+        st.resident
+            .get(&(fid, off))
+            .map(|&frame| self.inner.layout.frame_addr(frame))
     }
 }
 

@@ -3,7 +3,9 @@
 //! This is the user-mode face of the whole memory stack: Mnemosyne's four
 //! hardware primitives (§4.1) plus loads, addressed by [`VAddr`]. Accesses
 //! are translated through the owning [`AddressSpace`] (splitting at page
-//! boundaries) and then issued on a per-thread [`MemHandle`].
+//! boundaries) and then issued on a per-thread [`MemHandle`]. A
+//! translation of an installed page reads the radix page table and takes
+//! no lock, so a load takes none anywhere; only a page fault locks.
 //!
 //! Like a real load or store, an access to an unmapped address is fatal:
 //! the methods panic with the analogue of a segmentation fault. Callers
@@ -179,6 +181,10 @@ impl PMem {
     /// Load of one 64-bit word.
     #[inline]
     pub fn read_u64(&self, addr: VAddr) -> u64 {
+        if addr.is_word_aligned() {
+            // An aligned word never straddles a page.
+            return self.mem.read_u64(self.xlate(addr));
+        }
         let mut b = [0u8; 8];
         self.read(addr, &mut b);
         u64::from_le_bytes(b)
