@@ -172,22 +172,9 @@ impl MnemosyneBuilder {
         self
     }
 
-    /// Replaces the whole SCM configuration (latency, bandwidth, mode).
+    /// Replaces the whole SCM configuration (size, write latency, mode).
     pub fn scm_config(mut self, config: ScmConfig) -> Self {
         self.scm_config = config;
-        self
-    }
-
-    /// Sets the delay-emulation mode.
-    pub fn mode(mut self, mode: EmulationMode) -> Self {
-        self.scm_config.mode = mode;
-        self
-    }
-
-    /// Sets the extra PCM write latency in nanoseconds (§6.1; the paper's
-    /// default is 150 ns).
-    pub fn write_latency_ns(mut self, ns: u64) -> Self {
-        self.scm_config.write_latency_ns = ns;
         self
     }
 

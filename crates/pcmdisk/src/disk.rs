@@ -5,7 +5,7 @@ use std::time::Instant;
 use parking_lot::{Mutex, RwLock};
 
 use mnemosyne_obs::{Counter, Telemetry, Unit};
-use mnemosyne_scm::{EmulationMode, FaultPlan, FaultSite};
+use mnemosyne_scm::{EmulationMode, FaultPlan, FaultSite, WRITE_BANDWIDTH_BYTES_PER_NS};
 
 use crate::BLOCK_SIZE;
 
@@ -17,8 +17,6 @@ pub struct DiskConfig {
     /// Extra PCM write latency charged once per synced block, in
     /// nanoseconds (the fence the block write ends with).
     pub write_latency_ns: u64,
-    /// Streaming bandwidth in bytes per nanosecond (4.0 = 4 GB/s).
-    pub bandwidth_bytes_per_ns: f64,
     /// Software cost charged once per sync operation, in nanoseconds:
     /// the system call, VFS, file-system and block-layer path every
     /// `fsync`/`msync` on the paper's PCM-disk traverses. This is the
@@ -37,7 +35,6 @@ impl DiskConfig {
         DiskConfig {
             blocks,
             write_latency_ns: 150,
-            bandwidth_bytes_per_ns: 4.0,
             sync_syscall_ns: 20_000,
             mode: EmulationMode::Spin,
         }
@@ -233,7 +230,7 @@ impl PcmDisk {
             }
         }
         let per_block = self.config.write_latency_ns
-            + (BLOCK_SIZE as f64 / self.config.bandwidth_bytes_per_ns) as u64;
+            + (BLOCK_SIZE as f64 / WRITE_BANDWIDTH_BYTES_PER_NS) as u64;
         self.delay(self.config.sync_syscall_ns + n * per_block);
         self.stats.synced_blocks.add(n);
         n
@@ -265,7 +262,7 @@ impl PcmDisk {
             }
         }
         let per_block = self.config.write_latency_ns
-            + (BLOCK_SIZE as f64 / self.config.bandwidth_bytes_per_ns) as u64;
+            + (BLOCK_SIZE as f64 / WRITE_BANDWIDTH_BYTES_PER_NS) as u64;
         self.delay(self.config.sync_syscall_ns + n * per_block);
         self.stats.synced_blocks.add(n);
         n

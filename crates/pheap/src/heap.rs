@@ -4,6 +4,11 @@
 //! allocator and the large areas — so an operation takes the lock, builds
 //! its word writes, logs them as one redo record and applies them (§4.3).
 //! The lock is also what keeps the allocator log single-producer.
+//!
+//! An operation commits the way a `Truncation::Sync` transaction does
+//! (DESIGN.md §5): append the record and fence (the commit point), store
+//! and flush the written words, then truncate the log with one head-word
+//! write and the closing fence — two fences per operation.
 
 use std::time::Instant;
 
@@ -19,17 +24,12 @@ use crate::small::{class_of, SmallAlloc, SmallLayout, WordWrite};
 
 /// Heap header magic ("PHEAPHD2"), stored in the first word of the small
 /// region; written last during formatting so a torn format is re-run. The
-/// second header word counts the allocator logs `pheap.log{i}` the
-/// image has: a fresh heap writes 1, an image written by the earlier
-/// sharded heap counts one per shard, and open replays them all. The third
-/// header word counts committed **extension areas** ([`PHeap::grow`]);
-/// heaps written before online growth existed read zero there (backing
-/// pages are zero-filled), so old images open unchanged.
+/// second header word is reserved and written as 1 (the one allocator log
+/// `pheap.log0`). The third header word counts committed **extension
+/// areas** ([`PHeap::grow`]); heaps written before online growth existed
+/// read zero there (backing pages are zero-filled), so they open
+/// unchanged.
 const HEAP_MAGIC: u64 = u64::from_le_bytes(*b"PHEAPHD2");
-
-/// Most allocator logs a recovery will trust header word 1 to count (the
-/// sharded heap capped its shard count at 64).
-const MAX_LOGS: u64 = 64;
 
 /// Hard cap on extension areas (bounds the header word a recovery will
 /// trust, and keeps region-table usage sane).
@@ -180,12 +180,10 @@ impl PHeap {
     ///
     /// 1. maps the small and large areas and the allocator log;
     /// 2. on first run, formats them and publishes the header magic;
-    /// 3. otherwise **replays** every allocator log the header counts
-    ///    (plus the separate large-allocator log `pheap.llog` of an
-    ///    image written by the earlier sharded heap), then **scavenges**
-    ///    the superblock metadata and the large chunk chains to rebuild
-    ///    the volatile indexes (§4.3, §6.3.2). The first log then serves
-    ///    every operation.
+    /// 3. otherwise **replays** the allocator log, then **scavenges** the
+    ///    superblock metadata and the large chunk chains (the base area
+    ///    and every committed extension area) to rebuild the volatile
+    ///    indexes (§4.3, §6.3.2).
     ///
     /// Everything runs on the calling thread.
     ///
@@ -200,39 +198,29 @@ impl PHeap {
         let log_r = regions.pmap("pheap.log0", log_bytes, &pmem)?;
 
         // First page of the small region: heap header (word 0 = magic,
-        // word 1 = number of allocator logs, word 2 = number of committed
-        // extension areas).
+        // word 1 = reserved, word 2 = number of committed extension areas).
         let header = small_r.addr;
-        let nlogs_addr = header.add(8);
         let exts_addr = header.add(16);
-        let base = SmallLayout::new(small_r.addr.add(4096), small_r.len - 4096);
+        let layout = SmallLayout::new(small_r.addr.add(4096), small_r.len - 4096);
         let metrics = HeapMetrics::new(regions.telemetry());
 
         let state = if pmem.read_u64(header) != HEAP_MAGIC {
             // Fresh heap: format everything, publish the magic last.
             let log = TornbitLog::create(regions.pmem_handle(), log_r.addr, LOG_WORDS)?;
-            let mut small = SmallAlloc::default();
-            small.add_segment(base);
             let mut large = LargeAlloc::new(large_r.addr, large_r.len);
             Self::apply(&pmem, &large.format_writes());
-            pmem.store_u64(nlogs_addr, 1);
-            pmem.flush(nlogs_addr);
+            pmem.store_u64(header.add(8), 1);
+            pmem.flush(header.add(8));
             pmem.fence();
             pmem.store_u64(header, HEAP_MAGIC);
             pmem.flush(header);
             pmem.fence();
             HeapState {
                 log,
-                small,
+                small: SmallAlloc::new(layout),
                 large: vec![large],
             }
         } else {
-            let nlogs = pmem.read_u64(nlogs_addr);
-            if nlogs == 0 || nlogs > MAX_LOGS {
-                return Err(HeapError::Corrupt(
-                    "implausible allocator log count in heap header",
-                ));
-            }
             // Committed extension areas ([`PHeap::grow`]): every counted
             // area must exist in the region table (Regions::open already
             // mapped it), or the image is corrupt. An *uncounted* leftover
@@ -244,62 +232,31 @@ impl PHeap {
                     "implausible extension-area count in heap header",
                 ));
             }
-            let mut large_specs = vec![(large_r.addr, large_r.len)];
-            let mut small_segs = vec![base];
+            let mut large = vec![LargeAlloc::new(large_r.addr, large_r.len)];
             for e in 0..n_ext {
-                // Each committed extension slot is either a large extension
-                // area (`.ext{e}`) or a small extension segment (`.sext{e}`,
-                // from a grow routed to the superblock pool); both share the
-                // one counter so the commit protocol stays a single word.
-                if let Some(r) = regions.find(&format!("pheap.ext{e}")) {
-                    large_specs.push((r.addr, r.len));
-                } else if let Some(r) = regions.find(&format!("pheap.sext{e}")) {
-                    small_segs.push(SmallLayout::new(r.addr, r.len));
-                } else {
-                    return Err(HeapError::Corrupt(
+                let r = regions
+                    .find(&format!("pheap.ext{e}"))
+                    .ok_or(HeapError::Corrupt(
                         "committed heap extension area is missing from the region table",
-                    ));
-                }
+                    ))?;
+                large.push(LargeAlloc::new(r.addr, r.len));
             }
 
-            // Redo committed-but-unapplied operations from every log.
-            let mut log_bases = vec![log_r.addr];
-            for i in 1..nlogs {
-                let r = regions
-                    .find(&format!("pheap.log{i}"))
-                    .ok_or(HeapError::Corrupt(
-                        "counted allocator log is missing from the region table",
-                    ))?;
-                log_bases.push(r.addr);
-            }
-            log_bases.extend(regions.find("pheap.llog").map(|r| r.addr));
-            let mut serving = None;
-            let mut replayed = 0u64;
-            for base in log_bases {
-                let (mut log, records) = TornbitLog::recover(regions.pmem_handle(), base)?;
-                replayed += Self::replay(&mut log, &records)?;
-                serving.get_or_insert(log);
-            }
-            metrics.replayed.add(replayed);
+            // Redo committed-but-unapplied operations.
+            let (mut log, records) = TornbitLog::recover(regions.pmem_handle(), log_r.addr)?;
+            metrics.replayed.add(Self::replay(&mut log, &records)?);
 
             // Scavenge: rebuild the volatile indexes from what the replay
             // left on media.
             let timer = Instant::now();
-            let small = SmallAlloc::scavenge(&pmem, &small_segs);
-            let mut large = Vec::with_capacity(large_specs.len());
-            for (addr, len) in large_specs {
-                let mut area = LargeAlloc::new(addr, len);
+            let small = SmallAlloc::scavenge(&pmem, layout);
+            for area in &mut large {
                 area.scavenge(&pmem)?;
-                large.push(area);
             }
             metrics
                 .scavenge_ns
                 .record(timer.elapsed().as_nanos() as u64);
-            HeapState {
-                log: serving.expect("log 0 is always counted"),
-                small,
-                large,
-            }
+            HeapState { log, small, large }
         };
         Ok(PHeap {
             state: Mutex::new(state),
@@ -308,13 +265,13 @@ impl PHeap {
         })
     }
 
-    /// Validates and redoes one log's recovered records, then truncates
-    /// the log. Records are checksum-verified by recovery, so a
-    /// structurally bad one (odd length, unmapped target) means corruption
-    /// got past the media-level checks — refuse to replay rather than
-    /// panic or scribble on the wrong words.
+    /// Validates and redoes the log's recovered records, then truncates
+    /// the log the way [`PHeap::commit`] ends. Records are
+    /// checksum-verified by recovery, so a structurally bad one (odd
+    /// length, unmapped target) means corruption got past the media-level
+    /// checks — refuse to replay rather than panic or scribble on the
+    /// wrong words.
     fn replay(log: &mut TornbitLog, records: &[Vec<u64>]) -> Result<u64, HeapError> {
-        let mut n = 0u64;
         for rec in records {
             if rec.len() % 2 != 0 {
                 return Err(HeapError::Corrupt("malformed allocator redo record"));
@@ -328,14 +285,14 @@ impl PHeap {
                 }
             }
             Self::apply(log.pmem(), &pairs);
-            n += 1;
         }
-        log.truncate_all();
-        Ok(n)
+        log.truncate_fenced();
+        Ok(records.len() as u64)
     }
 
-    /// Durably applies a list of word writes: store each, flush each line,
-    /// one fence.
+    /// Stores each word write and flushes its line. No fence: a flush
+    /// puts its line on media before it returns (DESIGN.md §5), and every
+    /// caller fences next anyway.
     fn apply(pmem: &PMem, writes: &[WordWrite]) {
         for &(addr, val) in writes {
             pmem.store_u64(addr, val);
@@ -343,13 +300,18 @@ impl PHeap {
         for &(addr, _) in writes {
             pmem.flush(addr);
         }
-        pmem.fence();
     }
 
     /// Logs then applies an operation's writes — the §4.3 atomicity
-    /// protocol (the log flush is the commit point; recovery redoes the
-    /// rest). The log is empty on entry: every operation truncates it
-    /// before releasing the heap lock, so an append can fail only with
+    /// protocol, in the sequence of a `Truncation::Sync` commit:
+    ///
+    /// 1. append the redo record and fence — **the commit point**;
+    ///    recovery redoes everything after it;
+    /// 2. store and flush the written words;
+    /// 3. truncate the log: one head-word write and the closing fence.
+    ///
+    /// The log is empty on entry: every operation truncates it before
+    /// releasing the heap lock, so an append can fail only with
     /// `RecordTooLarge`.
     fn commit(log: &mut TornbitLog, writes: &[WordWrite]) -> Result<(), HeapError> {
         let mut record = Vec::with_capacity(writes.len() * 2);
@@ -360,30 +322,22 @@ impl PHeap {
         log.append(&record)?;
         log.flush();
         Self::apply(log.pmem(), writes);
-        log.truncate_all();
+        log.truncate_fenced();
         Ok(())
     }
 
-    /// Grows the heap online by mapping a fresh **extension area** of (at
-    /// least) `bytes` bytes — no restart, no data movement.
-    ///
-    /// The new capacity goes where the pressure is: when the small area's
-    /// free-superblock pool has run dry (small requests are spilling to
-    /// the large allocator via the fallback path), the extension becomes a
-    /// **small segment** (`pheap.sext{E}`) of fresh superblocks pushed
-    /// into the pool; otherwise it becomes a **large extension area**
-    /// (`pheap.ext{E}`). Both kinds share header word 2, so growth stays
-    /// atomic against crashes with a single durable word as the commit
-    /// point:
+    /// Grows the heap online by mapping a fresh **large extension area**
+    /// `pheap.ext{E}` of (at least) `bytes` bytes — no restart, no data
+    /// movement. Large requests and small requests the superblock area
+    /// cannot serve (the fallback path) reach the new capacity through
+    /// the large allocator. Growth is atomic against crashes with a single
+    /// durable word as the commit point:
     ///
     /// 1. map the region for slot `E` (the committed extension count in
-    ///    header word 2). A leftover region of either name from a
-    ///    previously interrupted grow is re-adopted, not leaked — the
-    ///    region intention log GCs a crash *inside* `pmap` itself;
-    /// 2. durably format it (a large area is one free chunk; a small
-    ///    segment needs no writes at all — a fresh region reads zero, and
-    ///    all-zero metadata *is* the formatted "every superblock
-    ///    unassigned" state);
+    ///    header word 2). A leftover region from a previously interrupted
+    ///    grow is re-adopted, not leaked — the region intention log GCs a
+    ///    crash *inside* `pmap` itself;
+    /// 2. durably format it as one free chunk;
     /// 3. durably bump header word 2 — **the commit point**. A crash
     ///    before the bump recovers to the old capacity (the uncounted
     ///    region is invisible and re-adopted later); a crash after it
@@ -403,34 +357,18 @@ impl PHeap {
         if e >= MAX_EXT_AREAS {
             return Err(HeapError::OutOfMemory { requested: bytes });
         }
-        let large_name = format!("pheap.ext{e}");
-        let small_name = format!("pheap.sext{e}");
-        // Re-adopt an interrupted grow's leftover under either name; a
-        // fresh grow routes by where the pressure is.
-        let (region, is_small) = match (regions.find(&large_name), regions.find(&small_name)) {
-            (Some(r), _) => (r, false),
-            (None, Some(r)) => (r, true),
-            (None, None) => {
-                let small = st.small.pooled_superblocks() == 0;
-                let name = if small { &small_name } else { &large_name };
-                (regions.pmap(name, bytes, &pmem)?, small)
-            }
+        let name = format!("pheap.ext{e}");
+        let region = match regions.find(&name) {
+            Some(r) => r,
+            None => regions.pmap(&name, bytes, &pmem)?,
         };
-        let area = (!is_small).then(|| {
-            let mut area = LargeAlloc::new(region.addr, region.len);
-            Self::apply(&pmem, &area.format_writes());
-            area
-        });
+        let mut area = LargeAlloc::new(region.addr, region.len);
+        Self::apply(&pmem, &area.format_writes());
         // Commit point: the extension only counts once this word lands.
         pmem.store_u64(exts_addr, e + 1);
         pmem.flush(exts_addr);
         pmem.fence();
-        match area {
-            Some(area) => st.large.push(area),
-            None => st
-                .small
-                .add_segment(SmallLayout::new(region.addr, region.len)),
-        }
+        st.large.push(area);
         self.metrics.grows.inc();
         self.metrics.grow_bytes.add(region.len);
         Ok(GrowStats {
@@ -641,16 +579,12 @@ impl PHeap {
             replayed: m.replayed.get(),
         }
     }
-
-    /// Address of the heap header (diagnostics).
-    pub fn header_addr(&self) -> VAddr {
-        self.header
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::large::CHUNK_HEADER;
     use mnemosyne_region::RegionManager;
     use mnemosyne_scm::{CrashPolicy, ScmConfig, ScmSim};
     use std::fs;
@@ -736,33 +670,6 @@ mod tests {
     }
 
     #[test]
-    fn reopen_replays_every_allocator_log_of_an_older_image() {
-        let (env, regions, pmem) = setup();
-        let (area, _) = regions.static_area();
-        let (c1, c2) = (area, area.add(8));
-        let header = PHeap::open(&regions, small_heap()).unwrap().header_addr();
-        // An image written by the sharded heap: a second shard log and the
-        // large-allocator log, each holding one committed but unapplied
-        // record, counted by header word 1.
-        let log_bytes = mnemosyne_rawl::LOG_HEADER_BYTES + 64 * 8;
-        for (name, cell, val) in [("pheap.log1", c1, 11), ("pheap.llog", c2, 22)] {
-            let r = regions.pmap(name, log_bytes, &pmem).unwrap();
-            let mut log = TornbitLog::create(regions.pmem_handle(), r.addr, 64).unwrap();
-            log.append(&[cell.0, val]).unwrap();
-            log.flush();
-        }
-        pmem.store_u64(header.add(8), 2);
-        pmem.flush(header.add(8));
-        pmem.fence();
-        env.sim.crash(CrashPolicy::DropAll);
-
-        let heap = PHeap::open(&regions, small_heap()).unwrap();
-        assert_eq!(pmem.read_u64(c1), 11, "pheap.log1 was not replayed");
-        assert_eq!(pmem.read_u64(c2), 22, "pheap.llog was not replayed");
-        assert_eq!(heap.stats().replayed, 2);
-    }
-
-    #[test]
     fn scavenge_after_crash_sees_allocations() {
         let (env, regions, pmem) = setup();
         let (cell_area, _) = regions.static_area();
@@ -793,12 +700,11 @@ mod tests {
     fn crash_between_log_and_apply_is_replayed() {
         let (env, regions, pmem) = setup();
         let (cell, _) = regions.static_area();
-        // We cannot stop PHeap mid-operation from outside, so emulate the
-        // window: allocate, then crash with a policy that keeps *only*
-        // fenced data (DropAll drops cached-but-unflushed stores). Since
-        // commit flushes everything before returning, instead verify
-        // the replay path by checking stats on a recovery after a crash
-        // right at the end of an op (log truncated, nothing to replay).
+        // We cannot stop PHeap mid-operation from outside, so this only
+        // checks a crash right at the end of an op (log truncated, nothing
+        // to replay). `tests/crash_recovery.rs::
+        // every_crash_point_of_single_heap_operations_recovers` crashes
+        // at every primitive of an operation, this window included.
         let heap = PHeap::open(&regions, small_heap()).unwrap();
         let a = heap.pmalloc(64, cell).unwrap();
         env.sim.crash(CrashPolicy::DropAll);
@@ -1007,42 +913,6 @@ mod tests {
     }
 
     #[test]
-    fn grow_routes_to_small_pool_when_exhausted() {
-        let (_env, regions, _pmem) = setup();
-        let cfg = HeapConfig::default().with_sizes(68 << 10, 1 << 20);
-        let heap = PHeap::open(&regions, cfg).unwrap();
-        let (area, _) = regions.static_area();
-        // 68 KB small area = 64 KB after the header page = 7 superblocks;
-        // 4 KB blocks pack 2 per superblock, so 14 allocations drain the
-        // pool completely.
-        assert_eq!(heap.small_occupancy().total_superblocks, 7);
-        for i in 0..14u64 {
-            heap.pmalloc(4096, area.add(i * 8)).unwrap();
-        }
-        assert_eq!(heap.small_occupancy().pooled_superblocks, 0);
-        assert_eq!(heap.metrics.fallback_allocs.get(), 0);
-        let before_large = heap.large_capacity();
-        let st = heap.grow(&regions, 1 << 20).unwrap();
-        assert!(st.grown_bytes >= 1 << 20);
-        assert_eq!(
-            st.large_capacity, before_large,
-            "a small-routed grow must not change the large area"
-        );
-        let occ = heap.small_occupancy();
-        assert!(occ.total_superblocks > 7, "no superblocks were added");
-        assert!(
-            occ.pooled_superblocks > 0,
-            "grown superblocks not in the pool"
-        );
-        // The next small allocation is served from the grown pool — not
-        // the large-object fallback path.
-        let a = heap.pmalloc(4096, area.add(14 * 8)).unwrap();
-        assert_eq!(heap.usable_size(a), Some(4096));
-        assert_eq!(heap.metrics.fallback_allocs.get(), 0);
-        assert_eq!(heap.large_capacity(), before_large);
-    }
-
-    #[test]
     fn exhausted_small_area_falls_back_to_the_large_allocator() {
         let (_env, regions, _pmem) = setup();
         let cfg = HeapConfig::default().with_sizes(68 << 10, 1 << 20);
@@ -1070,31 +940,37 @@ mod tests {
         let (env, regions, pmem) = setup();
         let cfg = HeapConfig::default().with_sizes(68 << 10, 1 << 20);
         let (area, _) = regions.static_area();
-        let (a, total_after, cap) = {
+        let (a, cap) = {
             let heap = PHeap::open(&regions, cfg.clone()).unwrap();
             for i in 0..14u64 {
                 heap.pmalloc(4096, area.add(i * 8)).unwrap();
             }
+            // Fill the base large area as well, so only the extension can
+            // serve the fallback.
+            heap.pmalloc((1 << 20) - CHUNK_HEADER, area.add(15 * 8))
+                .unwrap();
             heap.grow(&regions, 1 << 20).unwrap();
             let a = heap.pmalloc(4096, area.add(14 * 8)).unwrap();
+            assert_eq!(heap.metrics.fallback_allocs.get(), 1);
+            let ext = regions.find("pheap.ext0").unwrap();
+            assert!(
+                a > ext.addr && a < ext.addr.add(ext.len),
+                "the 15th 4 KB block {a} is not in pheap.ext0"
+            );
             pmem.store_u64(a, 4242);
             pmem.flush(a);
             pmem.fence();
-            (
-                a,
-                heap.small_occupancy().total_superblocks,
-                heap.large_capacity(),
-            )
+            (a, heap.large_capacity())
         };
         env.sim.crash(CrashPolicy::DropAll);
         let heap2 = PHeap::open(&regions, cfg).unwrap();
-        assert_eq!(heap2.small_occupancy().total_superblocks, total_after);
+        assert_eq!(heap2.small_occupancy().total_superblocks, 7);
         assert_eq!(heap2.large_capacity(), cap);
         assert_eq!(heap2.usable_size(a), Some(4096));
         assert_eq!(pmem.read_u64(a), 4242);
-        // Every block — base segment and grown segment — is freeable
-        // after recovery, and nothing leaks.
-        for i in 0..15u64 {
+        // Every block — superblocks, base large area and extension — is
+        // freeable after recovery, and nothing leaks.
+        for i in 0..16u64 {
             heap2.pfree(area.add(i * 8)).unwrap();
         }
         let occ = heap2.small_occupancy();
@@ -1103,24 +979,6 @@ mod tests {
             occ.owned_superblocks + occ.pooled_superblocks,
             occ.total_superblocks
         );
-    }
-
-    #[test]
-    fn interrupted_small_grow_leftover_is_readopted() {
-        let (_env, regions, _pmem) = setup();
-        let heap = PHeap::open(&regions, small_heap()).unwrap();
-        // Simulate a crash after a small-routed grow mapped its region but
-        // before the header commit.
-        let pm = regions.pmem_handle();
-        regions.pmap("pheap.sext0", 128 << 10, &pm).unwrap();
-        let before = heap.small_occupancy().total_superblocks;
-        let cap = heap.large_capacity();
-        let st = heap.grow(&regions, 8 << 20).unwrap();
-        // The leftover is adopted as a small segment even though the pool
-        // is not empty: a prior attempt already decided the routing.
-        assert!(heap.small_occupancy().total_superblocks > before);
-        assert_eq!(heap.large_capacity(), cap);
-        assert_eq!(st.large_capacity, cap);
     }
 
     #[test]

@@ -12,18 +12,23 @@
 //!   allocation costs a single durable word write. Speed indexes are
 //!   volatile and rebuilt by scavenging at startup;
 //! * **large blocks** — a dlmalloc-style boundary-tag allocator
-//!   ([`large`]) with logged header updates and coalescing on free.
+//!   ([`large`]) with logged header updates and coalescing on free. It
+//!   also serves small requests once the superblock area is full.
 //!
-//! One lock guards the whole heap: its one tornbit RAWL allocator log, the
-//! small allocator and the large areas. Hoard's per-processor arenas only
-//! serve scalability; DESIGN.md §7 ("one heap lock") has the measurements
-//! that decided against them.
+//! The heap has one shape. The small area is fixed at open; online growth
+//! ([`PHeap::grow`]) adds large areas only, which small requests reach
+//! through that fallback. One lock guards the whole heap: its one tornbit
+//! RAWL allocator log, the small allocator and the large areas. Hoard's
+//! per-processor arenas only serve scalability; DESIGN.md §7 ("one heap
+//! lock") has the measurements that decided against them.
 //!
 //! Atomicity: every operation appends a redo record (a flat list of
 //! `(address, value)` word writes covering the bitmap/header update *and*
-//! the caller's destination pointer cell) to the allocator log, then
-//! applies the writes. Recovery replays complete records, so the heap and
-//! the caller's pointer always agree — the §3.4 anti-leak protocol.
+//! the caller's destination pointer cell) to the allocator log and fences
+//! — the commit point — then stores and flushes the writes and truncates
+//! the log with the closing fence: a `Truncation::Sync` transaction's two
+//! fences. Recovery replays complete records, so the heap and the
+//! caller's pointer always agree — the §3.4 anti-leak protocol.
 //!
 //! # Example
 //!

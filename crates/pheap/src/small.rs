@@ -9,14 +9,12 @@
 //! volatile and rebuilt by scavenging at startup, exactly like the paper's
 //! rebuilt speed indexes.
 //!
-//! Three types:
+//! Two types:
 //!
-//! * [`SmallLayout`] — the geometry of one segment of the small area
-//!   (where its metadata and superblocks live);
-//! * [`SmallGeom`] — the segments in order (the base segment, then the
-//!   small extension segments online growth adds), addressed by one
-//!   global superblock index;
-//! * [`SmallAlloc`] — the volatile allocator over that geometry: the
+//! * [`SmallLayout`] — the geometry of the small area (where its metadata
+//!   and superblocks live). The area never grows: online growth adds
+//!   large areas, which small requests reach through the fallback path;
+//! * [`SmallAlloc`] — the volatile allocator over that layout: the
 //!   assigned superblocks, the size-class lists and the free-superblock
 //!   pool. The heap keeps one, behind its lock.
 //!
@@ -60,8 +58,8 @@ pub fn class_size(class: usize) -> u64 {
 /// One pending durable word write.
 pub type WordWrite = (VAddr, u64);
 
-/// Geometry of one segment of the small-object area: metadata entries
-/// first (page aligned), superblocks after.
+/// Geometry of the small-object area: metadata entries first (page
+/// aligned), superblocks after.
 #[derive(Debug, Clone, Copy)]
 pub struct SmallLayout {
     meta_base: VAddr,
@@ -125,81 +123,6 @@ impl SmallLayout {
     }
 }
 
-/// Append-only segmented geometry of the whole small area: the base
-/// segment plus any **small extension segments** added by online growth
-/// (`PHeap::grow` routes a grow here when the free-superblock pool has
-/// run dry). Superblock indices are *global* — segment k's superblocks
-/// follow segment k-1's — so the class lists and the pool speak one index
-/// space regardless of which segment a superblock lives in. Segments are
-/// only ever appended, never removed, so a global index stays valid for
-/// the life of the heap.
-#[derive(Debug, Default)]
-pub struct SmallGeom {
-    /// `(first_global_index, layout)` per segment.
-    segs: Vec<(u32, SmallLayout)>,
-}
-
-impl SmallGeom {
-    /// Appends a segment, returning the global index of its first
-    /// superblock.
-    pub fn push(&mut self, layout: SmallLayout) -> u32 {
-        let base = self.superblocks();
-        self.segs.push((base, layout));
-        base
-    }
-
-    /// Total superblocks across all segments.
-    pub fn superblocks(&self) -> u32 {
-        self.segs
-            .last()
-            .map_or(0, |(base, l)| base + l.superblocks())
-    }
-
-    /// Segment covering global superblock `sb`.
-    ///
-    /// # Panics
-    /// Panics if `sb` is out of range — callers hold a global index that
-    /// some segment produced, so a miss is a heap bug.
-    fn locate(&self, sb: u32) -> (u32, SmallLayout) {
-        for &(base, l) in self.segs.iter().rev() {
-            if sb >= base {
-                return (base, l);
-            }
-        }
-        unreachable!("global superblock index {sb} below segment 0");
-    }
-
-    /// Address of superblock `sb`'s metadata entry (block-size word).
-    pub fn meta_addr(&self, sb: u32) -> VAddr {
-        let (base, l) = self.locate(sb);
-        l.meta_addr(sb - base)
-    }
-
-    fn bitmap_word_addr(&self, sb: u32, widx: usize) -> VAddr {
-        let (base, l) = self.locate(sb);
-        l.bitmap_word_addr(sb - base, widx)
-    }
-
-    /// Data address of superblock `sb`.
-    pub fn sb_addr(&self, sb: u32) -> VAddr {
-        let (base, l) = self.locate(sb);
-        l.sb_addr(sb - base)
-    }
-
-    /// Whether `addr` lies in any segment's superblock data area.
-    pub fn contains(&self, addr: VAddr) -> bool {
-        self.segs.iter().any(|(_, l)| l.contains(addr))
-    }
-
-    /// Global superblock index covering `addr`, if any segment does.
-    pub fn sb_of(&self, addr: VAddr) -> Option<u32> {
-        self.segs
-            .iter()
-            .find(|(_, l)| l.contains(addr))
-            .map(|&(base, l)| base + l.sb_of(addr))
-    }
-}
-
 /// Volatile state of one assigned superblock.
 #[derive(Debug)]
 struct SbState {
@@ -213,7 +136,7 @@ struct SbState {
 /// space, and the pool of fully empty superblocks any class can take.
 #[derive(Debug)]
 pub struct SmallAlloc {
-    geom: SmallGeom,
+    layout: SmallLayout,
     assigned: HashMap<u32, SbState>,
     /// Assigned superblocks with free space, per class.
     class_lists: Vec<Vec<u32>>,
@@ -221,76 +144,68 @@ pub struct SmallAlloc {
     pool: Vec<u32>,
 }
 
-impl Default for SmallAlloc {
-    fn default() -> Self {
+impl SmallAlloc {
+    /// The allocator over a freshly formatted area: its metadata reads
+    /// zero, so every superblock is in the pool, lowest index handed out
+    /// first.
+    pub fn new(layout: SmallLayout) -> SmallAlloc {
         SmallAlloc {
-            geom: SmallGeom::default(),
+            layout,
             assigned: HashMap::new(),
             class_lists: vec![Vec::new(); NCLASSES],
-            pool: Vec::new(),
+            pool: (0..layout.superblocks()).rev().collect(),
         }
     }
-}
 
-impl SmallAlloc {
-    /// Appends a freshly formatted segment: its metadata reads zero, so
-    /// every superblock goes to the pool, lowest index handed out first.
-    pub fn add_segment(&mut self, seg: SmallLayout) {
-        let off = self.geom.push(seg);
-        self.pool.extend((off..off + seg.superblocks()).rev());
-    }
-
-    /// Rebuilds the allocator over `segs` (the base segment, then the
-    /// small extension segments in commit order) by reading back every
+    /// Rebuilds the allocator over `layout` by reading back every
     /// superblock's persistent metadata — the startup scavenge of §4.3,
     /// whose cost §6.3.2 measures. A superblock whose block-size word is
     /// implausible is quarantined: neither assigned nor pooled, so nothing
     /// allocates from it.
-    pub fn scavenge(pmem: &PMem, segs: &[SmallLayout]) -> SmallAlloc {
-        let mut s = SmallAlloc::default();
-        for &seg in segs {
-            let off = s.geom.push(seg);
-            for local in 0..seg.superblocks() {
-                let sb = off + local;
-                let bs = pmem.read_u64(seg.meta_addr(local));
-                if bs == 0 {
-                    s.pool.push(sb);
-                    continue;
-                }
-                let class = match class_of(bs) {
-                    Some(c) if class_size(c) == bs => c,
-                    _ => continue, // quarantine: unknown block size
-                };
-                let blocks = (SUPERBLOCK_BYTES / bs) as u32;
-                let mut bitmap = [0u64; BITMAP_WORDS];
-                let mut used = 0;
-                for (w, slot) in bitmap.iter_mut().enumerate() {
-                    // Mask out bits beyond the superblock's block count: a
-                    // corrupted bitmap word must not make `used` exceed
-                    // `blocks` (underflow below) or make alloc hand out
-                    // addresses past the superblock.
-                    let valid = blocks.saturating_sub(w as u32 * 64).min(64);
-                    let mask = if valid >= 64 {
-                        !0u64
-                    } else {
-                        (1u64 << valid) - 1
-                    };
-                    *slot = pmem.read_u64(seg.bitmap_word_addr(local, w)) & mask;
-                    used += slot.count_ones();
-                }
-                let free_count = blocks - used;
-                if free_count > 0 {
-                    s.class_lists[class].push(sb);
-                }
-                s.assigned.insert(
-                    sb,
-                    SbState {
-                        class: class as u8,
-                        free_count,
-                        bitmap,
-                    },
-                );
+    pub fn scavenge(pmem: &PMem, layout: SmallLayout) -> SmallAlloc {
+        let mut s = SmallAlloc {
+            pool: Vec::new(),
+            ..SmallAlloc::new(layout)
+        };
+        for sb in 0..layout.superblocks() {
+            let bs = pmem.read_u64(layout.meta_addr(sb));
+            if bs == 0 {
+                s.pool.push(sb);
+                continue;
             }
+            let class = match class_of(bs) {
+                Some(c) if class_size(c) == bs => c,
+                _ => continue, // quarantine: unknown block size
+            };
+            let blocks = (SUPERBLOCK_BYTES / bs) as u32;
+            let mut bitmap = [0u64; BITMAP_WORDS];
+            let mut used = 0;
+            for (w, slot) in bitmap.iter_mut().enumerate() {
+                // Mask out bits beyond the superblock's block count: a
+                // corrupted bitmap word must not make `used` exceed
+                // `blocks` (underflow below) or make alloc hand out
+                // addresses past the superblock.
+                let valid = blocks.saturating_sub(w as u32 * 64).min(64);
+                let mask = if valid >= 64 {
+                    !0u64
+                } else {
+                    (1u64 << valid) - 1
+                };
+                *slot = pmem.read_u64(layout.bitmap_word_addr(sb, w)) & mask;
+                used += slot.count_ones();
+            }
+            let free_count = blocks - used;
+            if free_count > 0 {
+                s.class_lists[class].push(sb);
+            }
+            s.assigned.insert(
+                sb,
+                SbState {
+                    class: class as u8,
+                    free_count,
+                    bitmap,
+                },
+            );
         }
         // Pushed in ascending order; hand out the lowest index first.
         s.pool.reverse();
@@ -326,7 +241,7 @@ impl SmallAlloc {
             },
         );
         self.class_lists[class].push(sb);
-        writes.push((self.geom.meta_addr(sb), bs));
+        writes.push((self.layout.meta_addr(sb), bs));
         Some(
             self.alloc_in(sb, class, writes)
                 .expect("fresh superblock must have a free block"),
@@ -350,8 +265,8 @@ impl SmallAlloc {
             let new_word = word | (1 << bit);
             state.bitmap[widx] = new_word;
             state.free_count -= 1;
-            writes.push((self.geom.bitmap_word_addr(sb, widx), new_word));
-            return Some(self.geom.sb_addr(sb).add(idx as u64 * bs));
+            writes.push((self.layout.bitmap_word_addr(sb, widx), new_word));
+            return Some(self.layout.sb_addr(sb).add(idx as u64 * bs));
         }
         // Inconsistent free count; repair and fail this superblock.
         state.free_count = 0;
@@ -367,11 +282,14 @@ impl SmallAlloc {
     /// unassigned addresses.
     pub fn free(&mut self, addr: VAddr, writes: &mut Vec<WordWrite>) -> Result<(), HeapError> {
         let bad = || HeapError::BadPointer(addr);
-        let sb = self.geom.sb_of(addr).ok_or_else(bad)?;
+        if !self.layout.contains(addr) {
+            return Err(bad());
+        }
+        let sb = self.layout.sb_of(addr);
         let state = self.assigned.get_mut(&sb).ok_or_else(bad)?;
         let class = state.class as usize;
         let bs = class_size(class);
-        let off = addr.offset_from(self.geom.sb_addr(sb));
+        let off = addr.offset_from(self.layout.sb_addr(sb));
         if !off.is_multiple_of(bs) {
             return Err(bad());
         }
@@ -383,12 +301,12 @@ impl SmallAlloc {
         }
         state.bitmap[widx] &= !bit;
         state.free_count += 1;
-        writes.push((self.geom.bitmap_word_addr(sb, widx), state.bitmap[widx]));
+        writes.push((self.layout.bitmap_word_addr(sb, widx), state.bitmap[widx]));
         if state.free_count == (SUPERBLOCK_BYTES / bs) as u32 {
             // Fully empty: back to the pool for any class.
             self.assigned.remove(&sb);
             self.class_lists[class].retain(|&s| s != sb);
-            writes.push((self.geom.meta_addr(sb), 0));
+            writes.push((self.layout.meta_addr(sb), 0));
             self.pool.push(sb);
         } else if state.free_count == 1 {
             // Was full; make it findable again.
@@ -399,10 +317,13 @@ impl SmallAlloc {
 
     /// Block size of the allocation at `addr`, if it is a live small block.
     pub fn usable_size(&self, addr: VAddr) -> Option<u64> {
-        let sb = self.geom.sb_of(addr)?;
+        if !self.layout.contains(addr) {
+            return None;
+        }
+        let sb = self.layout.sb_of(addr);
         let state = self.assigned.get(&sb)?;
         let bs = class_size(state.class as usize);
-        let off = addr.offset_from(self.geom.sb_addr(sb));
+        let off = addr.offset_from(self.layout.sb_addr(sb));
         if !off.is_multiple_of(bs) {
             return None;
         }
@@ -411,9 +332,9 @@ impl SmallAlloc {
         (set != 0).then_some(bs)
     }
 
-    /// Whether `addr` lies in any segment's superblock data area.
+    /// Whether `addr` lies in the superblock data area.
     pub fn contains(&self, addr: VAddr) -> bool {
-        self.geom.contains(addr)
+        self.layout.contains(addr)
     }
 
     /// Superblocks currently assigned to a size class.
@@ -426,9 +347,9 @@ impl SmallAlloc {
         self.pool.len()
     }
 
-    /// Superblocks across all segments.
+    /// Superblocks the area holds.
     pub fn total_superblocks(&self) -> usize {
-        self.geom.superblocks() as usize
+        self.layout.superblocks() as usize
     }
 
     /// Total allocated blocks across assigned superblocks (diagnostics).
@@ -443,12 +364,6 @@ impl SmallAlloc {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn over(layout: SmallLayout) -> SmallAlloc {
-        let mut s = SmallAlloc::default();
-        s.add_segment(layout);
-        s
-    }
 
     #[test]
     fn class_mapping() {
@@ -472,7 +387,7 @@ mod tests {
     #[test]
     fn alloc_free_cycle_volatile_side() {
         let base = VAddr(0x1000_0000_0000);
-        let mut s = over(SmallLayout::new(base, 1 << 20));
+        let mut s = SmallAlloc::new(SmallLayout::new(base, 1 << 20));
         let mut w = Vec::new();
         let a = s.alloc(0, &mut w).unwrap();
         // Fresh superblock: block-size write + bitmap write.
@@ -493,7 +408,7 @@ mod tests {
         // 16 KB holds one metadata page and exactly one superblock.
         let layout = SmallLayout::new(base, 16 << 10);
         assert_eq!(layout.superblocks(), 1);
-        let mut s = over(layout);
+        let mut s = SmallAlloc::new(layout);
         let mut seen = std::collections::HashSet::new();
         let mut w = Vec::new();
         for _ in 0..1024 {
@@ -507,7 +422,7 @@ mod tests {
     #[test]
     fn empty_superblock_relinquished() {
         let base = VAddr(0x1000_0000_0000);
-        let mut s = over(SmallLayout::new(base, 64 << 10));
+        let mut s = SmallAlloc::new(SmallLayout::new(base, 64 << 10));
         let total = s.pooled_superblocks();
         let mut w = Vec::new();
         let a = s.alloc(5, &mut w).unwrap(); // 256-byte class
@@ -524,7 +439,7 @@ mod tests {
     #[test]
     fn misaligned_free_rejected() {
         let base = VAddr(0x1000_0000_0000);
-        let mut s = over(SmallLayout::new(base, 64 << 10));
+        let mut s = SmallAlloc::new(SmallLayout::new(base, 64 << 10));
         let mut w = Vec::new();
         let a = s.alloc(5, &mut w).unwrap();
         assert!(matches!(
@@ -534,39 +449,10 @@ mod tests {
     }
 
     #[test]
-    fn segmented_geometry_indexes_globally() {
-        let base0 = VAddr(0x1000_0000_0000);
-        let base1 = VAddr(0x2000_0000_0000);
-        let l0 = SmallLayout::new(base0, 128 << 10);
-        let l1 = SmallLayout::new(base1, 128 << 10);
-        let n0 = l0.superblocks();
-        let mut g = SmallGeom::default();
-        assert_eq!(g.push(l0), 0);
-        assert_eq!(g.superblocks(), n0);
-        // Appending returns the first global index of the new segment.
-        assert_eq!(g.push(l1), n0);
-        assert_eq!(g.superblocks(), n0 + l1.superblocks());
-        assert_eq!(g.segs.len(), 2);
-        // Local addressing within each segment, global indices outside.
-        assert_eq!(g.meta_addr(0), l0.meta_addr(0));
-        assert_eq!(g.sb_addr(n0 - 1), l0.sb_addr(n0 - 1));
-        assert_eq!(g.meta_addr(n0), l1.meta_addr(0));
-        assert_eq!(g.sb_addr(n0 + 1), l1.sb_addr(1));
-        // Address→index round-trips across the segment boundary.
-        for sb in [0, n0 - 1, n0, n0 + l1.superblocks() - 1] {
-            let addr = g.sb_addr(sb);
-            assert!(g.contains(addr));
-            assert_eq!(g.sb_of(addr), Some(sb), "round-trip of sb {sb}");
-        }
-        assert!(!g.contains(VAddr(0x3000_0000_0000)));
-        assert_eq!(g.sb_of(VAddr(0x3000_0000_0000)), None);
-    }
-
-    #[test]
     fn free_of_unowned_superblock_rejected() {
         let base = VAddr(0x1000_0000_0000);
         let layout = SmallLayout::new(base, 64 << 10);
-        let mut s = over(layout);
+        let mut s = SmallAlloc::new(layout);
         let mut w = Vec::new();
         // Superblock 2 was never assigned to a class.
         assert!(matches!(

@@ -243,7 +243,13 @@ impl Regions {
         if name == STATIC_REGION_NAME {
             return Err(RegionError::RegionExists(name.to_string()));
         }
-        let len = len.max(PAGE_SIZE).div_ceil(PAGE_SIZE) * PAGE_SIZE;
+        // `len` may come from outside input (a GROW request): refuse a
+        // length the address space cannot hold before any durable write.
+        let len = len
+            .max(PAGE_SIZE)
+            .checked_next_multiple_of(PAGE_SIZE)
+            .filter(|&l| l <= crate::PERSISTENT_SIZE)
+            .ok_or(RegionError::OutOfAddressSpace)?;
         let mut table = self.table.lock();
         if let Some(slot) = table.iter().find(|s| s.region.name == name) {
             if slot.region.len >= len {
@@ -497,6 +503,29 @@ mod tests {
         // New process, same boot.
         let (rg2, _pmem2) = Regions::open(&mgr, 1 << 16).unwrap();
         assert!(rg2.find("keep").is_some());
+        fs::remove_dir_all(dir).ok();
+    }
+
+    #[test]
+    fn pmap_beyond_the_address_space_writes_nothing() {
+        let (sim, mgr, dir) = setup();
+        let (rg, pmem) = Regions::open(&mgr, 1 << 16).unwrap();
+        for len in [u64::MAX, crate::PERSISTENT_SIZE + 1] {
+            assert!(matches!(
+                rg.pmap("huge", len, &pmem),
+                Err(RegionError::OutOfAddressSpace)
+            ));
+        }
+        let no_slot =
+            |pmem: &PMem| (0..REGION_SLOTS).all(|i| pmem.read_u64(Regions::slot_addr(i)) == 0);
+        assert!(no_slot(&pmem), "a region-table slot was written");
+        assert!(!mgr.files().exists("huge"));
+        sim.crash(CrashPolicy::DropAll);
+        let (_sim2, mgr2) = reboot(&sim, &dir);
+        let (rg2, pmem2) = Regions::open(&mgr2, 1 << 16).unwrap();
+        assert!(no_slot(&pmem2), "a slot survived the reopen");
+        assert!(rg2.find("huge").is_none());
+        assert!(!mgr2.files().exists("huge"));
         fs::remove_dir_all(dir).ok();
     }
 

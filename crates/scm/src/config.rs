@@ -2,11 +2,24 @@
 
 use crate::clock::EmulationMode;
 
+/// Effective streaming (write-through) bandwidth in bytes per nanosecond:
+/// the 4 GB/s cap of the paper's evaluation platform (§6.1).
+pub const WRITE_BANDWIDTH_BYTES_PER_NS: f64 = 4.0;
+
+/// Dirty lines the simulated cache holds before it starts writing lines
+/// back in the background. Background write-backs make data durable
+/// without the program asking — exactly like a real cache — which is why
+/// consistent-update code can never rely on data *staying* volatile.
+pub(crate) const CACHE_CAPACITY_LINES: usize = 1 << 14;
+
 /// Configuration for an [`crate::ScmSim`].
 ///
 /// Defaults reproduce the paper's evaluation platform (§6.1): 150 ns of
-/// extra write latency relative to DRAM and 4 GB/s of streaming write
-/// bandwidth, values estimated from Numonyx PCM projections.
+/// extra write latency relative to DRAM and [`WRITE_BANDWIDTH_BYTES_PER_NS`]
+/// of streaming write bandwidth, values estimated from Numonyx PCM
+/// projections. Loads carry no extra latency, as in the paper's emulator
+/// (§6.1: "our emulator does not account for additional latency on
+/// loads").
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScmConfig {
     /// Size of the device in bytes. Rounded up to a multiple of 64.
@@ -15,23 +28,9 @@ pub struct ScmConfig {
     /// Charged when a dirty cache line is flushed and when a fence waits for
     /// outstanding writes (§6.1).
     pub write_latency_ns: u64,
-    /// Additional load latency, in nanoseconds. The paper's emulator does not
-    /// model load latency (§6.1: "our emulator does not account for
-    /// additional latency on loads"), so this defaults to zero; it is kept
-    /// configurable for sensitivity experiments.
-    pub read_latency_ns: u64,
-    /// Effective streaming (write-through) bandwidth in bytes per
-    /// nanosecond. 4.0 corresponds to the 4 GB/s cap used in the paper.
-    pub write_bandwidth_bytes_per_ns: f64,
     /// How delays are realised: not at all, or by spinning (wall-clock
     /// benchmarking, the paper's method).
     pub mode: EmulationMode,
-    /// Maximum number of dirty lines the simulated cache holds before it
-    /// starts writing lines back in the background. Background write-backs
-    /// make data durable without the program asking — exactly like a real
-    /// cache — which is why consistent-update code can never rely on data
-    /// *staying* volatile.
-    pub cache_capacity_lines: usize,
 }
 
 impl ScmConfig {
@@ -41,10 +40,7 @@ impl ScmConfig {
         ScmConfig {
             size,
             write_latency_ns: 150,
-            read_latency_ns: 0,
-            write_bandwidth_bytes_per_ns: 4.0,
             mode: EmulationMode::Spin,
-            cache_capacity_lines: 1 << 14,
         }
     }
 
@@ -78,8 +74,7 @@ mod tests {
     fn paper_default_matches_evaluation_setup() {
         let c = ScmConfig::paper_default(1 << 20);
         assert_eq!(c.write_latency_ns, 150);
-        assert_eq!(c.read_latency_ns, 0);
-        assert!((c.write_bandwidth_bytes_per_ns - 4.0).abs() < f64::EPSILON);
+        assert!((WRITE_BANDWIDTH_BYTES_PER_NS - 4.0).abs() < f64::EPSILON);
         assert_eq!(c.mode, EmulationMode::Spin);
     }
 

@@ -7,8 +7,8 @@
 //! every durability primitive — cacheable stores, streaming stores, line
 //! flushes, fences, and (via `pcmdisk`) block writes — under one global
 //! atomic counter. Depending on the trigger it either just counts
-//! (enumeration pass), fires at the Nth matching primitive (systematic
-//! sweep), or fires probabilistically (randomised soak).
+//! (enumeration pass) or fires at the Nth matching primitive (systematic
+//! sweep).
 //!
 //! Firing models the instant of machine death:
 //!
@@ -108,9 +108,6 @@ enum Trigger {
     CountOnly,
     /// Fire at the Nth matching primitive (0-based).
     At(u64),
-    /// Fire each matching primitive with probability `num`/2^32, decided by
-    /// a hash of `seed` and the primitive index (deterministic per index).
-    Probabilistic { seed: u64, num: u32 },
 }
 
 #[derive(Debug)]
@@ -157,14 +154,6 @@ impl FaultPlan {
     /// durability primitive.
     pub fn crash_at(n: u64) -> Self {
         Self::with_trigger(Trigger::At(n))
-    }
-
-    /// A plan that crashes each matching primitive with probability `p`
-    /// (clamped to `[0, 1]`), decided deterministically from `seed` and the
-    /// primitive index.
-    pub fn probabilistic(seed: u64, p: f64) -> Self {
-        let num = (p.clamp(0.0, 1.0) * (u32::MAX as f64)) as u32;
-        Self::with_trigger(Trigger::Probabilistic { seed, num })
     }
 
     /// Restricts the plan to the given sites; other primitives are neither
@@ -246,9 +235,6 @@ impl FaultPlan {
         let fire = match self.inner.trigger {
             Trigger::CountOnly => false,
             Trigger::At(n) => idx == n,
-            Trigger::Probabilistic { seed, num } => {
-                num > 0 && (mix64(seed ^ idx) >> 32) as u32 <= num
-            }
         };
         if !fire {
             return true;
@@ -300,8 +286,8 @@ impl FaultPlan {
     }
 }
 
-/// SplitMix64: decorrelates `seed ^ index` into uniform bits. Shared with
-/// the media corruption injector so both fault sources are seeded alike.
+/// SplitMix64: decorrelates `seed ^ index` into uniform bits, for the
+/// media corruption injector ([`crate::ScmSim::inject_corruption`]).
 pub(crate) fn mix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -372,35 +358,5 @@ mod tests {
         assert!(p.on_primitive(FaultSite::Flush));
         assert!(p.on_primitive(FaultSite::Fence));
         assert_eq!(p.primitives(), 1);
-    }
-
-    #[test]
-    fn probabilistic_is_deterministic_per_seed() {
-        let run = |seed| {
-            let p = FaultPlan::probabilistic(seed, 0.05);
-            let mut fired_idx = None;
-            for i in 0..500u64 {
-                let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    p.on_primitive(FaultSite::WtStore)
-                }));
-                if r.is_err() {
-                    fired_idx = Some(i);
-                    break;
-                }
-            }
-            fired_idx
-        };
-        assert_eq!(run(7), run(7));
-        // Not a guarantee for every pair, but these seeds differ.
-        assert_ne!(run(7), run(8));
-    }
-
-    #[test]
-    fn zero_probability_never_fires() {
-        let p = FaultPlan::probabilistic(1, 0.0);
-        for _ in 0..1000 {
-            assert!(p.on_primitive(FaultSite::Fence));
-        }
-        assert!(p.fired().is_none());
     }
 }

@@ -54,7 +54,7 @@ pub mod wc;
 
 pub use addr::{PAddr, CACHE_LINE, WORD};
 pub use clock::EmulationMode;
-pub use config::ScmConfig;
+pub use config::{ScmConfig, WRITE_BANDWIDTH_BYTES_PER_NS};
 pub use crash::CrashPolicy;
 pub use faults::{crash_payload, CrashRequested, FaultPlan, FaultSite};
 pub use sim::{DmaHandle, MemHandle, ScmSim};

@@ -108,7 +108,7 @@ impl ScmSim {
     }
 
     fn with_media(media: Media, config: ScmConfig) -> Self {
-        let cache = CacheModel::new(config.cache_capacity_lines);
+        let cache = CacheModel::new(crate::config::CACHE_CAPACITY_LINES);
         let telemetry = Telemetry::new();
         let stats = MemStats::new(&telemetry);
         ScmSim {
@@ -492,7 +492,7 @@ impl MemHandle {
         }
         self.inner.stats.fences.inc();
         let bytes = self.wc.lock().drain(&self.inner.cache, &self.inner.media);
-        let bw_ns = (bytes as f64 / self.inner.config.write_bandwidth_bytes_per_ns) as u64;
+        let bw_ns = (bytes as f64 / crate::config::WRITE_BANDWIDTH_BYTES_PER_NS) as u64;
         self.engine
             .delay(self.inner.config.write_latency_ns + bw_ns);
     }
@@ -503,9 +503,6 @@ impl MemHandle {
     /// of streaming stores.
     pub fn read(&self, addr: PAddr, buf: &mut [u8]) {
         self.inner.stats.reads.inc();
-        if self.inner.config.read_latency_ns > 0 {
-            self.engine.delay(self.inner.config.read_latency_ns);
-        }
         self.inner.media.read_bytes(addr, buf);
     }
 

@@ -234,3 +234,24 @@ fn stopped_service_refuses_mutating_admin_verbs() {
     assert!(matches!(svc.call(Request::Health), Response::Health(_)));
     std::fs::remove_dir_all(&d).ok();
 }
+
+/// A GROW whose byte count no address space holds is a typed error, not a
+/// dead service: the region layer refuses it before any durable write,
+/// and the data plane keeps serving.
+#[test]
+fn grow_beyond_the_address_space_is_refused_and_the_service_lives() {
+    let d = dir("growmax");
+    let m = boot(&d);
+    let svc = KvService::start(&m, SvcConfig::default()).unwrap();
+    match svc.call(Request::Grow(u64::MAX)) {
+        Response::Err(e) => assert!(e.contains("address space"), "{e}"),
+        other => panic!("GROW u64::MAX answered {other:?}"),
+    }
+    assert_eq!(
+        svc.call(Request::Put(b"k".to_vec(), b"v".to_vec())),
+        Response::Ok
+    );
+    assert!(m.regions().find("pheap.ext0").is_none());
+    svc.stop();
+    std::fs::remove_dir_all(&d).ok();
+}

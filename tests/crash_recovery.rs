@@ -244,6 +244,109 @@ fn sweep_crashes_mid_recovery_and_still_recovers() {
     std::fs::remove_dir_all(&d).ok();
 }
 
+// --- Every crash point of single heap operations ---------------------
+//
+// One small and one large allocation, each anchored in its own
+// persistent cell, then both frees: four heap operations, each an
+// allocator-log append, its fence, the applied words and the
+// truncation. The sweep crashes at every one of their primitives, so it
+// reaches the window between a record's commit point and its applied
+// words. A recovered cell must be null or hold a live block of its size,
+// and freeing what the cells hold must leave the heap whole: no live
+// small block, and the large area coalesced back into one chunk.
+
+const HEAP_SMALL: u64 = 128;
+const HEAP_LARGE: u64 = 64 << 10;
+
+fn heap_sweep_builder(p: &std::path::Path) -> mnemosyne::MnemosyneBuilder {
+    Mnemosyne::builder(p)
+        .scm_config(ScmConfig::for_testing(2 << 20))
+        .heap_sizes(256 << 10, 256 << 10)
+        .max_threads(1)
+        .log_words(1024)
+        .truncation(Truncation::Sync)
+}
+
+fn heap_cells(m: &Mnemosyne) -> Result<[mnemosyne::VAddr; 2], Error> {
+    let area = m.pstatic("heap-cells", 16)?;
+    Ok([area, area.add(8)])
+}
+
+fn heap_sweep_workload(m: &Mnemosyne) -> Result<(), Error> {
+    let [small, large] = heap_cells(m)?;
+    let heap = m.heap();
+    heap.pmalloc(HEAP_SMALL, small)?;
+    heap.pmalloc(HEAP_LARGE, large)?;
+    heap.pfree(small)?;
+    heap.pfree(large)?;
+    Ok(())
+}
+
+fn heap_sweep_check(m: &Mnemosyne) -> Result<(), String> {
+    let cells = heap_cells(m).map_err(|e| e.to_string())?;
+    let heap = m.heap();
+    let pmem = m.pmem_handle();
+    for (cell, size) in cells.into_iter().zip([HEAP_SMALL, HEAP_LARGE]) {
+        let ptr = pmem.read_u64(cell);
+        if ptr == 0 {
+            continue;
+        }
+        match heap.usable_size(mnemosyne::VAddr(ptr)) {
+            Some(got) if got == size => {}
+            got => return Err(format!("{size}-byte cell holds {ptr:#x} ({got:?})")),
+        }
+        heap.pfree(cell)
+            .map_err(|e| format!("freeing the recovered {size}-byte block: {e}"))?;
+    }
+    let occ = heap.small_occupancy();
+    if occ.live_blocks != 0 {
+        return Err(format!("small blocks leaked across the crash: {occ:?}"));
+    }
+    let whole = heap.large_capacity() - mnemosyne_pheap::large::CHUNK_HEADER;
+    heap.pmalloc(whole, cells[1])
+        .map_err(|e| format!("the large area did not coalesce into one chunk: {e}"))?;
+    Ok(())
+}
+
+#[test]
+fn every_crash_point_of_single_heap_operations_recovers() {
+    let policies = [
+        CrashPolicy::DropAll,
+        CrashPolicy::random(1),
+        CrashPolicy::random(2),
+        CrashPolicy::random(3),
+    ];
+    for policy in policies {
+        let d = dir("heapops");
+        let cfg = SweepConfig {
+            max_points: 1024,
+            recovery_points: 0,
+            policy,
+            keep_failing_dirs: true,
+        };
+        let report = crash_sweep(
+            &d,
+            &cfg,
+            heap_sweep_builder,
+            heap_sweep_workload,
+            heap_sweep_check,
+        )
+        .unwrap();
+        assert!(
+            report.passed(),
+            "{policy:?}: {} of {} crash points failed; first: {}",
+            report.failures.len(),
+            report.points_tested,
+            report.failures[0]
+        );
+        assert_eq!(
+            report.points_tested as u64, report.workload_primitives,
+            "{policy:?}: {report}"
+        );
+        std::fs::remove_dir_all(&d).ok();
+    }
+}
+
 #[test]
 fn graceful_shutdown_then_crash_free_reopen() {
     let d = dir("mixed");

@@ -267,7 +267,7 @@ fn cost_budget_table() {
         ("rawl.append8", &append8, "scm.fences", 1),
         ("rawl.append8", &append8, "rawl.flushes", 1),
         ("rawl.append8", &append8, "rawl.append_words", 8),
-        ("pheap.alloc_free_128", &alloc_free, "scm.fences", 8),
+        ("pheap.alloc_free_128", &alloc_free, "scm.fences", 4),
         ("mtm.commit8", &commit8, "scm.fences", 2),
         ("mtm.commit8", &commit8, "rawl.appends", 1),
         // ts + 8 x (addr, val)
@@ -277,9 +277,9 @@ fn cost_budget_table() {
         ("mtm.ro8", &ro8, "rawl.append_words", 0),
         ("mtm.ro8", &ro8, "rawl.truncations", 0),
         ("pds.phash_put", &phash_put, "scm.fences", 2),
-        // 2 for the commit + 4 for the node's allocation, which the heap
+        // 2 for the commit + 2 for the node's allocation, which the heap
         // commits on its own allocator log (half the alloc/free pair).
-        ("pds.phash_insert", &phash_insert, "scm.fences", 6),
+        ("pds.phash_insert", &phash_insert, "scm.fences", 4),
         (
             "pds.phash_put x 64 in one commit",
             &phash_puts,
@@ -288,7 +288,7 @@ fn cost_budget_table() {
         ),
         ("pds.phash_get x 64", &phash_gets, "scm.reads", 2116),
         ("pds.phash_get x 64", &phash_gets, "scm.fences", 0),
-        ("pds.lfhash_put x 64", &lf_puts, "scm.fences", 452),
+        ("pds.lfhash_put x 64", &lf_puts, "scm.fences", 258),
         ("pds.lfhash_put x 64", &lf_puts, "scm.cas", 192),
     ];
     // One comparison for the whole table, so a failure shows every row
