@@ -40,13 +40,59 @@ fn tx_latency_ns(
     t0.elapsed().as_nanos() as f64 / iters as f64
 }
 
-/// One stack's measurements: the two slopes, every shape's latency and
-/// a raw load.
+/// Raw primitive costs (ns) on one handle.
+struct Raw {
+    /// A cacheable word store.
+    store_u64: f64,
+    /// A flush of a dirty line.
+    flush: f64,
+    /// A fence with nothing streamed.
+    fence: f64,
+}
+
+/// Times `n` word stores over one page (word index `w`), flushes of
+/// lines that a store dirtied first (line index `l`, the stores untimed)
+/// and `n` fences.
+fn raw_costs(n: u64, store: impl Fn(u64), flush: impl Fn(u64), fence: impl Fn()) -> Raw {
+    const LINES: u64 = 64;
+    let t0 = std::time::Instant::now();
+    for i in 0..n {
+        store(i % (LINES * 8));
+    }
+    let store_u64 = t0.elapsed().as_nanos() as f64 / n as f64;
+    let mut flushing = std::time::Duration::ZERO;
+    for _ in 0..n / LINES {
+        for l in 0..LINES {
+            store(l * 8);
+        }
+        let t0 = std::time::Instant::now();
+        for l in 0..LINES {
+            flush(l);
+        }
+        flushing += t0.elapsed();
+    }
+    let flush = flushing.as_nanos() as f64 / (n / LINES * LINES) as f64;
+    let t0 = std::time::Instant::now();
+    for _ in 0..n {
+        fence();
+    }
+    let fence = t0.elapsed().as_nanos() as f64 / n as f64;
+    Raw {
+        store_u64,
+        flush,
+        fence,
+    }
+}
+
+/// One stack's measurements: the two slopes, every shape's latency, a
+/// raw load and the raw primitives at `scm` and at `region`.
 struct Costs {
     per_word: f64,
     per_line: f64,
     shapes: Vec<f64>,
     read_u64: f64,
+    scm: Raw,
+    region: Raw,
 }
 
 const SHAPES: [(u64, u64); 6] = [(1, 1), (8, 1), (15, 5), (64, 8), (128, 64), (512, 64)];
@@ -81,18 +127,38 @@ fn measure(mode: EmulationMode, iters: u64) -> Costs {
     }
     let read_u64 = t0.elapsed().as_nanos() as f64 / loads as f64;
 
+    // The primitives on the same page: on the device handle, addressed
+    // physically, and through translation.
+    let page = pmem.try_translate(base).expect("resident page");
+    let mem = m.sim().handle();
+    let scm = raw_costs(
+        loads,
+        |w| mem.store_u64(page.add(w * 8), w),
+        |l| mem.flush(page.add(l * 64)),
+        || mem.fence(),
+    );
+    let region = raw_costs(
+        loads,
+        |w| pmem.store_u64(base.add(w * 8), w),
+        |l| pmem.flush(base.add(l * 64)),
+        || pmem.fence(),
+    );
+
     Costs {
         per_word: (eight - one) / 7.0,
         per_line: (l64 - l4) / 60.0,
         shapes,
         read_u64,
+        scm,
+        region,
     }
 }
 
 /// Runs and prints the micro-cost measurements: each under the paper's
 /// emulated latencies and again under `EmulationMode::None`, which
 /// inserts no delay, so the second column is what the simulator itself
-/// costs.
+/// costs. The raw rows time single primitives: `MemHandle` is the
+/// `scm` device handle, `PMem` adds the `region` translation.
 pub fn run(scale: Scale) {
     banner(
         "§6.3 micro-costs: per-word logging and per-line commit",
@@ -119,6 +185,36 @@ pub fn run(scale: Scale) {
             "raw PMem::read_u64 (ns)",
             emulated.read_u64,
             software.read_u64,
+        ),
+        (
+            "raw MemHandle::store_u64 (ns)",
+            emulated.scm.store_u64,
+            software.scm.store_u64,
+        ),
+        (
+            "raw PMem::store_u64 (ns)",
+            emulated.region.store_u64,
+            software.region.store_u64,
+        ),
+        (
+            "raw MemHandle::flush, dirty (ns)",
+            emulated.scm.flush,
+            software.scm.flush,
+        ),
+        (
+            "raw PMem::flush, dirty (ns)",
+            emulated.region.flush,
+            software.region.flush,
+        ),
+        (
+            "raw MemHandle::fence (ns)",
+            emulated.scm.fence,
+            software.scm.fence,
+        ),
+        (
+            "raw PMem::fence (ns)",
+            emulated.region.fence,
+            software.region.fence,
         ),
     ];
     for (what, e, s) in rows {

@@ -1,8 +1,17 @@
 //! The global array of volatile versioned locks (§5).
 //!
 //! "For encounter-time locking, we use a global array of volatile locks,
-//! with each lock covering a portion of the address space." Each slot is
-//! one `AtomicU64`:
+//! with each lock covering a portion of the address space." The layout is
+//! TinySTM's: one lock per 32-byte stripe of the address space
+//! (`LOCK_SHIFT` = 3 + 2, four aligned words), indexed by address, so
+//! neighbouring stripes take neighbouring slots. A transaction that writes
+//! one 64-byte value takes two locks that share one table line, where a
+//! per-word hash would touch eight lines spread over the whole table. With
+//! the runtime's 2^20 slots the table covers 32 MiB before two stripes
+//! alias; an aliased stripe is only a false conflict, since a descriptor
+//! reads ownership from the lock word and keeps its own write set.
+//!
+//! Each slot is one `AtomicU64`:
 //!
 //! * even value `v` — unlocked; `v >> 1` is the version (commit timestamp
 //!   of the last writer);
@@ -15,6 +24,9 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use mnemosyne_region::VAddr;
+
+/// Bytes covered by one lock, as a shift: 32-byte stripes.
+const STRIPE_SHIFT: u32 = 5;
 
 /// Outcome of probing a lock word.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -44,13 +56,11 @@ impl LockTable {
         }
     }
 
-    /// Lock index covering a persistent address. Word-granularity hashing
-    /// with a Fibonacci multiplier spreads neighbouring words over the
-    /// table.
+    /// Lock index covering a persistent address: its 32-byte stripe,
+    /// modulo the table size.
     #[inline]
     pub fn index_of(&self, addr: VAddr) -> usize {
-        let h = (addr.0 >> 3).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        ((h >> 20) & self.mask) as usize
+        ((addr.0 >> STRIPE_SHIFT) & self.mask) as usize
     }
 
     /// Probes slot `idx`.
@@ -112,12 +122,18 @@ mod tests {
     }
 
     #[test]
-    fn index_spreads_neighbouring_words() {
-        let t = LockTable::new(1 << 16);
+    fn stripe_covers_four_aligned_words() {
+        let t = LockTable::new(LOCK_TABLE_SLOTS);
+        // A 32 MiB-aligned base takes slot 0.
         let base = VAddr(0x1000_0000_0000);
-        let idxs: std::collections::HashSet<usize> =
-            (0..64u64).map(|i| t.index_of(base.add(i * 8))).collect();
-        assert!(idxs.len() > 48, "hash should spread words: {}", idxs.len());
+        for w in 0..4 {
+            assert_eq!(t.index_of(base.add(w * 8)), 0, "word {w}");
+        }
+        assert_eq!(t.index_of(base.add(32)), 1, "the next block");
+        let wrap = 32 << 20;
+        assert_eq!(t.index_of(base.add(wrap - 32)), LOCK_TABLE_SLOTS - 1);
+        assert_eq!(t.index_of(base.add(wrap)), 0, "slots wrap at 32 MiB");
+        assert_eq!(t.index_of(base.add(wrap + 40)), 1);
     }
 
     #[test]

@@ -12,9 +12,9 @@
 //! read of an owned stripe consults the write set.
 
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
 
 use mnemosyne_region::VAddr;
+use mnemosyne_scm::AddrHasherBuild;
 
 use crate::error::TxAbort;
 use crate::locks::LockState;
@@ -24,31 +24,6 @@ use crate::runtime::TxThread;
 /// spends on a foreign-owned lock before aborting.
 const MAX_LOCK_WAITS: u32 = 6;
 
-/// Hashes a word address with one Fibonacci multiply. The keys are
-/// addresses the program chose, not outside input.
-#[derive(Default)]
-struct AddrHasher(u64);
-
-impl Hasher for AddrHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(u64::from(b));
-        }
-    }
-
-    #[inline]
-    fn write_u64(&mut self, addr: u64) {
-        self.0 = (self.0 ^ addr).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    }
-
-    #[inline]
-    fn finish(&self) -> u64 {
-        // The table indexes by the low bits; bring the well-mixed high
-        // half down.
-        self.0.rotate_left(32)
-    }
-}
-
 /// A thread's transaction state, reused by every transaction it runs.
 #[derive(Default)]
 pub(crate) struct Descriptor {
@@ -56,7 +31,7 @@ pub(crate) struct Descriptor {
     /// in first-write order.
     pub(crate) writes: Vec<(u64, u64)>,
     /// `address → position in writes`.
-    index: HashMap<u64, usize, BuildHasherDefault<AddrHasher>>,
+    index: HashMap<u64, usize, AddrHasherBuild>,
     /// Reads: `(lock index, observed version)`.
     pub(crate) read_set: Vec<(usize, u64)>,
     /// Acquired locks: `(lock index, pre-acquire version)`.

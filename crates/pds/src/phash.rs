@@ -126,15 +126,24 @@ impl PHashTable {
                 return Ok(None);
             }
             let klen = tx.read_u64(node.add(8))? as usize;
-            if klen == key.len() {
-                let mut k = vec![0u8; klen];
-                tx.read_bytes(node.add(24), &mut k)?;
-                if k == key {
-                    return Ok(Some((link, node)));
-                }
+            if klen == key.len() && Self::key_matches(tx, node, key)? {
+                return Ok(Some((link, node)));
             }
             link = node; // next pointer is the node's first word
         }
+    }
+
+    /// Whether `node`'s key bytes equal `key` (whose length the caller
+    /// checked), compared word by word without a buffer. The padding of
+    /// the last word is not compared.
+    fn key_matches(tx: &mut mnemosyne::Tx<'_>, node: VAddr, key: &[u8]) -> Result<bool, TxAbort> {
+        for (i, chunk) in key.chunks(8).enumerate() {
+            let word = tx.read_u64(node.add(24 + i as u64 * 8))?.to_le_bytes();
+            if word[..chunk.len()] != *chunk {
+                return Ok(false);
+            }
+        }
+        Ok(true)
     }
 
     /// Inserts or replaces `key → value` in one durable transaction. A

@@ -89,6 +89,10 @@ impl PMem {
     /// Cacheable store of one 64-bit word.
     #[inline]
     pub fn store_u64(&self, addr: VAddr, value: u64) {
+        if addr.is_word_aligned() {
+            // An aligned word never straddles a page.
+            return self.mem.store_u64(self.xlate(addr), value);
+        }
         self.store(addr, &value.to_le_bytes());
     }
 

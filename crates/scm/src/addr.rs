@@ -1,6 +1,7 @@
 //! Physical SCM addresses and geometry constants.
 
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Size in bytes of one 64-bit word, the atomic write unit the paper assumes
 /// SCM memory systems support (§2, "Failure Models").
@@ -84,6 +85,35 @@ impl fmt::LowerHex for PAddr {
 impl From<u64> for PAddr {
     fn from(v: u64) -> Self {
         PAddr(v)
+    }
+}
+
+/// Hashes an address (or a line or word index) with one Fibonacci
+/// multiply, for maps keyed by addresses the program chose rather than by
+/// outside input.
+#[derive(Debug, Default)]
+pub struct AddrHasher(u64);
+
+/// [`std::collections::HashMap`] hasher state for [`AddrHasher`].
+pub type AddrHasherBuild = BuildHasherDefault<AddrHasher>;
+
+impl Hasher for AddrHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    #[inline]
+    fn write_u64(&mut self, addr: u64) {
+        self.0 = (self.0 ^ addr).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        // A table indexes by the low bits; bring the well-mixed high half
+        // down.
+        self.0.rotate_left(32)
     }
 }
 

@@ -14,10 +14,13 @@ use std::collections::HashMap;
 
 use parking_lot::Mutex;
 
-use crate::addr::{PAddr, CACHE_LINE, WORDS_PER_LINE};
+use crate::addr::{AddrHasherBuild, PAddr, CACHE_LINE, WORDS_PER_LINE};
 use crate::media::Media;
 
 const SHARDS: usize = 64;
+
+/// One shard's dirty lines, keyed by line index.
+type LineMap = HashMap<u64, CacheLine, AddrHasherBuild>;
 
 /// One dirty line: the pre-images of its dirty words plus a dirty mask.
 #[derive(Debug, Clone, Copy, Default)]
@@ -54,7 +57,7 @@ fn word_in_line(addr: PAddr) -> usize {
 /// so the pre-image it records is the value the media held just before.
 #[derive(Debug)]
 pub struct CacheModel {
-    shards: Vec<Mutex<HashMap<u64, CacheLine>>>,
+    shards: Vec<Mutex<LineMap>>,
     capacity_per_shard: usize,
 }
 
@@ -63,13 +66,13 @@ impl CacheModel {
     /// `capacity_lines` dirty lines.
     pub fn new(capacity_lines: usize) -> Self {
         CacheModel {
-            shards: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
+            shards: (0..SHARDS).map(|_| Mutex::default()).collect(),
             capacity_per_shard: (capacity_lines / SHARDS).max(1),
         }
     }
 
     #[inline]
-    fn shard(&self, line: u64) -> &Mutex<HashMap<u64, CacheLine>> {
+    fn shard(&self, line: u64) -> &Mutex<LineMap> {
         &self.shards[(line as usize) % SHARDS]
     }
 
@@ -85,6 +88,17 @@ impl CacheModel {
             self.store_within_line(media, a, &data[off..off + n]);
             off += n;
         }
+    }
+
+    /// Cacheable store of one word at 8-aligned `addr`: one shard lock,
+    /// record the pre-image, write the word.
+    pub fn store_word(&self, media: &Media, addr: PAddr, value: u64) {
+        debug_assert_eq!(addr.0 % 8, 0, "store_word requires word alignment");
+        let line = addr.line_index();
+        let mut shard = self.shard(line).lock();
+        shard.entry(line).or_default().record_pre_image(media, addr);
+        media.write_word(addr, value);
+        self.evict_beyond_capacity(&mut shard, line);
     }
 
     /// Store that does not cross a line boundary.
@@ -109,7 +123,7 @@ impl CacheModel {
 
     /// Capacity pressure: some other dirty line becomes durable, like a
     /// real cache replacing a victim.
-    fn evict_beyond_capacity(&self, shard: &mut HashMap<u64, CacheLine>, line: u64) {
+    fn evict_beyond_capacity(&self, shard: &mut LineMap, line: u64) {
         if shard.len() > self.capacity_per_shard {
             if let Some(&victim) = shard.keys().find(|&&l| l != line) {
                 shard.remove(&victim);
@@ -233,6 +247,16 @@ mod tests {
         // A second store keeps the first pre-image.
         cache.store_bytes(&media, PAddr(128), &[5]);
         assert_eq!(cache.pre_images(), [(PAddr(128), 9)]);
+    }
+
+    #[test]
+    fn store_word_keeps_the_first_pre_image() {
+        let (media, cache) = setup();
+        media.write_word(PAddr(192), 9);
+        cache.store_word(&media, PAddr(192), 1);
+        cache.store_word(&media, PAddr(192), 2);
+        assert_eq!(media.read_word(PAddr(192)), 2);
+        assert_eq!(cache.pre_images(), [(PAddr(192), 9)]);
     }
 
     #[test]

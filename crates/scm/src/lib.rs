@@ -23,7 +23,11 @@
 //! * **crash injection**: on a simulated failure, only data that actually
 //!   reached the media survives; anything in the cache or the
 //!   write-combining buffers is retired according to an adversarial
-//!   [`CrashPolicy`] at 64-bit granularity ([`ScmSim::crash`]).
+//!   [`CrashPolicy`] at 64-bit granularity ([`ScmSim::crash`]). A
+//!   [`FaultPlan`] attached with [`ScmSim::set_fault_plan`] observes every
+//!   primitive and can crash the machine at a chosen one. While no plan is
+//!   attached, a primitive's fault hook is one `Acquire` load of an
+//!   `armed` flag and never takes the plan's lock.
 //!
 //! # Example
 //!
@@ -52,7 +56,7 @@ pub mod stats;
 pub mod tech;
 pub mod wc;
 
-pub use addr::{PAddr, CACHE_LINE, WORD};
+pub use addr::{AddrHasherBuild, PAddr, CACHE_LINE, WORD};
 pub use clock::EmulationMode;
 pub use config::{ScmConfig, WRITE_BANDWIDTH_BYTES_PER_NS};
 pub use crash::CrashPolicy;

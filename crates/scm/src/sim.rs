@@ -3,6 +3,7 @@
 //! primitives (§4.1, Table 3).
 
 use std::path::Path;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Weak};
 
 use parking_lot::{Mutex, RwLock};
@@ -31,38 +32,56 @@ struct SimInner {
     wc_registry: Mutex<Vec<Weak<Mutex<WcBuffer>>>>,
     /// Optional crash-point schedule observing every durability primitive.
     faults: RwLock<Option<FaultPlan>>,
+    /// Whether `faults` may hold a plan: stored `true` (`Release`) after a
+    /// plan is attached, `false` before it is detached. A hook that loads
+    /// `true` (`Acquire`) then reads the plan under the lock; while it
+    /// loads `false` the hooks below return at once and no primitive
+    /// touches the `RwLock`. A plan attached while another thread is
+    /// issuing primitives starts counting at some point of that thread's
+    /// sequence, as it did when every hook took the lock.
+    armed: AtomicBool,
 }
 
 impl SimInner {
+    /// `f` of the attached fault plan, or `unplanned` when there is none.
+    /// Takes the plan's lock only while `armed` reads `true`.
+    #[inline]
+    fn with_plan<R>(&self, unplanned: R, f: impl FnOnce(&FaultPlan) -> R) -> R {
+        if !self.armed.load(Ordering::Acquire) {
+            return unplanned;
+        }
+        match self.faults.read().as_ref() {
+            None => unplanned,
+            Some(p) => f(p),
+        }
+    }
+
     /// Fault hook for durability primitives: `true` means perform the
     /// memory effect. May unwind with
     /// [`crate::faults::CrashRequested`].
     #[inline]
     fn fault_hook(&self, site: FaultSite) -> bool {
-        match self.faults.read().as_ref() {
-            None => true,
-            Some(p) => p.on_primitive(site),
-        }
+        self.with_plan(true, |p| p.on_primitive(site))
     }
 
     /// Whether the machine died to a fired fault plan (effects must be
     /// suppressed). Never unwinds — for teardown paths.
     #[inline]
     fn dead(&self) -> bool {
-        match self.faults.read().as_ref() {
-            None => false,
-            Some(p) => p.suppress_only(),
-        }
+        self.with_plan(false, FaultPlan::suppress_only)
     }
 
     /// Like [`SimInner::dead`] but unwinds first on live threads, so
     /// kernel-path writes (DMA) also stop at the crash instant.
     #[inline]
     fn alive(&self) -> bool {
-        match self.faults.read().as_ref() {
-            None => true,
-            Some(p) => p.check_alive(),
-        }
+        self.with_plan(true, FaultPlan::check_alive)
+    }
+
+    /// Detaches the fault plan, clearing `armed` first.
+    fn disarm(&self) {
+        self.armed.store(false, Ordering::Release);
+        *self.faults.write() = None;
     }
 }
 
@@ -120,6 +139,7 @@ impl ScmSim {
                 stats,
                 wc_registry: Mutex::new(Vec::new()),
                 faults: RwLock::new(None),
+                armed: AtomicBool::new(false),
             }),
         }
     }
@@ -129,6 +149,7 @@ impl ScmSim {
     /// [`FaultPlan`] for firing semantics.
     pub fn set_fault_plan(&self, plan: FaultPlan) {
         *self.inner.faults.write() = Some(plan);
+        self.inner.armed.store(true, Ordering::Release);
     }
 
     /// The attached crash-point schedule, if any.
@@ -138,7 +159,7 @@ impl ScmSim {
 
     /// Detaches the crash-point schedule.
     pub fn clear_fault_plan(&self) {
-        *self.inner.faults.write() = None;
+        self.inner.disarm();
     }
 
     /// Creates a per-thread memory handle with its own write-combining
@@ -185,7 +206,7 @@ impl ScmSim {
     pub fn crash(&self, policy: CrashPolicy) {
         // The crash consumes any attached fault plan: handles now model the
         // rebooted machine, whose primitives execute normally again.
-        *self.inner.faults.write() = None;
+        self.inner.disarm();
         let cached = self.inner.cache.pre_images();
         self.inner.cache.writeback_all();
         let mut streamed = Vec::new();
@@ -383,10 +404,19 @@ impl MemHandle {
         self.inner.cache.store_bytes(&self.inner.media, addr, data);
     }
 
-    /// Cacheable store of one 64-bit word.
+    /// Cacheable store of one 64-bit word. An aligned word takes one
+    /// shard lock in the cache model; an unaligned one goes through
+    /// [`MemHandle::store`].
     #[inline]
     pub fn store_u64(&self, addr: PAddr, value: u64) {
-        self.store(addr, &value.to_le_bytes());
+        if !addr.is_word_aligned() {
+            return self.store(addr, &value.to_le_bytes());
+        }
+        if !self.inner.fault_hook(FaultSite::Store) {
+            return;
+        }
+        self.inner.stats.stores.inc();
+        self.inner.cache.store_word(&self.inner.media, addr, value);
     }
 
     /// Streaming write-through store (`movntq`) of one word. Weakly
@@ -789,6 +819,34 @@ mod tests {
         m.flush(PAddr(0));
         m.fence();
         assert_eq!(plan.primitives(), 4);
+    }
+
+    #[test]
+    fn plan_attached_after_handles_counts_every_primitive() {
+        let s = sim();
+        let (m, other) = (s.handle(), s.handle());
+        let primitives = |m: &MemHandle| {
+            m.store_u64(PAddr(0), 1);
+            m.store(PAddr(13), &[1, 2]);
+            m.wtstore_u64(PAddr(64), 2);
+            m.flush(PAddr(0));
+            m.fence();
+        };
+        primitives(&m);
+        let plan = FaultPlan::count_only();
+        s.set_fault_plan(plan.clone());
+        primitives(&m);
+        primitives(&other);
+        assert_eq!(plan.primitives(), 10);
+        s.clear_fault_plan();
+        primitives(&m);
+        assert_eq!(plan.primitives(), 10, "counted after clear_fault_plan");
+        s.set_fault_plan(plan.clone());
+        primitives(&other);
+        assert_eq!(plan.primitives(), 15);
+        s.crash(CrashPolicy::ApplyAll);
+        primitives(&other);
+        assert_eq!(plan.primitives(), 15, "counted after crash");
     }
 
     #[test]
