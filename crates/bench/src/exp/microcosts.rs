@@ -5,8 +5,20 @@
 //! cache lines" and "the cost of committing a transaction … up to 250 ns
 //! per distinct cache line flushed". We isolate the same two slopes by
 //! varying the write-set size along each dimension.
+//!
+//! Three more rows time `mnemosyned`'s combiner batch, 32 PUTs of 64-byte
+//! values in one transaction over a 20 000-key, 4 096-bucket table: on one
+//! thread, and with two threads taking turns, once on one shared
+//! transaction thread (its descriptor, redo log and write-combining buffer
+//! move to the other core every batch) and once on a transaction thread
+//! each. The difference is what handing a batch's state between
+//! connection threads costs.
 
-use mnemosyne::{EmulationMode, Truncation};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
+
+use mnemosyne::{EmulationMode, Mnemosyne, Truncation, TxThread};
+use mnemosyne_pds::PHashTable;
 
 use crate::util::{banner, Scale, TestRig};
 
@@ -93,12 +105,87 @@ struct Costs {
     read_u64: f64,
     scm: Raw,
     region: Raw,
+    /// `batch_costs`' three rows.
+    batch: [f64; 3],
+}
+
+/// The combiner batch's table and shape (`mnemosyned`'s defaults, and
+/// `kvload`'s key count and value size).
+const BATCH_KEYS: u64 = 20_000;
+const BATCH_BUCKETS: u64 = 4096;
+const BATCH_PUTS: u64 = 32;
+
+/// Mean time (ns) of one 32-PUT batch: `[one thread, two threads taking
+/// turns on one transaction thread, two threads taking turns on their
+/// own]`.
+fn batch_costs(m: &Mnemosyne, batches: u64) -> [f64; 3] {
+    let mut th = m.register_thread().expect("thread");
+    let table = PHashTable::open(m, &mut th, "batch", BATCH_BUCKETS).expect("table");
+    let keys: Vec<Vec<u8>> = (0..BATCH_KEYS)
+        .map(|k| format!("key{k:08}").into_bytes())
+        .collect();
+    let value = [7u8; 64];
+    // Batch `b`'s keys: uniform over the table, the same on every run.
+    let batch = |th: &mut TxThread, b: u64| {
+        th.atomic(|tx| {
+            for i in 0..BATCH_PUTS {
+                let k = (b * BATCH_PUTS + i).wrapping_mul(0x9E37_79B9_7F4A_7C15) % BATCH_KEYS;
+                table.put_in(tx, &keys[k as usize], &value)?;
+            }
+            Ok(())
+        })
+        .expect("batch");
+    };
+    for chunk in keys.chunks(64) {
+        th.atomic(|tx| chunk.iter().try_for_each(|k| table.put_in(tx, k, &value)))
+            .expect("preload");
+    }
+
+    let t0 = std::time::Instant::now();
+    for b in 0..batches {
+        batch(&mut th, b);
+    }
+    let one = t0.elapsed().as_nanos() as f64 / batches as f64;
+    let shared = Mutex::new(th);
+    let handoff = take_turns(batches, |_, b| batch(&mut shared.lock().unwrap(), b));
+    let own = [
+        Mutex::new(shared.into_inner().unwrap()),
+        Mutex::new(m.register_thread().expect("thread")),
+    ];
+    let owned = take_turns(batches, |t, b| batch(&mut own[t].lock().unwrap(), b));
+    [one, handoff, owned]
+}
+
+/// Mean time (ns) per batch when two threads take strict turns running
+/// `run(thread, batch)`, the way two connections alternate as combiner.
+fn take_turns(batches: u64, run: impl Fn(usize, u64) + Sync) -> f64 {
+    let turn = AtomicU64::new(0);
+    let t0 = std::time::Instant::now();
+    std::thread::scope(|s| {
+        for t in 0..2 {
+            let (turn, run) = (&turn, &run);
+            s.spawn(move || loop {
+                let b = turn.load(Ordering::Acquire);
+                if b >= batches {
+                    return;
+                }
+                if b % 2 == t as u64 {
+                    run(t, b);
+                    turn.store(b + 1, Ordering::Release);
+                } else {
+                    std::hint::spin_loop();
+                }
+            });
+        }
+    });
+    t0.elapsed().as_nanos() as f64 / batches as f64
 }
 
 const SHAPES: [(u64, u64); 6] = [(1, 1), (8, 1), (15, 5), (64, 8), (128, 64), (512, 64)];
 
-/// Measures one stack booted in emulation mode `mode`.
-fn measure(mode: EmulationMode, iters: u64) -> Costs {
+/// Measures one stack booted in emulation mode `mode`, with `batches`
+/// combiner batches per batch row.
+fn measure(mode: EmulationMode, iters: u64, batches: u64) -> Costs {
     let rig = TestRig::new();
     let m = rig.mnemosyne_in(96, 150, Truncation::Sync, mode);
     let pmem = m.pmem_handle();
@@ -151,6 +238,7 @@ fn measure(mode: EmulationMode, iters: u64) -> Costs {
         read_u64,
         scm,
         region,
+        batch: batch_costs(&m, batches),
     }
 }
 
@@ -166,8 +254,9 @@ pub fn run(scale: Scale) {
     );
     println!("{PAPER_NOTE}");
     let iters = scale.pick(200, 2000);
-    let emulated = measure(EmulationMode::Spin, iters);
-    let software = measure(EmulationMode::None, iters);
+    let batches = scale.pick(2000, 10_000);
+    let emulated = measure(EmulationMode::Spin, iters, batches);
+    let software = measure(EmulationMode::None, iters, batches);
 
     println!("\n{:<36} {:>10} {:>14}", "", "emulated", "software only");
     let rows = [
@@ -229,6 +318,21 @@ pub fn run(scale: Scale) {
             format!("{words} words / {lines} lines"),
             emulated.shapes[i],
             software.shapes[i]
+        );
+    }
+
+    println!("\n{BATCH_PUTS}-PUT batch, {BATCH_KEYS} keys / {BATCH_BUCKETS} buckets (us):");
+    println!("{:<36} {:>10} {:>14}", "", "emulated", "software only");
+    let rows = [
+        "one thread",
+        "2 threads in turn, one TxThread",
+        "2 threads in turn, own TxThreads",
+    ];
+    for (i, what) in rows.iter().enumerate() {
+        println!(
+            "{what:<36} {:>10.1} {:>14.1}",
+            emulated.batch[i] / 1e3,
+            software.batch[i] / 1e3
         );
     }
 }

@@ -878,10 +878,22 @@ impl Tx<'_> {
             .log_ns
             .record(log_timer.elapsed().as_nanos() as u64);
 
-        // Write back buffered values (lazy version management).
+        // Write back buffered values (lazy version management), in
+        // first-write order: a run of consecutive words in one line is one
+        // store of that line's words.
         let writeback_timer = Instant::now();
-        for &(addr, val) in &self.d.writes {
-            self.th.pmem().store_u64(VAddr(addr), val);
+        let mut run = [0u64; 8];
+        for words in self
+            .d
+            .writes
+            .chunk_by(|&(a, _), &(b, _)| b == a + 8 && b % 64 != 0)
+        {
+            for (slot, &(_, val)) in run.iter_mut().zip(words) {
+                *slot = val;
+            }
+            self.th
+                .pmem()
+                .store_line_words(VAddr(words[0].0), &run[..words.len()]);
         }
         // Now the async truncator may consume (flush + truncate) the
         // record, and the backlog accounting sees it.

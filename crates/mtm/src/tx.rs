@@ -197,7 +197,12 @@ impl<'a> Tx<'a> {
                             if v1 > self.rv {
                                 self.extend()?;
                             }
-                            self.d.read_set.push((idx, v1));
+                            // Neighbouring words share a stripe: a read
+                            // that repeats the last entry adds nothing to
+                            // validate.
+                            if self.d.read_set.last() != Some(&(idx, v1)) {
+                                self.d.read_set.push((idx, v1));
+                            }
                             return Ok(val);
                         }
                         _ => continue, // raced with a writer; re-probe

@@ -48,10 +48,10 @@ impl HistogramCore {
     }
 
     #[inline]
-    pub(crate) fn record(&self, v: u64) {
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(v, Ordering::Relaxed);
-        self.buckets[bucket_of(v)].fetch_add(1, Ordering::Relaxed);
+    pub(crate) fn record_n(&self, v: u64, n: u64) {
+        self.count.fetch_add(n, Ordering::Relaxed);
+        self.sum.fetch_add(v.wrapping_mul(n), Ordering::Relaxed);
+        self.buckets[bucket_of(v)].fetch_add(n, Ordering::Relaxed);
     }
 
     pub(crate) fn count(&self) -> u64 {
@@ -90,7 +90,16 @@ impl Histogram {
     /// Records one observation.
     #[inline]
     pub fn record(&self, v: u64) {
-        self.0.record(v);
+        self.0.record_n(v, 1);
+    }
+
+    /// Records `n` observations of the same value `v` for the cost of
+    /// one: the count, sum and buckets end as after `n` [`record`] calls.
+    ///
+    /// [`record`]: Histogram::record
+    #[inline]
+    pub fn record_n(&self, v: u64, n: u64) {
+        self.0.record_n(v, n);
     }
 
     /// Number of observations.
@@ -138,6 +147,22 @@ mod tests {
         assert_eq!(b[0], 1);
         assert_eq!(b[bucket_of(5)], 2);
         assert_eq!(b[41], 1);
+    }
+
+    #[test]
+    fn record_n_equals_n_records() {
+        let new = || Histogram(Arc::new(HistogramCore::new("t.h", Unit::Nanoseconds)));
+        let (batched, single) = (new(), new());
+        for (v, n) in [(0, 3), (152_000, 32), (7, 1), (1 << 40, 5), (9, 0)] {
+            batched.record_n(v, n);
+            for _ in 0..n {
+                single.record(v);
+            }
+        }
+        assert_eq!(batched.count(), single.count());
+        assert_eq!(batched.sum(), single.sum());
+        assert_eq!(batched.0.bucket_counts(), single.0.bucket_counts());
+        assert_eq!(batched.count(), 41);
     }
 
     #[test]

@@ -26,6 +26,8 @@ pub struct TornbitLog {
     pmem: PMem,
     records_appended: u64,
     metrics: LogMetrics,
+    /// Append scratch: the packed record with its torn bits, reused.
+    packed: Vec<u64>,
 }
 
 impl std::fmt::Debug for TornbitLog {
@@ -153,6 +155,7 @@ impl TornbitLog {
             pmem,
             records_appended: 0,
             metrics,
+            packed: Vec::new(),
         })
     }
 
@@ -249,6 +252,7 @@ impl TornbitLog {
                 pmem,
                 records_appended: 0,
                 metrics,
+                packed: Vec::new(),
             },
             records,
         ))
@@ -258,6 +262,12 @@ impl TornbitLog {
     /// packed words (`[len, payload…, checksum]`). **Not durable** until
     /// [`TornbitLog::flush`]; separate appends become durable in order, so
     /// after a crash the log is always a prefix of what was appended.
+    ///
+    /// The record is packed, torn bits set, into a buffer the log reuses,
+    /// then streamed as at most two [`PMem::wtstore_words`] runs: one up to
+    /// the end of the circular buffer and one from its start when the
+    /// record wraps. That issues one streaming-store primitive per packed
+    /// word, in stream order, as a word-at-a-time loop would.
     ///
     /// # Errors
     /// [`LogError::Full`] if the truncator has not freed enough space,
@@ -282,33 +292,35 @@ impl TornbitLog {
         if m > free {
             return Err(LogError::Full { needed: m, free });
         }
-        let mut pos = self.shared.tail.load(Ordering::Relaxed);
+        let tail = self.shared.tail.load(Ordering::Relaxed);
         let cap = self.shared.capacity;
-        {
-            let shared = &self.shared;
-            let pmem = &self.pmem;
-            let mut emit = |chunk: u64| {
-                let torn = torn_bit_for_pass(pos / cap) << 63;
-                pmem.wtstore_u64(shared.word_addr(pos), chunk | torn);
-                pos += 1;
-            };
-            let mut packer = BitPacker::new();
-            packer.push(payload.len() as u64, &mut emit);
-            for &w in payload {
-                packer.push(w, &mut emit);
-            }
-            packer.push(record_checksum(payload), &mut emit);
-            packer.finish(&mut emit);
+        let packed = &mut self.packed;
+        packed.clear();
+        let mut emit = |chunk: u64| {
+            let pos = tail + packed.len() as u64;
+            packed.push(chunk | torn_bit_for_pass(pos / cap) << 63);
+        };
+        let mut packer = BitPacker::new();
+        packer.push(payload.len() as u64, &mut emit);
+        for &w in payload {
+            packer.push(w, &mut emit);
         }
-        debug_assert_eq!(pos, self.shared.tail.load(Ordering::Relaxed) + m);
-        let old_tail = self.shared.tail.load(Ordering::Relaxed);
+        packer.push(record_checksum(payload), &mut emit);
+        packer.finish(&mut emit);
+        debug_assert_eq!(packed.len() as u64, m);
+        let (to_end, wrapped) = packed.split_at((cap - tail % cap).min(m) as usize);
+        self.pmem.wtstore_words(self.shared.word_addr(tail), to_end);
+        if !wrapped.is_empty() {
+            self.pmem.wtstore_words(self.shared.word_addr(0), wrapped);
+        }
+        let pos = tail + m;
         self.shared.tail.store(pos, Ordering::Relaxed);
         self.records_appended += 1;
         self.metrics.appends.inc();
         self.metrics.append_words.add(payload.len() as u64);
         // A pass boundary crossed by this append is a torn-bit sense
         // reversal (a wrap of the circular buffer).
-        self.metrics.wraps.add(pos / cap - old_tail / cap);
+        self.metrics.wraps.add(pos / cap - tail / cap);
         self.metrics.occupancy_hwm.record(self.len_words());
         Ok(())
     }
@@ -843,6 +855,79 @@ mod tests {
         // The producer must now get a typed error instead of spinning on
         // Full forever.
         assert!(matches!(log.append(&[1]), Err(LogError::Corrupt { .. })));
+    }
+
+    #[test]
+    fn append_issues_one_streaming_store_per_packed_word() {
+        use mnemosyne_scm::{FaultPlan, FaultSite};
+        let (env, mut log) = setup(256);
+        let counted = |sites: &[FaultSite], run: &mut dyn FnMut()| {
+            let plan = FaultPlan::count_only().with_sites(sites);
+            env.sim.set_fault_plan(plan.clone());
+            run();
+            env.sim.clear_fault_plan();
+            plan.primitives()
+        };
+        let all = [FaultSite::WtStore, FaultSite::Fence, FaultSite::Store];
+        // The 100-word records wrap the buffer: the last one streams as
+        // two runs.
+        for len in [40u64, 100] {
+            let payload: Vec<u64> = (0..len).collect();
+            let m = packed_len(2 + len);
+            let n = counted(&all, &mut || {
+                log.append(&payload).unwrap();
+                log.flush();
+            });
+            assert_eq!(
+                n,
+                m + 1,
+                "{len} words: one store per packed word, one fence"
+            );
+            let n = counted(&[FaultSite::WtStore], &mut || log.append(&payload).unwrap());
+            assert_eq!(n, m, "{len} words");
+            assert_eq!(counted(&[FaultSite::Fence], &mut || log.flush()), 1);
+            log.truncate_all();
+        }
+        assert!(log.shared.tail.load(Ordering::Relaxed) > 256, "no wrap");
+    }
+
+    #[test]
+    fn crash_at_every_word_of_an_append_drops_only_that_record() {
+        use mnemosyne_scm::FaultPlan;
+        let payload: Vec<u64> = (0..40).map(|i| i * 0x0123_4567).collect();
+        let m = packed_len(2 + payload.len() as u64);
+        // Earlier records put the 40-word one across the wrap of a
+        // 128-word buffer (stream positions 101..144).
+        let setup_wrap = || {
+            let (env, mut log) = setup(128);
+            log.append(&[1; 60]).unwrap();
+            log.truncate_all();
+            log.append(&[2, 3]).unwrap();
+            log.append(&[4; 30]).unwrap();
+            log.flush();
+            (env, log)
+        };
+        let (env, mut log) = setup_wrap();
+        log.append(&payload).unwrap();
+        log.flush();
+        env.sim.crash(CrashPolicy::DropAll);
+        let (_log, records) = recover(&env);
+        assert_eq!(records, vec![vec![2, 3], vec![4; 30], payload.clone()]);
+        for k in 0..m {
+            for policy in [CrashPolicy::ApplyAll, CrashPolicy::random(k)] {
+                let (env, mut log) = setup_wrap();
+                env.sim.set_fault_plan(FaultPlan::crash_at(k));
+                let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    log.append(&payload).unwrap();
+                    log.flush();
+                }));
+                assert!(r.is_err(), "crash at word {k} did not fire");
+                drop(log);
+                env.sim.crash(policy);
+                let (_log, records) = recover(&env);
+                assert_eq!(records, vec![vec![2, 3], vec![4; 30]], "crash at word {k}");
+            }
+        }
     }
 
     #[test]

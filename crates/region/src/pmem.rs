@@ -107,15 +107,29 @@ impl PMem {
         self.mem.wtstore_u64(self.xlate(addr), value);
     }
 
-    /// Streaming store of a word-aligned buffer (length a multiple of 8).
+    /// Streaming stores of consecutive words from 8-aligned `addr`: one
+    /// [`PMem::wtstore_u64`] per word, in order, for one translation per
+    /// page and one [`MemHandle::wtstore_words`] run per page.
     ///
     /// # Panics
-    /// Panics on an unmapped/unaligned address or a ragged length.
-    pub fn wtstore(&self, addr: VAddr, data: &[u8]) {
-        assert!(addr.is_word_aligned() && data.len().is_multiple_of(8));
-        self.for_chunks(addr, data.len(), |p, off, n| {
-            self.mem.wtstore(p, &data[off..off + n]);
+    /// Panics on an unmapped or unaligned address.
+    pub fn wtstore_words(&self, addr: VAddr, words: &[u64]) {
+        debug_assert!(addr.is_word_aligned());
+        self.for_chunks(addr, words.len() * 8, |p, off, n| {
+            self.mem.wtstore_words(p, &words[off / 8..(off + n) / 8]);
         });
+    }
+
+    /// Cacheable stores of consecutive words from 8-aligned `addr`, all in
+    /// `addr`'s cache line: one [`PMem::store_u64`] per word, in order, for
+    /// one translation and one [`MemHandle::store_line_words`] (a line
+    /// never straddles a page).
+    ///
+    /// # Panics
+    /// Panics on an unmapped address or if the words leave the line.
+    #[inline]
+    pub fn store_line_words(&self, addr: VAddr, words: &[u64]) {
+        self.mem.store_line_words(self.xlate(addr), words);
     }
 
     /// Single-word compare-and-swap (`lock cmpxchg`): atomically replaces
@@ -260,15 +274,30 @@ mod tests {
     }
 
     #[test]
-    fn wtstore_spanning_pages() {
-        let (_sim, _as_, pmem, base, dir) = setup();
+    fn wtstore_words_spanning_pages() {
+        let (sim, _as_, pmem, base, dir) = setup();
         let addr = base.add(PAGE_SIZE - 16);
-        let data: Vec<u8> = (0..32).collect();
-        pmem.wtstore(addr, &data);
+        let words: Vec<u64> = (1..=6).collect();
+        pmem.wtstore_words(addr, &words);
+        assert_eq!(sim.stats().wtstore_words, 6);
         pmem.fence();
-        let mut back = vec![0u8; 32];
-        pmem.read(addr, &mut back);
-        assert_eq!(back, data);
+        let back: Vec<u64> = (0..6).map(|i| pmem.read_u64(addr.add(i * 8))).collect();
+        assert_eq!(back, words);
+        fs::remove_dir_all(dir).ok();
+    }
+
+    #[test]
+    fn store_line_words_lands_in_one_line() {
+        let (sim, aspace, pmem, base, dir) = setup();
+        let line = base.add(PAGE_SIZE + 64);
+        pmem.store_line_words(line.add(16), &[5, 6, 7]);
+        assert_eq!(pmem.read_u64(line.add(32)), 7);
+        assert_eq!(sim.stats().stores, 3);
+        pmem.flush(line);
+        pmem.fence();
+        sim.crash(CrashPolicy::DropAll);
+        let pmem2 = PMem::new(&aspace);
+        assert_eq!(pmem2.read_u64(line.add(24)), 6);
         fs::remove_dir_all(dir).ok();
     }
 

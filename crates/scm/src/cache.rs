@@ -90,15 +90,40 @@ impl CacheModel {
         }
     }
 
-    /// Cacheable store of one word at 8-aligned `addr`: one shard lock,
-    /// record the pre-image, write the word.
-    pub fn store_word(&self, media: &Media, addr: PAddr, value: u64) {
-        debug_assert_eq!(addr.0 % 8, 0, "store_word requires word alignment");
+    /// Cacheable stores of consecutive words from 8-aligned `addr`, all in
+    /// one line, under one shard lock: for each word, record its pre-image
+    /// and write it. `hook` runs before each word and a `false` stops the
+    /// run there; returns the words stored. Capacity pressure may evict
+    /// some other line after the first word, exactly as if each word were
+    /// stored on its own (the later words find their line present).
+    pub fn store_line_words(
+        &self,
+        media: &Media,
+        addr: PAddr,
+        words: &[u64],
+        mut hook: impl FnMut() -> bool,
+    ) -> usize {
+        let Some((&first, rest)) = words.split_first() else {
+            return 0;
+        };
         let line = addr.line_index();
         let mut shard = self.shard(line).lock();
+        if !hook() {
+            return 0;
+        }
         shard.entry(line).or_default().record_pre_image(media, addr);
-        media.write_word(addr, value);
+        media.write_word(addr, first);
         self.evict_beyond_capacity(&mut shard, line);
+        let entry = shard.get_mut(&line).expect("the line was just dirtied");
+        for (i, &value) in rest.iter().enumerate() {
+            if !hook() {
+                return i + 1;
+            }
+            let a = addr.add((i as u64 + 1) * 8);
+            entry.record_pre_image(media, a);
+            media.write_word(a, value);
+        }
+        words.len()
     }
 
     /// Store that does not cross a line boundary.
@@ -250,11 +275,11 @@ mod tests {
     }
 
     #[test]
-    fn store_word_keeps_the_first_pre_image() {
+    fn word_store_keeps_the_first_pre_image() {
         let (media, cache) = setup();
         media.write_word(PAddr(192), 9);
-        cache.store_word(&media, PAddr(192), 1);
-        cache.store_word(&media, PAddr(192), 2);
+        cache.store_line_words(&media, PAddr(192), &[1], || true);
+        cache.store_line_words(&media, PAddr(192), &[2], || true);
         assert_eq!(media.read_word(PAddr(192)), 2);
         assert_eq!(cache.pre_images(), [(PAddr(192), 9)]);
     }

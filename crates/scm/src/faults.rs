@@ -37,7 +37,7 @@ use std::sync::Arc;
 pub enum FaultSite {
     /// Cacheable store (`mov`).
     Store,
-    /// Streaming write-through store (`movntq`), counted per word batch.
+    /// Streaming write-through store (`movntq`), counted per word.
     WtStore,
     /// Cache-line flush (`clflush`).
     Flush,

@@ -15,8 +15,10 @@
 //! * per-thread **write-combining buffers** for streaming (`movntq`) stores,
 //!   which may retire out of order ([`wc::WcBuffer`]);
 //! * the four **hardware primitives** Mnemosyne builds on —
-//!   [`MemHandle::store`], [`MemHandle::wtstore`], [`MemHandle::flush`] and
-//!   [`MemHandle::fence`] (§4.1, Table 3);
+//!   [`MemHandle::store`], [`MemHandle::wtstore_u64`], [`MemHandle::flush`]
+//!   and [`MemHandle::fence`] (§4.1, Table 3), plus run forms of the two
+//!   stores ([`MemHandle::wtstore_words`], [`MemHandle::store_line_words`])
+//!   that issue the same per-word primitives for one lock;
 //! * the paper's §6.1 **performance emulator**: a configurable extra write
 //!   latency applied on flushes and fences plus a bandwidth model for
 //!   streaming sequences ([`clock`]);

@@ -404,19 +404,15 @@ impl MemHandle {
         self.inner.cache.store_bytes(&self.inner.media, addr, data);
     }
 
-    /// Cacheable store of one 64-bit word. An aligned word takes one
-    /// shard lock in the cache model; an unaligned one goes through
-    /// [`MemHandle::store`].
+    /// Cacheable store of one 64-bit word. An aligned word is a run of
+    /// one ([`MemHandle::store_line_words`]: one shard lock in the cache
+    /// model); an unaligned one goes through [`MemHandle::store`].
     #[inline]
     pub fn store_u64(&self, addr: PAddr, value: u64) {
         if !addr.is_word_aligned() {
             return self.store(addr, &value.to_le_bytes());
         }
-        if !self.inner.fault_hook(FaultSite::Store) {
-            return;
-        }
-        self.inner.stats.stores.inc();
-        self.inner.cache.store_word(&self.inner.media, addr, value);
+        self.store_line_words(addr, &[value]);
     }
 
     /// Streaming write-through store (`movntq`) of one word. Weakly
@@ -436,32 +432,56 @@ impl MemHandle {
             .push(&self.inner.cache, &self.inner.media, addr, value);
     }
 
-    /// Streaming store of a word-aligned byte buffer whose length is a
-    /// multiple of 8 (streaming stores operate on whole words).
+    /// Streaming stores of consecutive words from `addr` (`movntq` in a
+    /// loop): the same primitives as one [`MemHandle::wtstore_u64`] per
+    /// word, in order, for one write-combining lock and one counter add.
+    /// The fault hook still runs before each word, so a crash at word
+    /// `k` leaves exactly words `0..k` pending (`scm.wtstore_words` is
+    /// added when the run ends, so a run a crash unwinds is not counted).
     ///
     /// # Panics
-    /// Panics if `addr` is unaligned or `data.len()` is not a multiple of 8.
-    pub fn wtstore(&self, addr: PAddr, data: &[u8]) {
-        assert!(addr.is_word_aligned(), "wtstore requires word alignment");
-        assert!(
-            data.len().is_multiple_of(8),
-            "wtstore length must be a multiple of 8"
-        );
-        if !self.inner.fault_hook(FaultSite::WtStore) {
-            return;
-        }
+    /// Panics if `addr` is not 8-byte aligned.
+    pub fn wtstore_words(&self, addr: PAddr, words: &[u64]) {
         let mut wc = self.wc.lock();
-        self.inner.stats.wtstore_words.add((data.len() / 8) as u64);
-        for (i, chunk) in data.chunks_exact(8).enumerate() {
-            let mut b = [0u8; 8];
-            b.copy_from_slice(chunk);
+        let mut streamed = 0;
+        for (i, &value) in words.iter().enumerate() {
+            if !self.inner.fault_hook(FaultSite::WtStore) {
+                break;
+            }
             wc.push(
                 &self.inner.cache,
                 &self.inner.media,
                 addr.add(i as u64 * 8),
-                u64::from_le_bytes(b),
+                value,
             );
+            streamed += 1;
         }
+        self.inner.stats.wtstore_words.add(streamed);
+    }
+
+    /// Cacheable stores of consecutive words from 8-aligned `addr`, all
+    /// in `addr`'s cache line: the same primitives as one
+    /// [`MemHandle::store_u64`] per word, in order, under one shard lock
+    /// and one counter add. The fault hook still runs before each word,
+    /// so a crash at word `k` leaves exactly words `0..k` dirty (as with
+    /// [`MemHandle::wtstore_words`], an unwound run is not counted).
+    ///
+    /// # Panics
+    /// Panics if the words leave the line.
+    #[inline]
+    pub fn store_line_words(&self, addr: PAddr, words: &[u64]) {
+        assert!(
+            addr.word_offset() == 0 && addr.0 % CACHE_LINE + words.len() as u64 * 8 <= CACHE_LINE,
+            "store_line_words must stay inside one line: {addr} + {} words",
+            words.len()
+        );
+        let stored = self
+            .inner
+            .cache
+            .store_line_words(&self.inner.media, addr, words, || {
+                self.inner.fault_hook(FaultSite::Store)
+            });
+        self.inner.stats.stores.add(stored as u64);
     }
 
     /// Single-word compare-and-swap (`lock cmpxchg`) on cacheable memory:
@@ -642,15 +662,87 @@ mod tests {
     }
 
     #[test]
-    fn wtstore_bulk_roundtrip() {
+    fn wtstore_words_roundtrip() {
         let s = sim();
         let m = s.handle();
-        let data: Vec<u8> = (0..64u8).collect();
-        m.wtstore(PAddr(1024), &data);
+        let words: Vec<u64> = (0..10).map(|i| i * 0x0101).collect();
+        m.wtstore_words(PAddr(1024), &words);
+        assert_eq!(s.stats().wtstore_words, 10);
         m.fence();
-        let mut back = vec![0u8; 64];
-        m.read(PAddr(1024), &mut back);
-        assert_eq!(back, data);
+        let back: Vec<u64> = (0..10).map(|i| m.read_u64(PAddr(1024 + i * 8))).collect();
+        assert_eq!(back, words);
+    }
+
+    /// What the machine holds when a crash fires at primitive `k` of
+    /// `run`: pending streaming stores, dirty words with their pre-images,
+    /// and the 16 words at 4096 as loads see them.
+    #[derive(Debug, PartialEq)]
+    struct CrashState {
+        pending: Vec<(PAddr, u64)>,
+        dirty: Vec<(PAddr, u64)>,
+        words: Vec<u64>,
+    }
+
+    fn state_after_crash_at(k: u64, run: impl Fn(&MemHandle)) -> CrashState {
+        let s = sim();
+        let m = s.handle();
+        for i in 0..16u64 {
+            m.store_u64(PAddr(4096 + i * 8), 100 + i);
+            m.flush(PAddr(4096 + i * 8));
+        }
+        m.fence();
+        s.set_fault_plan(FaultPlan::crash_at(k));
+        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run(&m)));
+        assert_eq!(r.is_err(), s.fault_plan().unwrap().fired().is_some());
+        let pending = m.wc.lock().take_pending();
+        CrashState {
+            pending,
+            dirty: s.inner.cache.pre_images(),
+            words: (0..16).map(|i| m.read_u64(PAddr(4096 + i * 8))).collect(),
+        }
+    }
+
+    #[test]
+    fn crash_inside_a_run_matches_single_word_calls() {
+        let words: Vec<u64> = (0..8).map(|i| 7 + i).collect();
+        for k in 0..=8u64 {
+            let streamed = state_after_crash_at(k, |m| m.wtstore_words(PAddr(4096), &words));
+            let single = state_after_crash_at(k, |m| {
+                for (i, &w) in words.iter().enumerate() {
+                    m.wtstore_u64(PAddr(4096 + i as u64 * 8), w);
+                }
+            });
+            assert_eq!(streamed, single, "wtstore_words, crash at word {k}");
+            assert_eq!(streamed.pending.len(), k as usize);
+            let line = state_after_crash_at(k, |m| m.store_line_words(PAddr(4096), &words));
+            let single = state_after_crash_at(k, |m| {
+                for (i, &w) in words.iter().enumerate() {
+                    m.store_u64(PAddr(4096 + i as u64 * 8), w);
+                }
+            });
+            assert_eq!(line, single, "store_line_words, crash at word {k}");
+            assert_eq!(line.dirty.len(), k as usize);
+        }
+    }
+
+    #[test]
+    fn store_line_words_counts_and_crashes_like_words() {
+        let s = sim();
+        let plan = FaultPlan::count_only();
+        s.set_fault_plan(plan.clone());
+        let m = s.handle();
+        m.store_line_words(PAddr(128), &[1, 2, 3]);
+        assert_eq!(plan.primitives(), 3);
+        assert_eq!(s.stats().stores, 3);
+        assert_eq!(m.read_u64(PAddr(144)), 3);
+        s.crash(CrashPolicy::DropAll);
+        assert_eq!(s.handle().read_u64(PAddr(136)), 0, "unflushed line lost");
+    }
+
+    #[test]
+    #[should_panic(expected = "inside one line")]
+    fn store_line_words_refuses_to_cross_a_line() {
+        sim().handle().store_line_words(PAddr(56), &[1, 2]);
     }
 
     #[test]

@@ -32,10 +32,12 @@ use std::process::ExitCode;
 use mnemosyne::Mnemosyne;
 use mnemosyne_svc::{KvServer, KvService, SvcConfig};
 
-/// Transaction-runtime slots. The service holds one (its combiner), but
-/// recovery replays exactly this many redo logs, so it stays at 4 — what
-/// earlier daemons booted with by default — and a `--dir` they wrote
-/// reopens with every log that can still hold records.
+/// Transaction-runtime slots. The service holds one, and the first three
+/// open connections hold one each, so the batches they combine run on
+/// their own redo log and descriptor; later connections share the
+/// service's. Recovery replays exactly this many redo logs, so it stays
+/// at 4 — what earlier daemons booted with by default — and a `--dir`
+/// they wrote reopens with every log that can still hold records.
 const MAX_THREADS: usize = 4;
 
 struct Args {

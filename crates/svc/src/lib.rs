@@ -18,10 +18,14 @@
 //!   never panics.
 //! - [`service`] — the group-commit combiner. Requests join one FIFO
 //!   queue; a thread waiting for its answer takes the service's one
-//!   combiner and runs up to a batch of queued requests — its own and
-//!   others' — in ONE durable transaction, so N writes share one
+//!   combiner lock and runs up to a batch of queued requests — its own
+//!   and others' — in ONE durable transaction, so N writes share one
 //!   redo-append fence and one truncating fence, and one connection's
-//!   pipelined requests run in the order they were sent. Admin requests
+//!   pipelined requests run in the order they were sent. The batch runs
+//!   on the waiter's connection's own transaction thread (a runtime slot
+//!   the connection holds while it is open) when it has one, so a
+//!   batch's descriptor, redo log and write-combining buffer stay on the
+//!   thread that runs it; otherwise on the service's. Admin requests
 //!   bypass the queue on a bounded side path, so observability stays
 //!   responsive under load or drain.
 //! - [`server`]/[`client`] — a TCP front end with one thread per

@@ -1,15 +1,18 @@
 //! The TCP front end: accepts connections and pumps framed requests
 //! into a [`KvService`].
 //!
-//! A served connection costs exactly one thread, which loops: block for
-//! one request frame, take every further frame that is already whole in
-//! the read buffer, submit them all, then redeem the tickets in order —
-//! running the combiner itself when its answer is not in yet — writing
-//! each reply, and flush once. That is the pipelining contract: a client
-//! may have any number of requests in flight and responses always come
-//! back in request order. The thread never blocks on a partial frame
-//! while it holds unanswered tickets, so a half-sent request cannot hold
-//! back the replies to the whole ones before it.
+//! A served connection costs exactly one thread, plus a transaction thread
+//! (a runtime slot) while the runtime has one free. The thread loops:
+//! block for one request frame, take every further frame that is already
+//! whole in the read buffer, submit them all, then redeem the tickets in
+//! order — running the combiner itself, on the connection's transaction
+//! thread when it has one, when its answer is not in yet — writing each
+//! reply, and flush once. The slot goes back when the connection ends.
+//! That is the pipelining contract: a client may have any number of
+//! requests in flight and responses always come back in request order.
+//! The thread never blocks on a partial frame while it holds unanswered
+//! tickets, so a half-sent request cannot hold back the replies to the
+//! whole ones before it.
 
 use std::io::{BufReader, BufWriter, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -168,6 +171,7 @@ fn serve_conn(stream: TcpStream, shared: &Arc<ServerShared>) {
 /// Serves requests until the connection ends; returns whether it ended
 /// with SHUTDOWN (whose ack is then the last reply written).
 fn serve_requests(stream: &TcpStream, svc: &KvService) -> bool {
+    let mut own = svc.conn_thread();
     let mut reader = BufReader::new(stream);
     let mut w = BufWriter::new(stream);
     let mut tickets = Vec::new();
@@ -209,7 +213,7 @@ fn serve_requests(stream: &TcpStream, svc: &KvService) -> bool {
         // accepted request still runs; then flush the replies at once.
         let mut written = true;
         for ticket in tickets.drain(..) {
-            let resp = ticket.wait();
+            let resp = ticket.wait_on(own.as_mut());
             written = written && write_response(&mut w, &resp).is_ok();
         }
         let written = written && w.flush().is_ok();

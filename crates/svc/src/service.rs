@@ -3,10 +3,21 @@
 //!
 //! Every submitted request becomes a [`Ticket`] and joins one FIFO queue.
 //! Nothing runs until somebody waits: [`Ticket::wait`] takes the
-//! service's one combiner (a transaction thread behind a mutex), claims up
-//! to [`SvcConfig::max_batch`] queued requests in order — its own and
-//! whoever queued before it — and executes them inside ONE `atomic`
-//! block. A request is acknowledged only after that transaction's commit
+//! service's one combiner lock, claims up to [`SvcConfig::max_batch`]
+//! queued requests in order — its own and whoever queued before it — and
+//! executes them inside ONE `atomic` block.
+//!
+//! The lock guards the service's own transaction thread, which runs the
+//! batch unless the waiter brings one of its own. A TCP connection checks
+//! out a transaction thread (a runtime slot: its own redo log and STM
+//! descriptor) for as long as it is open, when the runtime has one free,
+//! and the batches its thread combines run on it, still under the one
+//! lock. That keeps a batch's descriptor, log and write-combining buffer
+//! on the thread that runs it instead of handing them between connection
+//! threads on every batch, which cost about as much as the batch's own
+//! work (DESIGN.md §7). Connections beyond the free slots, and
+//! [`KvService::call`], use the service's thread. Either way one batch
+//! runs at a time, in FIFO order, and no combiner aborts another. A request is acknowledged only after that transaction's commit
 //! returns — i.e. after its redo record is fenced onto SCM — so an
 //! acknowledged write is durable by construction, and N batched writes
 //! cost one redo-append fence (and one truncating fence) instead of N of
@@ -138,8 +149,16 @@ impl Ticket {
     }
 
     /// Returns the response, running the combiner on the calling thread
-    /// until the request's batch has committed (or failed).
+    /// until the request's batch has committed (or failed). Batches run on
+    /// the service's own transaction thread.
     pub fn wait(self) -> Response {
+        self.wait_on(None)
+    }
+
+    /// Like [`Ticket::wait`], but the batches this thread combines run on
+    /// `own` when given: the transaction thread its connection checked
+    /// out. The combiner lock is taken either way.
+    pub(crate) fn wait_on(self, mut own: Option<&mut TxThread>) -> Response {
         let (inner, slot) = match self.0 {
             TicketState::Ready(resp) => return resp,
             TicketState::Queued(inner, slot) => (inner, slot),
@@ -148,9 +167,9 @@ impl Ticket {
             if let Some(resp) = slot.lock().take() {
                 return resp;
             }
-            let mut th = inner.combiner.lock();
+            let mut shared = inner.combiner.lock();
             if slot.lock().is_none() {
-                inner.combine(&mut th);
+                inner.combine(own.as_deref_mut().unwrap_or(&mut shared));
             }
         }
     }
@@ -179,8 +198,9 @@ struct QueueState {
 struct Inner {
     mtm: Arc<MtmRuntime>,
     table: PHashTable,
-    /// The one transaction thread every batch runs on; whoever holds it
-    /// is the combiner.
+    /// The combiner lock: whoever holds it runs the one batch. It guards
+    /// the service's own transaction thread, which runs the batch unless
+    /// the holder's connection brought its own.
     combiner: Mutex<TxThread>,
     max_batch: usize,
     max_queue: usize,
@@ -245,9 +265,7 @@ impl Inner {
                 let ns = timer.elapsed().as_nanos() as u64;
                 self.metrics.batch_size.record(batch.len() as u64);
                 self.metrics.requests.add(batch.len() as u64);
-                for _ in &batch {
-                    self.metrics.request_ns.record(ns);
-                }
+                self.metrics.request_ns.record_n(ns, batch.len() as u64);
                 replies
             }
             // The transaction failed cleanly: nothing was applied and
@@ -488,6 +506,13 @@ impl KvService {
         }
         self.inner.conns.fetch_add(1, Ordering::SeqCst);
         true
+    }
+
+    /// A transaction thread of the connection's own, if the runtime has a
+    /// free slot: its batches run on it (see [`Ticket::wait_on`]), and
+    /// dropping it when the connection ends returns the slot.
+    pub(crate) fn conn_thread(&self) -> Option<TxThread> {
+        self.inner.mtm.register_thread().ok()
     }
 
     /// Unregisters a connection admitted by [`KvService::conn_opened`].

@@ -15,8 +15,10 @@
 //!
 //! The serving sweep's two clients overwrite one shared key set, so the
 //! oracle covers every interleaving of their acknowledged overwrites.
-//! One combiner means one redo log; overwrites of one word from two logs
-//! are swept in the workspace's `tests/resilience.rs`
+//! Each connection runs the batches it combines on its own transaction
+//! thread, so those overwrites come from two redo logs, one batch at a
+//! time; the workspace's `tests/resilience.rs` sweeps two logs without a
+//! combiner lock
 //! (`idle_log_cannot_undo_another_logs_acknowledged_overwrite`,
 //! `two_threads_bumping_shared_cells_survive_crash_sweep`).
 

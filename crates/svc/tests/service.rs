@@ -1,8 +1,10 @@
 //! End-to-end tests of the mnemosyned service: TCP round trips,
-//! pipelining and its order guarantee, group-commit batching, graceful restart durability, and
+//! pipelining and its order guarantee, group-commit batching, the
+//! transaction slots connections hold, graceful restart durability, and
 //! the METRICS.md contract for the `svc.*` names.
 
 use std::path::{Path, PathBuf};
+use std::time::{Duration, Instant};
 
 use mnemosyne::Mnemosyne;
 use mnemosyne_svc::proto::{Request, Response};
@@ -157,6 +159,109 @@ fn queued_writes_coalesce_into_one_commit() {
     assert_eq!(batches.count, 1);
     assert_eq!(telemetry.counter("svc.requests"), 10);
 
+    svc.stop();
+    std::fs::remove_dir_all(&d).ok();
+}
+
+/// A served connection holds a transaction slot of its own while it is
+/// open and returns it when it ends.
+#[test]
+fn connections_hold_transaction_slots_while_open() {
+    let d = dir("slots");
+    let m = Mnemosyne::builder(&d)
+        .scm_size(32 << 20)
+        .max_threads(4)
+        .open()
+        .unwrap();
+    let svc = KvService::start(&m, SvcConfig::default()).unwrap();
+    let server = KvServer::bind(svc.clone(), "127.0.0.1:0").unwrap();
+    let mut a = Client::connect(server.local_addr()).unwrap();
+    let mut b = Client::connect(server.local_addr()).unwrap();
+    // A reply means the connection's thread is serving with its slot.
+    a.put(b"a", b"1").unwrap();
+    b.put(b"b", b"2").unwrap();
+    // The service's thread and the two connections': 3 of 4 slots.
+    let spare = m.register_thread().unwrap();
+    assert!(
+        m.register_thread().is_err(),
+        "two open connections should hold two slots"
+    );
+    drop(spare);
+    assert_eq!(a.get(b"b").unwrap(), Some(b"2".to_vec()));
+    assert_eq!(b.get(b"a").unwrap(), Some(b"1".to_vec()));
+    drop((a, b));
+    // Each connection thread ends on EOF and drops its slot.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let free: Vec<_> = (0..3).map_while(|_| m.register_thread().ok()).collect();
+        if free.len() == 3 {
+            break;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "closed connections still hold {} slots",
+            3 - free.len()
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert_eq!(
+        svc.call(Request::Get(b"a".to_vec())),
+        Response::Value(b"1".to_vec())
+    );
+    server.stop();
+    svc.stop();
+    std::fs::remove_dir_all(&d).ok();
+}
+
+/// With no free slot, connections combine on the service's own
+/// transaction thread, and two pipelining clients still get every reply
+/// in order.
+#[test]
+fn connections_without_a_free_slot_share_the_service_thread() {
+    let d = dir("noslot");
+    let m = Mnemosyne::builder(&d)
+        .scm_size(32 << 20)
+        .max_threads(1)
+        .open()
+        .unwrap();
+    let svc = KvService::start(&m, SvcConfig::default()).unwrap();
+    assert!(
+        m.register_thread().is_err(),
+        "the service holds the one slot"
+    );
+    let server = KvServer::bind(svc.clone(), "127.0.0.1:0").unwrap();
+    let addr = server.local_addr();
+    const ROUNDS: u8 = 4;
+    let clients: Vec<_> = (0..2u8)
+        .map(|t| {
+            std::thread::spawn(move || {
+                let mut c = Client::connect(addr).unwrap();
+                for round in 0..ROUNDS {
+                    for i in 0..32u8 {
+                        c.send(&Request::Put(vec![t, i], vec![round, t, i]))
+                            .unwrap();
+                    }
+                    c.send(&Request::Get(vec![t, 31])).unwrap();
+                    for i in 0..32u8 {
+                        assert_eq!(c.recv().unwrap(), Response::Ok, "client {t} put {i}");
+                    }
+                    assert_eq!(c.recv().unwrap(), Response::Value(vec![round, t, 31]));
+                }
+            })
+        })
+        .collect();
+    for c in clients {
+        c.join().unwrap();
+    }
+    for t in 0..2u8 {
+        for i in 0..32u8 {
+            assert_eq!(
+                svc.call(Request::Get(vec![t, i])),
+                Response::Value(vec![ROUNDS - 1, t, i])
+            );
+        }
+    }
+    server.stop();
     svc.stop();
     std::fs::remove_dir_all(&d).ok();
 }
