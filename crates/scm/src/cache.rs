@@ -275,7 +275,7 @@ mod tests {
     }
 
     #[test]
-    fn word_store_keeps_the_first_pre_image() {
+    fn store_word_keeps_the_first_pre_image() {
         let (media, cache) = setup();
         media.write_word(PAddr(192), 9);
         cache.store_line_words(&media, PAddr(192), &[1], || true);
