@@ -10,8 +10,9 @@ use parking_lot::{Mutex, RwLock};
 
 use mnemosyne_obs::{Counter, Histogram, MaxGauge, Telemetry, Unit};
 use mnemosyne_pheap::PHeap;
+use mnemosyne_rawl::redo::{self, WordWrite};
 use mnemosyne_rawl::{LogError, LogTruncator, TornbitLog, LOG_HEADER_BYTES};
-use mnemosyne_region::{PMem, Regions, VAddr};
+use mnemosyne_region::{PMem, Regions};
 
 use crate::error::{TxAbort, TxError};
 use crate::gclock::GlobalClock;
@@ -313,7 +314,7 @@ impl MtmRuntime {
         // Scan: map each slot's log and recover its records.
         let timer = Instant::now();
         let mut logs = Vec::with_capacity(config.max_threads);
-        let mut records: Vec<Vec<u64>> = Vec::new();
+        let mut records = Vec::new();
         let mut scanned_words = 0u64;
         for i in 0..config.max_threads {
             let bytes = LOG_HEADER_BYTES + config.log_words * 8;
@@ -324,43 +325,21 @@ impl MtmRuntime {
             records.extend(recs);
             logs.push(log);
         }
-        // Redo records are [ts, (addr,val)*]. Every record is
-        // checksum-verified by recovery, so a structurally malformed one
-        // means corruption slipped past the media-level checks — refuse to
-        // replay it.
-        if records.iter().any(|rec| rec.len() % 2 == 0) {
-            return Err(TxError::Log(LogError::Corrupt {
-                position: 0,
-                detail: "malformed redo record in recovered log",
-            }));
-        }
+        // Every record is checked before any write lands; a malformed one
+        // is typed corruption, not a replay.
+        let mut decoded = records
+            .iter()
+            .map(|rec| redo::decode_stamped(rec, &pmem))
+            .collect::<Result<Vec<_>, _>>()?;
 
         // Replay committed transactions in global timestamp order (§5
         // recovery): store every write, then retire the records as a
         // manager pass does, oldest first across all logs, so a crash
         // inside recovery leaves the next one a suffix of the commit order.
-        records.sort_by_key(|rec| rec[0]);
-        let replayed = records.len() as u64;
-        let writes: Vec<(VAddr, u64)> = records
-            .iter()
-            .flat_map(|rec| rec[1..].chunks_exact(2).map(|c| (VAddr(c[0]), c[1])))
-            .collect();
-        // A redo address outside every mapped region would be a
-        // segfault-analogue panic; surface it as typed corruption instead,
-        // before any write lands (the checksum passed, so the region table
-        // itself regressed — either way, don't crash).
-        if writes
-            .iter()
-            .any(|&(addr, _)| pmem.try_translate(addr).is_err())
-        {
-            return Err(TxError::Log(LogError::Corrupt {
-                position: 0,
-                detail: "redo record targets an unmapped address",
-            }));
-        }
-        for &(addr, val) in &writes {
-            pmem.store_u64(addr, val);
-        }
+        decoded.sort_by_key(|&(ts, _)| ts);
+        let replayed = decoded.len() as u64;
+        let writes: Vec<WordWrite> = decoded.into_iter().flat_map(|(_, w)| w).collect();
+        redo::write_back(&pmem, &writes);
         // Every log's consumer handle: backlog accounting reads them in
         // both regimes; recovery and every async pass truncate through them.
         let ckpt = CkptShared {
@@ -583,7 +562,7 @@ impl Drop for MtmRuntime {
 
 /// One log-manager pass (§5): retires published redo records in commit
 /// order across every log. It takes the oldest head record stamped at or
-/// below `horizon`, forces out the lines it names, and truncates its log
+/// below `horizon`, forces out each line it names once, and truncates its log
 /// just past it (one head-word store, one fence), until no such record is
 /// left. A live pass reads its horizon from the global clock once, at its
 /// start; recovery, whose records all predate it, passes `u64::MAX`. The
@@ -598,24 +577,23 @@ impl Drop for MtmRuntime {
 /// `Release`/`Acquire`, the tick `AcqRel`, the horizon read `Acquire`.)
 fn drain_logs(ckpt: &CkptShared, horizon: u64) -> u64 {
     // A corrupt log poisons itself and drops out; its producer gets the
-    // typed error.
+    // typed error. A malformed head drops its log out of the pass too.
     let peek = |t: &LogTruncator| {
-        let head = t.peek(&ckpt.pmem).ok().flatten();
-        head.filter(|(rec, _)| rec[0] <= horizon)
+        let (rec, end) = t.peek(&ckpt.pmem).ok().flatten()?;
+        let (ts, writes) = redo::decode_stamped(&rec, &ckpt.pmem).ok()?;
+        (ts <= horizon).then(|| (ts, writes.collect::<Vec<_>>(), end))
     };
     let mut heads: Vec<_> = ckpt.truncators.iter().map(peek).collect();
+    let mut lines = Vec::new();
     let mut words = 0;
     while let Some((_, i)) = heads
         .iter()
         .enumerate()
-        .filter_map(|(i, h)| Some((h.as_ref()?.0[0], i)))
+        .filter_map(|(i, h)| Some((h.as_ref()?.0, i)))
         .min()
     {
-        let (rec, end) = heads[i].take().expect("the oldest head is present");
-        // rec = [ts, (addr, val)*]; flush each written line.
-        for pair in rec[1..].chunks_exact(2) {
-            ckpt.pmem.flush(VAddr(pair[0]));
-        }
+        let (_, writes, end) = heads[i].take().expect("the oldest head is present");
+        redo::force(&ckpt.pmem, writes, &mut lines);
         words += ckpt.truncators[i].truncate_to(&ckpt.pmem, end);
         heads[i] = peek(&ckpt.truncators[i]);
     }
@@ -821,14 +799,8 @@ impl Tx<'_> {
 
         let ts = self.th.rt().clock().tick();
 
-        // Build and persist the redo record: [ts, (addr, val)*], in
-        // first-write order.
-        let record = &mut self.d.record;
-        record.push(ts);
-        for &(addr, val) in &self.d.writes {
-            record.push(addr);
-            record.push(val);
-        }
+        // Build and persist the redo record, in first-write order.
+        redo::encode(&mut self.d.record, Some(ts), &self.d.writes);
         let truncation = self.th.rt().truncation();
         let log_timer = Instant::now();
         let mut stall_timer: Option<Instant> = None;
@@ -879,22 +851,9 @@ impl Tx<'_> {
             .record(log_timer.elapsed().as_nanos() as u64);
 
         // Write back buffered values (lazy version management), in
-        // first-write order: a run of consecutive words in one line is one
-        // store of that line's words.
+        // first-write order.
         let writeback_timer = Instant::now();
-        let mut run = [0u64; 8];
-        for words in self
-            .d
-            .writes
-            .chunk_by(|&(a, _), &(b, _)| b == a + 8 && b % 64 != 0)
-        {
-            for (slot, &(_, val)) in run.iter_mut().zip(words) {
-                *slot = val;
-            }
-            self.th
-                .pmem()
-                .store_line_words(VAddr(words[0].0), &run[..words.len()]);
-        }
+        redo::write_back(self.th.pmem(), &self.d.writes);
         // Now the async truncator may consume (flush + truncate) the
         // record, and the backlog accounting sees it.
         self.th.log_mut().publish();
@@ -905,20 +864,12 @@ impl Tx<'_> {
             .record(writeback_timer.elapsed().as_nanos() as u64);
 
         if truncation == Truncation::Sync {
-            // §5 synchronous truncation, while every write lock is still
-            // held: force the distinct modified lines out (`flush` puts a
-            // line on media before it returns in this model), then drop
-            // the record — one head-word store and the commit's closing
-            // fence. A log therefore holds a record only while its
+            // Force and truncate (DESIGN.md §5) while every write lock is
+            // still held, so a log holds a record only while its
             // transaction holds that record's locks.
             let truncate_timer = Instant::now();
-            let lines = &mut self.d.lines;
-            lines.extend(self.d.writes.iter().map(|&(a, _)| a & !63));
-            lines.sort_unstable();
-            lines.dedup();
-            for &line in lines.iter() {
-                self.th.pmem().flush(VAddr(line));
-            }
+            let writes = self.d.writes.iter().copied();
+            redo::force(self.th.pmem(), writes, &mut self.d.lines);
             self.th.log_mut().truncate_fenced();
             self.th
                 .rt()

@@ -13,6 +13,7 @@
 
 use std::collections::HashMap;
 
+use mnemosyne_rawl::redo::WordWrite;
 use mnemosyne_region::VAddr;
 use mnemosyne_scm::AddrHasherBuild;
 
@@ -29,7 +30,7 @@ const MAX_LOCK_WAITS: u32 = 6;
 pub(crate) struct Descriptor {
     /// Buffered new values, word granularity (lazy version management),
     /// in first-write order.
-    pub(crate) writes: Vec<(u64, u64)>,
+    pub(crate) writes: Vec<WordWrite>,
     /// `address → position in writes`.
     index: HashMap<u64, usize, AddrHasherBuild>,
     /// Reads: `(lock index, observed version)`.
@@ -40,14 +41,14 @@ pub(crate) struct Descriptor {
     pub(crate) allocs: Vec<VAddr>,
     /// Frees deferred to commit success.
     pub(crate) frees: Vec<VAddr>,
-    /// Commit scratch: the redo record `[ts, (addr, val)*]`.
+    /// Commit scratch: the redo record and the lines its writes touch.
     pub(crate) record: Vec<u64>,
-    /// Commit scratch: the distinct modified lines, in address order.
     pub(crate) lines: Vec<u64>,
 }
 
 impl Descriptor {
-    /// Empties every set, keeping the capacity.
+    /// Empties every set, keeping the capacity (the commit scratch is
+    /// overwritten by its next use).
     fn clear(&mut self) {
         self.writes.clear();
         self.index.clear();
@@ -55,8 +56,6 @@ impl Descriptor {
         self.lock_set.clear();
         self.allocs.clear();
         self.frees.clear();
-        self.record.clear();
-        self.lines.clear();
     }
 
     /// The buffered value of `addr`, if this transaction wrote it.
@@ -70,7 +69,7 @@ impl Descriptor {
             Some(&i) => self.writes[i].1 = value,
             None => {
                 self.index.insert(addr, self.writes.len());
-                self.writes.push((addr, value));
+                self.writes.push((VAddr(addr), value));
             }
         }
     }

@@ -6,6 +6,7 @@ use std::sync::Arc;
 
 use mnemosyne_mtm::{MtmConfig, MtmRuntime, Truncation, TxError};
 use mnemosyne_pheap::{HeapConfig, PHeap};
+use mnemosyne_rawl::{LogError, TornbitLog};
 use mnemosyne_region::{RegionManager, Regions, VAddr};
 use mnemosyne_scm::{CrashPolicy, ScmConfig, ScmSim};
 
@@ -531,6 +532,43 @@ fn replay_respects_timestamp_order() {
     let _rt2 = MtmRuntime::open(&regions2, MtmConfig::default()).unwrap();
     let pmem = regions2.pmem_handle();
     assert_eq!(pmem.read_u64(base), 3, "replay must apply ts order");
+}
+
+/// Recovery checks every redo record before it replays any: a record that
+/// passes its checksum but is malformed is typed corruption, and the
+/// older, well-formed record in front of it is not replayed either.
+#[test]
+fn malformed_redo_records_are_refused_before_any_replay() {
+    let (_env, regions) = setup("malformed");
+    let pmem = regions.pmem_handle();
+    let (cell, _) = regions.static_area();
+    drop(MtmRuntime::open(&regions, MtmConfig::default()).unwrap());
+    // Mapped after the logs, so no later region reuses its range.
+    let gone = regions.pmap("gone", 4096, &pmem).unwrap().addr;
+    regions.punmap("gone", &pmem).unwrap();
+    let log0 = regions.find("mtm.log0").unwrap().addr;
+    let logged = |records: &[&[u64]]| {
+        let (mut log, _) = TornbitLog::recover(regions.pmem_handle(), log0).unwrap();
+        log.truncate_all();
+        for rec in records {
+            log.append(rec).unwrap();
+        }
+        log.flush();
+    };
+    // [ts, (addr, val)*]: an even length cuts a pair.
+    for bad in [&[2, cell.0, 9, cell.0][..], &[2, gone.0, 9]] {
+        logged(&[&[1, cell.0, 7], bad]);
+        let err = MtmRuntime::open(&regions, MtmConfig::default()).unwrap_err();
+        assert!(
+            matches!(err, TxError::Log(LogError::Corrupt { .. })),
+            "{bad:?}: {err}"
+        );
+        assert_eq!(pmem.read_u64(cell), 0, "{bad:?}: a record was replayed");
+    }
+    logged(&[&[1, cell.0, 7]]);
+    let rt = MtmRuntime::open(&regions, MtmConfig::default()).unwrap();
+    assert_eq!(rt.recovery_stats().replayed, 1);
+    assert_eq!(pmem.read_u64(cell), 7);
 }
 
 #[test]

@@ -2,25 +2,22 @@
 //!
 //! One lock guards the whole heap state — the allocator log, the small
 //! allocator and the large areas — so an operation takes the lock, builds
-//! its word writes, logs them as one redo record and applies them (§4.3).
-//! The lock is also what keeps the allocator log single-producer.
-//!
-//! An operation commits the way a `Truncation::Sync` transaction does
-//! (DESIGN.md §5): append the record and fence (the commit point), store
-//! and flush the written words, then truncate the log with one head-word
-//! write and the closing fence — two fences per operation.
+//! its word writes and commits them as one unstamped word-redo record
+//! ([`mnemosyne_rawl::redo`], DESIGN.md §5) with two fences (§4.3). The
+//! lock is also what keeps the allocator log single-producer.
 
 use std::time::Instant;
 
 use parking_lot::Mutex;
 
 use mnemosyne_obs::{Counter, Histogram, Telemetry, Unit};
+use mnemosyne_rawl::redo::{self, WordWrite};
 use mnemosyne_rawl::TornbitLog;
-use mnemosyne_region::{PMem, Regions, VAddr};
+use mnemosyne_region::{Regions, VAddr};
 
 use crate::error::HeapError;
 use crate::large::LargeAlloc;
-use crate::small::{class_of, SmallAlloc, SmallLayout, WordWrite};
+use crate::small::{class_of, SmallAlloc, SmallLayout};
 
 /// Heap header magic ("PHEAPHD2"), stored in the first word of the small
 /// region; written last during formatting so a torn format is re-run. The
@@ -150,11 +147,41 @@ struct HeapState {
     small: SmallAlloc,
     /// The base large area, then the committed extension areas.
     large: Vec<LargeAlloc>,
+    /// An operation's word writes, their redo record and the lines they
+    /// touch: buffers every operation reuses.
+    writes: Vec<WordWrite>,
+    record: Vec<u64>,
+    lines: Vec<u64>,
 }
 
 impl HeapState {
     fn large_capacity(&self) -> u64 {
         self.large.iter().map(LargeAlloc::capacity).sum()
+    }
+
+    /// Commits `writes` — the §4.3 atomicity protocol, in the word-redo
+    /// sequence of DESIGN.md §5: append and fence (**the commit point**),
+    /// then [`HeapState::redo`]. The log is empty on entry, so an append
+    /// can fail only with `RecordTooLarge`.
+    fn commit(&mut self) -> Result<(), HeapError> {
+        redo::encode(&mut self.record, None, &self.writes);
+        self.log.append(&self.record)?;
+        self.log.flush();
+        self.redo();
+        Ok(())
+    }
+
+    /// Writes back and forces `writes`, then truncates the log with the
+    /// closing fence (free when it is empty): what follows the commit
+    /// point, all of replay, and a format's durable stores.
+    fn redo(&mut self) {
+        redo::write_back(self.log.pmem(), &self.writes);
+        redo::force(
+            self.log.pmem(),
+            self.writes.iter().copied(),
+            &mut self.lines,
+        );
+        self.log.truncate_fenced();
     }
 }
 
@@ -204,22 +231,12 @@ impl PHeap {
         let layout = SmallLayout::new(small_r.addr.add(4096), small_r.len - 4096);
         let metrics = HeapMetrics::new(regions.telemetry());
 
-        let state = if pmem.read_u64(header) != HEAP_MAGIC {
-            // Fresh heap: format everything, publish the magic last.
+        let fresh = pmem.read_u64(header) != HEAP_MAGIC;
+        let mut large = vec![LargeAlloc::new(large_r.addr, large_r.len)];
+        let (log, writes, replayed) = if fresh {
+            // Format the base large area (publishing the magic comes last).
             let log = TornbitLog::create(regions.pmem_handle(), log_r.addr, LOG_WORDS)?;
-            let mut large = LargeAlloc::new(large_r.addr, large_r.len);
-            Self::apply(&pmem, &large.format_writes());
-            pmem.store_u64(header.add(8), 1);
-            pmem.flush(header.add(8));
-            pmem.fence();
-            pmem.store_u64(header, HEAP_MAGIC);
-            pmem.flush(header);
-            pmem.fence();
-            HeapState {
-                log,
-                small: SmallAlloc::new(layout),
-                large: vec![large],
-            }
+            (log, large[0].format_writes(), 0)
         } else {
             // Committed extension areas ([`PHeap::grow`]): every counted
             // area must exist in the region table (Regions::open already
@@ -232,7 +249,6 @@ impl PHeap {
                     "implausible extension-area count in heap header",
                 ));
             }
-            let mut large = vec![LargeAlloc::new(large_r.addr, large_r.len)];
             for e in 0..n_ext {
                 let r = regions
                     .find(&format!("pheap.ext{e}"))
@@ -241,89 +257,49 @@ impl PHeap {
                     ))?;
                 large.push(LargeAlloc::new(r.addr, r.len));
             }
-
-            // Redo committed-but-unapplied operations.
-            let (mut log, records) = TornbitLog::recover(regions.pmem_handle(), log_r.addr)?;
-            metrics.replayed.add(Self::replay(&mut log, &records)?);
-
+            // Redo committed-but-unapplied operations, every record checked
+            // before any write lands.
+            let (log, records) = TornbitLog::recover(regions.pmem_handle(), log_r.addr)?;
+            let mut writes = Vec::new();
+            for rec in &records {
+                writes.extend(redo::decode(rec, &pmem)?);
+            }
+            (log, writes, records.len() as u64)
+        };
+        let mut st = HeapState {
+            log,
+            small: SmallAlloc::new(layout),
+            large,
+            writes,
+            record: Vec::new(),
+            lines: Vec::new(),
+        };
+        st.redo();
+        if fresh {
+            pmem.store_u64(header.add(8), 1);
+            pmem.flush(header.add(8));
+            pmem.fence();
+            pmem.store_u64(header, HEAP_MAGIC);
+            pmem.flush(header);
+            pmem.fence();
+        } else {
+            metrics.replayed.add(replayed);
             // Scavenge: rebuild the volatile indexes from what the replay
             // left on media.
             let timer = Instant::now();
-            let small = SmallAlloc::scavenge(&pmem, layout);
-            for area in &mut large {
+            st.small = SmallAlloc::scavenge(&pmem, layout);
+            for area in &mut st.large {
                 area.scavenge(&pmem)?;
             }
             metrics
                 .scavenge_ns
                 .record(timer.elapsed().as_nanos() as u64);
-            HeapState { log, small, large }
-        };
+        }
         Ok(PHeap {
-            state: Mutex::new(state),
+            state: Mutex::new(st),
             header,
             metrics,
         })
-    }
-
-    /// Validates and redoes the log's recovered records, then truncates
-    /// the log the way [`PHeap::commit`] ends. Records are
-    /// checksum-verified by recovery, so a structurally bad one (odd
-    /// length, unmapped target) means corruption got past the media-level
-    /// checks — refuse to replay rather than panic or scribble on the
-    /// wrong words.
-    fn replay(log: &mut TornbitLog, records: &[Vec<u64>]) -> Result<u64, HeapError> {
-        for rec in records {
-            if rec.len() % 2 != 0 {
-                return Err(HeapError::Corrupt("malformed allocator redo record"));
-            }
-            let pairs: Vec<WordWrite> = rec.chunks_exact(2).map(|c| (VAddr(c[0]), c[1])).collect();
-            for &(addr, _) in &pairs {
-                if log.pmem().try_translate(addr).is_err() {
-                    return Err(HeapError::Corrupt(
-                        "allocator redo record targets an unmapped address",
-                    ));
-                }
-            }
-            Self::apply(log.pmem(), &pairs);
-        }
-        log.truncate_fenced();
-        Ok(records.len() as u64)
-    }
-
-    /// Stores each word write and flushes its line. No fence: a flush
-    /// puts its line on media before it returns (DESIGN.md §5), and every
-    /// caller fences next anyway.
-    fn apply(pmem: &PMem, writes: &[WordWrite]) {
-        for &(addr, val) in writes {
-            pmem.store_u64(addr, val);
-        }
-        for &(addr, _) in writes {
-            pmem.flush(addr);
-        }
-    }
-
-    /// Logs then applies an operation's writes — the §4.3 atomicity
-    /// protocol, in the sequence of a `Truncation::Sync` commit:
-    ///
-    /// 1. append the redo record and fence — **the commit point**;
-    ///    recovery redoes everything after it;
-    /// 2. store and flush the written words;
-    /// 3. truncate the log: one head-word write and the closing fence.
-    ///
-    /// The log is empty on entry: every operation truncates it before
-    /// releasing the heap lock, so an append can fail only with
-    /// `RecordTooLarge`.
-    fn commit(log: &mut TornbitLog, writes: &[WordWrite]) -> Result<(), HeapError> {
-        let mut record = Vec::with_capacity(writes.len() * 2);
-        for &(a, v) in writes {
-            record.push(a.0);
-            record.push(v);
-        }
-        log.append(&record)?;
-        log.flush();
-        Self::apply(log.pmem(), writes);
-        log.truncate_fenced();
-        Ok(())
     }
 
     /// Grows the heap online by mapping a fresh **large extension area**
@@ -363,7 +339,8 @@ impl PHeap {
             None => regions.pmap(&name, bytes, &pmem)?,
         };
         let mut area = LargeAlloc::new(region.addr, region.len);
-        Self::apply(&pmem, &area.format_writes());
+        st.writes = area.format_writes();
+        st.redo();
         // Commit point: the extension only counts once this word lands.
         pmem.store_u64(exts_addr, e + 1);
         pmem.flush(exts_addr);
@@ -399,9 +376,10 @@ impl PHeap {
     fn alloc_impl(&self, size: u64, cell: Option<VAddr>) -> Result<VAddr, HeapError> {
         let class = class_of(size);
         let mut guard = self.state.lock();
-        let HeapState { log, small, large } = &mut *guard;
-        let mut writes: Vec<WordWrite> = Vec::with_capacity(12);
-        let from_small = class.and_then(|c| small.alloc(c, &mut writes));
+        let st = &mut *guard;
+        let writes = &mut st.writes;
+        writes.clear();
+        let from_small = class.and_then(|c| st.small.alloc(c, writes));
         let a = match from_small {
             Some(a) => a,
             // A large request, or a small one the exhausted small area
@@ -409,15 +387,16 @@ impl PHeap {
             // extensions. An area's `alloc` pushes no writes before it
             // finds a fitting chunk, so trying the next area after a miss
             // is safe.
-            None => large
+            None => st
+                .large
                 .iter_mut()
-                .find_map(|area| area.alloc(size, log.pmem(), &mut writes))
+                .find_map(|area| area.alloc(size, st.log.pmem(), writes))
                 .ok_or(HeapError::OutOfMemory { requested: size })?,
         };
         if let Some(c) = cell {
             writes.push((c, a.0));
         }
-        Self::commit(log, &writes)?;
+        st.commit()?;
         drop(guard);
         if from_small.is_some() {
             self.metrics.superblock_allocs.inc();
@@ -439,21 +418,21 @@ impl PHeap {
         addr: VAddr,
         cell: Option<VAddr>,
     ) -> Result<(), HeapError> {
-        let HeapState { log, small, large } = st;
-        let mut writes: Vec<WordWrite> = Vec::with_capacity(12);
-        if small.contains(addr) {
-            small.free(addr, &mut writes)?;
+        let writes = &mut st.writes;
+        writes.clear();
+        if st.small.contains(addr) {
+            st.small.free(addr, writes)?;
         } else {
-            large
+            st.large
                 .iter_mut()
                 .find(|a| a.contains(addr))
                 .ok_or(HeapError::BadPointer(addr))?
-                .free(addr, log.pmem(), &mut writes)?;
+                .free(addr, st.log.pmem(), writes)?;
         }
         if let Some(c) = cell {
             writes.push((c, 0));
         }
-        Self::commit(log, &writes)?;
+        st.commit()?;
         self.metrics.frees.inc();
         Ok(())
     }
@@ -585,7 +564,7 @@ impl PHeap {
 mod tests {
     use super::*;
     use crate::large::CHUNK_HEADER;
-    use mnemosyne_region::RegionManager;
+    use mnemosyne_region::{PMem, RegionManager};
     use mnemosyne_scm::{CrashPolicy, ScmConfig, ScmSim};
     use std::fs;
     use std::path::PathBuf;

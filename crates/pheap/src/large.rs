@@ -9,10 +9,10 @@
 //! expected to be infrequent, so it is kept simple and made atomic with
 //! the same logged word-write mechanism as the small path.
 
+use mnemosyne_rawl::redo::WordWrite;
 use mnemosyne_region::{PMem, VAddr};
 
 use crate::error::HeapError;
-use crate::small::WordWrite;
 
 /// Chunk header size in bytes: size, prev_size, flags, magic.
 pub const CHUNK_HEADER: u64 = 32;

@@ -22,13 +22,12 @@
 //! per-processor arenas only serve scalability; DESIGN.md §7 ("one heap
 //! lock") has the measurements that decided against them.
 //!
-//! Atomicity: every operation appends a redo record (a flat list of
-//! `(address, value)` word writes covering the bitmap/header update *and*
-//! the caller's destination pointer cell) to the allocator log and fences
-//! — the commit point — then stores and flushes the writes and truncates
-//! the log with the closing fence: a `Truncation::Sync` transaction's two
-//! fences. Recovery replays complete records, so the heap and the
-//! caller's pointer always agree — the §3.4 anti-leak protocol.
+//! Atomicity: every operation's word writes — the bitmap/header update
+//! *and* the caller's destination pointer cell — are one redo record on
+//! the allocator log, committed in the word-redo sequence of
+//! [`mnemosyne_rawl::redo`] (DESIGN.md §5) with its two fences. Recovery
+//! replays complete records, so the heap and the caller's pointer always
+//! agree — the §3.4 anti-leak protocol.
 //!
 //! # Example
 //!

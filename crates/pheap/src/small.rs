@@ -24,6 +24,7 @@
 
 use std::collections::HashMap;
 
+use mnemosyne_rawl::redo::WordWrite;
 use mnemosyne_region::{PMem, VAddr};
 
 use crate::error::HeapError;
@@ -54,9 +55,6 @@ pub fn class_of(size: u64) -> Option<usize> {
 pub fn class_size(class: usize) -> u64 {
     8 << class
 }
-
-/// One pending durable word write.
-pub type WordWrite = (VAddr, u64);
 
 /// Geometry of the small-object area: metadata entries first (page
 /// aligned), superblocks after.

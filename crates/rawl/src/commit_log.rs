@@ -37,7 +37,6 @@ fn commit_word(pos: u64) -> u64 {
 pub struct CommitRecordLog {
     shared: Arc<LogShared>,
     pmem: PMem,
-    records_appended: u64,
     metrics: LogMetrics,
 }
 
@@ -74,7 +73,6 @@ impl CommitRecordLog {
         Ok(CommitRecordLog {
             shared: Arc::new(LogShared::new(base, capacity_words, 0)),
             pmem,
-            records_appended: 0,
             metrics,
         })
     }
@@ -138,7 +136,6 @@ impl CommitRecordLog {
             CommitRecordLog {
                 shared,
                 pmem,
-                records_appended: 0,
                 metrics,
             },
             records,
@@ -181,7 +178,6 @@ impl CommitRecordLog {
         let old_tail = self.shared.tail.load(Ordering::Relaxed);
         self.shared.tail.store(p + m, Ordering::Relaxed);
         self.shared.fenced.store(p + m, Ordering::Release);
-        self.records_appended += 1;
         self.metrics.appends.inc();
         self.metrics.append_words.add(payload.len() as u64);
         // Both fences belong to this append; count them as one flush of
@@ -215,11 +211,6 @@ impl CommitRecordLog {
     /// Buffer capacity in words.
     pub fn capacity(&self) -> u64 {
         self.shared.capacity
-    }
-
-    /// Records appended through this handle.
-    pub fn records_appended(&self) -> u64 {
-        self.records_appended
     }
 }
 

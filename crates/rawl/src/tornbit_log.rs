@@ -24,7 +24,6 @@ use crate::tornbit::{
 pub struct TornbitLog {
     shared: Arc<LogShared>,
     pmem: PMem,
-    records_appended: u64,
     metrics: LogMetrics,
     /// Append scratch: the packed record with its torn bits, reused.
     packed: Vec<u64>,
@@ -153,7 +152,6 @@ impl TornbitLog {
         Ok(TornbitLog {
             shared: Arc::new(LogShared::new(base, capacity_words, 0)),
             pmem,
-            records_appended: 0,
             metrics,
             packed: Vec::new(),
         })
@@ -250,7 +248,6 @@ impl TornbitLog {
             TornbitLog {
                 shared,
                 pmem,
-                records_appended: 0,
                 metrics,
                 packed: Vec::new(),
             },
@@ -315,7 +312,6 @@ impl TornbitLog {
         }
         let pos = tail + m;
         self.shared.tail.store(pos, Ordering::Relaxed);
-        self.records_appended += 1;
         self.metrics.appends.inc();
         self.metrics.append_words.add(payload.len() as u64);
         // A pass boundary crossed by this append is a torn-bit sense
@@ -328,11 +324,8 @@ impl TornbitLog {
     /// `log_flush`: one fence makes every prior append durable and
     /// publishes them to the asynchronous truncator.
     pub fn flush(&mut self) {
-        self.pmem.fence();
-        self.shared
-            .fenced
-            .store(self.shared.tail.load(Ordering::Relaxed), Ordering::Release);
-        self.metrics.flushes.inc();
+        self.flush_unpublished();
+        self.publish();
     }
 
     /// Like [`TornbitLog::flush`], but does **not** publish the records to
@@ -359,9 +352,7 @@ impl TornbitLog {
     /// written so far (one word write + one fence).
     pub fn truncate_all(&mut self) {
         self.flush();
-        let tail = self.shared.tail.load(Ordering::Relaxed);
-        self.shared.truncate_to(&self.pmem, tail);
-        self.metrics.truncations.inc();
+        self.truncate_fenced();
     }
 
     /// Producer-side truncation of a log whose appends are all fenced
@@ -404,11 +395,6 @@ impl TornbitLog {
     /// Buffer capacity in words.
     pub fn capacity(&self) -> u64 {
         self.shared.capacity
-    }
-
-    /// Records appended through this handle.
-    pub fn records_appended(&self) -> u64 {
-        self.records_appended
     }
 
     /// Whether the truncator has poisoned this log after detecting media

@@ -109,18 +109,29 @@ impl FileStore {
         page_off: u64,
         buf: &[u8; PAGE_SIZE as usize],
     ) -> Result<()> {
+        self.write_pages(name, [(page_off, *buf)])
+    }
+
+    /// Writes `(page_off, page)` pairs into `name` through one open file,
+    /// extending it as needed, then syncs it once.
+    ///
+    /// # Errors
+    /// Propagates I/O errors.
+    pub fn write_pages(
+        &self,
+        name: &str,
+        pages: impl IntoIterator<Item = (u64, [u8; PAGE_SIZE as usize])>,
+    ) -> Result<()> {
         let mut f = OpenOptions::new()
             .create(true)
             .truncate(false)
             .write(true)
             .open(self.path(name))?;
-        let start = page_off * PAGE_SIZE;
-        let len = f.metadata()?.len();
-        if len < start {
-            f.set_len(start)?;
+        for (page_off, page) in pages {
+            // A write past the end extends the file, zero-filling any gap.
+            f.seek(SeekFrom::Start(page_off * PAGE_SIZE))?;
+            f.write_all(&page)?;
         }
-        f.seek(SeekFrom::Start(start))?;
-        f.write_all(buf)?;
         f.sync_data()?;
         Ok(())
     }
@@ -164,6 +175,19 @@ mod tests {
         s.read_page("a.region", 3, &mut back).unwrap();
         assert_eq!(back[0], 1);
         assert_eq!(back[4095], 2);
+        fs::remove_dir_all(dir).ok();
+    }
+
+    #[test]
+    fn write_pages_writes_every_page_of_one_file() {
+        let (s, dir) = store();
+        let pages = (0..3u8).map(|i| (u64::from(i) * 2, [i + 1; PAGE_SIZE as usize]));
+        s.write_pages("d.region", pages).unwrap();
+        let mut back = [0xffu8; PAGE_SIZE as usize];
+        for (off, want) in [(0, 1), (1, 0), (2, 2), (3, 0), (4, 3)] {
+            s.read_page("d.region", off, &mut back).unwrap();
+            assert!(back.iter().all(|&b| b == want), "page {off}");
+        }
         fs::remove_dir_all(dir).ok();
     }
 

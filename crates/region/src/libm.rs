@@ -314,20 +314,6 @@ impl Regions {
         Ok(region)
     }
 
-    /// Paper-faithful variant of [`Regions::pmap`] that also writes the new
-    /// region's address into the persistent pointer cell `cell` *before*
-    /// committing, so the region can never be leaked by a crash (§3.4).
-    ///
-    /// # Errors
-    /// As [`Regions::pmap`].
-    pub fn pmap_into(&self, name: &str, len: u64, cell: VAddr, pmem: &PMem) -> Result<Region> {
-        let region = self.pmap(name, len, pmem)?;
-        pmem.store_u64(cell, region.addr.0);
-        pmem.flush(cell);
-        pmem.fence();
-        Ok(region)
-    }
-
     /// Deletes the dynamic region `name` — the paper's `punmap`: unmaps the
     /// range, frees its SCM frames and removes the backing file.
     ///
@@ -479,17 +465,6 @@ mod tests {
         assert_eq!(nonzero(&pmem), 0, "b reads a's dirty lines");
         sim.crash(CrashPolicy::DropAll);
         assert_eq!(nonzero(&pmem), 0, "the crash put a's words back into b");
-        fs::remove_dir_all(dir).ok();
-    }
-
-    #[test]
-    fn pmap_into_stores_address_in_cell() {
-        let (_sim, mgr, dir) = setup();
-        let (rg, pmem) = Regions::open(&mgr, 1 << 16).unwrap();
-        let (static_base, _) = rg.static_area();
-        let cell = static_base.add(64);
-        let r = rg.pmap_into("anchored", 4096, cell, &pmem).unwrap();
-        assert_eq!(pmem.read_u64(cell), r.addr.0);
         fs::remove_dir_all(dir).ok();
     }
 

@@ -415,16 +415,25 @@ impl RegionManager {
     pub fn checkpoint(&self) -> Result<()> {
         let st = self.inner.state.lock();
         self.inner.sim.drain_wc_all();
-        for (&(fid, off), &frame) in st.resident.iter() {
-            let name = match st.inodes.get(&fid) {
-                Some(n) => n.clone(),
-                None => continue,
+        let mut pages: Vec<_> = st
+            .resident
+            .iter()
+            .map(|(&(fid, off), &frame)| (fid, off, frame))
+            .collect();
+        pages.sort_unstable();
+        // One open and one sync per backing file.
+        for file in pages.chunk_by(|a, b| a.0 == b.0) {
+            let Some(name) = st.inodes.get(&file[0].0) else {
+                continue;
             };
-            let frame_addr = self.inner.layout.frame_addr(frame);
-            self.inner.dma.flush_range(frame_addr, PAGE_SIZE);
-            let mut page = [0u8; PAGE_SIZE as usize];
-            self.inner.dma.read(frame_addr, &mut page);
-            self.inner.files.write_page(&name, off, &page)?;
+            let read = |&(_, off, frame): &(FileId, u64, u64)| {
+                let frame_addr = self.inner.layout.frame_addr(frame);
+                self.inner.dma.flush_range(frame_addr, PAGE_SIZE);
+                let mut page = [0u8; PAGE_SIZE as usize];
+                self.inner.dma.read(frame_addr, &mut page);
+                (off, page)
+            };
+            self.inner.files.write_pages(name, file.iter().map(read))?;
         }
         Ok(())
     }

@@ -7,9 +7,7 @@
 //! pre-images a crash would put back, and the write-combining buffers hold
 //! streaming stores until they retire. Both are volatile simulation state.
 
-use std::fs;
-use std::io;
-use std::path::Path;
+use std::io::{self, Read};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::addr::{PAddr, WORD};
@@ -32,36 +30,49 @@ impl std::fmt::Debug for Media {
 }
 
 impl Media {
-    /// Creates zero-initialised media of `size` bytes (rounded up to words).
+    /// Creates zero-initialised media of `size` bytes (rounded up to
+    /// words). The array comes from a zeroed allocation, so a page costs
+    /// memory only once a word on it is written.
     pub fn new(size: u64) -> Self {
         let n = size.div_ceil(WORD) as usize;
-        let mut v = Vec::with_capacity(n);
-        v.resize_with(n, || AtomicU64::new(0));
-        Media {
-            words: v.into_boxed_slice(),
-        }
+        // SAFETY: `AtomicU64` has the same in-memory representation as
+        // `u64`, so all-zero bytes are a valid `AtomicU64::new(0)`.
+        let words = unsafe { Box::<[AtomicU64]>::new_zeroed_slice(n).assume_init() };
+        Media { words }
     }
 
-    /// Restores media from a previously saved image, padding with zeros if
-    /// `size` exceeds the image.
-    pub fn from_image(image: &[u8], size: u64) -> Self {
-        let media = Media::new(size.max(image.len() as u64));
-        for (i, chunk) in image.chunks(WORD as usize).enumerate() {
-            let mut buf = [0u8; 8];
-            buf[..chunk.len()].copy_from_slice(chunk);
-            media.words[i].store(u64::from_le_bytes(buf), Ordering::Relaxed);
-        }
-        media
-    }
-
-    /// Loads media from an image file written by
-    /// [`crate::ScmSim::shutdown_to`].
+    /// Restores media of `size` bytes from a saved image (a crash image
+    /// or the file [`crate::ScmSim::shutdown_to`] wrote), padding with
+    /// zeros past its end. The image is read a chunk at a time and only its
+    /// non-zero words are stored, so pages it leaves zero stay untouched.
     ///
     /// # Errors
-    /// Returns any I/O error from reading the file.
-    pub fn load(path: &Path, size: u64) -> io::Result<Self> {
-        let image = fs::read(path)?;
-        Ok(Media::from_image(&image, size))
+    /// Returns any I/O error from `image`, or [`io::ErrorKind::InvalidData`]
+    /// if it holds more than `size` bytes.
+    pub fn read_from(mut image: impl Read, size: u64) -> io::Result<Self> {
+        const CHUNK_BYTES: u64 = 1 << 16;
+        let media = Media::new(size);
+        let mut chunk = Vec::with_capacity(CHUNK_BYTES as usize);
+        let mut word = 0;
+        loop {
+            chunk.clear();
+            (&mut image).take(CHUNK_BYTES).read_to_end(&mut chunk)?;
+            if chunk.is_empty() {
+                return Ok(media);
+            }
+            for bytes in chunk.chunks(WORD as usize) {
+                let mut buf = [0u8; 8];
+                buf[..bytes.len()].copy_from_slice(bytes);
+                let value = u64::from_le_bytes(buf);
+                let cell = media.words.get(word).ok_or_else(|| {
+                    io::Error::new(io::ErrorKind::InvalidData, "image larger than the media")
+                })?;
+                if value != 0 {
+                    cell.store(value, Ordering::Relaxed);
+                }
+                word += 1;
+            }
+        }
     }
 
     /// Size in bytes.
@@ -196,7 +207,7 @@ mod tests {
         m.write_word(PAddr(8), 42);
         m.write_bytes(PAddr(100), b"hello");
         let img = m.image();
-        let m2 = Media::from_image(&img, 128);
+        let m2 = Media::read_from(&img[..], 128).unwrap();
         assert_eq!(m2.read_word(PAddr(8)), 42);
         let mut b = [0u8; 5];
         m2.read_bytes(PAddr(100), &mut b);
@@ -205,11 +216,22 @@ mod tests {
 
     #[test]
     fn from_image_pads_to_size() {
-        let m = Media::from_image(&[1, 2, 3], 64);
+        let m = Media::read_from(&[1u8, 2, 3][..], 64).unwrap();
         assert_eq!(m.size(), 64);
         let mut b = [0u8; 4];
         m.read_bytes(PAddr(0), &mut b);
         assert_eq!(b, [1, 2, 3, 0]);
+    }
+
+    #[test]
+    fn read_from_spans_chunks_and_refuses_an_oversized_image() {
+        let mut img = vec![0u8; (1 << 17) + 8];
+        img[(1 << 16) - 3] = 0xaa; // a word cut by no chunk edge
+        img[1 << 17] = 0xbb; // the first word of a short last chunk
+        let m = Media::read_from(&img[..], img.len() as u64).unwrap();
+        assert_eq!(m.image(), img);
+        let e = Media::read_from(&img[..], 1 << 17).unwrap_err();
+        assert_eq!(e.kind(), io::ErrorKind::InvalidData);
     }
 
     #[test]
@@ -237,7 +259,7 @@ mod tests {
         let m = Media::new(128);
         m.write_word(PAddr(16), 7);
         std::fs::write(&path, m.image()).unwrap();
-        let m2 = Media::load(&path, 128).unwrap();
+        let m2 = Media::read_from(std::fs::File::open(&path).unwrap(), 128).unwrap();
         assert_eq!(m2.read_word(PAddr(16)), 7);
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -113,7 +113,8 @@ impl ScmSim {
     /// Boots a machine from a previously captured media image (e.g. after a
     /// crash or power-down).
     pub fn from_image(image: &[u8], config: ScmConfig) -> Self {
-        let media = Media::from_image(image, config.rounded_size());
+        let size = config.rounded_size().max(image.len() as u64);
+        let media = Media::read_from(image, size).expect("a slice reads without error");
         Self::with_media(media, config)
     }
 
@@ -122,7 +123,9 @@ impl ScmSim {
     /// # Errors
     /// Returns any I/O error from reading the file.
     pub fn load(path: &Path, config: ScmConfig) -> std::io::Result<Self> {
-        let media = Media::load(path, config.rounded_size())?;
+        let file = std::fs::File::open(path)?;
+        let size = config.rounded_size().max(file.metadata()?.len());
+        let media = Media::read_from(file, size)?;
         Ok(Self::with_media(media, config))
     }
 
