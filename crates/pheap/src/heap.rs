@@ -161,20 +161,20 @@ impl HeapState {
 
     /// Commits `writes` — the §4.3 atomicity protocol, in the word-redo
     /// sequence of DESIGN.md §5: append and fence (**the commit point**),
-    /// then [`HeapState::redo`]. The log is empty on entry, so an append
-    /// can fail only with `RecordTooLarge`.
+    /// then [`HeapState::redo_writes`]. The log is empty on entry, so an
+    /// append can fail only with `RecordTooLarge`.
     fn commit(&mut self) -> Result<(), HeapError> {
         redo::encode(&mut self.record, None, &self.writes);
         self.log.append(&self.record)?;
         self.log.flush();
-        self.redo();
+        self.redo_writes();
         Ok(())
     }
 
     /// Writes back and forces `writes`, then truncates the log with the
     /// closing fence (free when it is empty): what follows the commit
     /// point, all of replay, and a format's durable stores.
-    fn redo(&mut self) {
+    fn redo_writes(&mut self) {
         redo::write_back(self.log.pmem(), &self.writes);
         redo::force(
             self.log.pmem(),
@@ -274,7 +274,7 @@ impl PHeap {
             record: Vec::new(),
             lines: Vec::new(),
         };
-        st.redo();
+        st.redo_writes();
         if fresh {
             pmem.store_u64(header.add(8), 1);
             pmem.flush(header.add(8));
@@ -340,7 +340,7 @@ impl PHeap {
         };
         let mut area = LargeAlloc::new(region.addr, region.len);
         st.writes = area.format_writes();
-        st.redo();
+        st.redo_writes();
         // Commit point: the extension only counts once this word lands.
         pmem.store_u64(exts_addr, e + 1);
         pmem.flush(exts_addr);

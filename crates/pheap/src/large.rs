@@ -53,11 +53,11 @@ impl LargeAlloc {
     /// Durable writes that format a fresh area as one big free chunk.
     pub fn format_writes(&mut self) -> Vec<WordWrite> {
         self.free = vec![(self.base, self.len)];
-        Self::header_writes(self.base, self.len, 0, false)
+        Self::header_writes(self.base, self.len, 0, false).to_vec()
     }
 
-    fn header_writes(addr: VAddr, size: u64, prev_size: u64, in_use: bool) -> Vec<WordWrite> {
-        vec![
+    fn header_writes(addr: VAddr, size: u64, prev_size: u64, in_use: bool) -> [WordWrite; 4] {
+        [
             (addr, size),
             (addr.add(8), prev_size),
             (addr.add(16), in_use as u64),

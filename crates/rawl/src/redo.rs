@@ -46,7 +46,7 @@ pub fn decode<'a>(
         .clone()
         .any(|(addr, _)| !addr.is_word_aligned() || pmem.try_translate(addr).is_err())
     {
-        return Err(corrupt("redo record targets an unmapped address"));
+        return Err(corrupt("redo record targets an unmapped or unaligned word"));
     }
     Ok(writes)
 }
@@ -80,8 +80,8 @@ pub fn write_back(pmem: &PMem, writes: &[WordWrite]) {
     }
 }
 
-/// Flushes each distinct line the writes touch once, in line order, into
-/// the reused `lines`. No fence: the truncation that follows fences.
+/// Flushes each distinct line the writes touch once, in line order, with
+/// `lines` as reused scratch. No fence: the truncation that follows fences.
 pub fn force(pmem: &PMem, writes: impl IntoIterator<Item = WordWrite>, lines: &mut Vec<u64>) {
     lines.clear();
     lines.extend(writes.into_iter().map(|(a, _)| a.0 - a.0 % CACHE_LINE));

@@ -226,8 +226,8 @@ mod tests {
     #[test]
     fn read_from_spans_chunks_and_refuses_an_oversized_image() {
         let mut img = vec![0u8; (1 << 17) + 8];
-        img[(1 << 16) - 3] = 0xaa; // a word cut by no chunk edge
-        img[1 << 17] = 0xbb; // the first word of a short last chunk
+        img[(1 << 16) - 3] = 0xaa; // the last word of the first chunk
+        img[1 << 17] = 0xbb; // the one word of a short last chunk
         let m = Media::read_from(&img[..], img.len() as u64).unwrap();
         assert_eq!(m.image(), img);
         let e = Media::read_from(&img[..], 1 << 17).unwrap_err();
