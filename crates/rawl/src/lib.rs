@@ -38,7 +38,7 @@
 //! // Simulate a failure: only what reached the media survives. Recovery
 //! // scans the torn bits and returns every durably appended record.
 //! sim.crash(mnemosyne_scm::CrashPolicy::DropAll);
-//! let (log, records) = TornbitLog::recover(regions.pmem_handle(), r.addr)?;
+//! let (_log, records) = TornbitLog::recover(regions.pmem_handle(), r.addr)?;
 //! assert_eq!(records, vec![vec![0xcafe, 0xf00d]]);
 //! # std::fs::remove_dir_all(&dir).ok();
 //! # Ok(())
